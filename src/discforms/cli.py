@@ -28,12 +28,10 @@ from .series import SeedFunction
 
 
 def _jsonable(obj):
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.complexfloating):
-        return [float(obj.real), float(obj.imag)]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):

@@ -14,7 +14,7 @@ class NonUnitary(DiscformsError):
 
 
 class BudgetExceeded(DiscformsError):
-    """Orbit enumeration passed the configured element cap."""
+    """Orbit enumeration passed its element cap or dedup radius limit."""
 
 
 class InsufficientBall(DiscformsError):

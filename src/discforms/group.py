@@ -26,6 +26,12 @@ from .geometry import check_su11, distance, mobius
 # entries are algebraic numbers evaluated in double precision; renormalized
 # products of <= 40 letters stay far below this drift.
 DEDUP_TOL = 1e-9
+# Largest enumeration radius (target plus margin) at which DEDUP_TOL still
+# separates distinct orbit images; see _dedup_keys.
+DEDUP_MAX_RADIUS = 19.0
+
+# Displacement resolution of the ball order.
+_DISP_BIN = 1e-12
 
 DEFAULT_ELEMENT_CAP = 5_000_000
 
@@ -166,17 +172,48 @@ class FuchsianGroup:
 
 @dataclass
 class OrbitBall:
-    """Deduplicated {gamma : rho(x, gamma x) <= R}, sorted by displacement."""
+    """Deduplicated {gamma : rho(x, gamma x) <= R}, sorted by displacement.
+
+    Parallel arrays in ball order: displacement bin
+    ``bins = round(displacement / _DISP_BIN)``, then sign-normalized matrix
+    entries.  Words are not stored.  ``nodes`` places each element in the
+    BFS tree ``parents``/``letters`` (parent node or -1, last signed letter
+    or 0 at the root), which a restricted ball shares with the ball it was
+    cut from.
+    """
 
     base: complex
     radius: float
     alphas: np.ndarray
     betas: np.ndarray
     displacements: np.ndarray
-    words: list
+    bins: np.ndarray
+    nodes: np.ndarray
+    parents: np.ndarray
+    letters: np.ndarray
+
+    def __post_init__(self):
+        # restrictions are views into the cached ball, so none may write
+        for arr in (self.alphas, self.betas, self.displacements, self.bins,
+                    self.nodes, self.parents, self.letters):
+            arr.flags.writeable = False
 
     def __len__(self):
         return len(self.alphas)
+
+    @property
+    def words(self):
+        """Freely reduced words of this ball's elements, spelled on demand."""
+        cur = self.nodes
+        steps = []
+        while np.any(cur >= 0):
+            inside = cur >= 0
+            steps.append(np.where(inside, self.letters[cur], 0))
+            cur = np.where(inside, self.parents[cur], -1)
+        # steps[k] holds each word's k-th letter from the end, 0 before
+        # its start; reversed and stripped of zeros, a row is the word
+        rows = np.stack(steps[::-1], axis=1).tolist()
+        return [tuple(filter(None, row)) for row in rows]
 
     @property
     def elements(self):
@@ -188,12 +225,28 @@ class OrbitBall:
         return mobius(self.alphas, self.betas, self.base)
 
     def restrict(self, radius):
+        """The elements with displacement <= radius, as slices where possible.
+
+        Every element more than one bin below radius/_DISP_BIN lies inside
+        and every element more than one bin above it outside, since the
+        division is monotone and rounding moves a value by at most half a
+        bin.  Only the bins in between, where displacements need not be in
+        order, are tested one by one.
+        """
         if radius > self.radius + 1e-15:
             raise ValueError("cannot grow a ball by restriction")
-        keep = self.displacements <= radius
-        return OrbitBall(self.base, radius, self.alphas[keep],
-                         self.betas[keep], self.displacements[keep],
-                         [w for w, k in zip(self.words, keep) if k])
+        b = radius / _DISP_BIN
+        lo = np.searchsorted(self.bins, b - 1.0, "left")
+        hi = np.searchsorted(self.bins, b + 1.0, "right")
+        edge = self.displacements[lo:hi] <= radius
+        n = lo + np.count_nonzero(edge)
+        if edge[:n - lo].all():
+            sel = slice(0, n)
+        else:
+            sel = np.concatenate([np.arange(lo), lo + np.flatnonzero(edge)])
+        return OrbitBall(self.base, radius, self.alphas[sel], self.betas[sel],
+                         self.displacements[sel], self.bins[sel],
+                         self.nodes[sel], self.parents, self.letters)
 
 
 def _sign_normalize(alphas, betas):
@@ -221,17 +274,77 @@ def _dedup_keys(alphas, betas, probes):
 
     Keys are rounded orbit images of the probe points.  Euclidean spacing
     of distinct images shrinks like e^(-displacement) near the boundary,
-    so the fixed 1e-9 tolerance is valid for enumeration radii up to ~19;
-    far beyond any desk-scale truncation radius used here.
+    so the fixed 1e-9 tolerance is valid for enumeration radii up to
+    DEDUP_MAX_RADIUS, which enumerate_ball enforces.  Each key is an (n, 2)
+    int64 array, one column per probe image: the image's rounded
+    coordinates lie within 2^30 of zero, so offset by 2^30 they pack into
+    31 bits each without collisions.
     """
     p1, p2 = probes
     i1 = mobius(alphas, betas, p1)
     i2 = mobius(alphas, betas, p2)
     comps = np.stack([i1.real, i1.imag, i2.real, i2.imag], axis=1) / DEDUP_TOL
-    k1 = np.ascontiguousarray(np.round(comps).astype(np.int64))
-    k2 = np.ascontiguousarray(np.round(comps + 0.5).astype(np.int64))
-    void = np.dtype((np.void, 32))
-    return k1.view(void).ravel(), k2.view(void).ravel()
+    keys = []
+    for shift in (0.0, 0.5):
+        k = np.round(comps + shift).astype(np.int64) + (1 << 30)
+        keys.append(np.stack([k[:, 0] << 31 | k[:, 1],
+                              k[:, 2] << 31 | k[:, 3]], axis=1))
+    return keys
+
+
+def _first_rows(keys, rows):
+    """For ascending rows: the first row of each distinct key, in order."""
+    order = rows[np.lexsort((keys[rows, 1], keys[rows, 0]))]
+    sk = keys[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(sk[1:] != sk[:-1], axis=1)
+    return np.sort(order[first])
+
+
+class _SeenKeys:
+    """Growing set of packed key pairs, sorted on the first column.
+
+    A query binary-searches the first column, then compares the second
+    column of each tie.  Ties (distinct elements with the same rounded
+    image of the base point) are rare, so the loop over them is short.
+    """
+
+    def __init__(self, keys):
+        self.first = np.empty(0, dtype=np.int64)
+        self.second = np.empty(0, dtype=np.int64)
+        self.add(keys)
+
+    def contains(self, keys):
+        lo = np.searchsorted(self.first, keys[:, 0], "left")
+        hi = np.searchsorted(self.first, keys[:, 0], "right")
+        hit = np.zeros(len(keys), dtype=bool)
+        for k in range(int(np.max(hi - lo, initial=0))):
+            j = lo + k
+            live = j < hi
+            hit[live] |= self.second[j[live]] == keys[live, 1]
+        return hit
+
+    def add(self, keys):
+        keys = keys[np.argsort(keys[:, 0], kind="stable")]
+        pos = np.searchsorted(self.first, keys[:, 0])
+        self.first = np.insert(self.first, pos, keys[:, 0])
+        self.second = np.insert(self.second, pos, keys[:, 1])
+
+
+def _accept(k1, k2, seen1, seen2):
+    """Rows of one BFS level that dedup keeps, in order; marks them seen.
+
+    The rule: visit the rows in order, keep each row whose k1 and k2 are
+    both unseen, and mark both seen.  Within a level only kept rows mark
+    keys, so this is the first row of each k1, then those unseen on earlier
+    levels, then the first row of each k2 among the rest.
+    """
+    rows = _first_rows(k1, np.arange(len(k1)))
+    rows = rows[~seen1.contains(k1[rows]) & ~seen2.contains(k2[rows])]
+    rows = _first_rows(k2, rows)
+    seen1.add(k1[rows])
+    seen2.add(k2[rows])
+    return rows
 
 
 def enumerate_ball(group, x, radius, margin=None,
@@ -240,10 +353,12 @@ def enumerate_ball(group, x, radius, margin=None,
 
     margin defaults to the largest generator displacement at x: a child can
     reduce its parent's displacement by at most that much, so branches with
-    displacement > radius + margin are dropped.
+    displacement > radius + margin are dropped.  A build whose radius +
+    margin passes DEDUP_MAX_RADIUS, or which passes max_elements, raises
+    BudgetExceeded.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
     x = complex(x)
     cache_key = (round(x.real, 12), round(x.imag, 12))
     cached = group._ball_cache.get(cache_key)
@@ -251,8 +366,10 @@ def enumerate_ball(group, x, radius, margin=None,
         return cached.restrict(radius)
 
     if group.is_trivial:
-        ball = OrbitBall(x, radius, np.array([1.0 + 0j]), np.array([0.0j]),
-                         np.array([0.0]), [()])
+        root = np.zeros(1, dtype=np.int64)
+        ball = OrbitBall(x, radius, np.ones(1, dtype=complex),
+                         np.zeros(1, dtype=complex), np.zeros(1), np.zeros(1),
+                         root, root - 1, root)
         group._ball_cache[cache_key] = ball
         return ball
 
@@ -260,19 +377,21 @@ def enumerate_ball(group, x, radius, margin=None,
     if margin is None:
         margin = group.max_generator_displacement(x)
     expand_limit = radius + margin
+    if expand_limit > DEDUP_MAX_RADIUS:
+        raise BudgetExceeded(
+            f"radius + margin = {expand_limit:.6g} exceeds "
+            f"{DEDUP_MAX_RADIUS:g}, the limit of the {DEDUP_TOL:g} dedup key")
 
-    # Growing global store; parent/letter pairs reconstruct words at the end.
+    # Growing global store; parent/letter pairs spell the words on demand.
     all_a = [np.array([1.0 + 0j])]
     all_b = [np.array([0.0j])]
     all_d = [np.array([0.0])]
     all_parent = [np.array([-1], dtype=np.int64)]
     all_letter = [np.array([-1], dtype=np.int64)]  # alphabet index, -1 = root
     probes = _probe_points(x)
-    seen1 = set()
-    seen2 = set()
-    k1, k2 = _dedup_keys(np.array([1.0 + 0j]), np.array([0.0j]), probes)
-    seen1.add(k1[0].item())
-    seen2.add(k2[0].item())
+    k1, k2 = _dedup_keys(all_a[0], all_b[0], probes)
+    seen1 = _SeenKeys(k1)
+    seen2 = _SeenKeys(k2)
 
     total = 1
     frontier_idx = np.array([0], dtype=np.int64)
@@ -303,22 +422,9 @@ def enumerate_ball(group, x, radius, margin=None,
         if len(ca) == 0:
             break
 
-        k1, k2 = _dedup_keys(ca, cb, probes)
-        # Collapse within-level duplicates before the python-level set pass.
-        _, first = np.unique(k1, return_index=True)
-        first.sort()
-        new_rows = []
-        for i in first:
-            t1 = k1[i].item()
-            t2 = k2[i].item()
-            if t1 in seen1 or t2 in seen2:
-                continue
-            seen1.add(t1)
-            seen2.add(t2)
-            new_rows.append(i)
-        if not new_rows:
+        new_rows = _accept(*_dedup_keys(ca, cb, probes), seen1, seen2)
+        if not len(new_rows):
             break
-        new_rows = np.array(new_rows, dtype=np.int64)
         total += len(new_rows)
         if total > max_elements:
             raise BudgetExceeded(f"orbit ball exceeded cap {max_elements}")
@@ -339,30 +445,22 @@ def enumerate_ball(group, x, radius, margin=None,
     alphas = np.concatenate(all_a)
     betas = np.concatenate(all_b)
     disps = np.concatenate(all_d)
-    parents = np.concatenate(all_parent)
-    letts = np.concatenate(all_letter)
+    bins = np.round(disps / _DISP_BIN)
 
-    # Stable deterministic order: displacement, then matrix components.
+    # Stable deterministic order: displacement bin, then matrix components.
     na, nb = _sign_normalize(alphas, betas)
-    order = np.lexsort((nb.imag, nb.real, na.imag, na.real,
-                        np.round(disps / 1e-12)))
-    full = OrbitBall(x, float(np.max(disps)) if len(disps) else 0.0,
-                     alphas[order], betas[order], disps[order],
-                     _materialize_words(parents, letts, letters, order))
+    order = np.lexsort((nb.imag, nb.real, na.imag, na.real, bins))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    parents = np.concatenate(all_parent)[order]
+    # alphabet index -1 (the root) picks the appended 0
+    signed = np.append(np.array(letters, dtype=np.int64), 0)
+    full = OrbitBall(x, float(np.max(disps)), alphas[order], betas[order],
+                     disps[order], bins[order], np.arange(len(order)),
+                     np.where(parents >= 0, rank[parents], -1),
+                     signed[np.concatenate(all_letter)[order]])
     group._ball_cache[cache_key] = full
     return full.restrict(radius)
-
-
-def _materialize_words(parents, letter_idx, letters, order):
-    words = []
-    for i in order:
-        w = []
-        j = i
-        while parents[j] >= 0:
-            w.append(letters[letter_idx[j]])
-            j = parents[j]
-        words.append(tuple(reversed(w)))
-    return words
 
 
 def orbit_counts(group, x, zs, r):

@@ -118,3 +118,18 @@ def test_injectivity_command(tmp_path):
     code, data = run(tmp_path, "injectivity-radius")
     assert code == 0
     assert data["report"]["rho_x"] == pytest.approx(1.5285709, rel=1e-6)
+
+
+def test_kernel_check_command(capsys):
+    # passing checks give numpy booleans, which the report must serialize
+    assert cli.main(["kernel-check", "--m", "4"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["command"] == "kernel-check"
+    assert data["report"]["passed"] is True
+
+
+def test_enumerate_nonfinite_radius(capsys):
+    for r in ("nan", "inf"):
+        assert cli.main(["enumerate", "--radius", r]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "finite" in err

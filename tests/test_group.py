@@ -8,8 +8,9 @@ import pytest
 from discforms.errors import BudgetExceeded, ConfigError
 from discforms.geometry import distance, mobius_apply
 from discforms.group import (
-    GroupElement, enumerate_ball, from_config_text, load_group, orbit_count,
-    preset_genus2_octagon, to_config_text,
+    DEDUP_MAX_RADIUS, GroupElement, _accept, _SeenKeys, enumerate_ball,
+    from_config_text, load_group, orbit_count, preset_genus2_octagon,
+    to_config_text,
 )
 
 from conftest import random_disc_points
@@ -59,11 +60,17 @@ def test_ball_inverse_closed(octagon):
 
 def test_ball_word_rebuild(octagon):
     ball = enumerate_ball(octagon, 0.0j, 6.5)
-    for w, a, b in zip(ball.words, ball.alphas, ball.betas):
-        g = octagon.element_from_word(w)
-        res = min(abs(g.alpha - a) + abs(g.beta - b),
-                  abs(g.alpha + a) + abs(g.beta + b))
-        assert res < 1e-9
+    # also through a restriction of a larger ball, whose words run through
+    # elements the restricted ball does not hold
+    big = enumerate_ball(preset_genus2_octagon(), 0.0j, 8.0)
+    restricted = big.restrict(6.5)
+    assert len(restricted) == len(ball)
+    for sub in (ball, restricted):
+        for w, a, b in zip(sub.words, sub.alphas, sub.betas):
+            g = octagon.element_from_word(w)
+            res = min(abs(g.alpha - a) + abs(g.beta - b),
+                      abs(g.alpha + a) + abs(g.beta + b))
+            assert res < 1e-9
 
 
 def test_ball_growth_rate(octagon):
@@ -72,6 +79,80 @@ def test_ball_growth_rate(octagon):
     for n1, n2 in zip(counts, counts[1:]):
         ratio = n2 / n1
         assert math.exp(2.0) / 2.0 < ratio < math.exp(2.0) * 2.0
+
+
+def test_ball_huber_count():
+    # Huber: N(R) = (cosh R - 1)/2 + O(e^{2R/3}) for a closed genus-2
+    # surface (area 4 pi); the octagon gives 97, 793 and 5,433.  A fresh
+    # group per radius, so each count comes from a build, not the cache.
+    for r in (6.0, 8.0, 10.0):
+        n = len(enumerate_ball(preset_genus2_octagon(), 0.0j, r))
+        assert abs(n - (math.cosh(r) - 1.0) / 2.0) <= math.exp(2.0 * r / 3.0)
+
+
+def test_restrict_matches_mask():
+    # restriction equals the selection displacement <= R element for
+    # element, also at radii inside bins where displacements are unsorted
+    g = preset_genus2_octagon()
+    enumerate_ball(g, 0.0j, 10.0)
+    (full,) = g._ball_cache.values()
+    d = full.displacements
+    unsorted = np.flatnonzero(np.diff(d) < 0)
+    assert len(unsorted) > 0
+    edges = [d[i + k] + e for i in np.r_[unsorted[:3], unsorted[-3:]]
+             for k in (0, 1) for e in (-1e-13, 0.0, 1e-13)]
+    words = full.words
+    gaps = 0
+    for r in [6.0, 8.0, 10.0] + edges:
+        keep = d <= r
+        gaps += not keep[:np.count_nonzero(keep)].all()
+        ball = full.restrict(r)
+        assert np.array_equal(ball.alphas, full.alphas[keep])
+        assert np.array_equal(ball.betas, full.betas[keep])
+        assert np.array_equal(ball.displacements, d[keep])
+        assert ball.words == [w for w, k in zip(words, keep) if k]
+    assert gaps > 0   # some radius selects a non-prefix
+
+
+def test_dedup_matches_sequential_rule():
+    # the array dedup keeps exactly the rows that the in-order rule keeps:
+    # skip repeats of a k1 within the level, keep a row when neither key
+    # is seen, then mark both seen.  Small key ranges force collisions.
+    rng = np.random.default_rng(3)
+    root = np.zeros((1, 2), dtype=np.int64)
+    seen1, seen2 = _SeenKeys(root), _SeenKeys(root)
+    ref1, ref2 = {(0, 0)}, {(0, 0)}
+    for _ in range(8):
+        k1 = rng.integers(0, [30, 3], size=(80, 2))
+        k2 = rng.integers(0, [30, 3], size=(80, 2))
+        want, level = [], set()
+        for i, (t1, t2) in enumerate(zip(map(tuple, k1), map(tuple, k2))):
+            if t1 in level:
+                continue
+            level.add(t1)
+            if t1 not in ref1 and t2 not in ref2:
+                ref1.add(t1)
+                ref2.add(t2)
+                want.append(i)
+        assert _accept(k1, k2, seen1, seen2).tolist() == want
+
+
+def test_ball_dedup_radius_limit():
+    g = preset_genus2_octagon()
+    with pytest.raises(BudgetExceeded, match="dedup"):
+        enumerate_ball(g, 0.0j, DEDUP_MAX_RADIUS - D0 + 0.01)
+    with pytest.raises(BudgetExceeded, match="dedup"):
+        enumerate_ball(g, 0.0j, 5.0, margin=DEDUP_MAX_RADIUS)
+    # just inside the limit the build starts (and meets the element cap)
+    with pytest.raises(BudgetExceeded, match="cap"):
+        enumerate_ball(g, 0.0j, DEDUP_MAX_RADIUS - D0 - 0.01,
+                       max_elements=100)
+
+
+def test_ball_nonfinite_radius(octagon):
+    for r in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(ValueError, match="finite"):
+            enumerate_ball(octagon, 0.0j, r)
 
 
 def test_ball_restrict_consistency(octagon):
