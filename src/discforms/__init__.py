@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .errors import (
     DiscformsError, BoundaryPoint, NonUnitary, BudgetExceeded,
     InsufficientBall, UnboundedSeed, QuadratureDiverged, TargetNotReached,
-    OrbitSingularity, DegenerateBasis, EquivalentPoints, ConfigError,
+    DegenerateBasis, EquivalentPoints, ConfigError,
 )
 from .geometry import (
     bergman_kernel, bergman_metric, distance, mobius, mobius_jacobian,

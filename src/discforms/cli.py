@@ -14,7 +14,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -311,32 +310,28 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(p):
-    p.add_argument("--group", default="genus2-octagon",
-                   help="preset name or group config file")
-    p.add_argument("--out", help="JSON report path (default stdout)")
-    p.add_argument("--csv", help="optional CSV grid output path")
-    p.add_argument("--threads",
-                   type=int,
-                   default=int(os.environ.get("DISCFORMS_THREADS", "1")),
-                   help="worker cap (recorded in the report; execution is "
-                        "sequential for determinism)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p.add_argument("--config", help="key = value config file; command-line "
-                                    "flags override it")
+_COMMON_FLAGS = dict(
+    group=dict(default="genus2-octagon",
+               help="preset name or group config file"),
+    out=dict(help="JSON report path (default stdout)"),
+    csv=dict(help="optional CSV grid output path"),
+    seed=dict(type=int, default=0, help="RNG seed"),
+    config=dict(help="key = value config file, read before the command "
+                     "line; command-line flags override it"),
+)
 
 
 def build_parser():
     ap = _Parser(prog="discforms")
+    ap.flags = {}           # command -> {flag: add_argument keywords}
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **flags):
         p = sub.add_parser(name)
-        _add_common(p)
-        for flag, spec in flags.items():
+        ap.flags[name] = {**_COMMON_FLAGS, **flags}
+        for flag, spec in ap.flags[name].items():
             p.add_argument("--" + flag.replace("_", "-"), **spec)
         p.set_defaults(func=fn)
-        return p
 
     F = dict
     add("enumerate", cmd_enumerate,
@@ -381,39 +376,43 @@ def build_parser():
     return ap
 
 
-def _apply_config_file(args):
-    if not getattr(args, "config", None):
-        return
-    defaults = {}
-    with open(args.config) as fh:
+def _expand_config(parser, argv):
+    """argv with the --config file's lines spliced in right after the command.
+
+    Each `key = value` line becomes a flag placed ahead of the command line,
+    so one parse applies argparse's types, nargs and required checks to
+    both, and the command line, coming last, wins.
+    """
+    flags = parser.flags.get(argv[0]) if argv else None
+    pre = _Parser(prog="discforms", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv[1:])[0].config
+    if flags is None or path is None:
+        return argv
+    tokens = []
+    with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
-                raise DiscformsError(
-                    f"{args.config}:{lineno}: expected 'key = value'")
-            key, val = (part.strip() for part in line.split("=", 1))
-            defaults[key.replace("-", "_")] = val
-    # config supplies values only where the command line kept the default
-    parser = build_parser()
-    sentinel = parser.parse_args([args.command])
-    for key, val in defaults.items():
-        if not hasattr(args, key):
-            raise DiscformsError(f"{args.config}: unknown key {key!r}")
-        current = getattr(args, key)
-        default = getattr(sentinel, key, None)
-        if current == default:
-            typ = type(default) if default is not None else str
-            setattr(args, key,
-                    val if typ is str else typ(float(val))
-                    if typ in (int, float) else val)
+            key, eq, val = (part.strip() for part in line.partition("="))
+            if not eq:
+                raise DiscformsError(f"{path}:{lineno}: expected 'key = value'")
+            key = key.replace("-", "_")
+            if key not in flags:
+                raise DiscformsError(f"{path}: unknown key {key!r}")
+            opt = "--" + key.replace("_", "-")
+            # only nargs flags take several tokens; 'f = poly 1 0' is one
+            tokens += ([opt, *val.split()] if "nargs" in flags[key]
+                       else [f"{opt}={val}"])
+    return [argv[0], *tokens, *argv[1:]]
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
-        _apply_config_file(args)
+        parser = build_parser()
+        args = parser.parse_args(_expand_config(parser, argv))
         return args.func(args)
     except SystemExit as exc:
         return exc.code

@@ -104,15 +104,6 @@ class FundamentalDomain:
         inside = np.all(f <= slack, axis=0) & (np.abs(za) < 1.0)
         return inside if np.ndim(z) else bool(inside[0])
 
-    def boundary_margin(self, z):
-        """Klein-coordinate distance to the nearest bounding line
-        (positive inside)."""
-        k = poincare_to_klein(np.asarray(z, dtype=complex))
-        f = (np.conj(self.klein_normals)[:, None]
-             * np.atleast_1d(k)[None, :]).real - self.klein_offsets[:, None]
-        m = -np.max(f, axis=0)
-        return m if np.ndim(z) else float(m[0])
-
     @property
     def euclidean_area(self):
         """Exact Euclidean area of the arc-sided Poincare polygon."""

@@ -36,13 +36,10 @@ def eval_sections(group, m, d, z, radius=8.0, ball=None):
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if ball is None:
         ball = enumerate_ball(group, 0.0j, radius)
-    a = ball.alphas[:, None]
-    b = ball.betas[:, None]
-    den = np.conj(b) * z[None, :] + np.conj(a)
-    gz = (a * z[None, :] + b) / den
+    gz, den = ball.terms(z)
     j = den ** -2
     jm = den ** (-2 * m)
-    dfac = -2.0 * m * np.conj(b) * den ** (-2 * m - 1)
+    dfac = -2.0 * m * np.conj(ball.betas[:, None]) * den ** (-2 * m - 1)
     vals = np.empty((d + 1, len(z)), dtype=complex)
     ders = np.empty((d + 1, len(z)), dtype=complex)
     gzk = np.ones_like(gz)          # (gamma z)^k

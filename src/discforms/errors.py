@@ -33,10 +33,6 @@ class TargetNotReached(DiscformsError):
     """Polynomial approximation hit the degree cap before the target norm."""
 
 
-class OrbitSingularity(DiscformsError):
-    """Evaluation point lies on (or numerically on) the orbit of the center."""
-
-
 class DegenerateBasis(DiscformsError):
     """All candidate sections vanish at the test point."""
 

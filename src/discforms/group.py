@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceeded, ConfigError, NonUnitary
-from .geometry import check_su11, distance, mobius
+from .geometry import (check_disc_point, check_su11, distance, mobius,
+                       mobius_jacobian)
 
 # Deduplication tolerance in max-norm on (alpha, beta) up to sign.  Generator
 # entries are algebraic numbers evaluated in double precision; renormalized
@@ -34,6 +35,10 @@ DEDUP_MAX_RADIUS = 19.0
 _DISP_BIN = 1e-12
 
 DEFAULT_ELEMENT_CAP = 5_000_000
+
+# Pairs orbit_pairs tests at once: ~1 MB temporaries.  Chunks of 4M pairs
+# ran slower and held about 300 MB at the CLI defaults.
+_PAIR_CHUNK = 65_536
 
 
 @dataclass(frozen=True)
@@ -58,8 +63,7 @@ class GroupElement:
         return mobius(self.alpha, self.beta, z)
 
     def jac(self, z):
-        den = np.conj(self.beta) * z + np.conj(self.alpha)
-        return 1.0 / (den * den)
+        return mobius_jacobian(self.alpha, self.beta, z)
 
     def compose(self, other):
         """Matrix product self @ other (apply other first), renormalized."""
@@ -223,6 +227,19 @@ class OrbitBall:
     def orbit_points(self):
         """gamma(base) for every element, in ball order."""
         return mobius(self.alphas, self.betas, self.base)
+
+    def terms(self, z):
+        """(gamma z, den) per element, den = conj(beta) z + conj(alpha).
+
+        j_gamma(z) = den^-2.  Shape (n,) for a scalar z and (n, len(z)) for
+        an array, rows in ball order.
+        """
+        z = np.asarray(z, dtype=complex)
+        a, b = self.alphas, self.betas
+        if z.ndim:
+            a, b, z = a[:, None], b[:, None], z[None, :]
+        den = np.conj(b) * z + np.conj(a)
+        return (a * z + b) / den, den
 
     def restrict(self, radius):
         """The elements with displacement <= radius, as slices where possible.
@@ -463,6 +480,26 @@ def enumerate_ball(group, x, radius, margin=None,
     return full.restrict(radius)
 
 
+def orbit_pairs(ball, zs, r):
+    """Index pairs (iz, ib) with rho(gamma_ib x, zs[iz]) < r, iz ascending.
+
+    rho < r is tested as |(p - z)/(1 - conj(p) z)| < tanh(r/2), with no
+    logarithms, on at most _PAIR_CHUNK pairs at a time.
+    """
+    zs = check_disc_point(np.atleast_1d(np.asarray(zs, dtype=complex)))
+    pts = check_disc_point(ball.orbit_points())
+    t_max = np.tanh(r / 2.0)
+    step = max(1, _PAIR_CHUNK // len(pts))
+    iz, ib = [], []
+    for lo in range(0, len(zs), step):
+        z = zs[lo:lo + step, None]
+        t = np.abs((pts - z) / (1.0 - np.conj(pts) * z))
+        rows, cols = np.nonzero(t < t_max)
+        iz.append(lo + rows)
+        ib.append(cols)
+    return np.concatenate(iz), np.concatenate(ib)
+
+
 def orbit_counts(group, x, zs, r):
     """Number of orbit points gamma(x) with rho(gamma x, z) < r, per z."""
     if r <= 0:
@@ -470,9 +507,8 @@ def orbit_counts(group, x, zs, r):
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     reach = float(np.max(distance(x, zs))) + r + 1e-9
     ball = enumerate_ball(group, x, reach)
-    pts = ball.orbit_points()
-    d = distance(pts[None, :], zs[:, None])
-    return np.sum(d < r, axis=1)
+    iz, _ = orbit_pairs(ball, zs, r)
+    return np.bincount(iz, minlength=len(zs))
 
 
 def orbit_count(group, x, z, r):

@@ -184,10 +184,8 @@ def roundtrip_check(group, f0, m, sample_points, radius=8.0, spacing=0.02,
     ball = enumerate_ball(group, 0.0j, radius)
     rel = []
     for zs, hz in zip(samples, h_samples):
-        orbit = (ball.alphas * zs + ball.betas) \
-            / (np.conj(ball.betas) * zs + np.conj(ball.alphas))
-        jm = (np.conj(ball.betas) * zs + np.conj(ball.alphas)) ** (-2 * m)
+        orbit, den = ball.terms(zs)
         f_orbit = relative_poincare(domain, h_nodes, m, orbit)
-        resummed = complex(np.sum(f_orbit * jm))
+        resummed = complex(np.sum(f_orbit * den ** (-2 * m)))
         rel.append(abs(resummed - hz) / max(abs(hz), 1e-300))
     return RoundTripReport(max(rel), rel, list(samples), spacing, radius)

@@ -126,27 +126,12 @@ def _shell_tail(displacements, abs_terms, radius):
     return s2 * q / (1.0 - q)
 
 
-def _orbit_data(ball, z, m):
-    """(gamma(z), j_gamma(z)^m) for every ball element, displacement order."""
-    z = np.asarray(z, dtype=complex)
-    a = ball.alphas
-    b = ball.betas
-    if z.ndim:
-        a = a[:, None]
-        b = b[:, None]
-        z = z[None, :]
-    den = np.conj(b) * z + np.conj(a)
-    gz = (a * z + b) / den
-    jm = den ** (-2 * m)
-    return gz, jm
-
-
 def weight_sum(group, x, z, radius):
     """Truncated sum of |j_gamma(z)|^2 over the orbit ball at x."""
     z = check_disc_point(complex(z))
     ball = enumerate_ball(group, x, radius)
-    _, j = _orbit_data(ball, z, 1)
-    terms = np.abs(j) ** 2
+    _, den = ball.terms(z)
+    terms = np.abs(den ** -2) ** 2
     value = math.fsum(terms)
     tail = _shell_tail(ball.displacements, terms, radius)
     return SeriesValue(value, tail, len(ball), radius)
@@ -159,7 +144,8 @@ def poincare_eval(group, f, m, z, radius, ball=None):
     z = check_disc_point(complex(z))
     if ball is None:
         ball = enumerate_ball(group, 0.0j, radius)
-    gz, jm = _orbit_data(ball, z, m)
+    gz, den = ball.terms(z)
+    jm = den ** (-2 * m)
     terms = f(gz) * jm
     value = _fsum_complex(terms)
     tail = f.sup_disc() * _shell_tail(ball.displacements, np.abs(jm), radius)
@@ -171,8 +157,8 @@ def poincare_values(group, f, m, zs, radius, ball=None):
     zs = check_disc_point(np.asarray(zs, dtype=complex))
     if ball is None:
         ball = enumerate_ball(group, 0.0j, radius)
-    gz, jm = _orbit_data(ball, zs, m)
-    return np.sum(f(gz) * jm, axis=0)
+    gz, den = ball.terms(zs)
+    return np.sum(f(gz) * den ** (-2 * m), axis=0)
 
 
 def automorphy_residual(group, f, m, g, z, radius):
@@ -266,17 +252,14 @@ def lemma22_check(group, f, m, radius=6.0, domain=None, rhs_grid=(800, 512)):
     wts = domain.weights
     kfac = (np.pi * (1.0 - np.abs(nodes) ** 2) ** 2) ** ((m - 2) / 2.0)
 
-    per_gamma = np.empty(len(ball))
-    unfolded = np.empty(len(ball))
-    for i, (a, b) in enumerate(zip(ball.alphas, ball.betas)):
-        den = np.conj(b) * nodes + np.conj(a)
-        gz = (a * nodes + b) / den
-        absjm = np.abs(den) ** (-2 * m)
-        per_gamma[i] = float(np.sum(wts * np.abs(f(gz)) * absjm * kfac))
-        # substitution route: integrate |f| K^{(2-m)/2} over the tile
-        tile_w = wts * np.abs(den) ** -4
-        tile_k = (np.pi * (1.0 - np.abs(gz) ** 2) ** 2) ** ((m - 2) / 2.0)
-        unfolded[i] = float(np.sum(tile_w * np.abs(f(gz)) * tile_k))
+    gz, den = ball.terms(nodes)
+    absf = np.abs(f(gz))
+    absden = np.abs(den)
+    per_gamma = np.sum(wts * absf * absden ** (-2 * m) * kfac, axis=1)
+    # substitution route: integrate |f| K^{(2-m)/2} over each tile
+    tile_w = wts * absden ** -4
+    tile_k = (np.pi * (1.0 - np.abs(gz) ** 2) ** 2) ** ((m - 2) / 2.0)
+    unfolded = np.sum(tile_w * absf * tile_k, axis=1)
 
     lhs = math.fsum(per_gamma)
     unfolded_total = math.fsum(unfolded)
@@ -311,12 +294,11 @@ def schwarz_bound_check(group, f, m, z, radius):
     """
     z = check_disc_point(complex(z))
     ball = enumerate_ball(group, 0.0j, radius)
-    gz, jm = _orbit_data(ball, z, m)
+    gz, den = ball.terms(z)
+    jm = den ** (-2 * m)
     fz = f(gz)
     a = np.cumsum(np.abs(fz * jm))
-    b = np.cumsum(np.abs(fz ** 2 * jm ** 2
-                         * (np.conj(ball.betas) * z
-                            + np.conj(ball.alphas)) ** 4))
+    b = np.cumsum(np.abs(fz ** 2 * jm ** 2 * den ** 4))
     c = np.cumsum(np.abs(jm) ** (2.0 / m))
     ratios = a ** 2 / np.maximum(b * c, 1e-300)
     return SchwarzReport(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .domain import dirichlet_domain
 from .geometry import bergman_metric, distance
-from .group import enumerate_ball, orbit_counts
+from .group import enumerate_ball, orbit_counts, orbit_pairs
 
 
 def injectivity_radius(group, x):
@@ -104,15 +104,15 @@ def psi_values(group, x, r, zs, ball=None):
     if ball is None:
         reach = float(np.max(distance(x, zs))) + r + 1e-6
         ball = enumerate_ball(group, x, reach)
-    pts = ball.orbit_points()
-    d = distance(pts[None, :], zs[:, None])
-    out = np.zeros(len(zs))
-    sing = np.any(d < SINGULAR_TOL, axis=1)
+    # querying at SINGULAR_TOL at least keeps the -inf marker for tiny r
+    iz, ib = orbit_pairs(ball, zs, max(r, SINGULAR_TOL))
+    d = distance(ball.orbit_points()[ib], zs[iz])
     with np.errstate(divide="ignore"):
         t = 2.0 * np.log(np.maximum(d, 1e-300) / r)
     val, _ = cutoff_a(t)
-    out = np.sum(val, axis=1)
-    out[sing] = -math.inf
+    # bincount returns integers when no pair is found
+    out = np.bincount(iz, weights=val, minlength=len(zs)).astype(float)
+    out[iz[d < SINGULAR_TOL]] = -math.inf
     return out
 
 
@@ -151,13 +151,10 @@ def quasi_psh_check(group, x, r, spacing=0.0125, h=1e-3, lower=None):
         gx, gy = np.meshgrid(span, span, indexing="ij")
         zs = (gx + 1j * gy).ravel()
         zs = zs[np.abs(zs) < 0.9]
-        reach = float(np.max(distance(x, zs))) + r + 1e-6
-        ball = enumerate_ball(group, x, reach)
     else:
-        domain = dirichlet_domain(group, 0.0j, spacing=spacing)
-        zs = domain.nodes
-        reach = float(np.max(distance(x, zs))) + r + 1e-6
-        ball = enumerate_ball(group, x, reach)
+        zs = dirichlet_domain(group, 0.0j, spacing=spacing).nodes
+    reach = float(np.max(distance(x, zs))) + r + 1e-6
+    ball = enumerate_ball(group, x, reach)
     pts = ball.orbit_points()
     near = np.min(np.abs(zs[:, None] - pts[None, :]), axis=1)
     zs = zs[near > 10.0 * h]

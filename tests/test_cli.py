@@ -133,3 +133,71 @@ def test_enumerate_nonfinite_radius(capsys):
         assert cli.main(["enumerate", "--radius", r]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "finite" in err
+
+
+# Cheap settings for every subcommand; the keys must name all of them.
+CHEAP = {
+    "enumerate": ["--radius", "4"],
+    "fundamental-domain": ["--spacing", "0.05"],
+    "weight-sum": ["--radius", "4"],
+    "poincare-eval": ["--radius", "4"],
+    "automorphy-check": ["--radius", "4", "--samples", "2"],
+    "norm": [],
+    "lemma22-check": ["--radius", "3"],
+    "approx-poly": ["--f", "rational 1 / 2 -1"],
+    "kernel-check": ["--samples", "5"],
+    "cm-constant": [],
+    "roundtrip": ["--radius", "4", "--spacing", "0.05"],
+    "injectivity-radius": [],
+    "density": ["--r", "1"],
+    "cutoff-check": [],
+    "quasi-psh-check": ["--r-factors", "1", "--spacing", "0.05"],
+    "seshadri-bound": [],
+    "thresholds": ["--epsilon", "2", "--n", "1"],
+    "separation-scan": ["--radius", "4", "--d", "3", "--samples", "5"],
+}
+
+
+def test_cheap_settings_cover_every_subcommand():
+    assert sorted(CHEAP) == sorted(cli.build_parser().flags)
+
+
+@pytest.mark.parametrize("command", sorted(CHEAP))
+def test_every_subcommand_reports(tmp_path, command):
+    code, data = run(tmp_path, command, *CHEAP[command])
+    assert code in (0, 2)
+    assert data["command"] == command
+    assert data["report"] is not None
+
+
+@pytest.mark.parametrize("command, text, key, value", [
+    ("density", "r = 1.5\n", "r", 1.5),
+    ("thresholds", "epsilon = 2\nn = 1\n", "n", 1),
+    ("approx-poly", "f = rational 1 / 2 -1\n", "f", "rational 1 / 2 -1"),
+])
+def test_config_supplies_required_flags(tmp_path, command, text, key, value):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    code, data = run(tmp_path, command, "--config", str(cfg))
+    assert code == 0
+    assert data["config"][key] == value
+
+
+def test_config_list_value(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("r_factors = 1 1.5\nspacing = 0.05\nx = -0.1+0.05j\n")
+    code, data = run(tmp_path, "quasi-psh-check", "--group", "trivial",
+                     "--config", str(cfg))
+    assert code == 0
+    assert data["config"]["r_factors"] == [1.0, 1.5]
+    assert data["config"]["x"] == "-0.1+0.05j"
+    assert [rep["r"] for rep in data["report"]["reports"]] == [1.0, 1.5]
+
+
+def test_config_value_is_typed_like_the_flag(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("m = 4.7\n")
+    code, data = run(tmp_path, "poincare-eval", "--radius", "3",
+                     "--config", str(cfg))
+    assert code == 1 and data is None
+    assert "invalid int value: '4.7'" in capsys.readouterr().err

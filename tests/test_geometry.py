@@ -1,15 +1,17 @@
 """Disc model: Mobius action, kernel, metric, distance, the D-F constant."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from discforms.errors import BoundaryPoint, NonUnitary
 from discforms.geometry import (
     bergman_kernel, bergman_metric, check_su11, dbar_log_kernel_norm_sq,
-    df_constant, distance, jacobian, mobius_apply,
+    df_constant, distance, jacobian, mobius, mobius_apply, mobius_jacobian,
 )
 from discforms.group import GroupElement
 
@@ -65,6 +67,26 @@ def test_jacobian_cocycle(rng):
         lhs = jacobian(g1.compose(g2), zs)
         rhs = jacobian(g1, mobius_apply(g2, zs)) * jacobian(g2, zs)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+_angles = st.floats(0.0, 2.0 * math.pi)
+# SU(1,1) pairs (cosh t e^{i theta}, sinh t e^{i phi}) and points |z| <= 0.9
+_su11 = st.builds(lambda t, th, ph: (math.cosh(t) * cmath.exp(1j * th),
+                                     math.sinh(t) * cmath.exp(1j * ph)),
+                  st.floats(0.0, 3.0), _angles, _angles)
+_points = st.builds(cmath.rect, st.floats(0.0, 0.9), _angles)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_su11, _su11, _points)
+def test_mobius_jacobian_cocycle_property(g1, g2, z):
+    (a1, b1), (a2, b2) = g1, g2
+    a = a1 * a2 + b1 * b2.conjugate()      # matrix product g1 g2
+    b = a1 * b2 + b1 * a2.conjugate()
+    lhs = mobius_jacobian(a, b, z)
+    rhs = (mobius_jacobian(a1, b1, mobius(a2, b2, z))
+           * mobius_jacobian(a2, b2, z))
+    assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
 
 def test_jacobian_conformal_identity(rng):

@@ -195,6 +195,18 @@ def test_orbit_count(octagon):
         == orbit_count(octagon, 0.0j, z, 2.0)
 
 
+def test_ball_terms_match_elements(octagon):
+    ball = enumerate_ball(octagon, 0.0j, 6.0)
+    zs = random_disc_points(np.random.default_rng(3), 5)
+    gz, den = ball.terms(zs)
+    assert gz.shape == den.shape == (len(ball), 5)
+    for i, (g, _) in enumerate(ball.elements):
+        assert np.array_equal(gz[i], g.apply(zs))
+        np.testing.assert_allclose(den[i] ** -2, g.jac(zs), rtol=1e-14)
+    gz0, den0 = ball.terms(zs[0])
+    assert np.array_equal(gz0, gz[:, 0]) and np.array_equal(den0, den[:, 0])
+
+
 def test_config_roundtrip(octagon, tmp_path):
     text = to_config_text(octagon)
     back, _ = from_config_text(text)

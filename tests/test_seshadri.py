@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from discforms.domain import dirichlet_domain
 from discforms.geometry import distance
-from discforms.group import orbit_count
+from discforms.group import enumerate_ball, orbit_count, orbit_counts
 from discforms.seshadri import (
-    ampleness_thresholds, cutoff_a, density, injectivity_radius, psi_x,
-    psi_values, quasi_psh_check, seshadri_lower_bound,
+    SINGULAR_TOL, ampleness_thresholds, cutoff_a, density, injectivity_radius,
+    psi_x, psi_values, quasi_psh_check, seshadri_lower_bound,
 )
 
 from conftest import random_disc_points
@@ -149,3 +150,61 @@ def test_psi_values_vector(octagon, rho0):
     out = psi_values(octagon, 0.0j, 0.5, zs)
     assert out.shape == (2,)
     assert out[1] == 0.0
+
+
+def _dense_reference(ball, zs, r):
+    """Orbit counts and psi from the full distance row of each point."""
+    pts = ball.orbit_points()
+    counts, psi = [], []
+    for z in zs:
+        d = distance(pts, z)
+        counts.append(int(np.sum(d < r)))
+        with np.errstate(divide="ignore"):
+            t = 2.0 * np.log(np.maximum(d, 1e-300) / r)
+        psi.append(-math.inf if np.any(d < SINGULAR_TOL)
+                   else float(np.sum(cutoff_a(t)[0])))
+    return np.array(counts), np.array(psi)
+
+
+def _refinement_grid(octagon, r):
+    """The local grid density() scans around its coarse best center."""
+    c = density(octagon, 0.0j, r, refine=False, full_output=True).best_center
+    span = np.arange(-10, 11) * (r / 20.0) * (1.0 - abs(c) ** 2) / 2.0
+    gx, gy = np.meshgrid(span, span, indexing="ij")
+    local = c + gx.ravel() + 1j * gy.ravel()
+    return local[np.abs(local) < 1.0 - 1e-9]
+
+
+def _shifted_quasi_psh_grid(octagon, r):
+    """Domain nodes moved by one finite-difference step, as in lap()."""
+    return dirichlet_domain(octagon, 0.0j, spacing=0.03).nodes + 1e-3j
+
+
+# At 2 rho_x the refinement grid reaches |z| = 0.9998 and a ball of 66,625
+# elements; at 3 rho_x it is the grid of the largest default radius.
+@pytest.mark.parametrize("grid, factor", [
+    (_refinement_grid, 2.0), (_refinement_grid, 3.0),
+    (_shifted_quasi_psh_grid, 3.0)])
+def test_orbit_queries_match_dense_reference(octagon, rho0, grid, factor):
+    r = factor * rho0
+    zs = grid(octagon, r)
+    reach = float(np.max(distance(0.0j, zs))) + r + 1e-9
+    ball = enumerate_ball(octagon, 0.0j, reach)
+    counts, psi = _dense_reference(ball, zs, r)
+    assert np.array_equal(orbit_counts(octagon, 0.0j, zs, r), counts)
+    got = psi_values(octagon, 0.0j, r, zs, ball=ball)
+    assert np.array_equal(np.isinf(got), np.isinf(psi))
+    np.testing.assert_allclose(got, psi, rtol=1e-13, atol=0.0)
+
+
+def test_orbit_queries_below_singular_tol(octagon):
+    # r below SINGULAR_TOL: points within SINGULAR_TOL of the orbit still
+    # get the -inf marker, though they lie outside the support radius r
+    r = 1e-10
+    zs = np.array([0.0j, octagon.generators[2].apply(0.0j), 2e-10, 0.3])
+    ball = enumerate_ball(octagon, 0.0j, 4.0)
+    counts, psi = _dense_reference(ball, zs, r)
+    assert list(psi) == [-math.inf, -math.inf, -math.inf, 0.0]
+    assert list(counts) == [1, 1, 0, 0]
+    assert np.array_equal(orbit_counts(octagon, 0.0j, zs, r), counts)
+    assert np.array_equal(psi_values(octagon, 0.0j, r, zs, ball=ball), psi)
