@@ -36,8 +36,9 @@ _DISP_BIN = 1e-12
 
 DEFAULT_ELEMENT_CAP = 5_000_000
 
-# Pairs orbit_pairs tests at once: ~1 MB temporaries.  Chunks of 4M pairs
-# ran slower and held about 300 MB at the CLI defaults.
+# Pairs orbit_pairs and kernels.relative_poincare handle at once: ~1 MB
+# complex temporaries, which stay in cache.  Chunks of 4M pairs ran slower
+# and held about 300 MB at the CLI defaults.
 _PAIR_CHUNK = 65_536
 
 
@@ -481,22 +482,49 @@ def enumerate_ball(group, x, radius, margin=None,
 
 
 def orbit_pairs(ball, zs, r):
-    """Index pairs (iz, ib) with rho(gamma_ib x, zs[iz]) < r, iz ascending.
+    """Index pairs (iz, ib) with rho(gamma_ib x, zs[iz]) < r.
 
     rho < r is tested as |(p - z)/(1 - conj(p) z)| < tanh(r/2), with no
-    logarithms, on at most _PAIR_CHUNK pairs at a time.
+    logarithms.  By the triangle inequality |d - rho(x, z)| <= rho(p, z)
+    for an element of displacement d, so each z is tested only against the
+    window of the displacement-sorted ball with d within r (plus rounding
+    slack) of rho(x, z).  Points are taken in order of rho(x, z), in blocks
+    of at most _PAIR_CHUNK pairs (a single point whose window is larger
+    forms its own block).  The pairs come out grouped by point in that
+    order, each point's pairs in ball order.
     """
     zs = check_disc_point(np.atleast_1d(np.asarray(zs, dtype=complex)))
     pts = check_disc_point(ball.orbit_points())
     t_max = np.tanh(r / 2.0)
-    step = max(1, _PAIR_CHUNK // len(pts))
-    iz, ib = [], []
-    for lo in range(0, len(zs), step):
-        z = zs[lo:lo + step, None]
-        t = np.abs((pts - z) / (1.0 - np.conj(pts) * z))
+    dz = distance(ball.base, zs)
+    # Rounding slack: a computed rho(a, b) = 2 artanh t is off by about
+    # |dt| (1 + cosh rho(a, b)), with |dt| a few ulps over
+    # |1 - conj(a) b| >= e^-rho(0, a).  rho(x, z), the displacements and
+    # the tested rho(p, z) all stay below rho(0, x) + rho(x, z) + r, so
+    # 2^-40 (4096 ulps) times e^that covers all three errors.  One bin
+    # either side covers the rounding of `bins`, as in OrbitBall.restrict.
+    slack = 2.0 ** -40 * np.exp(float(distance(0.0j, ball.base)) + dz + r)
+    lo = np.searchsorted(ball.bins, (dz - r - slack) / _DISP_BIN - 1.0, "left")
+    hi = np.searchsorted(ball.bins, (dz + r + slack) / _DISP_BIN + 1.0, "right")
+    order = np.argsort(dz, kind="stable")
+    lo, hi = lo[order], hi[order]
+    iz, ib = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    s = 0
+    while s < len(zs):
+        # grow the block while its points times its union window fit
+        e = s + max(1, _PAIR_CHUNK // max(1, hi[s] - lo[s]))
+        w_lo = np.minimum.accumulate(lo[s:e])
+        w_hi = np.maximum.accumulate(hi[s:e])
+        cost = np.arange(1, len(w_lo) + 1) * (w_hi - w_lo)
+        n = max(1, int(np.searchsorted(cost, _PAIR_CHUNK, "right")))
+        w0, w1 = w_lo[n - 1], w_hi[n - 1]
+        pts_w = pts[w0:w1]
+        z = zs[order[s:s + n], None]
+        t = np.abs((pts_w - z) / (1.0 - np.conj(pts_w) * z))
         rows, cols = np.nonzero(t < t_max)
-        iz.append(lo + rows)
-        ib.append(cols)
+        iz.append(order[s + rows])
+        ib.append(w0 + cols)
+        s += n
     return np.concatenate(iz), np.concatenate(ib)
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .geometry import bergman_metric, check_disc_point
 from .domain import dirichlet_domain, disc_domain
+from .group import _PAIR_CHUNK, enumerate_ball
 from .series import SeedFunction, norm_pl, poincare_values, _polar_grid
 
 
@@ -147,7 +148,7 @@ def relative_poincare(domain, h_values, m, z):
             * (np.pi * (1.0 - np.abs(nodes) ** 2) ** 2) ** (m - 1))
     flat = z.ravel()
     out = np.empty(flat.shape, dtype=complex)
-    chunk = max(1, 4_000_000 // max(len(nodes), 1))
+    chunk = max(1, _PAIR_CHUNK // max(len(nodes), 1))
     for i in range(0, len(flat), chunk):
         zz = flat[i:i + chunk, None]
         out[i:i + chunk] = np.sum(
@@ -171,7 +172,6 @@ def roundtrip_check(group, f0, m, sample_points, radius=8.0, spacing=0.02,
     The exact chain h -> f -> P_m(f) is the identity; the report measures
     the truncation plus quadrature error at interior sample points.
     """
-    from .group import enumerate_ball
     samples = np.asarray(sample_points, dtype=complex)
     if domain is None:
         if group.is_trivial:

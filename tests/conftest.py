@@ -14,8 +14,10 @@ def trivial():
     return FuchsianGroup([], [], name="trivial")
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
+    # one fresh generator per test, so a test's draws do not depend on
+    # which tests ran before it
     return np.random.default_rng(12345)
 
 

@@ -1,8 +1,11 @@
 """CLI wiring: parsing, reports, exit codes, determinism."""
 
+import cmath
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from discforms import cli
 from discforms.series import SeedFunction
@@ -24,6 +27,32 @@ def test_seed_parsing():
         cli.parse_seed("fourier 1 2")
     with pytest.raises(ValueError):
         cli.parse_seed("rational 1 2")
+
+
+_coeffs = st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                                      allow_infinity=False),
+                   min_size=1, max_size=6)
+# denominators prod (z - p) with every pole p at modulus >= 1.1
+_poles = st.lists(st.builds(cmath.rect, st.floats(1.1, 10.0),
+                            st.floats(-4.0, 4.0)), max_size=3)
+
+
+def _spec(values):
+    return " ".join(repr(complex(v)) for v in values)
+
+
+@given(_coeffs)
+def test_parse_poly_seed_property(coeffs):
+    f = cli.parse_seed("poly " + _spec(coeffs))
+    assert f.kind == "poly" and f.coeffs.tolist() == coeffs
+
+
+@given(_coeffs, _poles)
+def test_parse_rational_seed_property(num, poles):
+    den = np.poly(poles)[::-1] if poles else np.ones(1)
+    f = cli.parse_seed(f"rational {_spec(num)} / {_spec(den)}")
+    assert f.kind == "rational"
+    assert f.coeffs.tolist() == num and f.den_coeffs.tolist() == den.tolist()
 
 
 def test_thresholds_command(tmp_path):

@@ -89,6 +89,16 @@ def test_mobius_jacobian_cocycle_property(g1, g2, z):
     assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
 
+@settings(deadline=None, max_examples=200)
+@given(_su11, _su11, _points)
+def test_compose_is_applying_in_turn_property(g1, g2, z):
+    # g1.compose(g2) applies g2 first.  Renormalizing by a real factor does
+    # not change the action; at |z| <= 0.9 and cosh t <= cosh 3 the two
+    # images differed by at most 123 ulps over 1e5 random draws
+    e1, e2 = GroupElement(*g1), GroupElement(*g2)
+    assert abs(e1.compose(e2).apply(z) - e1.apply(e2.apply(z))) <= 1e-12
+
+
 def test_jacobian_conformal_identity(rng):
     # |j_g(z)| (1 - |z|^2) = 1 - |g z|^2
     zs = random_disc_points(rng, 200)
@@ -114,13 +124,35 @@ def test_kernel_transformation(rng):
         assert np.max(np.abs(lhs - rhs) / np.abs(rhs)) < 1e-12
 
 
+# Draws on which a fixed 1e-14 bound failed: the array and the scalar
+# kernel at z differed by 1.6e-14 and 2.3e-14 on values near 12 and 14.
+_ILL_CONDITIONED = [-0.7267444405105832 + 0.5549381231316632j,
+                    -0.5534917519069297 - 0.7374900424856929j]
+
+
+def _kernel_rounding_bound(z):
+    """Bound on the rounding error of a computed K(z, z).
+
+    1 - z conj(z) loses relative 2u |z|^2/(1-|z|^2) (u the unit roundoff),
+    and rounding z itself (as t*z) moves 1-|z|^2 by as much again; K is
+    1/(pi d d), so twice that plus 6u for the products and the division.
+    """
+    u = np.finfo(float).eps / 2
+    r2 = np.abs(z) ** 2
+    return np.real(bergman_kernel(z, z)) * u * (6 + 8 * r2 / (1.0 - r2))
+
+
 def test_kernel_radial_monotonicity(rng):
-    zs = random_disc_points(rng, 50, r_max=0.95)
+    zs = np.append(random_disc_points(rng, 50, r_max=0.95), _ILL_CONDITIONED)
     ts = np.linspace(0.02, 1.0, 40)
     for z in zs:
         vals = np.real(bergman_kernel(ts * z, ts * z))
-        assert np.all(np.diff(vals) >= -1e-14)
-        assert vals[-1] <= np.real(bergman_kernel(z, z)) + 1e-14
+        err = _kernel_rounding_bound(ts * z)
+        tol = err[:-1] + err[1:]
+        assert np.all(np.diff(vals) >= -tol)
+        assert vals[-1] <= np.real(bergman_kernel(z, z)) + 2 * err[-1]
+        # not vacuous: a decrease of a millionth of any step would fail
+        assert np.all(tol < 1e-6 * np.diff(vals))
 
 
 def test_metric_invariance(rng):

@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from discforms.errors import BudgetExceeded, ConfigError
 from discforms.geometry import distance, mobius_apply
 from discforms.group import (
-    DEDUP_MAX_RADIUS, GroupElement, _accept, _SeenKeys, enumerate_ball,
-    from_config_text, load_group, orbit_count, preset_genus2_octagon,
-    to_config_text,
+    DEDUP_MAX_RADIUS, FuchsianGroup, GroupElement, _accept, _reduce_word,
+    _SeenKeys, enumerate_ball, from_config_text, load_group, orbit_count,
+    preset_genus2_octagon, to_config_text,
 )
 
 from conftest import random_disc_points
@@ -39,6 +40,19 @@ def test_word_reduction_and_inverse(octagon):
     gi = g.inverse()
     assert g.compose(gi).is_identity()
     assert gi.word == (-3, -1)
+
+
+_words = st.lists(st.sampled_from([1, 2, 3, 4, -1, -2, -3, -4]),
+                  max_size=30)
+
+
+@given(_words)
+def test_reduce_word_property(word):
+    reduced = _reduce_word(word)
+    assert _reduce_word(reduced) == reduced
+    assert all(a != -b for a, b in zip(reduced, reduced[1:]))
+    inverse = tuple(-l for l in reversed(word))
+    assert _reduce_word(tuple(word) + inverse) == ()
 
 
 def test_ball_small_radius_identity_only(octagon):
@@ -217,6 +231,26 @@ def test_config_roundtrip(octagon, tmp_path):
     path = tmp_path / "group.cfg"
     path.write_text(text)
     assert len(load_group(str(path)).generators) == 8
+
+
+_generators = st.lists(
+    st.builds(lambda t, th, ph: GroupElement(math.cosh(t) * np.exp(1j * th),
+                                             math.sinh(t) * np.exp(1j * ph)),
+              st.floats(0.0, 4.0), st.floats(-4.0, 4.0),
+              st.floats(-4.0, 4.0)),
+    max_size=5)
+_letters = st.integers(-5, 5).filter(bool)
+
+
+@settings(deadline=None)
+@given(_generators, st.lists(st.lists(_letters, max_size=8), max_size=3),
+       st.text("abcxyz0189-_. ", max_size=12).map(str.strip))
+def test_config_text_roundtrip_property(gens, relators, name):
+    group = FuchsianGroup(gens, [tuple(w) for w in relators], name=name)
+    back, extra = from_config_text(to_config_text(group))
+    assert (back.name, back.relators, extra) == (name, group.relators, {})
+    assert [(g.alpha, g.beta) for g in back.generators] \
+        == [(g.alpha, g.beta) for g in gens]
 
 
 def test_config_errors():

@@ -7,7 +7,8 @@ import pytest
 
 from discforms.domain import dirichlet_domain
 from discforms.geometry import distance
-from discforms.group import enumerate_ball, orbit_count, orbit_counts
+from discforms.group import (enumerate_ball, orbit_count, orbit_counts,
+                             orbit_pairs)
 from discforms.seshadri import (
     SINGULAR_TOL, ampleness_thresholds, cutoff_a, density, injectivity_radius,
     psi_x, psi_values, quasi_psh_check, seshadri_lower_bound,
@@ -153,46 +154,71 @@ def test_psi_values_vector(octagon, rho0):
 
 
 def _dense_reference(ball, zs, r):
-    """Orbit counts and psi from the full distance row of each point."""
+    """Orbit pairs, counts and psi from the full distance row of each point.
+
+    The pairs of each point are the ball indices within r, in ball order.
+    """
     pts = ball.orbit_points()
-    counts, psi = [], []
+    pairs, psi = [], []
     for z in zs:
         d = distance(pts, z)
-        counts.append(int(np.sum(d < r)))
+        pairs.append(np.flatnonzero(d < r))
         with np.errstate(divide="ignore"):
             t = 2.0 * np.log(np.maximum(d, 1e-300) / r)
         psi.append(-math.inf if np.any(d < SINGULAR_TOL)
                    else float(np.sum(cutoff_a(t)[0])))
-    return np.array(counts), np.array(psi)
+    return pairs, np.array([len(p) for p in pairs]), np.array(psi)
 
 
-def _refinement_grid(octagon, r):
+def _assert_pairs_match(ball, zs, r, want):
+    """orbit_pairs equals the dense pairs, point by point, in ball order."""
+    iz, ib = orbit_pairs(ball, zs, r)
+    for k, w in enumerate(want):
+        assert np.array_equal(ib[iz == k], w)
+    # each point's pairs form one run
+    assert np.count_nonzero(np.diff(iz)) == np.count_nonzero(
+        [len(w) for w in want]) - 1
+
+
+def _refinement_grid(octagon, x, r):
     """The local grid density() scans around its coarse best center."""
-    c = density(octagon, 0.0j, r, refine=False, full_output=True).best_center
+    c = density(octagon, x, r, refine=False, full_output=True).best_center
     span = np.arange(-10, 11) * (r / 20.0) * (1.0 - abs(c) ** 2) / 2.0
     gx, gy = np.meshgrid(span, span, indexing="ij")
     local = c + gx.ravel() + 1j * gy.ravel()
     return local[np.abs(local) < 1.0 - 1e-9]
 
 
-def _shifted_quasi_psh_grid(octagon, r):
+def _shifted_quasi_psh_grid(octagon, x, r):
     """Domain nodes moved by one finite-difference step, as in lap()."""
     return dirichlet_domain(octagon, 0.0j, spacing=0.03).nodes + 1e-3j
 
 
 # At 2 rho_x the refinement grid reaches |z| = 0.9998 and a ball of 66,625
-# elements; at 3 rho_x it is the grid of the largest default radius.
-@pytest.mark.parametrize("grid, factor", [
-    (_refinement_grid, 2.0), (_refinement_grid, 3.0),
-    (_shifted_quasi_psh_grid, 3.0)])
-def test_orbit_queries_match_dense_reference(octagon, rho0, grid, factor):
-    r = factor * rho0
-    zs = grid(octagon, r)
-    reach = float(np.max(distance(0.0j, zs))) + r + 1e-9
-    ball = enumerate_ball(octagon, 0.0j, reach)
-    counts, psi = _dense_reference(ball, zs, r)
-    assert np.array_equal(orbit_counts(octagon, 0.0j, zs, r), counts)
-    got = psi_values(octagon, 0.0j, r, zs, ball=ball)
+# elements; at 3 rho_x it is the grid of the largest default radius.  Every
+# refinement grid here, and the shifted grid around 0.3-0.1j, holds points
+# with rho(x, z) > r, where the displacement window of orbit_pairs is cut
+# below as well as above.
+@pytest.mark.parametrize("grid, factor, x", [
+    pytest.param(_refinement_grid, 2.0, 0.0j, id="_refinement_grid-2.0"),
+    pytest.param(_refinement_grid, 3.0, 0.0j, id="_refinement_grid-3.0"),
+    pytest.param(_shifted_quasi_psh_grid, 3.0, 0.0j,
+                 id="_shifted_quasi_psh_grid-3.0"),
+    pytest.param(_refinement_grid, 1.5, 0.3 - 0.1j,
+                 id="_refinement_grid-1.5-x0.3-0.1j"),
+    pytest.param(_refinement_grid, 3.0, 0.3 - 0.1j,
+                 id="_refinement_grid-3.0-x0.3-0.1j"),
+    pytest.param(_shifted_quasi_psh_grid, 1.5, 0.3 - 0.1j,
+                 id="_shifted_quasi_psh_grid-1.5-x0.3-0.1j")])
+def test_orbit_queries_match_dense_reference(octagon, grid, factor, x):
+    r = factor * injectivity_radius(octagon, x)
+    zs = grid(octagon, x, r)
+    reach = float(np.max(distance(x, zs))) + r + 1e-9
+    ball = enumerate_ball(octagon, x, reach)
+    pairs, counts, psi = _dense_reference(ball, zs, r)
+    _assert_pairs_match(ball, zs, r, pairs)
+    assert np.array_equal(orbit_counts(octagon, x, zs, r), counts)
+    got = psi_values(octagon, x, r, zs, ball=ball)
     assert np.array_equal(np.isinf(got), np.isinf(psi))
     np.testing.assert_allclose(got, psi, rtol=1e-13, atol=0.0)
 
@@ -203,7 +229,8 @@ def test_orbit_queries_below_singular_tol(octagon):
     r = 1e-10
     zs = np.array([0.0j, octagon.generators[2].apply(0.0j), 2e-10, 0.3])
     ball = enumerate_ball(octagon, 0.0j, 4.0)
-    counts, psi = _dense_reference(ball, zs, r)
+    pairs, counts, psi = _dense_reference(ball, zs, r)
+    _assert_pairs_match(ball, zs, r, pairs)
     assert list(psi) == [-math.inf, -math.inf, -math.inf, 0.0]
     assert list(counts) == [1, 1, 0, 0]
     assert np.array_equal(orbit_counts(octagon, 0.0j, zs, r), counts)
