@@ -20,9 +20,10 @@ import numpy as np
 
 from . import __version__
 from .errors import DiscformsError
-from . import geometry, series, kernels, seshadri, embedding
-from .domain import dirichlet_domain, disc_domain
-from .group import enumerate_ball, load_group, from_config_text
+from . import series, kernels, seshadri, embedding
+from .domain import dirichlet_domain
+from .geometry import disc_points
+from .group import enumerate_ball, load_group
 from .series import SeedFunction
 
 
@@ -80,12 +81,6 @@ def _write_csv(path, header, rows):
                          for v in row])
 
 
-def _domain_for(group, spacing):
-    if group.is_trivial:
-        return disc_domain(spacing=spacing)
-    return dirichlet_domain(group, 0.0j, spacing=spacing)
-
-
 # --------------------------------------------------------------- commands
 
 def cmd_enumerate(args):
@@ -108,7 +103,7 @@ def cmd_enumerate(args):
 
 def cmd_fundamental_domain(args):
     g = load_group(args.group)
-    dom = _domain_for(g, args.spacing)
+    dom = dirichlet_domain(g, 0.0j, spacing=args.spacing)
     if args.csv:
         _write_csv(args.csv, ["re_node", "im_node", "weight"],
                    [(z.real, z.imag, float(w))
@@ -146,7 +141,7 @@ def cmd_automorphy_check(args):
     records = []
     gens = list(g.generators) + [h.inverse() for h in g.generators]
     for _ in range(args.samples):
-        z = 0.5 * math.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+        z = disc_points(rng, 1, 0.5)[0]
         h = gens[rng.integers(len(gens))] if gens else None
         if h is None:
             break
@@ -194,8 +189,8 @@ def cmd_kernel_check(args):
     tr = kernels.kernel_transformation_check(g, args.m, args.samples,
                                              seed=args.seed)
     rng = np.random.default_rng(args.seed)
-    z = 0.8 * np.sqrt(rng.random(50)) * np.exp(2j * np.pi * rng.random(50))
-    w = 0.8 * np.sqrt(rng.random(50)) * np.exp(2j * np.pi * rng.random(50))
+    z = disc_points(rng, 50, 0.8)
+    w = disc_points(rng, 50, 0.8)
     cf = kernels.weighted_kernel(args.m, z, w)
     se = kernels.weighted_kernel_series(args.m, z, w)
     series_rel = float(np.max(np.abs(cf - se) / np.abs(cf)))
@@ -221,7 +216,7 @@ def cmd_roundtrip(args):
     g = load_group(args.group)
     f0 = parse_seed(args.f)
     rng = np.random.default_rng(args.seed)
-    pts = 0.3 * np.sqrt(rng.random(10)) * np.exp(2j * np.pi * rng.random(10))
+    pts = disc_points(rng, 10, 0.3)
     rep = kernels.roundtrip_check(g, f0, args.m, pts, radius=args.radius,
                                   spacing=args.spacing)
     _write_report(args, "roundtrip", rep, args.out)
@@ -311,10 +306,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 _COMMON_FLAGS = dict(
-    group=dict(default="genus2-octagon",
-               help="preset name or group config file"),
     out=dict(help="JSON report path (default stdout)"),
-    csv=dict(help="optional CSV grid output path"),
     seed=dict(type=int, default=0, help="RNG seed"),
     config=dict(help="key = value config file, read before the command "
                      "line; command-line flags override it"),
@@ -334,43 +326,47 @@ def build_parser():
         p.set_defaults(func=fn)
 
     F = dict
-    add("enumerate", cmd_enumerate,
+    # only the subcommands that load a group or write a grid take these
+    G = F(group=F(default="genus2-octagon",
+                  help="preset name or group config file"))
+    CSV = F(csv=F(help="optional CSV grid output path"))
+    add("enumerate", cmd_enumerate, **G, **CSV,
         radius=F(type=float, default=8.0), x=F(default="0"))
-    add("fundamental-domain", cmd_fundamental_domain,
+    add("fundamental-domain", cmd_fundamental_domain, **G, **CSV,
         spacing=F(type=float, default=0.01))
-    add("weight-sum", cmd_weight_sum, radius=F(type=float, default=10.0),
+    add("weight-sum", cmd_weight_sum, **G, radius=F(type=float, default=10.0),
         x=F(default="0"), z=F(default="0"))
-    add("poincare-eval", cmd_poincare_eval, f=F(default="poly 1"),
+    add("poincare-eval", cmd_poincare_eval, **G, f=F(default="poly 1"),
         m=F(type=int, default=4), z=F(default="0"),
         radius=F(type=float, default=10.0))
-    add("automorphy-check", cmd_automorphy_check, f=F(default="poly 1"),
+    add("automorphy-check", cmd_automorphy_check, **G, f=F(default="poly 1"),
         m=F(type=int, default=4), radius=F(type=float, default=10.0),
         samples=F(type=int, default=20))
     add("norm", cmd_norm, f=F(default="poly 1"), p=F(type=int, default=1),
         l=F(type=float, default=0.0))
-    add("lemma22-check", cmd_lemma22_check, f=F(default="poly 1"),
+    add("lemma22-check", cmd_lemma22_check, **G, f=F(default="poly 1"),
         m=F(type=int, default=4), radius=F(type=float, default=6.0))
     add("approx-poly", cmd_approx_poly, f=F(required=True),
         l=F(type=float, default=1.0), delta=F(type=float, default=1e-3),
         dilation=F(type=float, default=None))
-    add("kernel-check", cmd_kernel_check, m=F(type=int, default=4),
+    add("kernel-check", cmd_kernel_check, **G, m=F(type=int, default=4),
         samples=F(type=int, default=100))
     add("cm-constant", cmd_cm_constant, m=F(type=int, default=4))
-    add("roundtrip", cmd_roundtrip, f=F(default="poly 1"),
+    add("roundtrip", cmd_roundtrip, **G, f=F(default="poly 1"),
         m=F(type=int, default=4), radius=F(type=float, default=8.0),
         spacing=F(type=float, default=0.02))
-    add("injectivity-radius", cmd_injectivity_radius, x=F(default="0"))
-    add("density", cmd_density, x=F(default="0"),
+    add("injectivity-radius", cmd_injectivity_radius, **G, x=F(default="0"))
+    add("density", cmd_density, **G, x=F(default="0"),
         r=F(type=float, required=True))
     add("cutoff-check", cmd_cutoff_check)
-    add("quasi-psh-check", cmd_quasi_psh_check, x=F(default="0"),
+    add("quasi-psh-check", cmd_quasi_psh_check, **G, x=F(default="0"),
         r_factors=F(type=float, nargs="+", default=[1.0, 1.5, 2.0]),
         spacing=F(type=float, default=0.0125))
-    add("seshadri-bound", cmd_seshadri_bound, x=F(default="0"))
+    add("seshadri-bound", cmd_seshadri_bound, **G, x=F(default="0"))
     add("thresholds", cmd_thresholds,
         epsilon=F(type=float, required=True), n=F(type=int, required=True),
         C=F(type=float, default=None))
-    add("separation-scan", cmd_separation_scan, m=F(type=int, default=4),
+    add("separation-scan", cmd_separation_scan, **G, m=F(type=int, default=4),
         d=F(type=int, default=6), radius=F(type=float, default=8.0),
         samples=F(type=int, default=100))
     return ap

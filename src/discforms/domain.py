@@ -109,13 +109,6 @@ class FundamentalDomain:
         """Exact Euclidean area of the arc-sided Poincare polygon."""
         return _arc_polygon_area(self.vertices)
 
-    def refined(self, factor=2):
-        """Same polygon with a quadrature grid of spacing/factor."""
-        nodes, weights = _clipped_grid(self, self.spacing / factor)
-        return FundamentalDomain(self.center, self.vertices,
-                                 self.klein_normals, self.klein_offsets,
-                                 nodes, weights, self.spacing / factor)
-
 
 def _arc_side_params(a, b):
     """Circle (center, radius, phi_a, phi_b) of the geodesic arc a -> b.
@@ -157,11 +150,11 @@ def _arc_polygon_area(vertices):
     return float(area)
 
 
-def _clipped_grid(domain, h, subsample=16):
+def _clipped_grid(domain, h):
     """Cartesian midpoint grid clipped to the domain.
 
     Cells with all four corners inside get weight h^2; cells meeting the
-    boundary are subsampled to a fractional weight.
+    boundary are subsampled on a 16 x 16 grid to a fractional weight.
     """
     verts = domain.vertices
     xmin = min(v.real for v in verts) - h
@@ -192,7 +185,7 @@ def _clipped_grid(domain, h, subsample=16):
     weights = [np.full(np.sum(full), h * h)]
     pidx = np.nonzero(partial)[0]
     if len(pidx):
-        u = (np.arange(subsample) + 0.5) / subsample - 0.5
+        u = (np.arange(16) + 0.5) / 16 - 0.5
         sx, sy = np.meshgrid(u, u, indexing="ij")
         offsets = (sx + 1j * sy).ravel() * h
         sub = centers[pidx][:, None] + offsets[None, :]
@@ -208,20 +201,19 @@ def _clipped_grid(domain, h, subsample=16):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def dirichlet_domain(group, x=0.0j, spacing=0.004, margin=1.0,
-                     max_retries=3):
+def dirichlet_domain(group, x=0.0j, spacing=0.004):
     """Dirichlet fundamental domain about x with a quadrature grid.
 
-    Cuts half-spaces over an orbit ball of radius 2*d0 + margin (d0 = the
-    smallest generator displacement) and retries with a larger ball if the
-    polygon could still be cut by farther orbit points.
+    Cuts half-spaces over an orbit ball of radius 2*d0 + 1 (d0 = the
+    smallest generator displacement) and retries twice with a larger ball
+    if the polygon could still be cut by farther orbit points.
     """
     if group.is_trivial:
         return disc_domain(spacing=spacing)
     x = complex(x)
     d0 = group.min_generator_displacement(x)
-    reach = 2.0 * d0 + margin
-    for _ in range(max_retries):
+    reach = 2.0 * d0 + 1.0
+    for _ in range(3):
         ball = enumerate_ball(group, x, reach)
         poly, normals, offsets = _cut_polygon(x, ball)
         vr = np.array([float(distance(x, v)) for v in poly])
@@ -235,7 +227,7 @@ def dirichlet_domain(group, x=0.0j, spacing=0.004, margin=1.0,
             dom.nodes = nodes
             dom.weights = weights
             return dom
-        reach = needed + margin
+        reach = needed + 1.0
     raise InsufficientBall("Dirichlet polygon kept growing past the "
                            "enumerated orbit ball")
 
@@ -281,14 +273,15 @@ def _ccw(poly, interior):
     return poly[start:] + poly[:start]
 
 
-def disc_domain(spacing=0.004, n_sides=1024, r_max=1.0 - 1e-4):
+def disc_domain(spacing=0.004):
     """Whole disc as a fundamental domain (trivial group).
 
-    A regular geodesic n-gon with vertices at radius r_max; the omitted
-    boundary ring carries weights (1-|z|^2)^k of every integrand in this
-    library, so the truncation error is negligible for the exponents in
-    use.
+    A regular geodesic 1024-gon with vertices at radius 1 - 1e-4; the
+    omitted boundary ring carries weights (1-|z|^2)^k of every integrand in
+    this library, so the truncation error is negligible for the exponents
+    in use.
     """
+    n_sides, r_max = 1024, 1.0 - 1e-4
     ang = 2.0 * np.pi * (np.arange(n_sides) + 0.5) / n_sides
     verts = r_max * np.exp(1j * ang)
     rk = float(poincare_to_klein(r_max + 0j).real)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .domain import dirichlet_domain
 from .errors import DegenerateBasis, EquivalentPoints
+from .geometry import disc_points
 from .group import enumerate_ball, orbit_counts
 
 RANK_TOL = 1e-8
@@ -130,20 +131,19 @@ class ScanReport:
     threshold_m: int = None     # from the density/injectivity certificate
 
 
-def sample_fundamental_domain(group, n, seed=0, shrink=0.98):
+def sample_fundamental_domain(group, n, seed=0):
     """Uniform (Euclidean) rejection samples from the fundamental domain."""
     rng = np.random.default_rng(seed)
     if group.is_trivial:
-        r = 0.9 * np.sqrt(rng.random(n))
-        return r * np.exp(2j * np.pi * rng.random(n))
+        return disc_points(rng, n, 0.9)
     domain = dirichlet_domain(group, 0.0j, spacing=0.05)
     rad = max(abs(v) for v in domain.vertices)
     out = []
     while len(out) < n:
         cand = (rng.random(4 * n) * 2 - 1) * rad \
             + 1j * (rng.random(4 * n) * 2 - 1) * rad
-        keep = domain.contains(cand * shrink)
-        out.extend(cand[keep] * shrink)
+        keep = domain.contains(cand * 0.98)
+        out.extend(cand[keep] * 0.98)
     return np.array(out[:n])
 
 

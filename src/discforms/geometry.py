@@ -29,12 +29,18 @@ BOUNDARY_GUARD = 1e-12
 UNITARY_TOL = 1e-8
 
 
-def check_disc_point(z, guard=BOUNDARY_GUARD):
+def check_disc_point(z):
     """Validate that z (scalar or array) lies strictly inside the disc."""
     z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(z) >= 1.0 - guard):
-        raise BoundaryPoint(f"point with |z| >= {1.0 - guard} rejected")
+    limit = 1.0 - BOUNDARY_GUARD
+    if np.any(np.abs(z) >= limit):
+        raise BoundaryPoint(f"point with |z| >= {limit} rejected")
     return z[()] if z.ndim == 0 else z
+
+
+def disc_points(rng, n, r_max):
+    """n points uniform (by area) in |z| < r_max: radii drawn, then angles."""
+    return r_max * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
 
 
 def check_su11(alpha, beta, tol=UNITARY_TOL):
@@ -106,16 +112,14 @@ def dbar_log_kernel_norm_sq(z):
     return num / bergman_metric(z)
 
 
-def df_constant(n_grid=4096, r_max=None):
+def df_constant():
     """Donnelly-Fefferman constant C(disc) = sup |d-bar log K|^2_omega.
 
     Returns (grid_sup, analytic_sup).  The supremum 2|z|^2 -> 2 is not
     attained, so the grid value approaches 2 from below.  The analytic value
     saturates the Siegel-domain bound p + 2q = 2 for (p, q) = (0, 1).
     """
-    if r_max is None:
-        r_max = 1.0 - 1e-8
-    r = np.linspace(0.0, r_max, n_grid)
+    r = np.linspace(0.0, 1.0 - 1e-8, 4096)
     grid_sup = float(np.max(dbar_log_kernel_norm_sq(r)))
     analytic = 2.0
     assert analytic <= 2.0 + 1e-15  # Siegel-domain bound p + 2q with (0, 1)

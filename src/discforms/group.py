@@ -78,15 +78,15 @@ class GroupElement:
         return GroupElement(np.conj(self.alpha), -self.beta,
                             tuple(-l for l in reversed(self.word)))
 
-    def is_identity(self, tol=DEDUP_TOL):
-        return (min(abs(self.alpha - 1), abs(self.alpha + 1)) <= tol
-                and abs(self.beta) <= tol)
+    def is_identity(self):
+        return (min(abs(self.alpha - 1), abs(self.alpha + 1)) <= DEDUP_TOL
+                and abs(self.beta) <= DEDUP_TOL)
 
-    def psu_close(self, other, tol=DEDUP_TOL):
+    def psu_close(self, other):
         """PSU(1,1) comparison: equal up to a global sign of the pair."""
         same = max(abs(self.alpha - other.alpha), abs(self.beta - other.beta))
         flip = max(abs(self.alpha + other.alpha), abs(self.beta + other.beta))
-        return min(same, flip) <= tol
+        return min(same, flip) <= DEDUP_TOL
 
     def displacement(self, x=0.0j):
         return float(distance(x, self.apply(x)))
@@ -383,14 +383,6 @@ def enumerate_ball(group, x, radius, margin=None,
     if cached is not None and cached.radius >= radius:
         return cached.restrict(radius)
 
-    if group.is_trivial:
-        root = np.zeros(1, dtype=np.int64)
-        ball = OrbitBall(x, radius, np.ones(1, dtype=complex),
-                         np.zeros(1, dtype=complex), np.zeros(1), np.zeros(1),
-                         root, root - 1, root)
-        group._ball_cache[cache_key] = ball
-        return ball
-
     letters, gen_a, gen_b, inv_index = group.alphabet()
     if margin is None:
         margin = group.max_generator_displacement(x)
@@ -473,7 +465,9 @@ def enumerate_ball(group, x, radius, margin=None,
     parents = np.concatenate(all_parent)[order]
     # alphabet index -1 (the root) picks the appended 0
     signed = np.append(np.array(letters, dtype=np.int64), 0)
-    full = OrbitBall(x, float(np.max(disps)), alphas[order], betas[order],
+    # a finite group's ball can end below the requested radius
+    full = OrbitBall(x, max(radius, float(np.max(disps))),
+                     alphas[order], betas[order],
                      disps[order], bins[order], np.arange(len(order)),
                      np.where(parents >= 0, rank[parents], -1),
                      signed[np.concatenate(all_letter)[order]])

@@ -16,15 +16,14 @@ orthonormal series stays available as its permanent oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import bergman_metric, check_disc_point
-from .domain import dirichlet_domain, disc_domain
+from .geometry import check_disc_point, disc_points
+from .domain import dirichlet_domain
 from .group import _PAIR_CHUNK, enumerate_ball
-from .series import SeedFunction, norm_pl, poincare_values, _polar_grid
+from .series import poincare_values, _polar_grid
 
 
 def weighted_kernel(m, z, w):
@@ -65,10 +64,8 @@ class TransformationReport:
 def kernel_transformation_check(group, m, n_samples=100, seed=0):
     """Residual of K_m(gz, gw) j(z)^m conj(j(w))^m = K_m(z, w) at random points."""
     rng = np.random.default_rng(seed)
-    r = 0.8 * np.sqrt(rng.random(n_samples))
-    z = r * np.exp(2j * np.pi * rng.random(n_samples))
-    r = 0.8 * np.sqrt(rng.random(n_samples))
-    w = r * np.exp(2j * np.pi * rng.random(n_samples))
+    z = disc_points(rng, n_samples, 0.8)
+    w = disc_points(rng, n_samples, 0.8)
     base = weighted_kernel(m, z, w)
     per = {}
     elems = list(group.generators) + [g.inverse() for g in group.generators]
@@ -89,7 +86,7 @@ class ReproducingReport:
     rel_error_half_grid: float
 
 
-def reproducing_check(m, h, w, grid=(800, 512)):
+def reproducing_check(m, h, w):
     """Quadrature of Int K_m(z,w) conj(h(z)) K(z,z)^(1-m) vs conj(h(w))."""
     w = check_disc_point(complex(w))
     expected = np.conj(h(w))
@@ -100,8 +97,8 @@ def reproducing_check(m, h, w, grid=(800, 512)):
                 * (np.pi * (1.0 - np.abs(z) ** 2) ** 2) ** (m - 1))
         return complex(np.sum(dens * wt))
 
-    full = integral(*grid)
-    half = integral(grid[0] // 2, grid[1] // 2)
+    full = integral(800, 512)
+    half = integral(400, 256)
     scale = max(abs(expected), 1e-300)
     return ReproducingReport(full, expected, abs(full - expected) / scale,
                              abs(half - expected) / scale)
@@ -116,13 +113,13 @@ class CmReport:
     spread: float         # (max-min)/analytic
 
 
-def cm_constant(m, probes=(0.0, 0.2, 0.4j, -0.3 + 0.3j, 0.5), grid=(1600, 512)):
+def cm_constant(m, probes=(0.0, 0.2, 0.4j, -0.3 + 0.3j, 0.5)):
     """A(w) = K(w,w)^(-m/2) Int |K_m(z,w)| K(z,z)^(1-m/2) at probe points.
 
     Mobius invariance makes A constant; at w=0 the integrand is radial and
     A(0) = (2m-1)/(m-1) in closed form.
     """
-    z, wt = _polar_grid(*grid)
+    z, wt = _polar_grid(1600, 512)
     kz = (np.pi * (1.0 - np.abs(z) ** 2) ** 2) ** (m / 2.0 - 1.0)
     vals = []
     for w in probes:
@@ -165,19 +162,14 @@ class RoundTripReport:
     radius: float
 
 
-def roundtrip_check(group, f0, m, sample_points, radius=8.0, spacing=0.02,
-                    domain=None):
+def roundtrip_check(group, f0, m, sample_points, radius=8.0, spacing=0.02):
     """Build h = P_m(f0) on F, apply relative_poincare, re-sum, compare.
 
     The exact chain h -> f -> P_m(f) is the identity; the report measures
     the truncation plus quadrature error at interior sample points.
     """
     samples = np.asarray(sample_points, dtype=complex)
-    if domain is None:
-        if group.is_trivial:
-            domain = disc_domain(spacing=spacing)
-        else:
-            domain = dirichlet_domain(group, 0.0j, spacing=spacing)
+    domain = dirichlet_domain(group, 0.0j, spacing=spacing)
     h_nodes = poincare_values(group, f0, m, domain.nodes, radius)
     h_samples = poincare_values(group, f0, m, samples, radius)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import QuadratureDiverged, TargetNotReached, UnboundedSeed
-from .geometry import bergman_kernel, check_disc_point
+from .geometry import check_disc_point
 from .group import enumerate_ball
 
 # Rational seeds must keep their poles at modulus >= this; closer poles make
@@ -37,7 +37,6 @@ class SeedFunction:
     coeffs: np.ndarray = None
     den_coeffs: np.ndarray = None
     func: object = None
-    sup_bound: float = None
 
     @staticmethod
     def poly(coeffs):
@@ -46,6 +45,9 @@ class SeedFunction:
     @staticmethod
     def rational(num, den):
         den = np.asarray(den, dtype=complex)
+        if not np.any(den):
+            raise UnboundedSeed(f"rational seed denominator {den.tolist()} "
+                                f"has no non-zero coefficient")
         roots = np.roots(den[::-1]) if len(den) > 1 else np.array([])
         if len(roots) and np.min(np.abs(roots)) < MIN_POLE_MODULUS:
             raise UnboundedSeed(
@@ -55,8 +57,8 @@ class SeedFunction:
                             den_coeffs=den)
 
     @staticmethod
-    def from_callable(func, sup_bound=None):
-        return SeedFunction("callable", func=func, sup_bound=sup_bound)
+    def from_callable(func):
+        return SeedFunction("callable", func=func)
 
     def __call__(self, z):
         if self.kind == "poly":
@@ -66,22 +68,15 @@ class SeedFunction:
                     / np.polyval(self.den_coeffs[::-1], z))
         return self.func(z)
 
-    def deriv(self, z):
-        if self.kind == "poly":
-            return np.polyval(np.polyder(np.poly1d(self.coeffs[::-1])), z)
-        raise NotImplementedError("derivative only for polynomial seeds")
-
     @property
     def degree(self):
         if self.kind != "poly":
             raise ValueError("degree of a non-polynomial seed")
         return len(self.coeffs) - 1
 
-    def sup_disc(self, n_samples=4096):
+    def sup_disc(self):
         """sup |f| on the closed disc (maximum modulus: boundary samples)."""
-        if self.sup_bound is not None:
-            return self.sup_bound
-        th = np.exp(2j * np.pi * np.arange(n_samples) / n_samples)
+        th = np.exp(2j * np.pi * np.arange(4096) / 4096)
         if self.kind == "callable":
             # callables need not extend to the boundary; sample radially too
             rs = np.linspace(0, 0.999, 64)
@@ -235,7 +230,7 @@ class IntegralBoundReport:
     partial_lhs: list = field(default_factory=list)  # (radius, value)
 
 
-def lemma22_check(group, f, m, radius=6.0, domain=None, rhs_grid=(800, 512)):
+def lemma22_check(group, f, m, radius=6.0):
     """Compare Int_F sum |f(gamma z) j^m| K^{(2-m)/2} against ||f||_{1,(m-2)/2}.
 
     Also recomputes the truncated left side by substitution on each orbit
@@ -245,8 +240,7 @@ def lemma22_check(group, f, m, radius=6.0, domain=None, rhs_grid=(800, 512)):
     if m < 2:
         raise ValueError("weight m must be >= 2")
     from .domain import dirichlet_domain
-    if domain is None:
-        domain = dirichlet_domain(group, 0.0j, spacing=0.01)
+    domain = dirichlet_domain(group, 0.0j, spacing=0.01)
     ball = enumerate_ball(group, 0.0j, radius)
     nodes = domain.nodes
     wts = domain.weights
@@ -263,8 +257,7 @@ def lemma22_check(group, f, m, radius=6.0, domain=None, rhs_grid=(800, 512)):
 
     lhs = math.fsum(per_gamma)
     unfolded_total = math.fsum(unfolded)
-    rhs, rhs_err = norm_pl(f, 1, (m - 2) / 2.0, grid=rhs_grid,
-                           full_output=True)
+    rhs, rhs_err = norm_pl(f, 1, (m - 2) / 2.0, full_output=True)
     cum = np.cumsum(per_gamma)
     shells = np.arange(1.0, radius + 0.5 * SHELL_WIDTH, SHELL_WIDTH)
     partial = [(float(s), float(cum[ball.displacements <= s][-1]))
@@ -319,8 +312,7 @@ class PolyApproxResult:
     degree: int
 
 
-def polynomial_approx(f, l, delta, dilation=None, max_degree=200,
-                      norm_grid=(400, 256), n_fft=4096):
+def polynomial_approx(f, l, delta, dilation=None, max_degree=200):
     """Polynomial h with ||f - h||_{1,l} < delta, by dilated Taylor series.
 
     Rational seeds (poles at modulus >= 1.05) are holomorphic past the
@@ -340,15 +332,15 @@ def polynomial_approx(f, l, delta, dilation=None, max_degree=200,
         if not 0.0 < t <= 1.0:
             raise ValueError("dilation t must lie in (0, 1]")
 
-    th = np.exp(2j * np.pi * np.arange(n_fft) / n_fft)
-    coeffs = np.fft.fft(f(t * th)) / n_fft  # Taylor coefficients of f(t z)
+    th = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    coeffs = np.fft.fft(f(t * th)) / 4096  # Taylor coefficients of f(t z)
 
     degree = 1
     while degree <= max_degree:
         h = SeedFunction.poly(coeffs[:degree + 1])
         achieved = norm_pl(
             SeedFunction.from_callable(lambda z: f(z) - h(z)),
-            1, l, grid=norm_grid)
+            1, l, grid=(400, 256))
         if achieved < delta:
             return PolyApproxResult(h, achieved, t, degree)
         degree = min(2 * degree, max_degree) if degree < max_degree \

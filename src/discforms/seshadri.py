@@ -133,17 +133,18 @@ class QuasiPshReport:
     violating_points: list = field(default_factory=list)
 
 
-def quasi_psh_check(group, x, r, spacing=0.0125, h=1e-3, lower=None):
+def quasi_psh_check(group, x, r, spacing=0.0125, lower=None):
     """Finite-difference check of d2 psi / dz dzbar >= -2 D(r,x) g.
 
-    Uses the 9-point Laplacian at spacings h and h/2; tau is twice the
-    largest discrepancy between the two, the empirical discretisation
+    Uses the 9-point Laplacian at spacings h = 1e-3 and h/2; tau is twice
+    the largest discrepancy between the two, the empirical discretisation
     scale.  Grid points within 10h of an orbit point of x are excluded
     (psi is log-singular there and the bound holds distributionally).
     `lower` overrides the coefficient -2 D (the single-center configuration
     obeys the sharper -2/r^2).
     """
     x = complex(x)
+    h = 1e-3
     dvalue = density(group, x, r, spacing=max(spacing, 0.02))
     coeff = 2.0 * dvalue if lower is None else float(lower)
     if group.is_trivial:
@@ -192,16 +193,14 @@ class SeshadriReport:
     candidates: list = field(default_factory=list)  # (r, D, 1/(2D))
 
 
-def seshadri_lower_bound(group, x, r_candidates=None, spacing=0.02):
+def seshadri_lower_bound(group, x):
     """Both lower bounds for epsilon(K) at x; density bound scanned over r."""
     rho = injectivity_radius(group, x)
     if not math.isfinite(rho):
         raise ValueError("Seshadri bounds need a nontrivial group")
-    if r_candidates is None:
-        r_candidates = [rho * s for s in (1.0, 1.25, 1.5, 2.0, 3.0)]
     rows = []
-    for r in r_candidates:
-        dv = density(group, x, r, spacing=spacing)
+    for r in [rho * s for s in (1.0, 1.25, 1.5, 2.0, 3.0)]:
+        dv = density(group, x, r)
         rows.append((float(r), dv, 1.0 / (2.0 * dv)))
     best = max(rows, key=lambda t: t[2])
     bound_inj = rho * rho / 2.0
@@ -212,7 +211,7 @@ def seshadri_lower_bound(group, x, r_candidates=None, spacing=0.02):
         epsilon_lower=max(bound_inj, bound_density), candidates=rows)
 
 
-def ampleness_thresholds(epsilon, n, C=None, m_cap=1_000_000):
+def ampleness_thresholds(epsilon, n, C=None):
     """Smallest weights m >= 2 clearing each very-ampleness inequality.
 
     demailly: (m-1) eps > 2n;  main: (m-2) eps > 2n;
@@ -225,7 +224,7 @@ def ampleness_thresholds(epsilon, n, C=None, m_cap=1_000_000):
         m = 2
         while (m + shift) * epsilon <= 2.0 * n:
             m += 1
-            if m > m_cap:
+            if m > 1_000_000:
                 raise OverflowError("threshold exceeds cap")
         return m
 

@@ -2,6 +2,7 @@
 
 import cmath
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,27 @@ def test_enumerate_nonfinite_radius(capsys):
         assert cli.main(["enumerate", "--radius", r]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "finite" in err
+
+
+@pytest.mark.parametrize("spec", ["rational 1 / 0", "rational 1 /",
+                                  "rational 1 / 0 0"])
+def test_zero_denominator(capsys, spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["approx-poly", "--f", spec]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "denominator" in err
+
+
+@pytest.mark.parametrize("x", ["0", "0.2j"])
+def test_enumerate_finite_group(tmp_path, x):
+    rot4 = tmp_path / "rot4.cfg"
+    rot4.write_text("name = rot4\n"
+                    "generator.0 = 0.7071067811865476 0.7071067811865476 "
+                    "0.0 0.0\n")
+    code, data = run(tmp_path, "enumerate", "--group", str(rot4),
+                     "--radius", "2", "--x", x)
+    assert code == 0 and data["report"]["count"] == 4
 
 
 # Cheap settings for every subcommand; the keys must name all of them.

@@ -161,6 +161,9 @@ def test_ball_dedup_radius_limit():
     with pytest.raises(BudgetExceeded, match="cap"):
         enumerate_ball(g, 0.0j, DEDUP_MAX_RADIUS - D0 - 0.01,
                        max_elements=100)
+    # the trivial group runs the same build, so the same limit holds
+    with pytest.raises(BudgetExceeded, match="dedup"):
+        enumerate_ball(load_group("trivial"), 0.0j, DEDUP_MAX_RADIUS + 0.01)
 
 
 def test_ball_nonfinite_radius(octagon):
@@ -266,3 +269,26 @@ def test_load_presets(trivial):
     assert trivial.is_trivial
     ball = enumerate_ball(trivial, 0.0j, 5.0)
     assert len(ball) == 1
+    # a fresh build, then a restriction of that larger cached ball
+    g = load_group("trivial")
+    for radius in (5.0, 3.0):
+        ball = enumerate_ball(g, 0.2j, radius)
+        assert ball.radius == radius
+        assert [(e.alpha, e.beta, e.word, d) for e, d in ball.elements] \
+            == [(1.0, 0.0, (), 0.0)]
+
+
+# rotation by pi/2 about 0: a finite group of order 4 in PSU(1,1)
+ROT4 = "generator.0 = 0.7071067811865476 0.7071067811865476 0.0 0.0\n"
+
+
+@pytest.mark.parametrize("x", [0.0j, 0.2j])
+def test_finite_group_ball(x):
+    g = from_config_text(ROT4)[0]
+    # every displacement lies below the radius: the build must still
+    # cache the ball as complete up to the requested radius
+    for radius in (2.0, 5.0, 1.0):
+        ball = enumerate_ball(g, x, radius)
+        assert len(ball) == 4 and ball.radius == radius
+        assert np.all(ball.displacements <= radius)
+    assert sorted(ball.words) == [(), (-1,), (1,), (1, 1)]

@@ -25,6 +25,9 @@ def test_seed_kinds():
     assert f(0.0) == pytest.approx(0.5)
     with pytest.raises(UnboundedSeed):
         SeedFunction.rational([1.0], [1.0, -1.0])     # pole at 1
+    for den in ([], [0.0], [0.0, 0.0]):               # no denominator
+        with pytest.raises(UnboundedSeed, match="non-zero coefficient"):
+            SeedFunction.rational([1.0], den)
 
 
 def test_norm_oracles():
