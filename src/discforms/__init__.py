@@ -13,8 +13,8 @@ from .geometry import (
     dbar_log_kernel_norm_sq, df_constant,
 )
 from .group import (
-    GroupElement, FuchsianGroup, OrbitBall, enumerate_ball, orbit_count,
-    orbit_counts, preset_genus2_octagon, load_group,
+    GroupElement, FuchsianGroup, OrbitBall, enumerate_ball, orbit_counts,
+    preset_genus2_octagon, load_group,
 )
 from .domain import FundamentalDomain, dirichlet_domain, disc_domain
 from .series import (
@@ -26,7 +26,7 @@ from .kernels import (
     reproducing_check, cm_constant, relative_poincare, roundtrip_check,
 )
 from .seshadri import (
-    injectivity_radius, density, cutoff_a, psi_x, psi_values,
+    injectivity_radius, density, cutoff_a, psi_values,
     quasi_psh_check, seshadri_lower_bound, SeshadriReport,
     ampleness_thresholds,
 )

@@ -1,10 +1,11 @@
 """Command-line front end: configs in, machine-readable reports out.
 
-Every command writes a JSON report (stdout or --out).  Reports embed the
-resolved configuration and the package version, contain no timestamps, and
-use sorted keys, so identical configs produce byte-identical bytes.  Grid
-CSV output uses 17-significant-digit decimals.  Exit codes: 0 success, 2 a
-checked inequality failed beyond tolerance, 1 input error.
+Every command writes a strict JSON report (stdout or --out; no NaN or
+Infinity).  Reports embed the resolved configuration and the package
+version, contain no timestamps, and use sorted keys, so identical configs
+produce byte-identical bytes.  Grid CSV output uses 17-significant-digit
+decimals.  Exit codes: 0 success, 2 a checked inequality failed beyond
+tolerance, 1 input error.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ def _write_report(args, command, payload, out_path=None):
            if k not in ("func",) and v is not None}
     report = {"command": command, "config": cfg, "version": __version__,
               "report": _jsonable(payload)}
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -158,7 +160,7 @@ def cmd_automorphy_check(args):
 
 def cmd_norm(args):
     f = parse_seed(args.f)
-    val, err = series.norm_pl(f, args.p, args.l, full_output=True)
+    val, err = series.norm_pl(f, args.p, args.l)
     _write_report(args, "norm",
                   {"value": val, "halving_error": err}, args.out)
     return 0
@@ -226,13 +228,14 @@ def cmd_roundtrip(args):
 def cmd_injectivity_radius(args):
     g = load_group(args.group)
     rho = seshadri.injectivity_radius(g, complex(args.x))
-    _write_report(args, "injectivity-radius", {"rho_x": rho}, args.out)
+    _write_report(args, "injectivity-radius",
+                  {"rho_x": rho if math.isfinite(rho) else None}, args.out)
     return 0
 
 
 def cmd_density(args):
     g = load_group(args.group)
-    rep = seshadri.density(g, complex(args.x), args.r, full_output=True)
+    rep = seshadri.density(g, complex(args.x), args.r)
     _write_report(args, "density", rep, args.out)
     return 0
 

@@ -18,7 +18,7 @@ class BudgetExceeded(DiscformsError):
 
 
 class InsufficientBall(DiscformsError):
-    """The orbit ball was too small to determine the Dirichlet polygon."""
+    """An orbit ball too small for a Dirichlet polygon or an orbit query."""
 
 
 class UnboundedSeed(DiscformsError):

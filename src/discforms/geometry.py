@@ -53,8 +53,7 @@ def check_su11(alpha, beta, tol=UNITARY_TOL):
 def mobius(alpha, beta, z):
     """Apply the disc automorphism z -> (alpha z + beta)/(conj(beta) z + conj(alpha)).
 
-    No validation; use mobius_apply for the checked scalar entry point.
-    Broadcasts over numpy arrays in any argument.
+    No validation.  Broadcasts over numpy arrays in any argument.
     """
     return (alpha * z + beta) / (np.conj(beta) * z + np.conj(alpha))
 
@@ -63,20 +62,6 @@ def mobius_jacobian(alpha, beta, z):
     """Complex Jacobian (derivative) of the automorphism at z."""
     den = np.conj(beta) * z + np.conj(alpha)
     return 1.0 / (den * den)
-
-
-def mobius_apply(g, z):
-    """Checked action of a group element on a disc point."""
-    check_su11(g.alpha, g.beta)
-    z = check_disc_point(z)
-    return mobius(g.alpha, g.beta, z)
-
-
-def jacobian(g, z):
-    """Checked automorphy factor j_g(z) = g'(z)."""
-    check_su11(g.alpha, g.beta)
-    z = check_disc_point(z)
-    return mobius_jacobian(g.alpha, g.beta, z)
 
 
 def bergman_kernel(z, w):

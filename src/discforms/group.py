@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceeded, ConfigError, NonUnitary
+from .errors import BudgetExceeded, ConfigError, InsufficientBall, NonUnitary
 from .geometry import (check_disc_point, check_su11, distance, mobius,
                        mobius_jacobian)
 
@@ -485,12 +485,17 @@ def orbit_pairs(ball, zs, r):
     slack) of rho(x, z).  Points are taken in order of rho(x, z), in blocks
     of at most _PAIR_CHUNK pairs (a single point whose window is larger
     forms its own block).  The pairs come out grouped by point in that
-    order, each point's pairs in ball order.
+    order, each point's pairs in ball order.  A ball with radius below
+    rho(x, z) + r for some z would miss pairs: it raises InsufficientBall.
     """
     zs = check_disc_point(np.atleast_1d(np.asarray(zs, dtype=complex)))
     pts = check_disc_point(ball.orbit_points())
     t_max = np.tanh(r / 2.0)
     dz = distance(ball.base, zs)
+    reach = float(np.max(dz)) + r
+    if reach > ball.radius:
+        raise InsufficientBall(f"orbit query reaches {reach:.6g}, past the "
+                               f"ball radius {ball.radius:.6g}")
     # Rounding slack: a computed rho(a, b) = 2 artanh t is off by about
     # |dt| (1 + cosh rho(a, b)), with |dt| a few ulps over
     # |1 - conj(a) b| >= e^-rho(0, a).  rho(x, z), the displacements and
@@ -531,11 +536,6 @@ def orbit_counts(group, x, zs, r):
     ball = enumerate_ball(group, x, reach)
     iz, _ = orbit_pairs(ball, zs, r)
     return np.bincount(iz, minlength=len(zs))
-
-
-def orbit_count(group, x, z, r):
-    """Scalar version of orbit_counts."""
-    return int(orbit_counts(group, x, np.array([z]), r)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -579,11 +579,10 @@ def to_config_text(group):
 
 def from_config_text(text):
     """Parse the plain key-value group format; raises ConfigError with
-    line numbers on malformed input."""
+    line numbers on malformed input and unknown keys."""
     name = ""
     gens = {}
     relators = []
-    extra = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -614,7 +613,7 @@ def from_config_text(text):
                 raise ConfigError(f"line {ln}: relator letters must be "
                                   f"signed integers") from None
         else:
-            extra[key] = val
+            raise ConfigError(f"line {ln}: unknown key {key!r}")
     if sorted(gens) != list(range(len(gens))):
         raise ConfigError("generator indices must be 0..n-1 without gaps")
     elements = []
@@ -624,7 +623,7 @@ def from_config_text(text):
             elements.append(GroupElement(a, b, (k + 1,)))
         except NonUnitary as exc:
             raise ConfigError(f"generator.{k}: {exc}") from exc
-    return FuchsianGroup(elements, relators, name=name), extra
+    return FuchsianGroup(elements, relators, name=name)
 
 
 def load_group(source):
@@ -638,4 +637,4 @@ def load_group(source):
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read group source {source!r}: {exc}")
-    return from_config_text(text)[0]
+    return from_config_text(text)

@@ -27,16 +27,15 @@ SHELL_WIDTH = 1.0
 
 @dataclass
 class SeedFunction:
-    """Seed f for a Poincare series: polynomial, rational or callable.
+    """Seed f for a Poincare series: polynomial or rational.
 
     Polynomial coefficients are low-to-high.  Rational seeds are two
     coefficient lists with the denominator zero-free on the closed disc.
     """
 
-    kind: str                      # "poly" | "rational" | "callable"
+    kind: str                      # "poly" | "rational"
     coeffs: np.ndarray = None
     den_coeffs: np.ndarray = None
-    func: object = None
 
     @staticmethod
     def poly(coeffs):
@@ -56,17 +55,11 @@ class SeedFunction:
         return SeedFunction("rational", coeffs=np.asarray(num, dtype=complex),
                             den_coeffs=den)
 
-    @staticmethod
-    def from_callable(func):
-        return SeedFunction("callable", func=func)
-
     def __call__(self, z):
         if self.kind == "poly":
             return np.polyval(self.coeffs[::-1], z)
-        if self.kind == "rational":
-            return (np.polyval(self.coeffs[::-1], z)
-                    / np.polyval(self.den_coeffs[::-1], z))
-        return self.func(z)
+        return (np.polyval(self.coeffs[::-1], z)
+                / np.polyval(self.den_coeffs[::-1], z))
 
     @property
     def degree(self):
@@ -77,10 +70,6 @@ class SeedFunction:
     def sup_disc(self):
         """sup |f| on the closed disc (maximum modulus: boundary samples)."""
         th = np.exp(2j * np.pi * np.arange(4096) / 4096)
-        if self.kind == "callable":
-            # callables need not extend to the boundary; sample radially too
-            rs = np.linspace(0, 0.999, 64)
-            return float(np.max(np.abs(self(rs[:, None] * th[None, :]))))
         return float(np.max(np.abs(self(th))))
 
 
@@ -193,8 +182,8 @@ def _norm_once(f, p, l, n_r, n_theta):
     return float(np.sum(vals * w))
 
 
-def norm_pl(f, p, l, grid=(800, 512), full_output=False):
-    """||f||_{p,l} by polar quadrature with a grid-halving error estimate."""
+def norm_pl(f, p, l, grid=(800, 512)):
+    """(||f||_{p,l}, halving error) by polar quadrature; f takes arrays."""
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")
     if l < 0:
@@ -208,9 +197,7 @@ def norm_pl(f, p, l, grid=(800, 512), full_output=False):
     if err > err_prev * 4.0 and err > 1e-12 * abs(i_full):
         raise QuadratureDiverged(
             f"halving estimate grew: {err_prev:g} -> {err:g}")
-    if full_output:
-        return i_full, err
-    return i_full
+    return i_full, err
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +244,7 @@ def lemma22_check(group, f, m, radius=6.0):
 
     lhs = math.fsum(per_gamma)
     unfolded_total = math.fsum(unfolded)
-    rhs, rhs_err = norm_pl(f, 1, (m - 2) / 2.0, full_output=True)
+    rhs, rhs_err = norm_pl(f, 1, (m - 2) / 2.0)
     cum = np.cumsum(per_gamma)
     shells = np.arange(1.0, radius + 0.5 * SHELL_WIDTH, SHELL_WIDTH)
     partial = [(float(s), float(cum[ball.displacements <= s][-1]))
@@ -316,21 +303,14 @@ def polynomial_approx(f, l, delta, dilation=None, max_degree=200):
     """Polynomial h with ||f - h||_{1,l} < delta, by dilated Taylor series.
 
     Rational seeds (poles at modulus >= 1.05) are holomorphic past the
-    closed disc, so no dilation is needed; other bounded seeds must supply
-    a dilation parameter t < 1.  Degrees are tried greedily until the
-    measured norm clears the target.
+    closed disc, so the dilation t defaults to 1.  Degrees are tried
+    greedily until the measured norm clears the target.
     """
     if f.kind == "poly":
         return PolyApproxResult(f, 0.0, 1.0, f.degree)
-    if dilation is None:
-        if f.kind != "rational":
-            raise ValueError("bounded non-rational seeds need a dilation "
-                             "parameter t < 1")
-        t = 1.0
-    else:
-        t = float(dilation)
-        if not 0.0 < t <= 1.0:
-            raise ValueError("dilation t must lie in (0, 1]")
+    t = 1.0 if dilation is None else float(dilation)
+    if not 0.0 < t <= 1.0:
+        raise ValueError("dilation t must lie in (0, 1]")
 
     th = np.exp(2j * np.pi * np.arange(4096) / 4096)
     coeffs = np.fft.fft(f(t * th)) / 4096  # Taylor coefficients of f(t z)
@@ -338,9 +318,7 @@ def polynomial_approx(f, l, delta, dilation=None, max_degree=200):
     degree = 1
     while degree <= max_degree:
         h = SeedFunction.poly(coeffs[:degree + 1])
-        achieved = norm_pl(
-            SeedFunction.from_callable(lambda z: f(z) - h(z)),
-            1, l, grid=(400, 256))
+        achieved, _ = norm_pl(lambda z: f(z) - h(z), 1, l, grid=(400, 256))
         if achieved < delta:
             return PolyApproxResult(h, achieved, t, degree)
         degree = min(2 * degree, max_degree) if degree < max_degree \

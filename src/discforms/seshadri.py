@@ -40,8 +40,8 @@ class DensityReport:
     n_grid: int
 
 
-def density(group, x, r, spacing=0.02, refine=True, full_output=False):
-    """D(r,x): sup over centers z of orbit_count(x, z, r) / r^2.
+def density(group, x, r, spacing=0.02, refine=True):
+    """D(r,x): sup over centers z of #{orbit points of x within r of z} / r^2.
 
     The count is Gamma-invariant in z, so the sup is scanned over a grid on
     the fundamental domain, with one local refinement pass around the best
@@ -51,8 +51,7 @@ def density(group, x, r, spacing=0.02, refine=True, full_output=False):
         raise ValueError("r must be positive")
     x = complex(x)
     if group.is_trivial:
-        out = DensityReport(1.0 / r ** 2, 1, x, r, 1)
-        return out if full_output else out.value
+        return DensityReport(1.0 / r ** 2, 1, x, r, 1)
     domain = dirichlet_domain(group, 0.0j, spacing=spacing)
     zs = domain.nodes
     counts = orbit_counts(group, x, zs, r)
@@ -69,8 +68,7 @@ def density(group, x, r, spacing=0.02, refine=True, full_output=False):
         j = int(np.argmax(lc))
         if lc[j] > best:
             best, center = int(lc[j]), complex(local[j])
-    out = DensityReport(best / r ** 2, best, center, r, len(zs))
-    return out if full_output else out.value
+    return DensityReport(best / r ** 2, best, center, r, len(zs))
 
 
 def cutoff_a(t):
@@ -116,11 +114,6 @@ def psi_values(group, x, r, zs, ball=None):
     return out
 
 
-def psi_x(group, x, r, z):
-    """Scalar psi^x(z); returns -inf within 1e-9 of the orbit of x."""
-    return float(psi_values(group, x, r, np.array([complex(z)]))[0])
-
-
 @dataclass
 class QuasiPshReport:
     r: float
@@ -145,7 +138,7 @@ def quasi_psh_check(group, x, r, spacing=0.0125, lower=None):
     """
     x = complex(x)
     h = 1e-3
-    dvalue = density(group, x, r, spacing=max(spacing, 0.02))
+    dvalue = density(group, x, r, spacing=max(spacing, 0.02)).value
     coeff = 2.0 * dvalue if lower is None else float(lower)
     if group.is_trivial:
         span = np.arange(-0.7, 0.7001, spacing)
@@ -154,7 +147,10 @@ def quasi_psh_check(group, x, r, spacing=0.0125, lower=None):
         zs = zs[np.abs(zs) < 0.9]
     else:
         zs = dirichlet_domain(group, 0.0j, spacing=spacing).nodes
-    reach = float(np.max(distance(x, zs))) + r + 1e-6
+    # stencils stay in each node's h-square; hyperbolic balls are Euclidean
+    # discs, so the square's corners are its stencil points farthest from x
+    corners = zs[:, None] + h * np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
+    reach = float(np.max(distance(x, corners))) + r + 1e-6
     ball = enumerate_ball(group, x, reach)
     pts = ball.orbit_points()
     near = np.min(np.abs(zs[:, None] - pts[None, :]), axis=1)
@@ -200,7 +196,7 @@ def seshadri_lower_bound(group, x):
         raise ValueError("Seshadri bounds need a nontrivial group")
     rows = []
     for r in [rho * s for s in (1.0, 1.25, 1.5, 2.0, 3.0)]:
-        dv = density(group, x, r)
+        dv = density(group, x, r).value
         rows.append((float(r), dv, 1.0 / (2.0 * dv)))
     best = max(rows, key=lambda t: t[2])
     bound_inj = rho * rho / 2.0
@@ -215,17 +211,25 @@ def ampleness_thresholds(epsilon, n, C=None):
     """Smallest weights m >= 2 clearing each very-ampleness inequality.
 
     demailly: (m-1) eps > 2n;  main: (m-2) eps > 2n;
-    df (only when C given): (m-2+1/C) eps > 2n.
+    df (only when C given): (m-2+1/C) eps > 2n.  Above 2^53 the
+    floating-point test is no longer exact in m, so m must stay below it.
     """
-    if epsilon <= 0 or n < 1:
-        raise ValueError("need epsilon > 0 and n >= 1")
+    if not (0 < epsilon < math.inf and 1 <= n <= 2 ** 53):
+        raise ValueError("need finite epsilon > 0 and 1 <= n <= 2^53")
+    if C is not None and not 0 < C < math.inf:
+        raise ValueError("need finite C > 0")
 
     def smallest(shift):
-        m = 2
+        # (m + shift) eps <= 2n is monotone in m: walk from near 2n/eps -
+        # shift to its first failure with the test itself, ties included
+        start = min(max(2.0 * n / epsilon - shift, 0.0), 2.0 ** 53)
+        m = max(2, math.floor(start) - 1)
+        while m > 2 and (m - 1 + shift) * epsilon > 2.0 * n:
+            m -= 1
         while (m + shift) * epsilon <= 2.0 * n:
             m += 1
-            if m > 1_000_000:
-                raise OverflowError("threshold exceeds cap")
+            if m > 2 ** 53:
+                raise ValueError("threshold above 2^53")
         return m
 
     out = {"demailly": smallest(-1), "main": smallest(-2)}

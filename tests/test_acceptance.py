@@ -132,7 +132,7 @@ def test_6_roundtrip(octagon, rng):
 def test_7_cutoff(octagon, rho0):
     v0, d0 = cutoff_a(0.0)
     assert v0 == 0.0 and d0 == 0.0
-    assert density(octagon, 0.0j, rho0) == 1.0 / rho0 ** 2
+    assert density(octagon, 0.0j, rho0).value == 1.0 / rho0 ** 2
     worst = 0
     for s in (1.0, 1.5, 2.0):
         rep = quasi_psh_check(octagon, 0.0j, s * rho0)
@@ -144,7 +144,7 @@ def test_7_cutoff(octagon, rho0):
 
 def test_8_seshadri_consistency(octagon, rho0):
     rep = seshadri_lower_bound(octagon, 0.0j)
-    at_rho = 1.0 / (2.0 * density(octagon, 0.0j, rho0))
+    at_rho = 1.0 / (2.0 * density(octagon, 0.0j, rho0).value)
     assert abs(rep.bound_inj - at_rho) < 1e-10
     assert ampleness_thresholds(2.0, 1) == {"demailly": 3, "main": 4}
     assert ampleness_thresholds(0.5, 1) == {"demailly": 6, "main": 7}

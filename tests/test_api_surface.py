@@ -1,0 +1,86 @@
+"""Every option of the library is used: no defaulted parameter nobody sets.
+
+An AST scan lists the defaulted parameters of every function in `src/`.  A
+parameter counts as set when some call in `src/`, `tests/` or `perfbench/`
+to a callee of the same name passes it by keyword, by position (after
+`self` on methods) or through `*args`/`**kwargs`.  A parameter that no call
+sets is a constant in disguise and should be written as one.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _trees(*dirs):
+    for d in dirs:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            yield path, ast.parse(path.read_text(), str(path))
+
+
+def _defaulted_params():
+    """(function name, parameter, positional index or None, where) for
+    every parameter with a default; the index skips `self`/`cls`."""
+    out = []
+    for path, tree in _trees("src"):
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body if isinstance(f, ast.FunctionDef)
+                   and not any(getattr(d, "id", None) == "staticmethod"
+                               for d in f.decorator_list)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            args = fn.args
+            pos = args.posonlyargs + args.args
+            skip = 1 if id(fn) in methods else 0
+            where = f"{path.relative_to(ROOT)}:{fn.lineno}"
+            for k, a in enumerate(pos[len(pos) - len(args.defaults):],
+                                  len(pos) - len(args.defaults)):
+                out.append((fn.name, a.arg, k - skip, where))
+            for a, d in zip(args.kwonlyargs, args.kw_defaults):
+                if d is not None:
+                    out.append((fn.name, a.arg, None, where))
+    return out
+
+
+def _calls():
+    """callee name -> list of (n positional before any *, starred?,
+    keyword names, **?) over every call in src, tests and perfbench."""
+    out = {}
+    for _, tree in _trees("src", "tests", "perfbench"):
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            name = getattr(f, "id", None) or getattr(f, "attr", None)
+            if name is None:
+                continue
+            starred = [i for i, a in enumerate(call.args)
+                       if isinstance(a, ast.Starred)]
+            n_pos = starred[0] if starred else len(call.args)
+            kws = {k.arg for k in call.keywords}
+            out.setdefault(name, []).append(
+                (n_pos, bool(starred), kws - {None}, None in kws))
+    return out
+
+
+def _is_set(index, param, calls):
+    for n_pos, starred, kws, double_star in calls:
+        if param in kws or double_star:
+            return True
+        if index is not None and (index < n_pos or starred):
+            return True
+    return False
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    params = _defaulted_params()
+    calls = _calls()
+    # not vacuous: the scan sees options that callers are known to set
+    names = {(fn, p) for fn, p, _, _ in params}
+    assert {("enumerate_ball", "margin"), ("density", "refine"),
+            ("norm_pl", "grid")} <= names
+    unset = [f"{where} {fn}({p}=...)" for fn, p, k, where in params
+             if not _is_set(k, p, calls.get(fn, []))]
+    assert unset == []

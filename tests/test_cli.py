@@ -12,10 +12,16 @@ from discforms import cli
 from discforms.series import SeedFunction
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def run(tmp_path, *argv):
     out = tmp_path / "report.json"
     code = cli.main(list(argv) + ["--out", str(out)])
-    data = json.loads(out.read_text()) if out.exists() else None
+    # strict parse: NaN, Infinity and -Infinity are not JSON
+    data = (json.loads(out.read_text(), parse_constant=_reject_constant)
+            if out.exists() else None)
     return code, data
 
 
@@ -63,6 +69,26 @@ def test_thresholds_command(tmp_path):
     assert data["report"] == {"demailly": 3, "main": 4, "df": 3}
     assert data["version"]
     assert data["config"]["epsilon"] == 2.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--epsilon", "nan", "--n", "1"], ["--epsilon", "inf", "--n", "1"],
+    ["--epsilon", "0", "--n", "1"], ["--epsilon", "2", "--n", "0"],
+    ["--epsilon", "2", "--n", "1", "--C", "0"],
+    ["--epsilon", "2", "--n", "1", "--C", "-1"],
+    ["--epsilon", "2", "--n", "1", "--C", "inf"],
+    ["--epsilon", "1e-300", "--n", "1"]])
+def test_thresholds_bad_input(tmp_path, capsys, argv):
+    code, data = run(tmp_path, "thresholds", *argv)
+    assert code == 1 and data is None
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_thresholds_far_threshold(tmp_path):
+    # 2 * 10^6 steps of a loop from m = 2, past its old cap of 10^6
+    code, data = run(tmp_path, "thresholds", "--epsilon", "1e-6", "--n", "1")
+    assert code == 0
+    assert data["report"] == {"demailly": 2000002, "main": 2000003}
 
 
 def test_unknown_command():
@@ -150,6 +176,13 @@ def test_injectivity_command(tmp_path):
     assert data["report"]["rho_x"] == pytest.approx(1.5285709, rel=1e-6)
 
 
+def test_injectivity_trivial_is_null(tmp_path):
+    # the report is strict JSON: no orbit, so rho_x is null, not Infinity
+    code, data = run(tmp_path, "injectivity-radius", "--group", "trivial")
+    assert code == 0
+    assert data["report"] == {"rho_x": None}
+
+
 def test_kernel_check_command(capsys):
     # passing checks give numpy booleans, which the report must serialize
     assert cli.main(["kernel-check", "--m", "4"]) == 0
@@ -173,6 +206,17 @@ def test_zero_denominator(capsys, spec):
         assert cli.main(["approx-poly", "--f", spec]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "denominator" in err
+
+
+def test_group_file_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    gen = "= 2.414213562373095 0.0 2.197368227230559 0.0\n"
+    cfg.write_text(f"name = two\ngenerator.0 {gen}generater.1 {gen}")
+    code, data = run(tmp_path, "enumerate", "--group", str(cfg),
+                     "--radius", "5")
+    assert code == 1 and data is None
+    err = capsys.readouterr().err
+    assert err == "error: line 3: unknown key 'generater.1'\n"
 
 
 @pytest.mark.parametrize("x", ["0", "0.2j"])

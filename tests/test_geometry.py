@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from discforms.errors import BoundaryPoint, NonUnitary
 from discforms.geometry import (
     bergman_kernel, bergman_metric, check_su11, dbar_log_kernel_norm_sq,
-    df_constant, distance, jacobian, mobius, mobius_apply, mobius_jacobian,
+    check_disc_point, df_constant, distance, mobius, mobius_jacobian,
 )
 from discforms.group import GroupElement
 
@@ -30,18 +30,18 @@ def random_elements(rng, n):
 def test_identity_action():
     g = GroupElement.identity()
     z = 0.3 + 0.1j
-    assert mobius_apply(g, z) == z
-    assert jacobian(g, z) == 1.0
+    assert g.apply(z) == z
+    assert g.jac(z) == 1.0
 
 
 def test_forced_value_at_zero():
     g = GroupElement(math.sqrt(2), 1.0, ())
-    assert mobius_apply(g, 0.0) == pytest.approx(1.0 / math.sqrt(2))
+    assert g.apply(0.0) == pytest.approx(1.0 / math.sqrt(2))
 
 
 def test_boundary_guard():
     with pytest.raises(BoundaryPoint):
-        mobius_apply(GroupElement.identity(), 1.0 - 1e-13)
+        check_disc_point(1.0 - 1e-13)
     with pytest.raises(BoundaryPoint):
         bergman_kernel(1.0 + 0j, 0.0)
 
@@ -55,8 +55,8 @@ def test_composition(rng):
     zs = random_disc_points(rng, 100)
     for g1, g2 in zip(random_elements(rng, 10), random_elements(rng, 10)):
         both = g1.compose(g2)
-        direct = mobius_apply(both, zs)
-        chained = mobius_apply(g1, mobius_apply(g2, zs))
+        direct = both.apply(zs)
+        chained = g1.apply(g2.apply(zs))
         assert np.max(np.abs(direct - chained)) < 1e-12
 
 
@@ -64,8 +64,8 @@ def test_jacobian_cocycle(rng):
     zs = random_disc_points(rng, 100)
     gs = random_elements(rng, 10)
     for g1, g2 in zip(gs, reversed(gs)):
-        lhs = jacobian(g1.compose(g2), zs)
-        rhs = jacobian(g1, mobius_apply(g2, zs)) * jacobian(g2, zs)
+        lhs = g1.compose(g2).jac(zs)
+        rhs = g1.jac(g2.apply(zs)) * g2.jac(zs)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -103,8 +103,8 @@ def test_jacobian_conformal_identity(rng):
     # |j_g(z)| (1 - |z|^2) = 1 - |g z|^2
     zs = random_disc_points(rng, 200)
     for g in random_elements(rng, 10):
-        lhs = np.abs(jacobian(g, zs)) * (1.0 - np.abs(zs) ** 2)
-        rhs = 1.0 - np.abs(mobius_apply(g, zs)) ** 2
+        lhs = np.abs(g.jac(zs)) * (1.0 - np.abs(zs) ** 2)
+        rhs = 1.0 - np.abs(g.apply(zs)) ** 2
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -118,8 +118,8 @@ def test_kernel_center_value_and_mass():
 def test_kernel_transformation(rng):
     zs = random_disc_points(rng, 100)
     for g in random_elements(rng, 10):
-        lhs = bergman_kernel(mobius_apply(g, zs), mobius_apply(g, zs)) \
-            * np.abs(jacobian(g, zs)) ** 2
+        lhs = bergman_kernel(g.apply(zs), g.apply(zs)) \
+            * np.abs(g.jac(zs)) ** 2
         rhs = bergman_kernel(zs, zs)
         assert np.max(np.abs(lhs - rhs) / np.abs(rhs)) < 1e-12
 
@@ -159,7 +159,7 @@ def test_metric_invariance(rng):
     assert bergman_metric(0.0) == pytest.approx(2.0)
     zs = random_disc_points(rng, 100)
     for g in random_elements(rng, 10):
-        lhs = bergman_metric(mobius_apply(g, zs)) * np.abs(jacobian(g, zs)) ** 2
+        lhs = bergman_metric(g.apply(zs)) * np.abs(g.jac(zs)) ** 2
         assert np.max(np.abs(lhs - bergman_metric(zs))) < 1e-10
 
 
@@ -189,7 +189,7 @@ def test_distance_invariance_and_triangle(rng):
     ws = random_disc_points(rng, 60)
     us = random_disc_points(rng, 60)
     for g in random_elements(rng, 10):
-        lhs = distance(mobius_apply(g, zs), mobius_apply(g, ws))
+        lhs = distance(g.apply(zs), g.apply(ws))
         assert np.max(np.abs(lhs - distance(zs, ws))) < 1e-10
     assert np.all(distance(zs, ws) <= distance(zs, us) + distance(us, ws)
                   + 1e-10)

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from discforms.errors import BudgetExceeded, ConfigError
-from discforms.geometry import distance, mobius_apply
+from discforms.geometry import distance
 from discforms.group import (
     DEDUP_MAX_RADIUS, FuchsianGroup, GroupElement, _accept, _reduce_word,
-    _SeenKeys, enumerate_ball, from_config_text, load_group, orbit_count,
+    _SeenKeys, enumerate_ball, from_config_text, load_group, orbit_counts,
     preset_genus2_octagon, to_config_text,
 )
 
@@ -203,13 +203,13 @@ def test_fixed_point_free(octagon, rng):
 
 
 def test_orbit_count(octagon):
-    assert orbit_count(octagon, 0.0j, 0.0j, 0.9 * D0) == 1
+    assert orbit_counts(octagon, 0.0j, 0.0j, 0.9 * D0)[0] == 1
     # all eight generators and their inverses displace exactly d0
-    assert orbit_count(octagon, 0.0j, 0.0j, D0 + 1e-6) == 9
+    assert orbit_counts(octagon, 0.0j, 0.0j, D0 + 1e-6)[0] == 9
     g = octagon.generators[3]
     z = 0.2 + 0.1j
-    assert orbit_count(octagon, 0.0j, g.apply(z), 2.0) \
-        == orbit_count(octagon, 0.0j, z, 2.0)
+    assert orbit_counts(octagon, 0.0j, g.apply(z), 2.0)[0] \
+        == orbit_counts(octagon, 0.0j, z, 2.0)[0]
 
 
 def test_ball_terms_match_elements(octagon):
@@ -226,7 +226,7 @@ def test_ball_terms_match_elements(octagon):
 
 def test_config_roundtrip(octagon, tmp_path):
     text = to_config_text(octagon)
-    back, _ = from_config_text(text)
+    back = from_config_text(text)
     assert back.name == octagon.name
     for g, h in zip(back.generators, octagon.generators):
         assert abs(g.alpha - h.alpha) + abs(g.beta - h.beta) < 1e-15
@@ -250,8 +250,8 @@ _letters = st.integers(-5, 5).filter(bool)
        st.text("abcxyz0189-_. ", max_size=12).map(str.strip))
 def test_config_text_roundtrip_property(gens, relators, name):
     group = FuchsianGroup(gens, [tuple(w) for w in relators], name=name)
-    back, extra = from_config_text(to_config_text(group))
-    assert (back.name, back.relators, extra) == (name, group.relators, {})
+    back = from_config_text(to_config_text(group))
+    assert (back.name, back.relators) == (name, group.relators)
     assert [(g.alpha, g.beta) for g in back.generators] \
         == [(g.alpha, g.beta) for g in gens]
 
@@ -261,6 +261,9 @@ def test_config_errors():
         from_config_text("name = x\ngenerator.1 = 1.0 oops 0 0\n")
     with pytest.raises(ConfigError):
         from_config_text("generator.0 = 1.5 0 0 0\n")   # not SU(1,1)
+    # a misspelled key is an error, not a group with a generator fewer
+    with pytest.raises(ConfigError, match="line 2: unknown key 'generater.1'"):
+        from_config_text("generator.0 = 1 0 0 0\ngenerater.1 = 1 0 0 0\n")
 
 
 def test_load_presets(trivial):
@@ -284,7 +287,7 @@ ROT4 = "generator.0 = 0.7071067811865476 0.7071067811865476 0.0 0.0\n"
 
 @pytest.mark.parametrize("x", [0.0j, 0.2j])
 def test_finite_group_ball(x):
-    g = from_config_text(ROT4)[0]
+    g = from_config_text(ROT4)
     # every displacement lies below the radius: the build must still
     # cache the ball as complete up to the requested radius
     for radius in (2.0, 5.0, 1.0):

@@ -31,20 +31,20 @@ def test_seed_kinds():
 
 
 def test_norm_oracles():
-    assert norm_pl(ONE, 1, 0.0) == pytest.approx(math.pi, rel=1e-3)
+    assert norm_pl(ONE, 1, 0.0)[0] == pytest.approx(math.pi, rel=1e-3)
     # Int (pi (1-|z|^2)^2) d(lambda) = pi^2/3
-    assert norm_pl(ONE, 1, 1.0) == pytest.approx(math.pi ** 2 / 3, rel=1e-4)
+    assert norm_pl(ONE, 1, 1.0)[0] == pytest.approx(math.pi ** 2 / 3, rel=1e-4)
     # monomial Beta-integral oracle: ||z^k||_{2,l}^2 = pi^(l+1) B(k+1, 2l+1)
     for k, l in ((1, 0.0), (2, 1.0), (3, 2.0)):
         f = SeedFunction.poly([0.0] * k + [1.0])
         oracle = math.pi ** (l + 1) * beta_fn(k + 1, 2 * l + 1)
-        assert norm_pl(f, 2, l) == pytest.approx(oracle, rel=1e-6)
+        assert norm_pl(f, 2, l)[0] == pytest.approx(oracle, rel=1e-6)
 
 
 def test_norm_homogeneity_and_validation():
     f = SeedFunction.poly([0.0, 3.0])
-    assert norm_pl(f, 1, 0.5) == pytest.approx(3.0 * norm_pl(Z, 1, 0.5),
-                                               rel=1e-12)
+    assert norm_pl(f, 1, 0.5)[0] == pytest.approx(
+        3.0 * norm_pl(Z, 1, 0.5)[0], rel=1e-12)
     with pytest.raises(ValueError):
         norm_pl(ONE, 3, 0.0)
     with pytest.raises(ValueError):
@@ -118,8 +118,8 @@ def test_polynomial_approx():
     f = SeedFunction.rational([1.0], [2.0, -1.0])     # 1/(2 - z)
     res = polynomial_approx(f, 1.0, 1e-3)
     assert res.achieved_norm < 1e-3
-    diff = SeedFunction.from_callable(lambda z: f(z) - res.poly(z))
-    assert norm_pl(diff, 1, 1.0, grid=(400, 256)) < 1e-3
+    assert norm_pl(lambda z: f(z) - res.poly(z), 1, 1.0,
+                   grid=(400, 256))[0] < 1e-3
     with pytest.raises(TargetNotReached):
         polynomial_approx(f, 1.0, 1e-12, max_degree=4)
 
@@ -128,8 +128,10 @@ def test_polynomial_approx_downstream(octagon, rng):
     # |P_m(f) - P_m(h)| <= sup|f-h| * (truncated weight-m majorant)
     f = SeedFunction.rational([1.0], [2.0, -1.0])
     res = polynomial_approx(f, 1.0, 1e-4)
-    diff = SeedFunction.from_callable(lambda z: f(z) - res.poly(z))
-    sup = diff.sup_disc()
+    # sup |f - h| over 64 radii x 4096 angles of the closed disc
+    zs = np.linspace(0, 0.999, 64)[:, None] \
+        * np.exp(2j * np.pi * np.arange(4096) / 4096)[None, :]
+    sup = float(np.max(np.abs(f(zs) - res.poly(zs))))
     for z in random_disc_points(rng, 10, r_max=0.5):
         pf = poincare_eval(octagon, f, 4, z, 8.0)
         ph = poincare_eval(octagon, res.poly, 4, z, 8.0)

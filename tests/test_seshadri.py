@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from discforms.domain import dirichlet_domain
+from discforms.errors import InsufficientBall
 from discforms.geometry import distance
-from discforms.group import (enumerate_ball, orbit_count, orbit_counts,
-                             orbit_pairs)
+from discforms.group import enumerate_ball, orbit_counts, orbit_pairs
 from discforms.seshadri import (
     SINGULAR_TOL, ampleness_thresholds, cutoff_a, density, injectivity_radius,
-    psi_x, psi_values, quasi_psh_check, seshadri_lower_bound,
+    psi_values, quasi_psh_check, seshadri_lower_bound,
 )
 
 from conftest import random_disc_points
@@ -44,20 +44,20 @@ def test_injectivity_lipschitz(octagon, rng):
 
 
 def test_density_at_injectivity_radius(octagon, rho0):
-    assert density(octagon, 0.0j, rho0) == 1.0 / rho0 ** 2
+    assert density(octagon, 0.0j, rho0).value == 1.0 / rho0 ** 2
 
 
 def test_density_count_monotone(octagon):
     z = 0.2 + 0.1j
-    counts = [orbit_count(octagon, 0.0j, z, r)
+    counts = [orbit_counts(octagon, 0.0j, z, r)[0]
               for r in (0.5, 1.0, 1.8, 2.5, 3.2)]
     assert counts == sorted(counts)
 
 
 def test_density_refinement_monotone(octagon, rho0):
     r = 1.5 * rho0
-    coarse = density(octagon, 0.0j, r, refine=False)
-    fine = density(octagon, 0.0j, r, refine=True)
+    coarse = density(octagon, 0.0j, r, refine=False).value
+    fine = density(octagon, 0.0j, r, refine=True).value
     assert fine >= coarse
 
 
@@ -89,18 +89,18 @@ def test_psi_empty_support(octagon, rho0):
     z = 0.45 + 0.1j
     r = 0.5
     assert distance(z, 0.0j) > r
-    assert psi_x(octagon, 0.0j, r, z) == 0.0
+    assert psi_values(octagon, 0.0j, r, z)[0] == 0.0
 
 
 def test_psi_invariance_and_singularity(octagon, rho0):
     g = octagon.generators[5]
     z = 0.25 - 0.1j
     r = 1.5 * rho0
-    assert abs(psi_x(octagon, 0.0j, r, g.apply(z))
-               - psi_x(octagon, 0.0j, r, z)) < 1e-12
-    assert psi_x(octagon, 0.0j, r, 0.0j) == -math.inf
+    assert abs(psi_values(octagon, 0.0j, r, g.apply(z))[0]
+               - psi_values(octagon, 0.0j, r, z)[0]) < 1e-12
+    assert psi_values(octagon, 0.0j, r, 0.0j)[0] == -math.inf
     # psi - log rho^2 stays bounded as z -> x, differences stabilizing
-    vals = [psi_x(octagon, 0.0j, rho0, eps)
+    vals = [psi_values(octagon, 0.0j, rho0, eps)[0]
             - math.log(float(distance(eps, 0.0j)) ** 2)
             for eps in (1e-2, 1e-3, 1e-4, 1e-5)]
     diffs = np.abs(np.diff(vals))
@@ -124,7 +124,7 @@ def test_seshadri_consistency(octagon, rho0):
     rep = seshadri_lower_bound(octagon, 0.0j)
     assert rep.rho_x == pytest.approx(rho0, abs=1e-15)
     assert rep.bound_inj == pytest.approx(rho0 ** 2 / 2.0, abs=1e-15)
-    r_eq = 1.0 / (2.0 * density(octagon, 0.0j, rho0))
+    r_eq = 1.0 / (2.0 * density(octagon, 0.0j, rho0).value)
     assert abs(rep.bound_inj - r_eq) < 1e-10
     assert rep.epsilon_lower >= rep.bound_inj
     assert rep.best_r >= rho0 - 1e-12
@@ -144,6 +144,57 @@ def test_thresholds():
     assert big == {"demailly": 2, "main": 3, "df": 2}
     with pytest.raises(ValueError):
         ampleness_thresholds(-1.0, 1)
+
+
+_SHIFTS = {"demailly": -1.0, "main": -2.0}
+
+
+def _thresholds_by_loop(epsilon, n, C=None):
+    """Reference: try m = 2, 3, ... until (m + shift) eps > 2n."""
+    shifts = dict(_SHIFTS, **({} if C is None else {"df": -2.0 + 1.0 / C}))
+    out = {}
+    for key, shift in shifts.items():
+        m = 2
+        while (m + shift) * epsilon <= 2.0 * n:
+            m += 1
+        out[key] = m
+    return out
+
+
+def test_thresholds_match_loop_on_ties():
+    # epsilon = 2n/k and its float neighbours put (m + shift) eps on 2n or
+    # within one rounding of it; C = 0.5 and 1 give integer shifts too
+    ties = 0
+    for n in (1, 2, 3, 7):
+        for k in range(1, 120):
+            e0 = 2.0 * n / k
+            for eps in (e0, math.nextafter(e0, 0.0), math.nextafter(e0, 9.0)):
+                ties += (k * eps == 2.0 * n)
+                for C in (None, 0.5, 1.0, 3.0):
+                    assert ampleness_thresholds(eps, n, C=C) \
+                        == _thresholds_by_loop(eps, n, C=C), (eps, n, C)
+    assert ties > 400      # not vacuous: many cases are exact ties
+
+
+@pytest.mark.parametrize("epsilon, n", [(1e-6, 1), (2.0 ** -50, 1),
+                                        (3e-7, 5)])
+def test_thresholds_far_out(epsilon, n):
+    # ~10^6 to 10^16 steps for the reference loop: check minimality instead
+    out = ampleness_thresholds(epsilon, n, C=0.25)
+    for key, shift in dict(_SHIFTS, df=-2.0 + 1.0 / 0.25).items():
+        m = out[key]
+        assert (m + shift) * epsilon > 2.0 * n
+        assert m == 2 or (m - 1 + shift) * epsilon <= 2.0 * n
+
+
+@pytest.mark.parametrize("epsilon, n, C", [
+    (math.nan, 1, None), (math.inf, 1, None), (0.0, 1, None),
+    (-1.0, 1, None), (2.0, 0, None), (2.0, 2 ** 53 + 1, None),
+    (2.0, 1, 0.0), (2.0, 1, -1.0), (2.0, 1, math.inf), (2.0, 1, math.nan),
+    (1e-300, 1, None), (2.0 ** -53, 1, None)])
+def test_thresholds_reject(epsilon, n, C):
+    with pytest.raises(ValueError):
+        ampleness_thresholds(epsilon, n, C=C)
 
 
 def test_psi_values_vector(octagon, rho0):
@@ -182,7 +233,7 @@ def _assert_pairs_match(ball, zs, r, want):
 
 def _refinement_grid(octagon, x, r):
     """The local grid density() scans around its coarse best center."""
-    c = density(octagon, x, r, refine=False, full_output=True).best_center
+    c = density(octagon, x, r, refine=False).best_center
     span = np.arange(-10, 11) * (r / 20.0) * (1.0 - abs(c) ** 2) / 2.0
     gx, gy = np.meshgrid(span, span, indexing="ij")
     local = c + gx.ravel() + 1j * gy.ravel()
@@ -235,3 +286,18 @@ def test_orbit_queries_below_singular_tol(octagon):
     assert list(counts) == [1, 1, 0, 0]
     assert np.array_equal(orbit_counts(octagon, 0.0j, zs, r), counts)
     assert np.array_equal(psi_values(octagon, 0.0j, r, zs, ball=ball), psi)
+
+
+def test_orbit_query_needs_covering_ball(octagon):
+    # rho(0, 0.3) + r must not pass the ball radius, or orbit points beyond
+    # it would be missed without a word
+    ball = enumerate_ball(octagon, 0.0j, 4.0)
+    zs = np.array([0.0j, 0.3])
+    reach = float(distance(0.0j, 0.3))
+    iz, _ = orbit_pairs(ball, zs, 4.0 - reach)
+    assert np.array_equal(np.bincount(iz, minlength=2),
+                          orbit_counts(octagon, 0.0j, zs, 4.0 - reach))
+    with pytest.raises(InsufficientBall):
+        orbit_pairs(ball, zs, 4.0 - reach + 1e-9)
+    with pytest.raises(InsufficientBall):
+        psi_values(octagon, 0.0j, 4.0 - reach + 1e-9, zs, ball=ball)
