@@ -22,16 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientBall
-from .geometry import distance
+from .geometry import distance, klein_to_poincare, poincare_to_klein
 from .group import enumerate_ball
-
-
-def poincare_to_klein(z):
-    return 2.0 * z / (1.0 + np.abs(z) ** 2)
-
-
-def klein_to_poincare(k):
-    return k / (1.0 + np.sqrt(np.maximum(0.0, 1.0 - np.abs(k) ** 2)))
 
 
 def _bisector_endpoints(x, p):

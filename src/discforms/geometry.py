@@ -33,9 +33,19 @@ def check_disc_point(z):
     """Validate that z (scalar or array) lies strictly inside the disc."""
     z = np.asarray(z, dtype=complex)
     limit = 1.0 - BOUNDARY_GUARD
-    if np.any(np.abs(z) >= limit):
-        raise BoundaryPoint(f"point with |z| >= {limit} rejected")
+    bad = z[~(np.abs(z) < limit)]   # so that NaN fails too
+    if bad.size:
+        raise BoundaryPoint(f"point {complex(bad[0])} is not inside "
+                            f"|z| < {limit}")
     return z[()] if z.ndim == 0 else z
+
+
+def poincare_to_klein(z):
+    return 2.0 * z / (1.0 + np.abs(z) ** 2)
+
+
+def klein_to_poincare(k):
+    return k / (1.0 + np.sqrt(np.maximum(0.0, 1.0 - np.abs(k) ** 2)))
 
 
 def disc_points(rng, n, r_max):

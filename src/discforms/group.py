@@ -7,8 +7,8 @@ i.e. up to a global sign of the pair.
 
 Enumeration is by geometric ball rather than by word length: breadth-first
 search over freely reduced words, pruning a branch once its displacement
-exceeds the target radius plus the largest generator displacement (children
-can shrink the displacement by at most that much).  Products are
+exceeds the target radius plus a margin, one the walk lemma certifies
+complete in the side-pairing polygon D_0 (see enumerate_ball).  Products are
 re-normalized to SU(1,1) after every multiplication to control drift, and
 deduplicated on a rounded, sign-normalized key.
 """
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, ConfigError, InsufficientBall, NonUnitary
 from .geometry import (check_disc_point, check_su11, distance, mobius,
-                       mobius_jacobian)
+                       mobius_jacobian, poincare_to_klein)
 
 # Deduplication tolerance in max-norm on (alpha, beta) up to sign.  Generator
 # entries are algebraic numbers evaluated in double precision; renormalized
@@ -105,11 +105,12 @@ def _reduce_word(word):
 
 @dataclass
 class FuchsianGroup:
-    """Generator set, relators and an orbit-ball cache."""
+    """Generators, relators, their side-paired polygon D_0 and a ball cache."""
 
     generators: list
     relators: list = field(default_factory=list)
     name: str = ""
+    domain_vertices: tuple = ()     # convex D_0, CCW; empty when unknown
     _ball_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -170,9 +171,22 @@ class FuchsianGroup:
         return min(g.displacement(x) for g in self.generators)
 
     def max_generator_displacement(self, x=0.0j):
-        if self.is_trivial:
-            return 0.0
-        return max(g.displacement(x) for g in self.generators)
+        return max((g.displacement(x) for g in self.generators), default=0.0)
+
+    def reduce_points(self, zs):
+        """Orbit representatives of zs: apply the letter that lowers
+        rho(0, z) most until none does, i.e. into D_0 when D_0 is the
+        Dirichlet polygon of 0 and the alphabet pairs its sides."""
+        _, a, b, _ = self.alphabet()
+        z = np.array(zs, dtype=complex)
+        while len(a):
+            img = mobius(a[:, None], b[:, None], z)
+            w = img[np.argmin(np.abs(img), axis=0), np.arange(len(z))]
+            move = np.abs(w) < np.abs(z)
+            if not move.any():
+                break
+            z[move] = w[move]
+        return z
 
 
 @dataclass
@@ -365,19 +379,37 @@ def _accept(k1, k2, seen1, seen2):
     return rows
 
 
+def _walk_margin(group, x, radius):
+    """enumerate_ball's default margin at x; see there."""
+    v = np.asarray(group.domain_vertices, dtype=complex)
+    k = poincare_to_klein(v)
+    # Klein sides are chords: x is in D_0 when left of every one (CCW)
+    left = (np.conj(np.roll(k, -1) - k) * (poincare_to_klein(x) - k)).imag
+    if not (len(k) and np.all(left >= 0)):
+        return group.max_generator_displacement(x)
+    c = float(np.max(distance(x, v)))
+    # Slack as in orbit_pairs: a displacement below radius + c is computed
+    # to 2^-40 e^(rho(0, x) + radius + c); the lemma compares two: 2^-39
+    return c + 2.0 ** -39 * np.exp(float(distance(0.0j, x)) + radius + c)
+
+
 def enumerate_ball(group, x, radius, margin=None,
                    max_elements=DEFAULT_ELEMENT_CAP):
     """All gamma with rho(x, gamma x) <= radius, by pruned BFS.
 
-    margin defaults to the largest generator displacement at x: a child can
-    reduce its parent's displacement by at most that much, so branches with
-    displacement > radius + margin are dropped.  A build whose radius +
-    margin passes DEDUP_MAX_RADIUS, or which passes max_elements, raises
-    BudgetExceeded.
+    Nodes past radius + margin are not expanded.  Walk lemma (Beardon 1983,
+    ch. 9; Katok 1992, ch. 3-4): for x in D_0 (``domain_vertices``), the
+    geodesic from x to gamma x crosses tiles D_0, g_1 D_0, ..., gamma D_0,
+    each one generator step from the last and holding a geodesic point p_i
+    with rho(p_i, g_i x) <= c(x), the largest distance from x to a vertex
+    of D_0; so the default margin c(x) plus a rounding slack is complete.
+    Otherwise it is the largest generator displacement at x: completeness
+    is empirical.  The cache serves only radii up to the one built.  Past
+    DEDUP_MAX_RADIUS or max_elements a build raises BudgetExceeded.
     """
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
-    x = complex(x)
+    x = complex(check_disc_point(x))
     cache_key = (round(x.real, 12), round(x.imag, 12))
     cached = group._ball_cache.get(cache_key)
     if cached is not None and cached.radius >= radius:
@@ -385,7 +417,7 @@ def enumerate_ball(group, x, radius, margin=None,
 
     letters, gen_a, gen_b, inv_index = group.alphabet()
     if margin is None:
-        margin = group.max_generator_displacement(x)
+        margin = _walk_margin(group, x, radius)
     expand_limit = radius + margin
     if expand_limit > DEDUP_MAX_RADIUS:
         raise BudgetExceeded(
@@ -429,9 +461,6 @@ def enumerate_ball(group, x, radius, margin=None,
         keep = disp <= expand_limit
         par, ca, cb, lidx, disp = (par[keep], ca[keep], cb[keep],
                                    lidx[keep], disp[keep])
-        if len(ca) == 0:
-            break
-
         new_rows = _accept(*_dedup_keys(ca, cb, probes), seen1, seen2)
         if not len(new_rows):
             break
@@ -446,31 +475,25 @@ def enumerate_ball(group, x, radius, margin=None,
         all_parent.append(par[new_rows])
         all_letter.append(lidx[new_rows])
 
-        exp = disp[new_rows] <= expand_limit
-        frontier_idx = base + np.nonzero(exp)[0]
-        frontier_a = ca[new_rows][exp]
-        frontier_b = cb[new_rows][exp]
-        frontier_letter = lidx[new_rows][exp]
+        frontier_idx = base + np.arange(len(new_rows))
+        frontier_a = ca[new_rows]
+        frontier_b = cb[new_rows]
+        frontier_letter = lidx[new_rows]
 
-    alphas = np.concatenate(all_a)
-    betas = np.concatenate(all_b)
-    disps = np.concatenate(all_d)
+    # Only the ball itself is kept; the tree stays whole, in BFS order.
+    kept = np.flatnonzero(np.concatenate(all_d) <= radius)
+    alphas, betas, disps = (np.concatenate(c)[kept]
+                            for c in (all_a, all_b, all_d))
     bins = np.round(disps / _DISP_BIN)
 
     # Stable deterministic order: displacement bin, then matrix components.
     na, nb = _sign_normalize(alphas, betas)
     order = np.lexsort((nb.imag, nb.real, na.imag, na.real, bins))
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    parents = np.concatenate(all_parent)[order]
     # alphabet index -1 (the root) picks the appended 0
     signed = np.append(np.array(letters, dtype=np.int64), 0)
-    # a finite group's ball can end below the requested radius
-    full = OrbitBall(x, max(radius, float(np.max(disps))),
-                     alphas[order], betas[order],
-                     disps[order], bins[order], np.arange(len(order)),
-                     np.where(parents >= 0, rank[parents], -1),
-                     signed[np.concatenate(all_letter)[order]])
+    full = OrbitBall(x, radius, alphas[order], betas[order], disps[order],
+                     bins[order], kept[order], np.concatenate(all_parent),
+                     signed[np.concatenate(all_letter)])
     group._ball_cache[cache_key] = full
     return full.restrict(radius)
 
@@ -556,8 +579,10 @@ def preset_genus2_octagon():
     for k in range(8):
         phase = np.exp(1j * k * np.pi / 4.0)
         gens.append(GroupElement(ch + 0.0j, sh * phase, (k + 1,)))
-    relator = _OCTAGON_RELATOR
-    return FuchsianGroup(gens, [relator], name="genus2-octagon")
+    # D_0: vertex distance c, cosh c = (1+sqrt 2)^2, so tanh(c/2) = 2^-1/4
+    verts = 2.0 ** -0.25 * np.exp(1j * (2 * np.arange(8) + 1) * np.pi / 8)
+    return FuchsianGroup(gens, [_OCTAGON_RELATOR], name="genus2-octagon",
+                         domain_vertices=tuple(verts))
 
 
 # Length-8 relator of the octagon side pairing, in commutator form; found by
@@ -579,8 +604,8 @@ def to_config_text(group):
 
 def from_config_text(text):
     """Parse the plain key-value group format; raises ConfigError with
-    line numbers on malformed input and unknown keys."""
-    name = ""
+    line numbers on malformed input, unknown and repeated keys."""
+    name = None
     gens = {}
     relators = []
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -593,6 +618,8 @@ def from_config_text(text):
         key = key.strip()
         val = val.strip()
         if key == "name":
+            if name is not None:
+                raise ConfigError(f"line {ln}: repeated key 'name'")
             name = val
         elif key.startswith("generator."):
             try:
@@ -604,6 +631,8 @@ def from_config_text(text):
                 raise ConfigError(
                     f"line {ln}: generator needs 4 floats 're(a) im(a) "
                     f"re(b) im(b)'") from None
+            if idx in gens:
+                raise ConfigError(f"line {ln}: repeated key {key!r}")
             gens[idx] = (complex(parts[0], parts[1]),
                          complex(parts[2], parts[3]))
         elif key == "relator":
@@ -623,7 +652,7 @@ def from_config_text(text):
             elements.append(GroupElement(a, b, (k + 1,)))
         except NonUnitary as exc:
             raise ConfigError(f"generator.{k}: {exc}") from exc
-    return FuchsianGroup(elements, relators, name=name)
+    return FuchsianGroup(elements, relators, name=name or "")
 
 
 def load_group(source):

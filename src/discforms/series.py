@@ -138,11 +138,15 @@ def poincare_eval(group, f, m, z, radius, ball=None):
 
 def poincare_values(group, f, m, zs, radius, ball=None):
     """Vectorized truncated P_m(f) on an array of points (plain sum)."""
-    zs = check_disc_point(np.asarray(zs, dtype=complex))
+    zs = check_disc_point(np.atleast_1d(zs).astype(complex))
     if ball is None:
         ball = enumerate_ball(group, 0.0j, radius)
-    gz, den = ball.terms(zs)
-    return np.sum(f(gz) * den ** (-2 * m), axis=0)
+    # ~2^16-term blocks keep temporaries near 1 MB; two or more points per
+    # block keep each column's in-order sum, so no bit moves
+    step = max(2, 2 ** 16 // len(ball))
+    blocks = np.split(zs, np.arange(step, zs.size - step + 1, step))
+    return np.concatenate([np.sum(f(gz) * den ** (-2 * m), axis=0)
+                           for gz, den in map(ball.terms, blocks)])
 
 
 def automorphy_residual(group, f, m, g, z, radius):

@@ -64,7 +64,7 @@ def density(group, x, r, spacing=0.02, refine=True):
         gx, gy = np.meshgrid(span, span, indexing="ij")
         local = center + gx.ravel() + 1j * gy.ravel()
         local = local[np.abs(local) < 1.0 - 1e-9]
-        lc = orbit_counts(group, x, local, r)
+        lc = orbit_counts(group, x, group.reduce_points(local), r)
         j = int(np.argmax(lc))
         if lc[j] > best:
             best, center = int(lc[j]), complex(local[j])

@@ -101,6 +101,18 @@ def test_input_error_exit_code(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, point", [
+    (["enumerate", "--x", "nan"], "(nan+0j)"),
+    (["weight-sum", "--z", "nan"], "(nan+0j)"),
+    (["poincare-eval", "--z", "nan+1j"], "(nan+1j)")])
+def test_nan_point_exits_1(tmp_path, capsys, argv, point):
+    # NaN fails every comparison, so the disc check must not be |z| >= limit
+    code, data = run(tmp_path, *argv)
+    assert code == 1 and data is None
+    err = capsys.readouterr().err
+    assert err == f"error: point {point} is not inside |z| < 0.999999999999\n"
+
+
 def test_cutoff_command(tmp_path):
     code, data = run(tmp_path, "cutoff-check")
     assert code == 0

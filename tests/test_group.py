@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from discforms.domain import dirichlet_domain
 from discforms.errors import BudgetExceeded, ConfigError
-from discforms.geometry import distance
+from discforms.geometry import distance, mobius
 from discforms.group import (
     DEDUP_MAX_RADIUS, FuchsianGroup, GroupElement, _accept, _reduce_word,
     _SeenKeys, enumerate_ball, from_config_text, load_group, orbit_counts,
@@ -17,6 +18,9 @@ from discforms.group import (
 from conftest import random_disc_points
 
 D0 = 2.0 * math.acosh(1.0 + math.sqrt(2.0))   # preset generator displacement
+# distance from 0 to the vertices of the preset's polygon D_0, the margin
+# enumerate_ball uses at 0 (plus a rounding slack, below 1e-3 up to 19)
+C_WALK = math.acosh((1.0 + math.sqrt(2.0)) ** 2)
 
 
 def test_preset_relator(octagon):
@@ -104,6 +108,117 @@ def test_ball_huber_count():
         assert abs(n - (math.cosh(r) - 1.0) / 2.0) <= math.exp(2.0 * r / 3.0)
 
 
+# base points in D_0: four by hand and two of the ball-cold benchmark pool
+WALK_POINTS = [0.0j, 0.2 + 0.0j, 0.35 + 0.1j, -0.3j,
+               0.1506552496487738 + 0.3499625193170382j,
+               -0.061721954408755525 + 0.12119534290696322j]
+
+
+def _vertex_reach(g, x):
+    """c(x): the largest distance from x to a vertex of the polygon D_0."""
+    return float(np.max(distance(x, np.array(g.domain_vertices))))
+
+
+def _same_elements(ball, ref):
+    """Both balls hold the same PSU(1,1) elements (words may differ)."""
+    res = np.minimum(
+        np.abs(ball.alphas[:, None] - ref.alphas[None, :])
+        + np.abs(ball.betas[:, None] - ref.betas[None, :]),
+        np.abs(ball.alphas[:, None] + ref.alphas[None, :])
+        + np.abs(ball.betas[:, None] + ref.betas[None, :]))
+    return (len(ball) == len(ref) and np.all(np.min(res, axis=0) < 1e-9)
+            and np.all(np.min(res, axis=1) < 1e-9))
+
+
+def test_preset_polygon_is_dirichlet_domain(octagon):
+    # the walk lemma's premise: the stored D_0 is the polygon whose side
+    # pairings are the generators, i.e. the Dirichlet domain of 0
+    verts = np.array(octagon.domain_vertices)
+    dom = dirichlet_domain(octagon, 0.0j, spacing=0.05)
+    assert len(dom.vertices) == len(verts) == 8
+    assert np.max(np.min(np.abs(verts[:, None] - dom.vertices[None, :]),
+                         axis=1)) < 1e-9
+    assert _vertex_reach(octagon, 0.0j) == pytest.approx(C_WALK, abs=1e-12)
+
+
+@pytest.mark.parametrize("x", WALK_POINTS)
+def test_ball_complete_against_wider_margin(x):
+    # the certified margin c(x) finds every element that a BFS with margin
+    # c(x) + 3 finds
+    g = preset_genus2_octagon()
+    ball = enumerate_ball(g, x, 7.0)
+    wide = enumerate_ball(preset_genus2_octagon(), x, 7.0,
+                          margin=_vertex_reach(g, x) + 3.0)
+    assert _same_elements(ball, wide)
+
+
+@pytest.fixture(scope="module")
+def walk_group():
+    # its own group, so the large reference balls stay out of other tests
+    return preset_genus2_octagon()
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.sampled_from(WALK_POINTS[:4]), st.integers(0, 10 ** 6))
+def test_walk_lemma(walk_group, x, pick):
+    # tiles g_i D_0 met by the geodesic from x to gamma x have
+    # rho(x, g_i x) <= rho(x, gamma x) + c(x); g_i is found by reducing a
+    # geodesic point p into D_0 (p = g_i q) and matching in a reference
+    # ball built with the wider margin c(x) + 3
+    g = walk_group
+    c = _vertex_reach(g, x)
+    ball = enumerate_ball(g, x, 4.5)
+    gamma = pick % len(ball)
+    d = float(ball.displacements[gamma])
+    ref = enumerate_ball(g, x, 4.5 + c + 1e-9, margin=c + 3.0)
+    # the geodesic from x to gamma x, as a radius in the chart centred at x
+    gx = mobius(ball.alphas[gamma], ball.betas[gamma], x)
+    w = np.linspace(0.0, 1.0, 101) * (gx - x) / (1.0 - np.conj(x) * gx)
+    p = (w + x) / (1.0 + np.conj(x) * w)
+    q = g.reduce_points(p)
+    hits = np.abs(mobius(ref.alphas[:, None], ref.betas[:, None], q[None, :])
+                  - p[None, :]) < 1e-9
+    assert np.all(hits.any(axis=0))
+    tiles = np.flatnonzero(hits.any(axis=1))
+    assert np.all(ref.displacements[tiles] <= d + c + 1e-9)
+
+
+def test_counts_invariant_and_reduced_into_domain(octagon, rng):
+    # counts are Gamma-invariant, so density may count at reduced points;
+    # reduced points lie in the Dirichlet domain of 0, up to a Klein-model
+    # slack of 1e-9 for the rounding of up to a dozen Mobius steps
+    ball = enumerate_ball(octagon, 0.0j, 4.0)
+    dom = dirichlet_domain(octagon, 0.0j, spacing=0.05)
+    zs = random_disc_points(rng, 200, r_max=0.995)
+    pick = rng.integers(len(ball), size=len(zs))
+    gz = mobius(ball.alphas[pick], ball.betas[pick], zs)
+    q = octagon.reduce_points(gz)
+    assert np.all(dom.contains(q, slack=1e-9))
+    assert np.all(dom.contains(octagon.reduce_points(zs), slack=1e-9))
+    for x, r in [(0.0j, 1.5), (0.1 + 0.05j, 3.0)]:
+        want = orbit_counts(octagon, x, zs, r)
+        assert np.array_equal(orbit_counts(octagon, x, gz, r), want)
+        assert np.array_equal(orbit_counts(octagon, x, q, r), want)
+
+
+def test_cache_serves_only_its_radius():
+    g = preset_genus2_octagon()
+    small = enumerate_ball(g, 0.0j, 6.0)
+    (built,) = g._ball_cache.values()
+    assert built.radius == 6.0 and np.all(built.displacements <= 6.0)
+    assert len(built) == len(small) == 97
+    # a larger request rebuilds rather than serving past the built radius
+    grown = enumerate_ball(g, 0.0j, 6.1)
+    (rebuilt,) = g._ball_cache.values()
+    assert rebuilt is not built and grown.radius == rebuilt.radius == 6.1
+    assert len(grown) == len(enumerate_ball(preset_genus2_octagon(), 0.0j,
+                                            6.1))
+    # a smaller one is a restriction of the cached ball
+    assert enumerate_ball(g, 0.0j, 5.0).radius == 5.0
+    (kept,) = g._ball_cache.values()
+    assert kept is rebuilt
+
+
 def test_restrict_matches_mask():
     # restriction equals the selection displacement <= R element for
     # element, also at radii inside bins where displacements are unsorted
@@ -154,12 +269,12 @@ def test_dedup_matches_sequential_rule():
 def test_ball_dedup_radius_limit():
     g = preset_genus2_octagon()
     with pytest.raises(BudgetExceeded, match="dedup"):
-        enumerate_ball(g, 0.0j, DEDUP_MAX_RADIUS - D0 + 0.01)
+        enumerate_ball(g, 0.0j, DEDUP_MAX_RADIUS - C_WALK + 0.01)
     with pytest.raises(BudgetExceeded, match="dedup"):
         enumerate_ball(g, 0.0j, 5.0, margin=DEDUP_MAX_RADIUS)
     # just inside the limit the build starts (and meets the element cap)
     with pytest.raises(BudgetExceeded, match="cap"):
-        enumerate_ball(g, 0.0j, DEDUP_MAX_RADIUS - D0 - 0.01,
+        enumerate_ball(g, 0.0j, DEDUP_MAX_RADIUS - C_WALK - 0.01,
                        max_elements=100)
     # the trivial group runs the same build, so the same limit holds
     with pytest.raises(BudgetExceeded, match="dedup"):
@@ -264,6 +379,13 @@ def test_config_errors():
     # a misspelled key is an error, not a group with a generator fewer
     with pytest.raises(ConfigError, match="line 2: unknown key 'generater.1'"):
         from_config_text("generator.0 = 1 0 0 0\ngenerater.1 = 1 0 0 0\n")
+    # a repeated key is an error, not a silent overwrite
+    with pytest.raises(ConfigError, match="line 2: repeated key 'generator.0'"):
+        from_config_text("generator.0 = 1 0 0 0\ngenerator.0 = 1 0 0 0\n")
+    with pytest.raises(ConfigError, match="line 3: repeated key 'name'"):
+        from_config_text("name = a\ngenerator.0 = 1 0 0 0\nname = b\n")
+    # relators may repeat
+    assert len(from_config_text("relator = 1\nrelator = 1\n").relators) == 2
 
 
 def test_load_presets(trivial):
