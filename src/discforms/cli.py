@@ -105,7 +105,7 @@ def cmd_enumerate(args):
 
 def cmd_fundamental_domain(args):
     g = load_group(args.group)
-    dom = dirichlet_domain(g, 0.0j, spacing=args.spacing)
+    dom = dirichlet_domain(g, spacing=args.spacing)
     if args.csv:
         _write_csv(args.csv, ["re_node", "im_node", "weight"],
                    [(z.real, z.imag, float(w))

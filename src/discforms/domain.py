@@ -1,7 +1,7 @@
 """Dirichlet fundamental domains and quadrature grids.
 
-The Dirichlet domain about x is the intersection of the half-spaces
-{z : rho(z, x) <= rho(z, gamma x)} over the non-identity elements of an
+The Dirichlet domain about 0 is the intersection of the half-spaces
+{z : rho(z, 0) <= rho(z, gamma 0)} over the non-identity elements of an
 orbit ball.  Each bounding bisector is a geodesic; in the Klein model
 geodesics are straight chords, so the polygon is cut there with ordinary
 convex half-plane clipping and mapped back to the Poincare disc.  Sides of
@@ -26,25 +26,19 @@ from .geometry import distance, klein_to_poincare, poincare_to_klein
 from .group import enumerate_ball
 
 
-def _bisector_endpoints(x, p):
-    """Ideal endpoints of the geodesic bisector of x and p (both interior).
+def _bisector_endpoints(p):
+    """Ideal endpoints of the geodesic bisector of 0 and p (interior).
 
-    Works in the chart centered at x: there the bisector is the geodesic
-    through the hyperbolic midpoint of [0, q], perpendicular to the radius.
+    The bisector is the geodesic through the hyperbolic midpoint of [0, p],
+    perpendicular to the radius.
     """
-    q = (p - x) / (1.0 - np.conj(x) * p)
-    aq = abs(q)
-    theta = np.angle(q)
-    # midpoint of [0, q] at euclidean radius tanh(artanh(aq)/2)
-    rm = np.tanh(0.5 * np.arctanh(aq))
+    theta = np.angle(p)
+    # midpoint of [0, p] at euclidean radius tanh(artanh(|p|)/2)
+    rm = np.tanh(0.5 * np.arctanh(abs(p)))
     # geodesic through rm*e^{i theta} orthogonal to the radius has ideal
     # endpoints e^{i(theta +- phi)} with (1 - sin phi)/cos phi = rm
     phi = 0.5 * np.pi - 2.0 * np.arctan(rm)
-    e1 = np.exp(1j * (theta + phi))
-    e2 = np.exp(1j * (theta - phi))
-    # undo the chart: w -> (w + x)/(1 + conj(x) w) maps the circle to itself
-    return ((e1 + x) / (1.0 + np.conj(x) * e1),
-            (e2 + x) / (1.0 + np.conj(x) * e2))
+    return np.exp(1j * (theta + phi)), np.exp(1j * (theta - phi))
 
 
 def _clip_polygon(poly, n, c):
@@ -74,7 +68,6 @@ class FundamentalDomain:
     is what containment tests use.
     """
 
-    center: complex
     vertices: np.ndarray          # Poincare coordinates, CCW
     klein_normals: np.ndarray     # unit complex normals, one per side
     klein_offsets: np.ndarray
@@ -193,8 +186,8 @@ def _clipped_grid(domain, h):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def dirichlet_domain(group, x=0.0j, spacing=0.004):
-    """Dirichlet fundamental domain about x with a quadrature grid.
+def dirichlet_domain(group, spacing=0.004):
+    """Dirichlet fundamental domain about 0 with a quadrature grid.
 
     Cuts half-spaces over an orbit ball of radius 2*d0 + 1 (d0 = the
     smallest generator displacement) and retries twice with a larger ball
@@ -202,43 +195,38 @@ def dirichlet_domain(group, x=0.0j, spacing=0.004):
     """
     if group.is_trivial:
         return disc_domain(spacing=spacing)
-    x = complex(x)
-    d0 = group.min_generator_displacement(x)
+    d0 = group.min_generator_displacement()
     reach = 2.0 * d0 + 1.0
     for _ in range(3):
-        ball = enumerate_ball(group, x, reach)
-        poly, normals, offsets = _cut_polygon(x, ball)
-        vr = np.array([float(distance(x, v)) for v in poly])
-        # any gamma with rho(x, gamma x) > 2 * max vertex distance cannot
+        ball = enumerate_ball(group, 0.0j, reach)
+        poly, normals, offsets = _cut_polygon(ball)
+        vr = np.array([float(distance(0.0j, v)) for v in poly])
+        # any gamma with rho(0, gamma 0) > 2 * max vertex distance cannot
         # cut the polygon; if the ball does not reach that far, retry
         needed = 2.0 * float(np.max(vr)) + 1e-9
         if reach >= needed:
-            dom = FundamentalDomain(x, poly, normals, offsets,
+            dom = FundamentalDomain(poly, normals, offsets,
                                     np.empty(0, complex), np.empty(0), spacing)
-            nodes, weights = _clipped_grid(dom, spacing)
-            dom.nodes = nodes
-            dom.weights = weights
+            dom.nodes, dom.weights = _clipped_grid(dom, spacing)
             return dom
         reach = needed + 1.0
     raise InsufficientBall("Dirichlet polygon kept growing past the "
                            "enumerated orbit ball")
 
 
-def _cut_polygon(x, ball):
-    pts = ball.orbit_points()
+def _cut_polygon(ball):
     keep = ball.displacements > 1e-12
-    pts = pts[keep]
+    pts = ball.terms(0.0j)[0][keep]
     order = np.argsort(ball.displacements[keep], kind="stable")
-    xk = poincare_to_klein(x)
     # start from a big square around the Klein disc
     poly = [complex(-2, -2), complex(2, -2), complex(2, 2), complex(-2, 2)]
     normals, offsets = [], []
     for p in pts[order]:
-        e1, e2 = _bisector_endpoints(x, complex(p))
-        # chord e1 -> e2 in the Klein model; normal points away from x
+        e1, e2 = _bisector_endpoints(complex(p))
+        # chord e1 -> e2 in the Klein model; normal points away from 0
         n = 1j * (e2 - e1)
         c = (np.conj(n) * e1).real
-        if (np.conj(n) * xk).real - c > 0:
+        if c < 0:
             n, c = -n, -c
         # skip redundant cuts (polygon already inside the half-plane)
         vals = [(np.conj(n) * v).real - c for v in poly]
@@ -248,19 +236,19 @@ def _cut_polygon(x, ball):
         s = abs(n)
         normals.append(n / s)
         offsets.append(c / s)
-    poly = _ccw(poly, xk)
+    poly = _ccw(poly)
     return (klein_to_poincare(np.array(poly)),
             np.array(normals), np.array(offsets))
 
 
-def _ccw(poly, interior):
+def _ccw(poly):
     poly = list(poly)
     area = sum((np.conj(a) * b).imag
                for a, b in zip(poly, poly[1:] + poly[:1]))
     if area < 0:
         poly = poly[::-1]
-    # rotate so the vertex with the smallest angle about the center is first
-    ang = [np.angle(v - interior) for v in poly]
+    # rotate so the vertex with the smallest angle about 0 is first
+    ang = [np.angle(v) for v in poly]
     start = int(np.argmin(ang))
     return poly[start:] + poly[:start]
 
@@ -279,9 +267,7 @@ def disc_domain(spacing=0.004):
     rk = float(poincare_to_klein(r_max + 0j).real)
     normals = np.exp(1j * 2.0 * np.pi * (np.arange(n_sides) + 1.0) / n_sides)
     offsets = np.full(n_sides, rk * np.cos(np.pi / n_sides))
-    dom = FundamentalDomain(0.0j, verts, normals, offsets,
+    dom = FundamentalDomain(verts, normals, offsets,
                             np.empty(0, complex), np.empty(0), spacing)
-    nodes, weights = _clipped_grid(dom, spacing)
-    dom.nodes = nodes
-    dom.weights = weights
+    dom.nodes, dom.weights = _clipped_grid(dom, spacing)
     return dom

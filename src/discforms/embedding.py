@@ -136,7 +136,7 @@ def sample_fundamental_domain(group, n, seed=0):
     rng = np.random.default_rng(seed)
     if group.is_trivial:
         return disc_points(rng, n, 0.9)
-    domain = dirichlet_domain(group, 0.0j, spacing=0.05)
+    domain = dirichlet_domain(group, spacing=0.05)
     rad = max(abs(v) for v in domain.vertices)
     out = []
     while len(out) < n:
@@ -150,6 +150,8 @@ def sample_fundamental_domain(group, n, seed=0):
 def very_ampleness_scan(group, m, d=6, radius=8.0, n_samples=100, seed=0,
                         threshold_m=None):
     """Jet tests at n_samples points and point tests at n_samples pairs."""
+    # the basis ball first, so that the sampler's domain ball is a slice
+    enumerate_ball(group, 0.0j, radius)
     pts = sample_fundamental_domain(group, 3 * n_samples, seed=seed)
     basis = build_basis(group, m, d, radius, pts[:1])
     jet_ratios = []

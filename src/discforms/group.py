@@ -239,10 +239,6 @@ class OrbitBall:
         return [(GroupElement(a, b, w), d) for a, b, w, d in
                 zip(self.alphas, self.betas, self.words, self.displacements)]
 
-    def orbit_points(self):
-        """gamma(base) for every element, in ball order."""
-        return mobius(self.alphas, self.betas, self.base)
-
     def terms(self, z):
         """(gamma z, den) per element, den = conj(beta) z + conj(alpha).
 
@@ -498,36 +494,38 @@ def enumerate_ball(group, x, radius, margin=None,
     return full.restrict(radius)
 
 
-def orbit_pairs(ball, zs, r):
+def orbit_pairs(ball, x, zs, r):
     """Index pairs (iz, ib) with rho(gamma_ib x, zs[iz]) < r.
 
     rho < r is tested as |(p - z)/(1 - conj(p) z)| < tanh(r/2), with no
-    logarithms.  By the triangle inequality |d - rho(x, z)| <= rho(p, z)
-    for an element of displacement d, so each z is tested only against the
-    window of the displacement-sorted ball with d within r (plus rounding
-    slack) of rho(x, z).  Points are taken in order of rho(x, z), in blocks
-    of at most _PAIR_CHUNK pairs (a single point whose window is larger
-    forms its own block).  The pairs come out grouped by point in that
-    order, each point's pairs in ball order.  A ball with radius below
-    rho(x, z) + r for some z would miss pairs: it raises InsufficientBall.
+    logarithms.  For the ball's base point b, a pair with an element of
+    displacement d has |d - rho(b, z)| <= rho(gamma b, z) < w = r + rho(b, x)
+    by the triangle inequality, so each z is tested only against the window
+    of the displacement-sorted ball with d within w (plus rounding slack) of
+    rho(b, z).  Points are taken in order of rho(b, z), in blocks of at most
+    _PAIR_CHUNK pairs (a single point whose window is larger forms its own
+    block).  The pairs come out grouped by point in that order, each point's
+    pairs in ball order.  A ball with radius below rho(b, z) + w for some z
+    would miss pairs: it raises InsufficientBall.
     """
     zs = check_disc_point(np.atleast_1d(np.asarray(zs, dtype=complex)))
-    pts = check_disc_point(ball.orbit_points())
+    w = r + float(distance(ball.base, x))
+    pts = check_disc_point(ball.terms(x)[0])
     t_max = np.tanh(r / 2.0)
     dz = distance(ball.base, zs)
-    reach = float(np.max(dz)) + r
+    reach = float(np.max(dz)) + w
     if reach > ball.radius:
         raise InsufficientBall(f"orbit query reaches {reach:.6g}, past the "
                                f"ball radius {ball.radius:.6g}")
     # Rounding slack: a computed rho(a, b) = 2 artanh t is off by about
     # |dt| (1 + cosh rho(a, b)), with |dt| a few ulps over
-    # |1 - conj(a) b| >= e^-rho(0, a).  rho(x, z), the displacements and
-    # the tested rho(p, z) all stay below rho(0, x) + rho(x, z) + r, so
+    # |1 - conj(a) b| >= e^-rho(0, a).  rho(b, z), the displacements and
+    # the tested rho(p, z) all stay below rho(0, b) + rho(b, z) + w, so
     # 2^-40 (4096 ulps) times e^that covers all three errors.  One bin
     # either side covers the rounding of `bins`, as in OrbitBall.restrict.
-    slack = 2.0 ** -40 * np.exp(float(distance(0.0j, ball.base)) + dz + r)
-    lo = np.searchsorted(ball.bins, (dz - r - slack) / _DISP_BIN - 1.0, "left")
-    hi = np.searchsorted(ball.bins, (dz + r + slack) / _DISP_BIN + 1.0, "right")
+    slack = 2.0 ** -40 * np.exp(float(distance(0.0j, ball.base)) + dz + w)
+    lo = np.searchsorted(ball.bins, (dz - w - slack) / _DISP_BIN - 1.0, "left")
+    hi = np.searchsorted(ball.bins, (dz + w + slack) / _DISP_BIN + 1.0, "right")
     order = np.argsort(dz, kind="stable")
     lo, hi = lo[order], hi[order]
     iz, ib = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
@@ -550,14 +548,18 @@ def orbit_pairs(ball, zs, r):
     return np.concatenate(iz), np.concatenate(ib)
 
 
+def orbit_reach(x, zs, r):
+    """Radius of the ball at 0 that orbit_pairs(ball, x, zs, r) needs."""
+    return float(np.max(distance(0.0j, zs))) + float(distance(0.0j, x)) + r
+
+
 def orbit_counts(group, x, zs, r):
     """Number of orbit points gamma(x) with rho(gamma x, z) < r, per z."""
     if r <= 0:
         raise ValueError("r must be positive")
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    reach = float(np.max(distance(x, zs))) + r + 1e-9
-    ball = enumerate_ball(group, x, reach)
-    iz, _ = orbit_pairs(ball, zs, r)
+    ball = enumerate_ball(group, 0.0j, orbit_reach(x, zs, r) + 1e-9)
+    iz, _ = orbit_pairs(ball, x, zs, r)
     return np.bincount(iz, minlength=len(zs))
 
 

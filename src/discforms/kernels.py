@@ -169,11 +169,12 @@ def roundtrip_check(group, f0, m, sample_points, radius=8.0, spacing=0.02):
     the truncation plus quadrature error at interior sample points.
     """
     samples = np.asarray(sample_points, dtype=complex)
-    domain = dirichlet_domain(group, 0.0j, spacing=spacing)
+    # the series ball first: the domain's smaller one is then a slice of it
+    ball = enumerate_ball(group, 0.0j, radius)
+    domain = dirichlet_domain(group, spacing=spacing)
     h_nodes = poincare_values(group, f0, m, domain.nodes, radius)
     h_samples = poincare_values(group, f0, m, samples, radius)
 
-    ball = enumerate_ball(group, 0.0j, radius)
     rel = []
     for zs, hz in zip(samples, h_samples):
         orbit, den = ball.terms(zs)

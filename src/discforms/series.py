@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .domain import dirichlet_domain
 from .errors import QuadratureDiverged, TargetNotReached, UnboundedSeed
 from .geometry import check_disc_point
 from .group import enumerate_ball
@@ -230,8 +231,7 @@ def lemma22_check(group, f, m, radius=6.0):
     """
     if m < 2:
         raise ValueError("weight m must be >= 2")
-    from .domain import dirichlet_domain
-    domain = dirichlet_domain(group, 0.0j, spacing=0.01)
+    domain = dirichlet_domain(group, spacing=0.01)
     ball = enumerate_ball(group, 0.0j, radius)
     nodes = domain.nodes
     wts = domain.weights

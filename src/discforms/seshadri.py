@@ -17,18 +17,26 @@ import numpy as np
 
 from .domain import dirichlet_domain
 from .geometry import bergman_metric, distance
-from .group import enumerate_ball, orbit_counts, orbit_pairs
+from .group import enumerate_ball, orbit_counts, orbit_pairs, orbit_reach
 
 
 def injectivity_radius(group, x):
-    """rho_x: half the minimal non-identity orbit displacement of x."""
+    """rho_x: half the minimal non-identity orbit displacement of x.
+
+    rho_x is Gamma-invariant, so x is first reduced toward 0 to keep the
+    ball small.  The smallest generator displacement d0 at x bounds the
+    minimum, and the ball at 0 of radius d0 + 2 rho(0, x) (plus 0.5 of
+    slack) holds every gamma with rho(x, gamma x) <= d0.
+    """
     if group.is_trivial:
         return math.inf
-    x = complex(x)
+    x = complex(group.reduce_points([x])[0])
     d0 = group.min_generator_displacement(x)
-    ball = enumerate_ball(group, x, 2.0 * d0 + 0.5)
-    disp = ball.displacements[1:]        # drop the identity at index 0
-    return 0.5 * float(np.min(disp))
+    ball = enumerate_ball(group, 0.0j,
+                          d0 + 0.5 + 2.0 * float(distance(0.0j, x)))
+    # the identity is the BFS root; in a finite group it need not be first
+    pts = ball.terms(x)[0][ball.nodes != 0]
+    return 0.5 * float(np.min(distance(x, pts)))
 
 
 @dataclass
@@ -52,7 +60,7 @@ def density(group, x, r, spacing=0.02, refine=True):
     x = complex(x)
     if group.is_trivial:
         return DensityReport(1.0 / r ** 2, 1, x, r, 1)
-    domain = dirichlet_domain(group, 0.0j, spacing=spacing)
+    domain = dirichlet_domain(group, spacing=spacing)
     zs = domain.nodes
     counts = orbit_counts(group, x, zs, r)
     i = int(np.argmax(counts))
@@ -90,21 +98,20 @@ def cutoff_a(t):
 SINGULAR_TOL = 1e-9
 
 
-def psi_values(group, x, r, zs, ball=None):
+def psi_values(group, x, r, zs):
     """psi^x on an array of points; -inf marker on (near) the orbit of x.
 
     psi^x(z) = sum over orbit points p of a(log(rho(z,p)^2 / r^2)); only
-    p with rho(z,p) < r contribute, so an orbit ball of reach
-    max rho(x,z) + r covers the support exactly.
+    p with rho(z,p) < r contribute, so the ball at 0 of reach
+    max rho(0,z) + rho(0,x) + r covers the support.
     """
     x = complex(x)
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    if ball is None:
-        reach = float(np.max(distance(x, zs))) + r + 1e-6
-        ball = enumerate_ball(group, x, reach)
     # querying at SINGULAR_TOL at least keeps the -inf marker for tiny r
-    iz, ib = orbit_pairs(ball, zs, max(r, SINGULAR_TOL))
-    d = distance(ball.orbit_points()[ib], zs[iz])
+    q = max(r, SINGULAR_TOL)
+    ball = enumerate_ball(group, 0.0j, orbit_reach(x, zs, q) + 1e-6)
+    iz, ib = orbit_pairs(ball, x, zs, q)
+    d = distance(ball.terms(x)[0][ib], zs[iz])
     with np.errstate(divide="ignore"):
         t = 2.0 * np.log(np.maximum(d, 1e-300) / r)
     val, _ = cutoff_a(t)
@@ -146,13 +153,12 @@ def quasi_psh_check(group, x, r, spacing=0.0125, lower=None):
         zs = (gx + 1j * gy).ravel()
         zs = zs[np.abs(zs) < 0.9]
     else:
-        zs = dirichlet_domain(group, 0.0j, spacing=spacing).nodes
+        zs = dirichlet_domain(group, spacing=spacing).nodes
     # stencils stay in each node's h-square; hyperbolic balls are Euclidean
-    # discs, so the square's corners are its stencil points farthest from x
+    # discs, so the corners' ball at 0 serves every psi_values call below
     corners = zs[:, None] + h * np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
-    reach = float(np.max(distance(x, corners))) + r + 1e-6
-    ball = enumerate_ball(group, x, reach)
-    pts = ball.orbit_points()
+    ball = enumerate_ball(group, 0.0j, orbit_reach(x, corners, r) + 1e-6)
+    pts = ball.terms(x)[0]
     near = np.min(np.abs(zs[:, None] - pts[None, :]), axis=1)
     zs = zs[near > 10.0 * h]
 
@@ -163,7 +169,7 @@ def quasi_psh_check(group, x, r, spacing=0.0125, lower=None):
         wts = np.array([4.0, 4, 4, 4, 1, 1, 1, 1, -20.0]) / (6.0 * hh * hh)
         acc = np.zeros(len(zs))
         for o, wgt in zip(off, wts):
-            acc += wgt * psi_values(group, x, r, zs + o, ball=ball)
+            acc += wgt * psi_values(group, x, r, zs + o)
         return acc
 
     l1 = lap(h)

@@ -41,7 +41,7 @@ def test_1_group_soundness(octagon, rng):
     t0 = time.time()
     residual = max(octagon.relator_residuals())
     assert residual < 1e-8
-    domain = dirichlet_domain(octagon, 0.0j, spacing=0.02)
+    domain = dirichlet_domain(octagon, spacing=0.02)
     assert len(domain.vertices) == 8
     vertex_dist = math.acosh(1.0 / math.tan(math.pi / 8) ** 2)
     ball = enumerate_ball(octagon, 0.0j, 2.0 + 2.0 * vertex_dist + 0.5)

@@ -19,7 +19,7 @@ VERTEX_DIST = math.acosh(1.0 / math.tan(math.pi / 8) ** 2)
 
 @pytest.fixture(scope="module")
 def domain(octagon):
-    return dirichlet_domain(octagon, 0.0j, spacing=0.01)
+    return dirichlet_domain(octagon, spacing=0.01)
 
 
 def test_klein_chart_roundtrip(rng):
@@ -59,13 +59,6 @@ def test_tiling(octagon, domain, rng):
             / (np.conj(ball.betas) * z + np.conj(ball.alphas))
         hits = int(np.sum(domain.contains(orbit)))
         assert hits == 1
-
-
-def test_off_center_domain(octagon):
-    dom = dirichlet_domain(octagon, 0.15 + 0.1j, spacing=0.02)
-    assert dom.contains(0.15 + 0.1j)
-    area = dom.euclidean_area
-    assert abs(float(dom.weights.sum()) - area) / area < 1e-3
 
 
 def test_disc_domain_mass():

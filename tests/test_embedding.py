@@ -88,5 +88,5 @@ def test_scan_monotone_in_degree(octagon):
 def test_sampler_stays_in_domain(octagon):
     from discforms.domain import dirichlet_domain
     pts = sample_fundamental_domain(octagon, 50, seed=3)
-    dom = dirichlet_domain(octagon, 0.0j, spacing=0.05)
+    dom = dirichlet_domain(octagon, spacing=0.05)
     assert np.all(dom.contains(pts, slack=1e-9))

@@ -6,13 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from discforms import group as group_module, seshadri
 from discforms.domain import dirichlet_domain
+from discforms.embedding import very_ampleness_scan
 from discforms.errors import BudgetExceeded, ConfigError
 from discforms.geometry import distance, mobius
 from discforms.group import (
     DEDUP_MAX_RADIUS, FuchsianGroup, GroupElement, _accept, _reduce_word,
     _SeenKeys, enumerate_ball, from_config_text, load_group, orbit_counts,
     preset_genus2_octagon, to_config_text,
+)
+from discforms.kernels import roundtrip_check
+from discforms.series import SeedFunction
+from discforms.seshadri import (
+    injectivity_radius, quasi_psh_check, seshadri_lower_bound,
 )
 
 from conftest import random_disc_points
@@ -134,7 +141,7 @@ def test_preset_polygon_is_dirichlet_domain(octagon):
     # the walk lemma's premise: the stored D_0 is the polygon whose side
     # pairings are the generators, i.e. the Dirichlet domain of 0
     verts = np.array(octagon.domain_vertices)
-    dom = dirichlet_domain(octagon, 0.0j, spacing=0.05)
+    dom = dirichlet_domain(octagon, spacing=0.05)
     assert len(dom.vertices) == len(verts) == 8
     assert np.max(np.min(np.abs(verts[:, None] - dom.vertices[None, :]),
                          axis=1)) < 1e-9
@@ -188,7 +195,7 @@ def test_counts_invariant_and_reduced_into_domain(octagon, rng):
     # reduced points lie in the Dirichlet domain of 0, up to a Klein-model
     # slack of 1e-9 for the rounding of up to a dozen Mobius steps
     ball = enumerate_ball(octagon, 0.0j, 4.0)
-    dom = dirichlet_domain(octagon, 0.0j, spacing=0.05)
+    dom = dirichlet_domain(octagon, spacing=0.05)
     zs = random_disc_points(rng, 200, r_max=0.995)
     pick = rng.integers(len(ball), size=len(zs))
     gz = mobius(ball.alphas[pick], ball.betas[pick], zs)
@@ -217,6 +224,38 @@ def test_cache_serves_only_its_radius():
     assert enumerate_ball(g, 0.0j, 5.0).radius == 5.0
     (kept,) = g._ball_cache.values()
     assert kept is rebuilt
+
+
+def test_orbit_work_reads_only_the_ball_at_0(monkeypatch):
+    # orbit queries at x != 0 read the ball at 0; quasi_psh_check's stencil
+    # ball serves its 18 psi_values calls, and the scan and the round trip
+    # build their series ball before the domain's smaller one
+    builds, psi_builds = [], []
+    real_probe, real_psi = group_module._probe_points, seshadri.psi_values
+
+    def psi(*args):
+        n = len(builds)
+        out = real_psi(*args)
+        psi_builds.append(len(builds) - n)
+        return out
+    monkeypatch.setattr(group_module, "_probe_points",
+                        lambda x: builds.append(x) or real_probe(x))
+    monkeypatch.setattr(seshadri, "psi_values", psi)
+    x = 0.3 - 0.1j
+    seed = SeedFunction.poly([1.0])
+    for run, n_builds in [
+            (lambda g: seshadri_lower_bound(g, x), None),
+            # at r = 4.5 the stencil corners ask for the largest ball
+            (lambda g: quasi_psh_check(g, x, 4.5, spacing=0.05), None),
+            (lambda g: very_ampleness_scan(g, 4, n_samples=10), 1),
+            (lambda g: roundtrip_check(g, seed, 4, [0.1, 0.2j],
+                                       spacing=0.05), 1)]:
+        g = preset_genus2_octagon()
+        builds.clear()
+        run(g)
+        assert list(g._ball_cache) == [(0.0, 0.0)]
+        assert n_builds is None or len(builds) == n_builds
+    assert psi_builds == [0] * 18
 
 
 def test_restrict_matches_mask():
@@ -417,3 +456,19 @@ def test_finite_group_ball(x):
         assert len(ball) == 4 and ball.radius == radius
         assert np.all(ball.displacements <= radius)
     assert sorted(ball.words) == [(), (-1,), (1,), (1, 1)]
+
+
+def test_finite_group_injectivity_radius():
+    # every displacement in ROT4's ball at 0 is 0 and the identity sorts
+    # last, so the minimum must skip it as the BFS root, not by position
+    g = from_config_text(ROT4)
+    assert injectivity_radius(g, 0.0j) == 0.0
+    for x, want in [(0.2j, 0.29052365066221064),
+                    (0.3 + 0.1j, 0.47844096076519427)]:
+        assert injectivity_radius(g, x) == want
+        # the quarter turns move x least: rho(x, ix) / 2 is
+        # artanh(|x| sqrt 2 / sqrt(1 + |x|^4))
+        s = abs(x)
+        assert want == pytest.approx(
+            math.atanh(s * math.sqrt(2.0) / math.sqrt(1.0 + s ** 4)),
+            rel=1e-14)

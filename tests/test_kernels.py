@@ -123,7 +123,7 @@ def test_cm_constancy(octagon):
 
 @pytest.fixture(scope="module")
 def oct_domain(octagon):
-    return dirichlet_domain(octagon, 0.0j, spacing=0.02)
+    return dirichlet_domain(octagon, spacing=0.02)
 
 
 def test_relative_poincare_linear(octagon, oct_domain):

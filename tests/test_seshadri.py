@@ -8,7 +8,9 @@ import pytest
 from discforms.domain import dirichlet_domain
 from discforms.errors import InsufficientBall
 from discforms.geometry import distance
-from discforms.group import enumerate_ball, orbit_counts, orbit_pairs
+from discforms.group import (
+    enumerate_ball, orbit_counts, orbit_pairs, preset_genus2_octagon,
+)
 from discforms.seshadri import (
     SINGULAR_TOL, ampleness_thresholds, cutoff_a, density, injectivity_radius,
     psi_values, quasi_psh_check, seshadri_lower_bound,
@@ -41,6 +43,17 @@ def test_injectivity_lipschitz(octagon, rng):
         for j in range(i):
             assert abs(rhos[i] - rhos[j]) \
                 <= distance(pts[i], pts[j]) + 1e-10
+
+
+def test_injectivity_radius_near_a_vertex():
+    # d0 is 4.62 here and rho(0, x) 2.38: a ball at 0 that grew with 2 d0
+    # instead of d0 would pass the 5M-element cap of enumerate_ball
+    g = preset_genus2_octagon()
+    x = 0.83 * np.exp(1j * np.pi / 8)
+    assert injectivity_radius(g, x) == pytest.approx(1.528918622360119,
+                                                     abs=1e-12)
+    (ball,) = g._ball_cache.values()
+    assert ball.radius < 10.0
 
 
 def test_density_at_injectivity_radius(octagon, rho0):
@@ -204,12 +217,12 @@ def test_psi_values_vector(octagon, rho0):
     assert out[1] == 0.0
 
 
-def _dense_reference(ball, zs, r):
+def _dense_reference(ball, x, zs, r):
     """Orbit pairs, counts and psi from the full distance row of each point.
 
     The pairs of each point are the ball indices within r, in ball order.
     """
-    pts = ball.orbit_points()
+    pts = ball.terms(x)[0]
     pairs, psi = [], []
     for z in zs:
         d = distance(pts, z)
@@ -221,9 +234,9 @@ def _dense_reference(ball, zs, r):
     return pairs, np.array([len(p) for p in pairs]), np.array(psi)
 
 
-def _assert_pairs_match(ball, zs, r, want):
+def _assert_pairs_match(ball, x, zs, r, want):
     """orbit_pairs equals the dense pairs, point by point, in ball order."""
-    iz, ib = orbit_pairs(ball, zs, r)
+    iz, ib = orbit_pairs(ball, x, zs, r)
     for k, w in enumerate(want):
         assert np.array_equal(ib[iz == k], w)
     # each point's pairs form one run
@@ -242,14 +255,17 @@ def _refinement_grid(octagon, x, r):
 
 def _shifted_quasi_psh_grid(octagon, x, r):
     """Domain nodes moved by one finite-difference step, as in lap()."""
-    return dirichlet_domain(octagon, 0.0j, spacing=0.03).nodes + 1e-3j
+    return dirichlet_domain(octagon, spacing=0.03).nodes + 1e-3j
 
 
 # At 2 rho_x the refinement grid reaches |z| = 0.9998 and a ball of 66,625
 # elements; at 3 rho_x it is the grid of the largest default radius.  Every
 # refinement grid here, and the shifted grid around 0.3-0.1j, holds points
 # with rho(x, z) > r, where the displacement window of orbit_pairs is cut
-# below as well as above.
+# below as well as above.  0.7 lies outside D_0 (the octagon's edge
+# midpoints lie at |z| = 0.643), where the ball at x is only empirically
+# complete.  Each case queries the ball at 0, as the library does, and the
+# ball at x, whose window is not widened.
 @pytest.mark.parametrize("grid, factor, x", [
     pytest.param(_refinement_grid, 2.0, 0.0j, id="_refinement_grid-2.0"),
     pytest.param(_refinement_grid, 3.0, 0.0j, id="_refinement_grid-3.0"),
@@ -260,18 +276,25 @@ def _shifted_quasi_psh_grid(octagon, x, r):
     pytest.param(_refinement_grid, 3.0, 0.3 - 0.1j,
                  id="_refinement_grid-3.0-x0.3-0.1j"),
     pytest.param(_shifted_quasi_psh_grid, 1.5, 0.3 - 0.1j,
-                 id="_shifted_quasi_psh_grid-1.5-x0.3-0.1j")])
+                 id="_shifted_quasi_psh_grid-1.5-x0.3-0.1j"),
+    pytest.param(_refinement_grid, 1.5, 0.7 + 0j,
+                 id="_refinement_grid-1.5-x0.7"),
+    pytest.param(_shifted_quasi_psh_grid, 1.5, 0.7 + 0j,
+                 id="_shifted_quasi_psh_grid-1.5-x0.7")])
 def test_orbit_queries_match_dense_reference(octagon, grid, factor, x):
     r = factor * injectivity_radius(octagon, x)
     zs = grid(octagon, x, r)
-    reach = float(np.max(distance(x, zs))) + r + 1e-9
-    ball = enumerate_ball(octagon, x, reach)
-    pairs, counts, psi = _dense_reference(ball, zs, r)
-    _assert_pairs_match(ball, zs, r, pairs)
-    assert np.array_equal(orbit_counts(octagon, x, zs, r), counts)
-    got = psi_values(octagon, x, r, zs, ball=ball)
-    assert np.array_equal(np.isinf(got), np.isinf(psi))
-    np.testing.assert_allclose(got, psi, rtol=1e-13, atol=0.0)
+    counts = orbit_counts(octagon, x, zs, r)
+    got = psi_values(octagon, x, r, zs)
+    for base in (0.0j, x):
+        reach = (float(np.max(distance(base, zs)))
+                 + float(distance(base, x)) + r + 1e-9)
+        ball = enumerate_ball(octagon, base, reach)
+        pairs, want_counts, psi = _dense_reference(ball, x, zs, r)
+        _assert_pairs_match(ball, x, zs, r, pairs)
+        assert np.array_equal(counts, want_counts)
+        assert np.array_equal(np.isinf(got), np.isinf(psi))
+        np.testing.assert_allclose(got, psi, rtol=1e-13, atol=0.0)
 
 
 def test_orbit_queries_below_singular_tol(octagon):
@@ -280,24 +303,23 @@ def test_orbit_queries_below_singular_tol(octagon):
     r = 1e-10
     zs = np.array([0.0j, octagon.generators[2].apply(0.0j), 2e-10, 0.3])
     ball = enumerate_ball(octagon, 0.0j, 4.0)
-    pairs, counts, psi = _dense_reference(ball, zs, r)
-    _assert_pairs_match(ball, zs, r, pairs)
+    pairs, counts, psi = _dense_reference(ball, 0.0j, zs, r)
+    _assert_pairs_match(ball, 0.0j, zs, r, pairs)
     assert list(psi) == [-math.inf, -math.inf, -math.inf, 0.0]
     assert list(counts) == [1, 1, 0, 0]
     assert np.array_equal(orbit_counts(octagon, 0.0j, zs, r), counts)
-    assert np.array_equal(psi_values(octagon, 0.0j, r, zs, ball=ball), psi)
+    assert np.array_equal(psi_values(octagon, 0.0j, r, zs), psi)
 
 
 def test_orbit_query_needs_covering_ball(octagon):
-    # rho(0, 0.3) + r must not pass the ball radius, or orbit points beyond
-    # it would be missed without a word
+    # rho(0, 0.3) + rho(0, x) + r must not pass the ball radius, or orbit
+    # points beyond it would be missed without a word
     ball = enumerate_ball(octagon, 0.0j, 4.0)
     zs = np.array([0.0j, 0.3])
-    reach = float(distance(0.0j, 0.3))
-    iz, _ = orbit_pairs(ball, zs, 4.0 - reach)
-    assert np.array_equal(np.bincount(iz, minlength=2),
-                          orbit_counts(octagon, 0.0j, zs, 4.0 - reach))
-    with pytest.raises(InsufficientBall):
-        orbit_pairs(ball, zs, 4.0 - reach + 1e-9)
-    with pytest.raises(InsufficientBall):
-        psi_values(octagon, 0.0j, 4.0 - reach + 1e-9, zs, ball=ball)
+    for x in (0.0j, 0.2 + 0.1j):
+        reach = float(distance(0.0j, 0.3)) + float(distance(0.0j, x))
+        iz, _ = orbit_pairs(ball, x, zs, 4.0 - reach)
+        assert np.array_equal(np.bincount(iz, minlength=2),
+                              orbit_counts(octagon, x, zs, 4.0 - reach))
+        with pytest.raises(InsufficientBall):
+            orbit_pairs(ball, x, zs, 4.0 - reach + 1e-9)
