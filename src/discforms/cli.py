@@ -1,6 +1,7 @@
 """Command-line front end: configs in, machine-readable reports out.
 
-Every command writes a strict JSON report (stdout or --out; no NaN or
+Every command returns its report payload and whether its check passed;
+main writes the payload as a strict JSON report (stdout or --out; no NaN or
 Infinity).  Reports embed the resolved configuration and the package
 version, contain no timestamps, and use sorted keys, so identical configs
 produce byte-identical bytes.  Grid CSV output uses 17-significant-digit
@@ -60,15 +61,15 @@ def parse_seed(text):
     raise ValueError(f"unknown seed kind {parts[0]!r}")
 
 
-def _write_report(args, command, payload, out_path=None):
+def _write_report(args, payload):
     cfg = {k: _jsonable(v) for k, v in sorted(vars(args).items())
            if k not in ("func",) and v is not None}
-    report = {"command": command, "config": cfg, "version": __version__,
-              "report": _jsonable(payload)}
+    report = {"command": args.command, "config": cfg,
+              "version": __version__, "report": _jsonable(payload)}
     text = json.dumps(report, sort_keys=True, indent=2,
                       allow_nan=False) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -96,11 +97,10 @@ def cmd_enumerate(args):
                      b.imag, float(d))
                     for w, a, b, d in zip(ball.words, ball.alphas,
                                           ball.betas, ball.displacements)])
-    _write_report(args, "enumerate", {
+    return {
         "count": len(ball), "radius": args.radius,
         "max_displacement": float(ball.displacements.max()),
-    }, args.out)
-    return 0
+    }, True
 
 
 def cmd_fundamental_domain(args):
@@ -110,29 +110,26 @@ def cmd_fundamental_domain(args):
         _write_csv(args.csv, ["re_node", "im_node", "weight"],
                    [(z.real, z.imag, float(w))
                     for z, w in zip(dom.nodes, dom.weights)])
-    _write_report(args, "fundamental-domain", {
+    return {
         "n_vertices": len(dom.vertices),
         "vertices": list(dom.vertices),
         "euclidean_area": dom.euclidean_area,
         "quadrature_mass": float(dom.weights.sum()),
         "n_nodes": len(dom.nodes),
-    }, args.out)
-    return 0
+    }, True
 
 
 def cmd_weight_sum(args):
     g = load_group(args.group)
     sv = series.weight_sum(g, complex(args.x), complex(args.z), args.radius)
-    _write_report(args, "weight-sum", sv, args.out)
-    return 0
+    return sv, True
 
 
 def cmd_poincare_eval(args):
     g = load_group(args.group)
     f = parse_seed(args.f)
     sv = series.poincare_eval(g, f, args.m, complex(args.z), args.radius)
-    _write_report(args, "poincare-eval", sv, args.out)
-    return 0
+    return sv, True
 
 
 def cmd_automorphy_check(args):
@@ -153,37 +150,31 @@ def cmd_automorphy_check(args):
         records.append({"z": complex(z), "residual": res, "bound": bound})
         worst = max(worst, res - bound)
     ok = worst <= 0.0
-    _write_report(args, "automorphy-check",
-                  {"passed": ok, "samples": records}, args.out)
-    return 0 if ok else 2
+    return {"passed": ok, "samples": records}, ok
 
 
 def cmd_norm(args):
     f = parse_seed(args.f)
     val, err = series.norm_pl(f, args.p, args.l)
-    _write_report(args, "norm",
-                  {"value": val, "halving_error": err}, args.out)
-    return 0
+    return {"value": val, "halving_error": err}, True
 
 
 def cmd_lemma22_check(args):
     g = load_group(args.group)
     f = parse_seed(args.f)
     rep = series.lemma22_check(g, f, args.m, radius=args.radius)
-    _write_report(args, "lemma22-check", rep, args.out)
-    return 0 if rep.holds else 2
+    return rep, rep.holds
 
 
 def cmd_approx_poly(args):
     f = parse_seed(args.f)
     res = series.polynomial_approx(f, args.l, args.delta,
                                    dilation=args.dilation)
-    _write_report(args, "approx-poly", {
+    return {
         "degree": res.degree, "dilation": res.dilation,
         "achieved_norm": res.achieved_norm,
         "coefficients": list(res.poly.coeffs),
-    }, args.out)
-    return 0
+    }, True
 
 
 def cmd_kernel_check(args):
@@ -200,18 +191,15 @@ def cmd_kernel_check(args):
                                    0.3)
     ok = (tr.max_residual < 1e-10 and series_rel < 1e-10
           and rp.rel_error < 5e-3)
-    _write_report(args, "kernel-check", {
+    return {
         "passed": ok, "transformation": tr,
         "series_vs_closed_form": series_rel, "reproducing": rp,
-    }, args.out)
-    return 0 if ok else 2
+    }, ok
 
 
 def cmd_cm_constant(args):
     rep = kernels.cm_constant(args.m)
-    ok = rep.spread < 0.01
-    _write_report(args, "cm-constant", rep, args.out)
-    return 0 if ok else 2
+    return rep, rep.spread < 0.01
 
 
 def cmd_roundtrip(args):
@@ -221,23 +209,19 @@ def cmd_roundtrip(args):
     pts = disc_points(rng, 10, 0.3)
     rep = kernels.roundtrip_check(g, f0, args.m, pts, radius=args.radius,
                                   spacing=args.spacing)
-    _write_report(args, "roundtrip", rep, args.out)
-    return 0 if rep.max_rel_error < 0.05 else 2
+    return rep, rep.max_rel_error < 0.05
 
 
 def cmd_injectivity_radius(args):
     g = load_group(args.group)
     rho = seshadri.injectivity_radius(g, complex(args.x))
-    _write_report(args, "injectivity-radius",
-                  {"rho_x": rho if math.isfinite(rho) else None}, args.out)
-    return 0
+    return {"rho_x": rho if math.isfinite(rho) else None}, True
 
 
 def cmd_density(args):
     g = load_group(args.group)
     rep = seshadri.density(g, complex(args.x), args.r)
-    _write_report(args, "density", rep, args.out)
-    return 0
+    return rep, True
 
 
 def cmd_cutoff_check(args):
@@ -256,8 +240,7 @@ def cmd_cutoff_check(args):
           and checks["a_minus1_vs_minus_exp"] < 1e-15
           and checks["da_minus20_vs_one"] < 1e-8
           and checks["slope_limit_error"] < 1e-8)
-    _write_report(args, "cutoff-check", {"passed": ok, **checks}, args.out)
-    return 0 if ok else 2
+    return {"passed": ok, **checks}, ok
 
 
 def cmd_quasi_psh_check(args):
@@ -271,22 +254,18 @@ def cmd_quasi_psh_check(args):
                                        spacing=args.spacing)
         reports.append(rep)
         bad += rep.n_violations
-    _write_report(args, "quasi-psh-check",
-                  {"passed": bad == 0, "reports": reports}, args.out)
-    return 0 if bad == 0 else 2
+    return {"passed": bad == 0, "reports": reports}, bad == 0
 
 
 def cmd_seshadri_bound(args):
     g = load_group(args.group)
     rep = seshadri.seshadri_lower_bound(g, complex(args.x))
-    _write_report(args, "seshadri-bound", rep, args.out)
-    return 0
+    return rep, True
 
 
 def cmd_thresholds(args):
     rep = seshadri.ampleness_thresholds(args.epsilon, args.n, C=args.C)
-    _write_report(args, "thresholds", rep, args.out)
-    return 0
+    return rep, True
 
 
 def cmd_separation_scan(args):
@@ -295,8 +274,7 @@ def cmd_separation_scan(args):
                                         radius=args.radius,
                                         n_samples=args.samples,
                                         seed=args.seed)
-    _write_report(args, "separation-scan", rep, args.out)
-    return 0
+    return rep, True
 
 
 # --------------------------------------------------------------- wiring
@@ -412,7 +390,9 @@ def main(argv=None):
     try:
         parser = build_parser()
         args = parser.parse_args(_expand_config(parser, argv))
-        return args.func(args)
+        payload, passed = args.func(args)
+        _write_report(args, payload)
+        return 0 if passed else 2
     except SystemExit as exc:
         return exc.code
     except (DiscformsError, ValueError, OSError) as exc:

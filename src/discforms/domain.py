@@ -6,8 +6,8 @@ orbit ball.  Each bounding bisector is a geodesic; in the Klein model
 geodesics are straight chords, so the polygon is cut there with ordinary
 convex half-plane clipping and mapped back to the Poincare disc.  Sides of
 the resulting Poincare polygon are arcs of circles orthogonal to the unit
-circle; containment tests always go through the Klein model, where they
-are linear.
+circle.  A domain is its CCW vertex list; geometry.in_convex_polygon, the
+one membership test, works in the Klein model, where sides are linear.
 
 Quadrature is a regular Cartesian grid in the Poincare coordinate (the
 integrals in this library are Lebesgue integrals in that coordinate):
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientBall
-from .geometry import distance, klein_to_poincare, poincare_to_klein
+from .geometry import distance, in_convex_polygon, klein_to_poincare
 from .group import enumerate_ball
 
 
@@ -61,33 +61,16 @@ def _clip_polygon(poly, n, c):
 
 @dataclass
 class FundamentalDomain:
-    """Dirichlet polygon with a Lebesgue quadrature grid.
-
-    vertices are in the Poincare model (sides are geodesic arcs); the
-    half-plane description (normals, offsets) lives in the Klein model and
-    is what containment tests use.
-    """
+    """Dirichlet polygon, given by its vertices, with a quadrature grid."""
 
     vertices: np.ndarray          # Poincare coordinates, CCW
-    klein_normals: np.ndarray     # unit complex normals, one per side
-    klein_offsets: np.ndarray
     nodes: np.ndarray             # quadrature nodes (Poincare coords)
     weights: np.ndarray           # positive, sum ~ euclidean polygon area
     spacing: float
 
     def contains(self, z, slack=0.0):
-        """Vectorized membership test (Klein half-plane form).
-
-        slack > 0 admits a band around the boundary, slack < 0 shrinks the
-        domain; measured in the Klein coordinate.
-        """
-        za = np.atleast_1d(np.asarray(z, dtype=complex))
-        k = poincare_to_klein(za)
-        f = (np.conj(self.klein_normals)[:, None]
-             * k[None, :]).real - self.klein_offsets[:, None]
-        # |z| >= 1 maps back into the Klein disc; reject it explicitly
-        inside = np.all(f <= slack, axis=0) & (np.abs(za) < 1.0)
-        return inside if np.ndim(z) else bool(inside[0])
+        """Vectorized membership test; see geometry.in_convex_polygon."""
+        return in_convex_polygon(self.vertices, z, slack)
 
     @property
     def euclidean_area(self):
@@ -135,13 +118,13 @@ def _arc_polygon_area(vertices):
     return float(area)
 
 
-def _clipped_grid(domain, h):
-    """Cartesian midpoint grid clipped to the domain.
+def _clipped_grid(verts, h):
+    """Cartesian midpoint grid clipped to the polygon with these vertices.
 
     Cells with all four corners inside get weight h^2; cells meeting the
     boundary are subsampled on a 16 x 16 grid to a fractional weight.
+    Returns (nodes, weights).
     """
-    verts = domain.vertices
     xmin = min(v.real for v in verts) - h
     xmax = max(v.real for v in verts) + h
     ymin = min(v.imag for v in verts) - h
@@ -158,13 +141,13 @@ def _clipped_grid(domain, h):
                         centers + (half - 1j * half),
                         centers + (half + 1j * half),
                         centers + (-half + 1j * half)])
-    inside = np.stack([domain.contains(c) for c in corners])
+    inside = in_convex_polygon(verts, corners.ravel(), 0.0).reshape(4, -1)
     n_in = inside.sum(axis=0)
     full = n_in == 4
     partial = (n_in > 0) & ~full
     # convex domain: a cell with no corner inside can still clip a sliver,
     # but only near a vertex; pick those up via the cell centers too
-    partial |= (n_in == 0) & domain.contains(centers)
+    partial |= (n_in == 0) & in_convex_polygon(verts, centers, 0.0)
 
     nodes = [centers[full]]
     weights = [np.full(np.sum(full), h * h)]
@@ -174,7 +157,7 @@ def _clipped_grid(domain, h):
         sx, sy = np.meshgrid(u, u, indexing="ij")
         offsets = (sx + 1j * sy).ravel() * h
         sub = centers[pidx][:, None] + offsets[None, :]
-        sub_in = np.stack([domain.contains(row) for row in sub])
+        sub_in = in_convex_polygon(verts, sub.ravel(), 0.0).reshape(sub.shape)
         frac = sub_in.mean(axis=1)
         keep = frac > 0
         # cell centers of boundary cells can sit outside the domain; use
@@ -199,16 +182,14 @@ def dirichlet_domain(group, spacing=0.004):
     reach = 2.0 * d0 + 1.0
     for _ in range(3):
         ball = enumerate_ball(group, 0.0j, reach)
-        poly, normals, offsets = _cut_polygon(ball)
+        poly = _cut_polygon(ball)
         vr = np.array([float(distance(0.0j, v)) for v in poly])
         # any gamma with rho(0, gamma 0) > 2 * max vertex distance cannot
         # cut the polygon; if the ball does not reach that far, retry
         needed = 2.0 * float(np.max(vr)) + 1e-9
         if reach >= needed:
-            dom = FundamentalDomain(poly, normals, offsets,
-                                    np.empty(0, complex), np.empty(0), spacing)
-            dom.nodes, dom.weights = _clipped_grid(dom, spacing)
-            return dom
+            return FundamentalDomain(poly, *_clipped_grid(poly, spacing),
+                                     spacing)
         reach = needed + 1.0
     raise InsufficientBall("Dirichlet polygon kept growing past the "
                            "enumerated orbit ball")
@@ -218,9 +199,9 @@ def _cut_polygon(ball):
     keep = ball.displacements > 1e-12
     pts = ball.terms(0.0j)[0][keep]
     order = np.argsort(ball.displacements[keep], kind="stable")
-    # start from a big square around the Klein disc
+    # start from a big square around the Klein disc; clipping a CCW
+    # polygon keeps it CCW
     poly = [complex(-2, -2), complex(2, -2), complex(2, 2), complex(-2, 2)]
-    normals, offsets = [], []
     for p in pts[order]:
         e1, e2 = _bisector_endpoints(complex(p))
         # chord e1 -> e2 in the Klein model; normal points away from 0
@@ -233,24 +214,9 @@ def _cut_polygon(ball):
         if max(vals) <= 1e-15:
             continue
         poly = _clip_polygon(poly, n, c)
-        s = abs(n)
-        normals.append(n / s)
-        offsets.append(c / s)
-    poly = _ccw(poly)
-    return (klein_to_poincare(np.array(poly)),
-            np.array(normals), np.array(offsets))
-
-
-def _ccw(poly):
-    poly = list(poly)
-    area = sum((np.conj(a) * b).imag
-               for a, b in zip(poly, poly[1:] + poly[:1]))
-    if area < 0:
-        poly = poly[::-1]
     # rotate so the vertex with the smallest angle about 0 is first
-    ang = [np.angle(v) for v in poly]
-    start = int(np.argmin(ang))
-    return poly[start:] + poly[:start]
+    start = int(np.argmin(np.angle(poly)))
+    return klein_to_poincare(np.array(poly[start:] + poly[:start]))
 
 
 def disc_domain(spacing=0.004):
@@ -264,10 +230,4 @@ def disc_domain(spacing=0.004):
     n_sides, r_max = 1024, 1.0 - 1e-4
     ang = 2.0 * np.pi * (np.arange(n_sides) + 0.5) / n_sides
     verts = r_max * np.exp(1j * ang)
-    rk = float(poincare_to_klein(r_max + 0j).real)
-    normals = np.exp(1j * 2.0 * np.pi * (np.arange(n_sides) + 1.0) / n_sides)
-    offsets = np.full(n_sides, rk * np.cos(np.pi / n_sides))
-    dom = FundamentalDomain(verts, normals, offsets,
-                            np.empty(0, complex), np.empty(0), spacing)
-    dom.nodes, dom.weights = _clipped_grid(dom, spacing)
-    return dom
+    return FundamentalDomain(verts, *_clipped_grid(verts, spacing), spacing)

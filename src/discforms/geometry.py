@@ -48,6 +48,33 @@ def klein_to_poincare(k):
     return k / (1.0 + np.sqrt(np.maximum(0.0, 1.0 - np.abs(k) ** 2)))
 
 
+def in_convex_polygon(vertices, z, slack):
+    """Membership of z (scalar or array) in a convex geodesic polygon.
+
+    vertices are the polygon's Poincare vertices, CCW.  Its sides are
+    chords in the Klein model, so each is a half-plane Re(conj(n) k) <= c
+    with unit outward normal n; slack > 0 admits a band of that Klein
+    width around the boundary, slack < 0 shrinks the polygon.  Points with
+    |z| >= 1, which map back into the Klein disc, are outside.
+    """
+    k = poincare_to_klein(np.asarray(vertices, dtype=complex))
+    edge = np.roll(k, -1) - k
+    # a vanishing side (a repeated vertex) has no direction and bounds nothing
+    keep = np.abs(edge) > 1e-12
+    n = -1j * edge[keep] / np.abs(edge[keep])
+    c = (np.conj(n) * k[keep]).real
+    za = np.atleast_1d(np.asarray(z, dtype=complex))
+    inside = np.empty(za.shape, dtype=bool)
+    # 2^15 point-side tests per block: 0.5 MB temporaries; 2^16 added 1-2 MB
+    # to small commands' peak RSS, 2^14 ran a 1,024-gon grid a third slower
+    step = max(1, 2 ** 15 // max(1, len(n)))
+    for s in range(0, len(za), step):
+        zb = za[s:s + step]
+        f = (np.conj(n)[:, None] * poincare_to_klein(zb)).real - c[:, None]
+        inside[s:s + step] = np.all(f <= slack, axis=0) & (np.abs(zb) < 1.0)
+    return inside if np.ndim(z) else bool(inside[0])
+
+
 def disc_points(rng, n, r_max):
     """n points uniform (by area) in |z| < r_max: radii drawn, then angles."""
     return r_max * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))

@@ -16,12 +16,13 @@ deduplicated on a rounded, sign-normalized key.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BudgetExceeded, ConfigError, InsufficientBall, NonUnitary
-from .geometry import (check_disc_point, check_su11, distance, mobius,
-                       mobius_jacobian, poincare_to_klein)
+from .geometry import (check_disc_point, check_su11, distance,
+                       in_convex_polygon, mobius, mobius_jacobian)
 
 # Deduplication tolerance in max-norm on (alpha, beta) up to sign.  Generator
 # entries are algebraic numbers evaluated in double precision; renormalized
@@ -79,17 +80,21 @@ class GroupElement:
                             tuple(-l for l in reversed(self.word)))
 
     def is_identity(self):
-        return (min(abs(self.alpha - 1), abs(self.alpha + 1)) <= DEDUP_TOL
-                and abs(self.beta) <= DEDUP_TOL)
+        return _psu_gap(self, GroupElement.identity()) <= DEDUP_TOL
 
     def psu_close(self, other):
         """PSU(1,1) comparison: equal up to a global sign of the pair."""
-        same = max(abs(self.alpha - other.alpha), abs(self.beta - other.beta))
-        flip = max(abs(self.alpha + other.alpha), abs(self.beta + other.beta))
-        return min(same, flip) <= DEDUP_TOL
+        return _psu_gap(self, other) <= DEDUP_TOL
 
     def displacement(self, x=0.0j):
         return float(distance(x, self.apply(x)))
+
+
+def _psu_gap(g, h):
+    """Max-norm distance of g's pair from h's, up to a global sign."""
+    same = max(abs(g.alpha - h.alpha), abs(g.beta - h.beta))
+    flip = max(abs(g.alpha + h.alpha), abs(g.beta + h.beta))
+    return min(same, flip)
 
 
 def _reduce_word(word):
@@ -129,19 +134,17 @@ class FuchsianGroup:
 
     def relator_residuals(self):
         """Max-norm distance of each relator product from +-identity."""
-        out = []
-        for w in self.relators:
-            g = self.element_from_word(w)
-            out.append(min(max(abs(g.alpha - 1), abs(g.beta)),
-                           max(abs(g.alpha + 1), abs(g.beta))))
-        return out
+        return [_psu_gap(self.element_from_word(w), GroupElement.identity())
+                for w in self.relators]
 
+    @cached_property
     def alphabet(self):
         """BFS letters: every generator, plus inverses not already present.
 
-        Returns (letters, alphas, betas, inv_index) where letters[i] is the
-        signed 1-based word letter of alphabet entry i and inv_index[i] the
-        alphabet index of its inverse.
+        (letters, alphas, betas, inv_index) where letters[i] is the signed
+        1-based word letter of alphabet entry i and inv_index[i] the
+        alphabet index of its inverse.  Built on first use; an ambiguous
+        alphabet raises ConfigError then, and again at every later use.
         """
         entries = []
         for k, g in enumerate(self.generators):
@@ -151,7 +154,7 @@ class FuchsianGroup:
             if not any(GroupElement(a, b).psu_close(gi)
                        for (_, a, b) in entries):
                 entries.append((-(k + 1), gi.alpha, gi.beta))
-        letters = [e[0] for e in entries]
+        letters = tuple(e[0] for e in entries)
         alphas = np.array([e[1] for e in entries], dtype=complex)
         betas = np.array([e[2] for e in entries], dtype=complex)
         inv_index = np.empty(len(entries), dtype=np.int64)
@@ -163,6 +166,9 @@ class FuchsianGroup:
                 raise ConfigError("alphabet is not inverse-closed without "
                                   "ambiguity; generators too close together")
             inv_index[i] = matches[0]
+        # every caller shares these, so none may write
+        for arr in (alphas, betas, inv_index):
+            arr.flags.writeable = False
         return letters, alphas, betas, inv_index
 
     def min_generator_displacement(self, x=0.0j):
@@ -177,7 +183,7 @@ class FuchsianGroup:
         """Orbit representatives of zs: apply the letter that lowers
         rho(0, z) most until none does, i.e. into D_0 when D_0 is the
         Dirichlet polygon of 0 and the alphabet pairs its sides."""
-        _, a, b, _ = self.alphabet()
+        _, a, b, _ = self.alphabet
         z = np.array(zs, dtype=complex)
         while len(a):
             img = mobius(a[:, None], b[:, None], z)
@@ -378,10 +384,7 @@ def _accept(k1, k2, seen1, seen2):
 def _walk_margin(group, x, radius):
     """enumerate_ball's default margin at x; see there."""
     v = np.asarray(group.domain_vertices, dtype=complex)
-    k = poincare_to_klein(v)
-    # Klein sides are chords: x is in D_0 when left of every one (CCW)
-    left = (np.conj(np.roll(k, -1) - k) * (poincare_to_klein(x) - k)).imag
-    if not (len(k) and np.all(left >= 0)):
+    if not (len(v) and in_convex_polygon(v, x, 0.0)):
         return group.max_generator_displacement(x)
     c = float(np.max(distance(x, v)))
     # Slack as in orbit_pairs: a displacement below radius + c is computed
@@ -411,7 +414,7 @@ def enumerate_ball(group, x, radius, margin=None,
     if cached is not None and cached.radius >= radius:
         return cached.restrict(radius)
 
-    letters, gen_a, gen_b, inv_index = group.alphabet()
+    letters, gen_a, gen_b, inv_index = group.alphabet
     if margin is None:
         margin = _walk_margin(group, x, radius)
     expand_limit = radius + margin

@@ -84,3 +84,32 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
     unset = [f"{where} {fn}({p}=...)" for fn, p, k, where in params
              if not _is_set(k, p, calls.get(fn, []))]
     assert unset == []
+
+
+def _cli_functions():
+    tree = ast.parse((ROOT / "src" / "discforms" / "cli.py").read_text())
+    return {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+
+
+def _called(fn, name):
+    return [c for c in ast.walk(fn) if isinstance(c, ast.Call)
+            and getattr(c.func, "id", None) == name]
+
+
+def test_main_alone_writes_reports():
+    fns = _cli_functions()
+    sites = [(f, len(_called(fn, "_write_report"))) for f, fn in fns.items()]
+    assert [(f, n) for f, n in sites if n] == [("main", 1)]
+
+
+def test_each_command_registered_once_and_unnamed_in_its_body():
+    # main names the report after args.command, so no cmd_* spells its own
+    fns = _cli_functions()
+    adds = [(c.args[0].value, c.args[1].id)
+            for c in _called(fns["build_parser"], "add")]
+    cmds = sorted(f for f in fns if f.startswith("cmd_"))
+    assert sorted(fn for _, fn in adds) == cmds
+    for command, fn in adds:
+        strings = {n.value for n in ast.walk(fns[fn])
+                   if isinstance(n, ast.Constant)}
+        assert command not in strings, fn

@@ -1,6 +1,7 @@
 """CLI wiring: parsing, reports, exit codes, determinism."""
 
 import cmath
+import dataclasses
 import json
 import warnings
 
@@ -172,16 +173,6 @@ def test_config_file_defaults(tmp_path):
     assert data["config"]["radius"] == 5.0
 
 
-def test_exit_2_on_failed_inequality(tmp_path, monkeypatch):
-    class Fake:
-        holds = False
-    monkeypatch.setattr(cli.series, "lemma22_check",
-                        lambda *a, **k: Fake())
-    monkeypatch.setattr(cli, "_write_report", lambda *a, **k: None)
-    code = cli.main(["lemma22-check"])
-    assert code == 2
-
-
 def test_injectivity_command(tmp_path):
     code, data = run(tmp_path, "injectivity-radius")
     assert code == 0
@@ -275,6 +266,46 @@ def test_every_subcommand_reports(tmp_path, command):
     assert code in (0, 2)
     assert data["command"] == command
     assert data["report"] is not None
+
+
+# Every checked command: the library call it checks, a spoiler that turns
+# the real result into a failing one, and where the report shows that.
+FAILING = [
+    ("automorphy-check", cli.series, "automorphy_residual",
+     lambda r: (1.0, *(dataclasses.replace(v, tail_estimate=0.0)
+                       for v in r[1:])), ("samples", 0, "residual"), 1.0),
+    ("lemma22-check", cli.series, "lemma22_check",
+     lambda r: dataclasses.replace(r, holds=False), ("holds",), False),
+    ("kernel-check", cli.kernels, "kernel_transformation_check",
+     lambda r: dataclasses.replace(r, max_residual=1.0),
+     ("transformation", "max_residual"), 1.0),
+    ("cm-constant", cli.kernels, "cm_constant",
+     lambda r: dataclasses.replace(r, spread=1.0), ("spread",), 1.0),
+    ("roundtrip", cli.kernels, "roundtrip_check",
+     lambda r: dataclasses.replace(r, max_rel_error=1.0),
+     ("max_rel_error",), 1.0),
+    ("cutoff-check", cli.seshadri, "cutoff_a",
+     lambda r: (r[0] + 1.0, r[1]), ("a0",), 1.0),
+    ("quasi-psh-check", cli.seshadri, "quasi_psh_check",
+     lambda r: dataclasses.replace(r, n_violations=1),
+     ("reports", 0, "n_violations"), 1),
+]
+
+
+@pytest.mark.parametrize("command, module, name, spoil, path, value",
+                         FAILING, ids=[case[0] for case in FAILING])
+def test_exit_2_on_failed_inequality(tmp_path, monkeypatch, command, module,
+                                     name, spoil, path, value):
+    # a failed check still writes its report, with the failing value
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: spoil(real(*a, **k)))
+    code, data = run(tmp_path, command, *CHEAP[command])
+    assert code == 2
+    node = data["report"]
+    for key in path:
+        node = node[key]
+    assert node == value
+    assert data["report"].get("passed", False) is False
 
 
 @pytest.mark.parametrize("command, text, key, value", [

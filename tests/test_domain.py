@@ -1,14 +1,15 @@
 """Dirichlet fundamental domain: geometry, quadrature and the tiling test."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from discforms.domain import (
-    dirichlet_domain, disc_domain, klein_to_poincare, poincare_to_klein,
+from discforms.domain import dirichlet_domain, disc_domain
+from discforms.geometry import (
+    distance, in_convex_polygon, klein_to_poincare, poincare_to_klein,
 )
-from discforms.geometry import distance
 from discforms.group import enumerate_ball
 
 from conftest import random_disc_points
@@ -43,6 +44,30 @@ def test_contains_center_and_boundary(domain):
     assert not domain.contains(1.2 + 0j)     # outside the disc entirely
 
 
+def test_polygon_slack_is_a_klein_width(octagon):
+    # points s/2 outside each side's midpoint, along the Klein normal (the
+    # radius, by symmetry), and s/2 inside it
+    verts = np.array(octagon.domain_vertices)
+    k = poincare_to_klein(verts)
+    s = 1e-3
+    for mid in 0.5 * (k + np.roll(k, -1)):
+        out, inner = (klein_to_poincare(mid + t * mid / abs(mid))
+                      for t in (s / 2, -s / 2))
+        assert not in_convex_polygon(verts, out, 0.0)
+        assert in_convex_polygon(verts, out, s)
+        assert in_convex_polygon(verts, inner, 0.0)
+        assert not in_convex_polygon(verts, inner, -s)
+
+
+def test_polygon_ignores_a_repeated_vertex(octagon, rng):
+    # clipping through a vertex repeats it; the empty side bounds nothing
+    verts = np.array(octagon.domain_vertices)
+    zs = random_disc_points(rng, 500, r_max=0.95)
+    assert np.array_equal(in_convex_polygon(np.insert(verts, 3, verts[3]),
+                                            zs, 0.0),
+                          in_convex_polygon(verts, zs, 0.0))
+
+
 def test_quadrature_mass_matches_area(domain):
     area = domain.euclidean_area
     mass = float(domain.weights.sum())
@@ -67,3 +92,15 @@ def test_disc_domain_mass():
     assert abs(float(dom.weights.sum()) - math.pi) < 0.02
     assert abs(float(dom.weights.sum()) - dom.euclidean_area) \
         / dom.euclidean_area < 1e-3
+
+
+def test_disc_domain_memory():
+    # the 1024-gon classifies its grid in blocks; side-by-point matrices
+    # over all of it peaked at about 260 MB at this spacing
+    tracemalloc.start()
+    try:
+        disc_domain(spacing=0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6

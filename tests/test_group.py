@@ -10,11 +10,13 @@ from discforms import group as group_module, seshadri
 from discforms.domain import dirichlet_domain
 from discforms.embedding import very_ampleness_scan
 from discforms.errors import BudgetExceeded, ConfigError
-from discforms.geometry import distance, mobius
+from discforms.geometry import (
+    distance, klein_to_poincare, mobius, poincare_to_klein,
+)
 from discforms.group import (
-    DEDUP_MAX_RADIUS, FuchsianGroup, GroupElement, _accept, _reduce_word,
-    _SeenKeys, enumerate_ball, from_config_text, load_group, orbit_counts,
-    preset_genus2_octagon, to_config_text,
+    DEDUP_MAX_RADIUS, FuchsianGroup, GroupElement, _OCTAGON_RELATOR, _accept,
+    _reduce_word, _SeenKeys, _walk_margin, enumerate_ball, from_config_text,
+    load_group, orbit_counts, preset_genus2_octagon, to_config_text,
 )
 from discforms.kernels import roundtrip_check
 from discforms.series import SeedFunction
@@ -32,6 +34,15 @@ C_WALK = math.acosh((1.0 + math.sqrt(2.0)) ** 2)
 
 def test_preset_relator(octagon):
     assert max(octagon.relator_residuals()) < 1e-8
+
+
+def test_relator_residual_is_the_psu_gap_to_identity(octagon):
+    # bit for bit the max-norm distance from +-identity
+    g = octagon.element_from_word(_OCTAGON_RELATOR)
+    want = min(max(abs(g.alpha - 1), abs(g.beta)),
+               max(abs(g.alpha + 1), abs(g.beta)))
+    assert octagon.relator_residuals() == [want]
+    assert g.is_identity() and not octagon.generators[0].is_identity()
 
 
 def test_preset_generators_symmetric(octagon):
@@ -146,6 +157,36 @@ def test_preset_polygon_is_dirichlet_domain(octagon):
     assert np.max(np.min(np.abs(verts[:, None] - dom.vertices[None, :]),
                          axis=1)) < 1e-9
     assert _vertex_reach(octagon, 0.0j) == pytest.approx(C_WALK, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def marked_octagon():
+    g = preset_genus2_octagon()
+    # the uncertified margin, marked negative to tell the branches apart
+    g.max_generator_displacement = lambda x: -1.0
+    return g, dirichlet_domain(g, spacing=0.05)
+
+
+_KLEIN_D0 = poincare_to_klein(np.array(
+    preset_genus2_octagon().domain_vertices))
+
+
+def _off_side(i, t, e, sign):
+    """A point 10^e (Klein) radially off side i of D_0, a fraction t along
+    it: far above the 2e-15 by which the preset and computed vertices
+    differ."""
+    p = _KLEIN_D0[i] + t * (_KLEIN_D0[(i + 1) % 8] - _KLEIN_D0[i])
+    return klein_to_poincare(p + sign * 10.0 ** e * p / abs(p))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(
+    st.builds(_off_side, st.integers(0, 7), st.floats(0.0, 1.0),
+              st.integers(-12, -1), st.sampled_from([-1.0, 1.0])),
+    st.complex_numbers(max_magnitude=0.99)))
+def test_walk_margin_certified_exactly_in_domain(marked_octagon, x):
+    g, dom = marked_octagon
+    assert (_walk_margin(g, complex(x), 1.0) > 0) == dom.contains(x)
 
 
 @pytest.mark.parametrize("x", WALK_POINTS)
@@ -425,6 +466,20 @@ def test_config_errors():
         from_config_text("name = a\ngenerator.0 = 1 0 0 0\nname = b\n")
     # relators may repeat
     assert len(from_config_text("relator = 1\nrelator = 1\n").relators) == 2
+
+
+def test_alphabet_built_once_and_checked_at_each_use():
+    g = preset_genus2_octagon()
+    assert g.alphabet is g.alphabet
+    assert g.alphabet[0] == tuple(range(1, 9))
+    # equal generators make the inverse of one letter ambiguous; loading
+    # does not build the alphabet, and a failed build is not kept
+    twin = from_config_text("generator.0 = 1.5 0 1.118033988749895 0\n"
+                            "generator.1 = 1.5 0 1.118033988749895 0\n")
+    for use in (lambda: enumerate_ball(twin, 0.0j, 1.0),
+                lambda: twin.reduce_points([0.5])):
+        with pytest.raises(ConfigError, match="not inverse-closed"):
+            use()
 
 
 def test_load_presets(trivial):
