@@ -31,6 +31,6 @@ from .seshadri import (
     ampleness_thresholds,
 )
 from .embedding import (
-    SectionBasis, build_basis, eval_sections, jet_separation_test,
-    point_separation_test, very_ampleness_scan,
+    eval_sections, jet_separation_test, point_separation_test,
+    very_ampleness_scan,
 )

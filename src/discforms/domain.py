@@ -169,7 +169,7 @@ def _clipped_grid(verts, h):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def dirichlet_domain(group, spacing=0.004):
+def dirichlet_domain(group, spacing):
     """Dirichlet fundamental domain about 0 with a quadrature grid.
 
     Cuts half-spaces over an orbit ball of radius 2*d0 + 1 (d0 = the
@@ -219,7 +219,7 @@ def _cut_polygon(ball):
     return klein_to_poincare(np.array(poly[start:] + poly[:start]))
 
 
-def disc_domain(spacing=0.004):
+def disc_domain(spacing):
     """Whole disc as a fundamental domain (trivial group).
 
     A regular geodesic 1024-gon with vertices at radius 1 - 1e-4; the

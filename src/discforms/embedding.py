@@ -27,16 +27,15 @@ RANK_TOL = 1e-8
 EQUIV_TOL = 1e-6
 
 
-def eval_sections(group, m, d, z, radius=8.0, ball=None):
-    """Values and dz-derivatives of truncated P_m(z^k), k = 0..d.
+def eval_sections(group, m, d, z, radius):
+    """Values and dz-derivatives of P_m(z^k), k = 0..d, truncated at radius.
 
     Returns two arrays of shape (d+1, len(z)).
     """
     if m < 2 or d < 1:
         raise ValueError("need m >= 2 and d >= 1")
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if ball is None:
-        ball = enumerate_ball(group, 0.0j, radius)
+    ball = enumerate_ball(group, 0.0j, radius)
     gz, den = ball.terms(z)
     j = den ** -2
     jm = den ** (-2 * m)
@@ -57,30 +56,6 @@ def eval_sections(group, m, d, z, radius=8.0, ball=None):
 
 
 @dataclass
-class SectionBasis:
-    group: object
-    m: int
-    degree: int
-    radius: float
-    sample_points: np.ndarray
-    values: np.ndarray      # (d+1, n_samples)
-    derivs: np.ndarray
-    ball: object = None
-
-    def at(self, z):
-        """Fresh (values, derivatives) columns at arbitrary points."""
-        return eval_sections(self.group, self.m, self.degree, z,
-                             self.radius, ball=self.ball)
-
-
-def build_basis(group, m, d, radius, sample_points):
-    pts = np.atleast_1d(np.asarray(sample_points, dtype=complex))
-    ball = enumerate_ball(group, 0.0j, radius)
-    vals, ders = eval_sections(group, m, d, pts, radius, ball=ball)
-    return SectionBasis(group, m, d, radius, pts, vals, ders, ball)
-
-
-@dataclass
 class SeparationResult:
     passed: bool
     singular_ratio: float   # smallest / largest singular value
@@ -94,25 +69,25 @@ def _rank2_test(matrix):
                             tuple(float(v) for v in s))
 
 
-def jet_separation_test(basis, x):
+def jet_separation_test(group, m, d, radius, x):
     """Rank-2 test on values and first derivatives at x.
 
     Full rank means some section is nonzero at x and the derivative row is
     not proportional to the value row: the sections separate first-order
     jets at x.
     """
-    vals, ders = basis.at(np.array([complex(x)]))
+    vals, ders = eval_sections(group, m, d, complex(x), radius)
     if np.max(np.abs(vals)) < 1e-12:
         raise DegenerateBasis(f"all sections vanish at {x}")
     return _rank2_test(np.vstack([vals[:, 0], ders[:, 0]]))
 
 
-def point_separation_test(basis, x, y):
+def point_separation_test(group, m, d, radius, x, y):
     """Rank-2 test on section values at two inequivalent points."""
     x, y = complex(x), complex(y)
-    if int(orbit_counts(basis.group, x, np.array([y]), EQUIV_TOL)[0]) > 0:
+    if int(orbit_counts(group, x, y, EQUIV_TOL)[0]) > 0:
         raise EquivalentPoints(f"{y} lies on the orbit of {x}")
-    vals, _ = basis.at(np.array([x, y]))
+    vals, _ = eval_sections(group, m, d, np.array([x, y]), radius)
     return _rank2_test(vals.T)
 
 
@@ -131,7 +106,7 @@ class ScanReport:
     threshold_m: int = None     # from the density/injectivity certificate
 
 
-def sample_fundamental_domain(group, n, seed=0):
+def sample_fundamental_domain(group, n, seed):
     """Uniform (Euclidean) rejection samples from the fundamental domain."""
     rng = np.random.default_rng(seed)
     if group.is_trivial:
@@ -147,17 +122,16 @@ def sample_fundamental_domain(group, n, seed=0):
     return np.array(out[:n])
 
 
-def very_ampleness_scan(group, m, d=6, radius=8.0, n_samples=100, seed=0,
+def very_ampleness_scan(group, m, n_samples, d=6, radius=8.0, seed=0,
                         threshold_m=None):
     """Jet tests at n_samples points and point tests at n_samples pairs."""
-    # the basis ball first, so that the sampler's domain ball is a slice
+    # the sections' ball first, so that the sampler's domain ball is a slice
     enumerate_ball(group, 0.0j, radius)
     pts = sample_fundamental_domain(group, 3 * n_samples, seed=seed)
-    basis = build_basis(group, m, d, radius, pts[:1])
     jet_ratios = []
     jet_fail = []
     for z in pts[:n_samples]:
-        res = jet_separation_test(basis, z)
+        res = jet_separation_test(group, m, d, radius, z)
         jet_ratios.append(res.singular_ratio)
         if not res.passed:
             jet_fail.append(complex(z))
@@ -166,7 +140,7 @@ def very_ampleness_scan(group, m, d=6, radius=8.0, n_samples=100, seed=0,
     pairs = zip(pts[n_samples:2 * n_samples], pts[2 * n_samples:])
     for x, y in pairs:
         try:
-            res = point_separation_test(basis, x, y)
+            res = point_separation_test(group, m, d, radius, x, y)
         except EquivalentPoints:
             continue
         pt_ratios.append(res.singular_ratio)

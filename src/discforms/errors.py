@@ -18,7 +18,7 @@ class BudgetExceeded(DiscformsError):
 
 
 class InsufficientBall(DiscformsError):
-    """An orbit ball too small for a Dirichlet polygon or an orbit query."""
+    """An orbit ball too small for the Dirichlet polygon it was cut from."""
 
 
 class UnboundedSeed(DiscformsError):

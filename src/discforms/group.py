@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BudgetExceeded, ConfigError, InsufficientBall, NonUnitary
+from .errors import BudgetExceeded, ConfigError, NonUnitary
 from .geometry import (check_disc_point, check_su11, distance,
                        in_convex_polygon, mobius, mobius_jacobian)
 
@@ -172,11 +172,9 @@ class FuchsianGroup:
         return letters, alphas, betas, inv_index
 
     def min_generator_displacement(self, x=0.0j):
-        if self.is_trivial:
-            raise ConfigError("trivial group has no generator displacement")
-        return min(g.displacement(x) for g in self.generators)
+        return min((g.displacement(x) for g in self.generators), default=0.0)
 
-    def max_generator_displacement(self, x=0.0j):
+    def max_generator_displacement(self, x):
         return max((g.displacement(x) for g in self.generators), default=0.0)
 
     def reduce_points(self, zs):
@@ -497,36 +495,33 @@ def enumerate_ball(group, x, radius, margin=None,
     return full.restrict(radius)
 
 
-def orbit_pairs(ball, x, zs, r):
-    """Index pairs (iz, ib) with rho(gamma_ib x, zs[iz]) < r.
+def orbit_pairs(group, x, zs, r):
+    """Pairs (iz, p): orbit points p = gamma x with rho(p, zs[iz]) < r.
 
     rho < r is tested as |(p - z)/(1 - conj(p) z)| < tanh(r/2), with no
-    logarithms.  For the ball's base point b, a pair with an element of
-    displacement d has |d - rho(b, z)| <= rho(gamma b, z) < w = r + rho(b, x)
-    by the triangle inequality, so each z is tested only against the window
-    of the displacement-sorted ball with d within w (plus rounding slack) of
-    rho(b, z).  Points are taken in order of rho(b, z), in blocks of at most
-    _PAIR_CHUNK pairs (a single point whose window is larger forms its own
-    block).  The pairs come out grouped by point in that order, each point's
-    pairs in ball order.  A ball with radius below rho(b, z) + w for some z
-    would miss pairs: it raises InsufficientBall.
+    logarithms.  A pair's element has displacement d = rho(0, gamma 0) with
+    |d - rho(0, z)| <= rho(gamma 0, z) < w = r + rho(0, x) by the triangle
+    inequality, so the group's ball at 0 of radius max rho(0, z) + w covers
+    the query, and each z is tested only against the window of the
+    displacement-sorted ball with d within w (plus rounding slack) of
+    rho(0, z).  Points are taken in order of rho(0, z), in blocks of at
+    most _PAIR_CHUNK pairs (a single point whose window is larger forms its
+    own block).  The pairs come out grouped by point in that order, each
+    point's pairs in ball order.
     """
     zs = check_disc_point(np.atleast_1d(np.asarray(zs, dtype=complex)))
-    w = r + float(distance(ball.base, x))
+    w = r + float(distance(0.0j, x))
+    dz = distance(0.0j, zs)
+    ball = enumerate_ball(group, 0.0j, float(np.max(dz)) + w)
     pts = check_disc_point(ball.terms(x)[0])
     t_max = np.tanh(r / 2.0)
-    dz = distance(ball.base, zs)
-    reach = float(np.max(dz)) + w
-    if reach > ball.radius:
-        raise InsufficientBall(f"orbit query reaches {reach:.6g}, past the "
-                               f"ball radius {ball.radius:.6g}")
     # Rounding slack: a computed rho(a, b) = 2 artanh t is off by about
     # |dt| (1 + cosh rho(a, b)), with |dt| a few ulps over
-    # |1 - conj(a) b| >= e^-rho(0, a).  rho(b, z), the displacements and
-    # the tested rho(p, z) all stay below rho(0, b) + rho(b, z) + w, so
-    # 2^-40 (4096 ulps) times e^that covers all three errors.  One bin
-    # either side covers the rounding of `bins`, as in OrbitBall.restrict.
-    slack = 2.0 ** -40 * np.exp(float(distance(0.0j, ball.base)) + dz + w)
+    # |1 - conj(a) b| >= e^-rho(0, a).  rho(0, z), the displacements and
+    # the tested rho(p, z) all stay below rho(0, z) + w, so 2^-40 (4096
+    # ulps) times e^that covers all three errors.  One bin either side
+    # covers the rounding of `bins`, as in OrbitBall.restrict.
+    slack = 2.0 ** -40 * np.exp(dz + w)
     lo = np.searchsorted(ball.bins, (dz - w - slack) / _DISP_BIN - 1.0, "left")
     hi = np.searchsorted(ball.bins, (dz + w + slack) / _DISP_BIN + 1.0, "right")
     order = np.argsort(dz, kind="stable")
@@ -548,12 +543,7 @@ def orbit_pairs(ball, x, zs, r):
         iz.append(order[s + rows])
         ib.append(w0 + cols)
         s += n
-    return np.concatenate(iz), np.concatenate(ib)
-
-
-def orbit_reach(x, zs, r):
-    """Radius of the ball at 0 that orbit_pairs(ball, x, zs, r) needs."""
-    return float(np.max(distance(0.0j, zs))) + float(distance(0.0j, x)) + r
+    return np.concatenate(iz), pts[np.concatenate(ib)]
 
 
 def orbit_counts(group, x, zs, r):
@@ -561,8 +551,7 @@ def orbit_counts(group, x, zs, r):
     if r <= 0:
         raise ValueError("r must be positive")
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    ball = enumerate_ball(group, 0.0j, orbit_reach(x, zs, r) + 1e-9)
-    iz, _ = orbit_pairs(ball, x, zs, r)
+    iz, _ = orbit_pairs(group, x, zs, r)
     return np.bincount(iz, minlength=len(zs))
 
 

@@ -61,7 +61,7 @@ class TransformationReport:
     per_element: dict = field(default_factory=dict)  # word -> max residual
 
 
-def kernel_transformation_check(group, m, n_samples=100, seed=0):
+def kernel_transformation_check(group, m, n_samples, seed=0):
     """Residual of K_m(gz, gw) j(z)^m conj(j(w))^m = K_m(z, w) at random points."""
     rng = np.random.default_rng(seed)
     z = disc_points(rng, n_samples, 0.8)
@@ -162,7 +162,7 @@ class RoundTripReport:
     radius: float
 
 
-def roundtrip_check(group, f0, m, sample_points, radius=8.0, spacing=0.02):
+def roundtrip_check(group, f0, m, sample_points, spacing, radius=8.0):
     """Build h = P_m(f0) on F, apply relative_poincare, re-sum, compare.
 
     The exact chain h -> f -> P_m(f) is the identity; the report measures

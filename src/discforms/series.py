@@ -222,7 +222,7 @@ class IntegralBoundReport:
     partial_lhs: list = field(default_factory=list)  # (radius, value)
 
 
-def lemma22_check(group, f, m, radius=6.0):
+def lemma22_check(group, f, m, radius):
     """Compare Int_F sum |f(gamma z) j^m| K^{(2-m)/2} against ||f||_{1,(m-2)/2}.
 
     Also recomputes the truncated left side by substitution on each orbit

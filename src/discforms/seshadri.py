@@ -17,7 +17,7 @@ import numpy as np
 
 from .domain import dirichlet_domain
 from .geometry import bergman_metric, distance
-from .group import enumerate_ball, orbit_counts, orbit_pairs, orbit_reach
+from .group import enumerate_ball, orbit_counts, orbit_pairs
 
 
 def injectivity_radius(group, x):
@@ -26,17 +26,16 @@ def injectivity_radius(group, x):
     rho_x is Gamma-invariant, so x is first reduced toward 0 to keep the
     ball small.  The smallest generator displacement d0 at x bounds the
     minimum, and the ball at 0 of radius d0 + 2 rho(0, x) (plus 0.5 of
-    slack) holds every gamma with rho(x, gamma x) <= d0.
+    slack) holds every gamma with rho(x, gamma x) <= d0.  A group with no
+    generators has only the identity: rho_x is infinite.
     """
-    if group.is_trivial:
-        return math.inf
     x = complex(group.reduce_points([x])[0])
     d0 = group.min_generator_displacement(x)
     ball = enumerate_ball(group, 0.0j,
                           d0 + 0.5 + 2.0 * float(distance(0.0j, x)))
     # the identity is the BFS root; in a finite group it need not be first
     pts = ball.terms(x)[0][ball.nodes != 0]
-    return 0.5 * float(np.min(distance(x, pts)))
+    return 0.5 * float(np.min(distance(x, pts), initial=math.inf))
 
 
 @dataclass
@@ -102,16 +101,14 @@ def psi_values(group, x, r, zs):
     """psi^x on an array of points; -inf marker on (near) the orbit of x.
 
     psi^x(z) = sum over orbit points p of a(log(rho(z,p)^2 / r^2)); only
-    p with rho(z,p) < r contribute, so the ball at 0 of reach
-    max rho(0,z) + rho(0,x) + r covers the support.
+    p with rho(z,p) < r contribute, and orbit_pairs finds those.
     """
     x = complex(x)
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     # querying at SINGULAR_TOL at least keeps the -inf marker for tiny r
     q = max(r, SINGULAR_TOL)
-    ball = enumerate_ball(group, 0.0j, orbit_reach(x, zs, q) + 1e-6)
-    iz, ib = orbit_pairs(ball, x, zs, q)
-    d = distance(ball.terms(x)[0][ib], zs[iz])
+    iz, p = orbit_pairs(group, x, zs, q)
+    d = distance(p, zs[iz])
     with np.errstate(divide="ignore"):
         t = 2.0 * np.log(np.maximum(d, 1e-300) / r)
     val, _ = cutoff_a(t)
@@ -138,8 +135,9 @@ def quasi_psh_check(group, x, r, spacing=0.0125, lower=None):
 
     Uses the 9-point Laplacian at spacings h = 1e-3 and h/2; tau is twice
     the largest discrepancy between the two, the empirical discretisation
-    scale.  Grid points within 10h of an orbit point of x are excluded
-    (psi is log-singular there and the bound holds distributionally).
+    scale.  Grid points within Euclidean distance 10h of an orbit point of
+    x within r are excluded (psi is log-singular at those, and the bound
+    holds distributionally).
     `lower` overrides the coefficient -2 D (the single-center configuration
     obeys the sharper -2/r^2).
     """
@@ -154,13 +152,8 @@ def quasi_psh_check(group, x, r, spacing=0.0125, lower=None):
         zs = zs[np.abs(zs) < 0.9]
     else:
         zs = dirichlet_domain(group, spacing=spacing).nodes
-    # stencils stay in each node's h-square; hyperbolic balls are Euclidean
-    # discs, so the corners' ball at 0 serves every psi_values call below
-    corners = zs[:, None] + h * np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
-    ball = enumerate_ball(group, 0.0j, orbit_reach(x, corners, r) + 1e-6)
-    pts = ball.terms(x)[0]
-    near = np.min(np.abs(zs[:, None] - pts[None, :]), axis=1)
-    zs = zs[near > 10.0 * h]
+    iz, p = orbit_pairs(group, x, zs, r)
+    zs = np.delete(zs, iz[np.abs(zs[iz] - p) <= 10.0 * h])
 
     def lap(hh):
         # 9-point Laplacian: (4*edges + corners - 20*center) / (6 h^2)

@@ -1,10 +1,11 @@
-"""Every option of the library is used: no defaulted parameter nobody sets.
+"""Every option of the library is used, and every default is relied on.
 
 An AST scan lists the defaulted parameters of every function in `src/`.  A
 parameter counts as set when some call in `src/`, `tests/` or `perfbench/`
 to a callee of the same name passes it by keyword, by position (after
 `self` on methods) or through `*args`/`**kwargs`.  A parameter that no call
-sets is a constant in disguise and should be written as one.
+sets is a constant in disguise and should be written as one; a default
+that every call overrides is a required parameter in disguise.
 """
 
 import ast
@@ -74,6 +75,14 @@ def _is_set(index, param, calls):
     return False
 
 
+def _relies(index, param, calls):
+    """Some call passes param neither by keyword nor by position, and has
+    no `*`/`**` that might pass it."""
+    return any(param not in kws and not starred and not double_star
+               and (index is None or index >= n_pos)
+               for n_pos, starred, kws, double_star in calls)
+
+
 def test_every_defaulted_parameter_is_set_by_a_caller():
     params = _defaulted_params()
     calls = _calls()
@@ -84,6 +93,36 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
     unset = [f"{where} {fn}({p}=...)" for fn, p, k, where in params
              if not _is_set(k, p, calls.get(fn, []))]
     assert unset == []
+
+
+def test_every_default_is_relied_on_by_a_caller():
+    params = _defaulted_params()
+    calls = _calls()
+    # not vacuous: the scan sees calls that omit an option and calls that
+    # all pass one
+    assert _relies(3, "margin", calls["enumerate_ball"])
+    assert not _relies(1, "spacing", calls["dirichlet_domain"])
+    overridden = [f"{where} {fn}({p}=...)" for fn, p, k, where in params
+                  if not _relies(k, p, calls.get(fn, []))]
+    assert overridden == []
+
+
+def test_orbit_queries_size_their_own_ball():
+    # orbit_pairs fetches the ball that covers its query, so no function
+    # that calls it also sizes a ball of its own
+    callers = []
+    for path, tree in _trees("src"):
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            names = {getattr(c.func, "id", None) or getattr(c.func, "attr",
+                                                            None)
+                     for c in ast.walk(fn) if isinstance(c, ast.Call)}
+            if "orbit_pairs" in names:
+                callers.append((fn.name, "enumerate_ball" in names))
+    assert {"orbit_counts", "psi_values", "quasi_psh_check"} \
+        <= {f for f, _ in callers}
+    assert [f for f, sized in callers if sized] == []
 
 
 def _cli_functions():

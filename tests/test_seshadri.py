@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from discforms import seshadri
 from discforms.domain import dirichlet_domain
-from discforms.errors import InsufficientBall
 from discforms.geometry import distance
 from discforms.group import (
     enumerate_ball, orbit_counts, orbit_pairs, preset_genus2_octagon,
@@ -133,6 +133,26 @@ def test_quasi_psh_single_center(trivial):
     assert rep.n_violations == 0
 
 
+def test_quasi_psh_skips_only_nodes_near_the_singular_orbit(trivial,
+                                                            monkeypatch):
+    # Grid nodes 0 and 0.0125 both lie within 10h = 0.01 of the orbit
+    # point x = 0.005, at rho 0.0100 and 0.0150.  At r = 0.0125 psi is
+    # singular only at orbit points within r, so node 0 is skipped and
+    # node 0.0125, where psi is smooth, is checked.
+    x, r = 0.005 + 0j, 0.0125
+    assert distance(x, 0.0) < r < distance(x, 0.0125)
+    calls = []
+    real_psi = seshadri.psi_values
+    monkeypatch.setattr(seshadri, "psi_values",
+                        lambda *a: calls.append(a[3]) or real_psi(*a))
+    rep = quasi_psh_check(trivial, x, r)
+    # the first Laplacian stencil point of each checked node is node + h
+    checked = calls[0] - rep.fd_spacing
+    assert len(checked) == rep.n_checked
+    assert np.min(np.abs(checked - 0.0125)) < 1e-9
+    assert np.min(np.abs(checked - 0.0)) > 0.01
+
+
 def test_seshadri_consistency(octagon, rho0):
     rep = seshadri_lower_bound(octagon, 0.0j)
     assert rep.rho_x == pytest.approx(rho0, abs=1e-15)
@@ -234,14 +254,30 @@ def _dense_reference(ball, x, zs, r):
     return pairs, np.array([len(p) for p in pairs]), np.array(psi)
 
 
-def _assert_pairs_match(ball, x, zs, r, want):
-    """orbit_pairs equals the dense pairs, point by point, in ball order."""
-    iz, ib = orbit_pairs(ball, x, zs, r)
-    for k, w in enumerate(want):
-        assert np.array_equal(ib[iz == k], w)
-    # each point's pairs form one run
-    assert np.count_nonzero(np.diff(iz)) == np.count_nonzero(
-        [len(w) for w in want]) - 1
+def _assert_pairs_match(octagon, x, zs, r, ball, want):
+    """orbit_pairs equals the dense pairs on the ball at 0 in order: points
+    in order of rho(0, z), each point's orbit points in ball order.  The
+    query must read a slice of the same cached ball."""
+    iz, p = orbit_pairs(octagon, x, zs, r)
+    pts = ball.terms(x)[0]
+    order = np.argsort(distance(0.0j, zs), kind="stable")
+    none = [np.zeros(0, dtype=np.int64)]
+    assert np.array_equal(iz, np.concatenate(
+        none + [np.full(len(want[k]), k) for k in order]))
+    assert np.array_equal(p, np.concatenate(
+        none + [pts[want[k]] for k in order]))
+    return iz, p
+
+
+def _same_points(a, b, tol=1e-9):
+    """The same points up to rounding, in any order; orbit points lie far
+    more than tol apart, so nearest neighbours both ways pair them up."""
+    if len(a) != len(b):
+        return False
+    if not len(a):
+        return True
+    gap = np.abs(a[:, None] - b[None, :])
+    return gap.min(axis=0).max() < tol and gap.min(axis=1).max() < tol
 
 
 def _refinement_grid(octagon, x, r):
@@ -264,8 +300,8 @@ def _shifted_quasi_psh_grid(octagon, x, r):
 # with rho(x, z) > r, where the displacement window of orbit_pairs is cut
 # below as well as above.  0.7 lies outside D_0 (the octagon's edge
 # midpoints lie at |z| = 0.643), where the ball at x is only empirically
-# complete.  Each case queries the ball at 0, as the library does, and the
-# ball at x, whose window is not widened.
+# complete.  The query reads the ball at 0; the dense references scan the
+# ball at 0 and, as an independent enumeration, the ball at x.
 @pytest.mark.parametrize("grid, factor, x", [
     pytest.param(_refinement_grid, 2.0, 0.0j, id="_refinement_grid-2.0"),
     pytest.param(_refinement_grid, 3.0, 0.0j, id="_refinement_grid-3.0"),
@@ -291,7 +327,12 @@ def test_orbit_queries_match_dense_reference(octagon, grid, factor, x):
                  + float(distance(base, x)) + r + 1e-9)
         ball = enumerate_ball(octagon, base, reach)
         pairs, want_counts, psi = _dense_reference(ball, x, zs, r)
-        _assert_pairs_match(ball, x, zs, r, pairs)
+        if base == 0:
+            iz, p = _assert_pairs_match(octagon, x, zs, r, ball, pairs)
+        else:
+            pts = ball.terms(x)[0]
+            for k, w in enumerate(pairs):
+                assert _same_points(p[iz == k], pts[w]), k
         assert np.array_equal(counts, want_counts)
         assert np.array_equal(np.isinf(got), np.isinf(psi))
         np.testing.assert_allclose(got, psi, rtol=1e-13, atol=0.0)
@@ -304,22 +345,26 @@ def test_orbit_queries_below_singular_tol(octagon):
     zs = np.array([0.0j, octagon.generators[2].apply(0.0j), 2e-10, 0.3])
     ball = enumerate_ball(octagon, 0.0j, 4.0)
     pairs, counts, psi = _dense_reference(ball, 0.0j, zs, r)
-    _assert_pairs_match(ball, 0.0j, zs, r, pairs)
+    _assert_pairs_match(octagon, 0.0j, zs, r, ball, pairs)
     assert list(psi) == [-math.inf, -math.inf, -math.inf, 0.0]
     assert list(counts) == [1, 1, 0, 0]
     assert np.array_equal(orbit_counts(octagon, 0.0j, zs, r), counts)
     assert np.array_equal(psi_values(octagon, 0.0j, r, zs), psi)
 
 
-def test_orbit_query_needs_covering_ball(octagon):
-    # rho(0, 0.3) + rho(0, x) + r must not pass the ball radius, or orbit
-    # points beyond it would be missed without a word
-    ball = enumerate_ball(octagon, 0.0j, 4.0)
+def test_orbit_query_needs_covering_ball():
+    # one query leaves the ball at 0 cached at no less than its reach
+    # max rho(0, z) + rho(0, x) + r, and its counts equal the dense counts
+    # over a wider ball, so no orbit point beyond the cached one is missed
     zs = np.array([0.0j, 0.3])
     for x in (0.0j, 0.2 + 0.1j):
-        reach = float(distance(0.0j, 0.3)) + float(distance(0.0j, x))
-        iz, _ = orbit_pairs(ball, x, zs, 4.0 - reach)
-        assert np.array_equal(np.bincount(iz, minlength=2),
-                              orbit_counts(octagon, x, zs, 4.0 - reach))
-        with pytest.raises(InsufficientBall):
-            orbit_pairs(ball, x, zs, 4.0 - reach + 1e-9)
+        reach = 4.0
+        r = reach - float(distance(0.0j, 0.3)) - float(distance(0.0j, x))
+        g = preset_genus2_octagon()
+        counts = orbit_counts(g, x, zs, r)
+        (ball,) = g._ball_cache.values()
+        assert ball.radius >= reach - 1e-12
+        wide = enumerate_ball(preset_genus2_octagon(), 0.0j, reach + 1.0)
+        _, want, _ = _dense_reference(wide, x, zs, r)
+        assert np.array_equal(counts, want)
+        assert want.sum() > 0
