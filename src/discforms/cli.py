@@ -139,11 +139,9 @@ def cmd_automorphy_check(args):
     worst = 0.0
     records = []
     gens = list(g.generators) + [h.inverse() for h in g.generators]
-    for _ in range(args.samples):
+    for _ in range(args.samples if gens else 0):
         z = disc_points(rng, 1, 0.5)[0]
-        h = gens[rng.integers(len(gens))] if gens else None
-        if h is None:
-            break
+        h = gens[rng.integers(len(gens))]
         res, pz, pgz = series.automorphy_residual(g, f, args.m, h,
                                                   complex(z), args.radius)
         bound = 2.0 * max(pz.tail_estimate, pgz.tail_estimate)
@@ -247,13 +245,10 @@ def cmd_quasi_psh_check(args):
     g = load_group(args.group)
     rho = seshadri.injectivity_radius(g, complex(args.x))
     base = rho if math.isfinite(rho) else 1.0
-    reports = []
-    bad = 0
-    for s in args.r_factors:
-        rep = seshadri.quasi_psh_check(g, complex(args.x), s * base,
-                                       spacing=args.spacing)
-        reports.append(rep)
-        bad += rep.n_violations
+    reports = [seshadri.quasi_psh_check(g, complex(args.x), s * base,
+                                        spacing=args.spacing)
+               for s in args.r_factors]
+    bad = sum(rep.n_violations for rep in reports)
     return {"passed": bad == 0, "reports": reports}, bad == 0
 
 

@@ -111,10 +111,9 @@ def _arc_polygon_area(vertices):
         c, rad, pa, pb = params
         dphi = np.angle(np.exp(1j * (pb - pa)))  # short way around
         # 1/2 Int Im(conj(p) dp) over the arc p = c + rad e^{i phi}
-        seg = 0.5 * (rad * rad * dphi
-                     + rad * (np.conj(c)
-                              * (np.exp(1j * pb) - np.exp(1j * pa))).imag)
-        area += seg
+        area += 0.5 * (rad * rad * dphi
+                       + rad * (np.conj(c)
+                                * (np.exp(1j * pb) - np.exp(1j * pa))).imag)
     return float(area)
 
 

@@ -128,17 +128,13 @@ def very_ampleness_scan(group, m, n_samples, d=6, radius=8.0, seed=0,
     # the sections' ball first, so that the sampler's domain ball is a slice
     enumerate_ball(group, 0.0j, radius)
     pts = sample_fundamental_domain(group, 3 * n_samples, seed=seed)
-    jet_ratios = []
-    jet_fail = []
-    for z in pts[:n_samples]:
-        res = jet_separation_test(group, m, d, radius, z)
-        jet_ratios.append(res.singular_ratio)
-        if not res.passed:
-            jet_fail.append(complex(z))
+    jets = [jet_separation_test(group, m, d, radius, z)
+            for z in pts[:n_samples]]
+    jet_ratios = [res.singular_ratio for res in jets]
+    jet_fail = [complex(z) for z, res in zip(pts, jets) if not res.passed]
     pt_ratios = []
     pt_fail = []
-    pairs = zip(pts[n_samples:2 * n_samples], pts[2 * n_samples:])
-    for x, y in pairs:
+    for x, y in zip(pts[n_samples:2 * n_samples], pts[2 * n_samples:]):
         try:
             res = point_separation_test(group, m, d, radius, x, y)
         except EquivalentPoints:

@@ -37,9 +37,9 @@ _DISP_BIN = 1e-12
 
 DEFAULT_ELEMENT_CAP = 5_000_000
 
-# Pairs orbit_pairs and kernels.relative_poincare handle at once: ~1 MB
-# complex temporaries, which stay in cache.  Chunks of 4M pairs ran slower
-# and held about 300 MB at the CLI defaults.
+# Pairs orbit_pairs handles at once: ~1 MB complex temporaries, which stay
+# in cache.  Chunks of 4M pairs ran slower and held about 300 MB at the CLI
+# defaults.
 _PAIR_CHUNK = 65_536
 
 

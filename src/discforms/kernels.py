@@ -7,11 +7,19 @@ integrals:
     ||z^k||^2 = pi^(m-1) * 2 pi * Int r^(2k+1) (1-r^2)^(2m-2) dr
               = pi^m * B(k+1, 2m-1),
 
-so K_m(z,w) = sum z^k conj(w)^k / ||z^k||^2
+so K_m(z,w) = sum a_k (z conj(w))^k,  a_k = (2m-1)/pi^m C(2m-1+k, k),
             = (2m-1)/pi^m * (1 - z conj(w))^(-2m)
 
 by the binomial series.  The closed form is frozen here; the truncated
 orthonormal series stays available as its permanent oracle.
+
+Against a density on nodes w, sum_w dens_w K_m(z, w) = sum_k a_k M_k z^k
+with moments M_k = sum_w dens_w conj(w)^k.  For t = max|z| max|w| and
+S = sum|dens_w| the term ratio a_{k+1} t / a_k = t (2m+k)/(k+1) falls with
+k, so the terms after order N sum to at most S a_{N+1} t^(N+1) /
+(1 - t (2m+N+1)/(N+2)).  N is the least order making that at most one unit
+roundoff 2^-53 of S (2m-1)/pi^m (1-t)^(-2m), the termwise-absolute sum
+that bounds the direct sum's own rounding.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import numpy as np
 
 from .geometry import check_disc_point, disc_points
 from .domain import dirichlet_domain
-from .group import _PAIR_CHUNK, enumerate_ball
+from .group import enumerate_ball
 from .series import poincare_values, _polar_grid
 
 
@@ -35,22 +43,25 @@ def weighted_kernel(m, z, w):
     return (2 * m - 1) / np.pi ** m * (1.0 - z * np.conj(w)) ** (-2 * m)
 
 
-def weighted_kernel_series(m, z, w, degree=200):
-    """Truncated orthonormal expansion of K_m; oracle for the closed form."""
+def _kernel_coefficients(m):
+    """a_0, a_1, ...: a_0 = (2m-1)/pi^m and a_k = a_{k-1} (2m-1+k)/k."""
     if m < 2:
         raise ValueError("weight m must be >= 2")
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
+    c, k = (2 * m - 1) / np.pi ** m, 0
+    while True:
+        yield c
+        c, k = c * (2 * m + k) / (k + 1), k + 1
+
+
+def weighted_kernel_series(m, z, w, degree=200):
+    """Truncated orthonormal expansion of K_m; oracle for the closed form."""
+    z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
     zw = z * np.conj(w)
-    # coefficient (2m-1) * C(2m-1+k, k) / pi^m by the recurrence
-    # c_{k} = c_{k-1} * (2m-1+k)/k
-    total = np.zeros(np.broadcast(z, w).shape, dtype=complex)
-    c = (2 * m - 1) / np.pi ** m
+    total = np.zeros(zw.shape, dtype=complex)
     power = np.ones_like(total)
-    for k in range(degree + 1):
+    for _, c in zip(range(degree + 1), _kernel_coefficients(m)):
         total = total + c * power
         power = power * zw
-        c = c * (2 * m + k) / (k + 1)
     return total[()] if total.shape == () else total
 
 
@@ -133,24 +144,31 @@ def cm_constant(m, probes=(0.0, 0.2, 0.4j, -0.3 + 0.3j, 0.5)):
 
 
 def relative_poincare(domain, h_values, m, z):
-    """f(z) = Int_F h(w) K_m(z,w) K(w,w)^(1-m) d(lambda)(w).
+    """(f, tail_bound): f(z) = Int_F h(w) K_m(z,w) K(w,w)^(1-m) d(lambda)(w).
 
     h is given by its values on the domain quadrature nodes; z may be an
     array.  The result is holomorphic in z and P_m(f) recovers the
-    automorphic h.
+    automorphic h.  f is the module docstring's moment series, cut at its
+    least certified order N by Horner's rule; tail_bound bounds the cut.
     """
-    z = np.asarray(z, dtype=complex)
-    nodes = domain.nodes
+    z = check_disc_point(np.asarray(z, dtype=complex))
+    nodes = check_disc_point(domain.nodes)
     dens = (h_values * domain.weights
             * (np.pi * (1.0 - np.abs(nodes) ** 2) ** 2) ** (m - 1))
-    flat = z.ravel()
-    out = np.empty(flat.shape, dtype=complex)
-    chunk = max(1, _PAIR_CHUNK // max(len(nodes), 1))
-    for i in range(0, len(flat), chunk):
-        zz = flat[i:i + chunk, None]
-        out[i:i + chunk] = np.sum(
-            weighted_kernel(m, zz, nodes[None, :]) * dens[None, :], axis=1)
-    return out.reshape(z.shape)[()] if z.shape == () else out.reshape(z.shape)
+    t = np.max(np.abs(z), initial=0.0) * np.max(np.abs(nodes), initial=0.0)
+    goal = 2.0 ** -53 * (2 * m - 1) / np.pi ** m * (1.0 - t) ** (-2 * m)
+    b, power, wbar = [], dens, np.conj(nodes)     # b_k = a_k M_k
+    for k, c in enumerate(_kernel_coefficients(m)):
+        ratio = t * (2 * m + k) / (k + 1)   # >= a_{j+1} t / a_j for j >= k
+        tail = c * t ** k / (1.0 - ratio) if ratio < 1.0 else np.inf
+        if b and tail <= goal:
+            break
+        b.append(c * np.sum(power))
+        power = power * wbar
+    out = np.full(z.shape, b[-1])
+    for bk in b[-2::-1]:
+        out = out * z + bk
+    return out, float(tail * np.sum(np.abs(dens)))
 
 
 @dataclass
@@ -175,10 +193,11 @@ def roundtrip_check(group, f0, m, sample_points, spacing, radius=8.0):
     h_nodes = poincare_values(group, f0, m, domain.nodes, radius)
     h_samples = poincare_values(group, f0, m, samples, radius)
 
+    # one moment build for all samples; row s is sample s's orbit
+    orbit, den = (np.ascontiguousarray(a.T) for a in ball.terms(samples))
+    f, _ = relative_poincare(domain, h_nodes, m, orbit)
     rel = []
-    for zs, hz in zip(samples, h_samples):
-        orbit, den = ball.terms(zs)
-        f_orbit = relative_poincare(domain, h_nodes, m, orbit)
-        resummed = complex(np.sum(f_orbit * den ** (-2 * m)))
+    for f_orbit, den_s, hz in zip(f, den, h_samples):
+        resummed = complex(np.sum(f_orbit * den_s ** (-2 * m)))
         rel.append(abs(resummed - hz) / max(abs(hz), 1e-300))
     return RoundTripReport(max(rel), rel, list(samples), spacing, radius)

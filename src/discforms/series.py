@@ -74,9 +74,6 @@ class SeedFunction:
         return float(np.max(np.abs(self(th))))
 
 
-ONE = SeedFunction.poly([1.0])
-
-
 @dataclass
 class SeriesValue:
     """Value of a truncated orbit sum with its estimated tail."""

@@ -53,14 +53,16 @@ def density(group, x, r, spacing=0.02, refine=True):
     The count is Gamma-invariant in z, so the sup is scanned over a grid on
     the fundamental domain, with one local refinement pass around the best
     candidate at spacing r/20 (hyperbolic, converted at the candidate).
+    The reduced x is a candidate too: it counts x, so D >= 1/r^2 at any r.
     """
     if r <= 0:
         raise ValueError("r must be positive")
     x = complex(x)
     if group.is_trivial:
         return DensityReport(1.0 / r ** 2, 1, x, r, 1)
-    domain = dirichlet_domain(group, spacing=spacing)
-    zs = domain.nodes
+    nodes = dirichlet_domain(group, spacing=spacing).nodes
+    # argmax takes the first maximum: x wins only with a strictly higher count
+    zs = np.append(nodes, group.reduce_points([x]))
     counts = orbit_counts(group, x, zs, r)
     i = int(np.argmax(counts))
     best, center = int(counts[i]), complex(zs[i])
@@ -75,7 +77,7 @@ def density(group, x, r, spacing=0.02, refine=True):
         j = int(np.argmax(lc))
         if lc[j] > best:
             best, center = int(lc[j]), complex(local[j])
-    return DensityReport(best / r ** 2, best, center, r, len(zs))
+    return DensityReport(best / r ** 2, best, center, r, len(nodes))
 
 
 def cutoff_a(t):
@@ -197,13 +199,10 @@ def seshadri_lower_bound(group, x):
     for r in [rho * s for s in (1.0, 1.25, 1.5, 2.0, 3.0)]:
         dv = density(group, x, r).value
         rows.append((float(r), dv, 1.0 / (2.0 * dv)))
-    best = max(rows, key=lambda t: t[2])
+    best_r, d_best, bound_density = max(rows, key=lambda t: t[2])
     bound_inj = rho * rho / 2.0
-    bound_density = best[2]
-    return SeshadriReport(
-        rho_x=rho, best_r=best[0], D_best=best[1], bound_inj=bound_inj,
-        bound_density=bound_density,
-        epsilon_lower=max(bound_inj, bound_density), candidates=rows)
+    return SeshadriReport(rho, best_r, d_best, bound_inj, bound_density,
+                          max(bound_inj, bound_density), rows)
 
 
 def ampleness_thresholds(epsilon, n, C=None):

@@ -179,6 +179,16 @@ def test_injectivity_command(tmp_path):
     assert data["report"]["rho_x"] == pytest.approx(1.5285709, rel=1e-6)
 
 
+def test_density_floor_command(tmp_path):
+    # r = 0.015 is below the grid's reach of the orbit of 0; the reduced x
+    # is a candidate center, so the count is 1, not 0
+    code, data = run(tmp_path, "density", "--r", "0.015")
+    assert code == 0
+    rep = data["report"]
+    assert rep["best_count"] == 1 and rep["best_center"] == [0.0, 0.0]
+    assert rep["value"] == pytest.approx(1.0 / 0.015 ** 2, rel=1e-15)
+
+
 def test_injectivity_trivial_is_null(tmp_path):
     # the report is strict JSON: no orbit, so rho_x is null, not Infinity
     code, data = run(tmp_path, "injectivity-radius", "--group", "trivial")

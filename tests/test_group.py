@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from discforms import group as group_module, seshadri
+from discforms import group as group_module, kernels, seshadri
 from discforms.domain import dirichlet_domain
 from discforms.embedding import very_ampleness_scan
 from discforms.errors import BudgetExceeded, ConfigError
@@ -297,6 +297,27 @@ def test_orbit_work_reads_only_the_ball_at_0(monkeypatch):
         assert list(g._ball_cache) == [(0.0, 0.0)]
         assert n_builds is None or len(builds) == n_builds
     assert psi_builds == [0] * 18
+
+
+def test_roundtrip_sums_the_moments_once(monkeypatch):
+    # one ball, and one relative_poincare call for all samples together,
+    # so the kernel moments are built once per round trip
+    builds, calls = [], []
+    real_probe, real_rp = group_module._probe_points, kernels.relative_poincare
+    monkeypatch.setattr(group_module, "_probe_points",
+                        lambda x: builds.append(x) or real_probe(x))
+    monkeypatch.setattr(kernels, "relative_poincare",
+                        lambda *args: calls.append(args) or real_rp(*args))
+    seed = SeedFunction.poly([1.0])
+    for pts in ([0.1], [0.1, 0.2j, -0.15 + 0.05j]):
+        builds.clear()
+        calls.clear()
+        rep = roundtrip_check(preset_genus2_octagon(), seed, 4, pts,
+                              spacing=0.05)
+        assert len(builds) == 1 and len(calls) == 1
+        # row s of the one call is sample s's orbit
+        assert calls[0][3].shape == (len(pts), 793)
+        assert len(rep.rel_errors) == len(pts) and rep.max_rel_error < 0.05
 
 
 def test_restrict_matches_mask():

@@ -1,12 +1,16 @@
 """Weighted kernels: closed form vs series, transformation, round trip."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from discforms.domain import dirichlet_domain
+from discforms.errors import BoundaryPoint
+from discforms.geometry import disc_points
+from discforms.group import enumerate_ball
 from discforms.kernels import (
     cm_constant, kernel_transformation_check, relative_poincare,
     reproducing_check, roundtrip_check, weighted_kernel,
@@ -128,15 +132,144 @@ def oct_domain(octagon):
 
 def test_relative_poincare_linear(octagon, oct_domain):
     h0 = np.zeros(len(oct_domain.nodes), dtype=complex)
-    assert relative_poincare(oct_domain, h0, 4, 0.1 + 0.1j) == 0.0
+    assert relative_poincare(oct_domain, h0, 4, 0.1 + 0.1j) == (0.0, 0.0)
+    f0, tail0 = relative_poincare(oct_domain, h0, 6, np.array([0.0, 0.99j]))
+    assert tail0 == 0.0 and np.all(f0 == 0.0)
     h1 = poincare_values(octagon, ONE, 4, oct_domain.nodes, 6.0)
     h2 = poincare_values(octagon, SeedFunction.poly([0, 1.0]), 4,
                          oct_domain.nodes, 6.0)
     za = np.array([0.1 + 0.1j, -0.2j])
-    lin = relative_poincare(oct_domain, h1 + 2.0 * h2, 4, za)
-    sep = relative_poincare(oct_domain, h1, 4, za) \
-        + 2.0 * relative_poincare(oct_domain, h2, 4, za)
+    lin, _ = relative_poincare(oct_domain, h1 + 2.0 * h2, 4, za)
+    sep = relative_poincare(oct_domain, h1, 4, za)[0] \
+        + 2.0 * relative_poincare(oct_domain, h2, 4, za)[0]
     assert np.max(np.abs(lin - sep)) < 1e-12
+
+
+# --- the moment series against the direct sum over the nodes -------------
+
+U = 2.0 ** -53   # unit roundoff
+
+
+def _direct_relative_poincare(domain, h_values, m, z):
+    """Sum of K_m(z, w) dens_w over the nodes, by the closed form.
+
+    The dense evaluation that the moment series replaced, kept as its
+    oracle; rows of z are taken in chunks of about 2^16 pairs.
+    """
+    z = np.asarray(z, dtype=complex)
+    nodes = domain.nodes
+    dens = (h_values * domain.weights
+            * (np.pi * (1.0 - np.abs(nodes) ** 2) ** 2) ** (m - 1))
+    flat = z.ravel()
+    out = np.empty(flat.shape, dtype=complex)
+    chunk = max(1, 2 ** 16 // len(nodes))
+    for i in range(0, len(flat), chunk):
+        out[i:i + chunk] = np.sum(
+            weighted_kernel(m, flat[i:i + chunk, None], nodes[None, :])
+            * dens[None, :], axis=1)
+    return out.reshape(z.shape), dens
+
+
+def _tail_after(m, t, n):
+    """The module's bound on sum_{k>n} a_k t^k, from exact binomials."""
+    ratio = t * (2 * m + n + 1) / (n + 2)
+    if ratio >= 1.0:
+        return math.inf
+    a = (2 * m - 1) / math.pi ** m * math.comb(2 * m + n, n + 1)
+    return a * t ** (n + 1) / (1.0 - ratio)
+
+
+def _order_of(m, t, tail_factor):
+    """The order N whose tail bound is tail_factor; the bound falls
+    strictly with N, so at most one order matches."""
+    n = 0
+    while _tail_after(m, t, n) > tail_factor * (1 + 1e-9):
+        n += 1
+    assert _tail_after(m, t, n) == pytest.approx(tail_factor, rel=1e-9)
+    return n
+
+
+def _moment_rounding_bound(m, n_order, n_nodes, zs, wmax, s_abs):
+    """Bound on |moment series - direct sum| from rounding, first order in U.
+
+    Both sides start from the same computed densities.  With
+    t = |z| max|w|, B = S (2m-1)/pi^m (1-t)^(-2m) bounds both
+    sum_w |dens_w K_m(z, w)| and sum_k a_k |M_k| |z|^k.  Direct sum: the
+    closed form is within (4m t/(1-t) + 20) U of K_m (see
+    _series_rounding_bound), the product with dens adds 3 U and the
+    pairwise sum (log2 n + 1) U.  Moments: conj(w)^k after k complex
+    products is within 3k U, the pairwise sum adds log2 n + 1, a_k after
+    2k + 3 roundings and b_k = a_k M_k one more, so b_k is within
+    (5k + log2 n + 5) U a_k sum_w |dens_w| |w|^k.  Horner's rule adds at
+    most 4N U B (a complex product and a sum per step).
+    """
+    t = np.abs(zs) * wmax
+    big_b = s_abs * (2 * m - 1) / math.pi ** m * (1.0 - t) ** (-2 * m)
+    lg = math.log2(n_nodes)
+    return U * big_b * (9 * n_order + 4 * m * t / (1.0 - t) + 2 * lg + 31)
+
+
+def _check_against_direct(domain, h, m, zs):
+    f, tail = relative_poincare(domain, h, m, zs)
+    direct, dens = _direct_relative_poincare(domain, h, m, zs)
+    wmax = float(np.max(np.abs(domain.nodes)))
+    s_abs = float(np.sum(np.abs(dens)))
+    t = float(np.max(np.abs(zs))) * wmax
+    n_order = _order_of(m, t, tail / s_abs)
+    # N is the least certified order: the bound one order lower misses
+    goal = U * (2 * m - 1) / math.pi ** m * (1.0 - t) ** (-2 * m)
+    assert _tail_after(m, t, n_order) <= goal
+    assert n_order == 0 or _tail_after(m, t, n_order - 1) > goal
+    rounding = _moment_rounding_bound(m, n_order, len(domain.nodes), zs,
+                                      wmax, s_abs)
+    assert np.all(np.abs(f - direct) <= tail + rounding)
+    # the stated bound is loose; the sums agree far more closely
+    assert np.max(np.abs(f - direct)) <= 1e-13 * np.max(np.abs(direct))
+    return n_order
+
+
+@pytest.mark.parametrize("radius", [8.0, 10.0])
+def test_moment_series_matches_direct_sum_on_orbits(octagon, radius):
+    dom = dirichlet_domain(octagon, spacing=0.04)
+    orbit = enumerate_ball(octagon, 0.0j, radius).terms(0.1 + 0.1j)[0]
+    for m in (2, 3, 4, 6):
+        h = poincare_values(octagon, SeedFunction.poly([1.0, 0.5j]), m,
+                            dom.nodes, 6.0)
+        # orbit points reach |z| = 0.9999, so many orders are needed
+        assert _check_against_direct(dom, h, m, orbit) > 100
+
+
+def test_moment_series_matches_direct_sum_on_the_whole_disc(trivial):
+    # the trivial group's nodes reach |w| = 1 - 1e-4, but its orbits are
+    # the samples alone, so t = max|z| max|w| stays below 0.3
+    dom = dirichlet_domain(trivial, spacing=0.04)
+    assert np.max(np.abs(dom.nodes)) > 0.99
+    zs = random_disc_points(np.random.default_rng(5), 10, 0.3)
+    for m in (2, 4):
+        h = poincare_values(trivial, SeedFunction.poly([1.0, 0.5j]), m,
+                            dom.nodes, 2.0)
+        assert _check_against_direct(dom, h, m, zs) < 80
+
+
+def test_tail_bound_is_small_at_the_roundtrip_defaults(octagon, oct_domain):
+    # cli roundtrip at its defaults: m = 4, R = 8, spacing 0.02, seed 0;
+    # the truncation is five orders below the round trip's own error
+    samples = disc_points(np.random.default_rng(0), 10, 0.3)
+    h = poincare_values(octagon, ONE, 4, oct_domain.nodes, 8.0)
+    orbit = enumerate_ball(octagon, 0.0j, 8.0).terms(samples)[0]
+    f, tail = relative_poincare(oct_domain, h, 4, orbit)
+    assert 0.0 < tail < 1e-10 * np.max(np.abs(f))
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1.0, 1.5j, complex(0.3, np.nan)])
+def test_relative_poincare_rejects_points_off_the_disc(oct_domain, bad):
+    h = np.ones(len(oct_domain.nodes))
+    with pytest.raises(BoundaryPoint):
+        relative_poincare(oct_domain, h, 4, np.array([0.1, bad]))
+    nodes = oct_domain.nodes.copy()
+    nodes[7] = bad
+    with pytest.raises(BoundaryPoint):
+        relative_poincare(replace(oct_domain, nodes=nodes), h, 4, 0.1)
 
 
 def test_roundtrip_trivial(trivial):

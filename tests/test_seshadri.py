@@ -60,6 +60,16 @@ def test_density_at_injectivity_radius(octagon, rho0):
     assert density(octagon, 0.0j, rho0).value == 1.0 / rho0 ** 2
 
 
+@pytest.mark.parametrize("r", [0.01, 0.015])
+@pytest.mark.parametrize("x", [0.0j, 0.3 - 0.1j])
+def test_density_floor_below_grid_reach(octagon, r, x):
+    # no grid node lies within r of an orbit point, but a center at x
+    # counts x itself: D(r, x) >= 1/r^2
+    rep = density(octagon, x, r)
+    assert rep.best_count >= 1 and rep.value >= 1.0 / r ** 2
+    assert orbit_counts(octagon, x, rep.best_center, r)[0] == rep.best_count
+
+
 def test_density_count_monotone(octagon):
     z = 0.2 + 0.1j
     counts = [orbit_counts(octagon, 0.0j, z, r)[0]
