@@ -2,12 +2,14 @@
 
 The Dirichlet domain about 0 is the intersection of the half-spaces
 {z : rho(z, 0) <= rho(z, gamma 0)} over the non-identity elements of an
-orbit ball.  Each bounding bisector is a geodesic; in the Klein model
-geodesics are straight chords, so the polygon is cut there with ordinary
-convex half-plane clipping and mapped back to the Poincare disc.  Sides of
-the resulting Poincare polygon are arcs of circles orthogonal to the unit
-circle.  A domain is its CCW vertex list; geometry.in_convex_polygon, the
-one membership test, works in the Klein model, where sides are linear.
+orbit ball.  In the Klein model the bisector of 0 and p = gamma 0 is the
+chord perpendicular to the radius through the hyperbolic midpoint, whose
+Klein radius is tanh(rho(0, p)/2) = |p| (Beardon 1983, ch. 7); so each cut
+is the half-plane Re(conj(n) k) <= |p| with n = p/|p|, clipped in the Klein
+model and mapped back to the Poincare disc.  Sides of the resulting
+Poincare polygon are arcs of circles orthogonal to the unit circle.  A
+domain is its CCW vertex list; geometry.in_convex_polygon, the one
+membership test, works in the Klein model, where sides are linear.
 
 Quadrature is a regular Cartesian grid in the Poincare coordinate (the
 integrals in this library are Lebesgue integrals in that coordinate):
@@ -24,21 +26,6 @@ import numpy as np
 from .errors import InsufficientBall
 from .geometry import distance, in_convex_polygon, klein_to_poincare
 from .group import enumerate_ball
-
-
-def _bisector_endpoints(p):
-    """Ideal endpoints of the geodesic bisector of 0 and p (interior).
-
-    The bisector is the geodesic through the hyperbolic midpoint of [0, p],
-    perpendicular to the radius.
-    """
-    theta = np.angle(p)
-    # midpoint of [0, p] at euclidean radius tanh(artanh(|p|)/2)
-    rm = np.tanh(0.5 * np.arctanh(abs(p)))
-    # geodesic through rm*e^{i theta} orthogonal to the radius has ideal
-    # endpoints e^{i(theta +- phi)} with (1 - sin phi)/cos phi = rm
-    phi = 0.5 * np.pi - 2.0 * np.arctan(rm)
-    return np.exp(1j * (theta + phi)), np.exp(1j * (theta - phi))
 
 
 def _clip_polygon(poly, n, c):
@@ -135,13 +122,13 @@ def _clipped_grid(verts, h):
     cx, cy = np.meshgrid(xs, ys, indexing="ij")
     centers = (cx + 1j * cy).ravel()
 
-    half = 0.5 * h
-    corners = np.stack([centers + (-half - 1j * half),
-                        centers + (half - 1j * half),
-                        centers + (half + 1j * half),
-                        centers + (-half + 1j * half)])
-    inside = in_convex_polygon(verts, corners.ravel(), 0.0).reshape(4, -1)
-    n_in = inside.sum(axis=0)
+    # classify each lattice corner once; a cell counts its four
+    lx, ly = np.meshgrid(xmin + np.arange(nx + 1) * h,
+                         ymin + np.arange(ny + 1) * h, indexing="ij")
+    inside = in_convex_polygon(verts, (lx + 1j * ly).ravel(), 0.0)
+    inside = inside.reshape(nx + 1, ny + 1).astype(np.int64)
+    n_in = (inside[:-1, :-1] + inside[1:, :-1] + inside[:-1, 1:]
+            + inside[1:, 1:]).ravel()
     full = n_in == 4
     partial = (n_in > 0) & ~full
     # convex domain: a cell with no corner inside can still clip a sliver,
@@ -197,17 +184,11 @@ def dirichlet_domain(group, spacing):
 def _cut_polygon(ball):
     keep = ball.displacements > 1e-12
     pts = ball.terms(0.0j)[0][keep]
-    order = np.argsort(ball.displacements[keep], kind="stable")
     # start from a big square around the Klein disc; clipping a CCW
     # polygon keeps it CCW
     poly = [complex(-2, -2), complex(2, -2), complex(2, 2), complex(-2, 2)]
-    for p in pts[order]:
-        e1, e2 = _bisector_endpoints(complex(p))
-        # chord e1 -> e2 in the Klein model; normal points away from 0
-        n = 1j * (e2 - e1)
-        c = (np.conj(n) * e1).real
-        if c < 0:
-            n, c = -n, -c
+    for p in pts:
+        n, c = p / abs(p), abs(p)
         # skip redundant cuts (polygon already inside the half-plane)
         vals = [(np.conj(n) * v).real - c for v in poly]
         if max(vals) <= 1e-15:

@@ -10,7 +10,7 @@ search over freely reduced words, pruning a branch once its displacement
 exceeds the target radius plus a margin, one the walk lemma certifies
 complete in the side-pairing polygon D_0 (see enumerate_ball).  Products are
 re-normalized to SU(1,1) after every multiplication to control drift, and
-deduplicated on a rounded, sign-normalized key.
+deduplicated on a rounded, sign-invariant key.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ DEDUP_TOL = 1e-9
 # Largest enumeration radius (target plus margin) at which DEDUP_TOL still
 # separates distinct orbit images; see _dedup_keys.
 DEDUP_MAX_RADIUS = 19.0
-
-# Displacement resolution of the ball order.
-_DISP_BIN = 1e-12
 
 DEFAULT_ELEMENT_CAP = 5_000_000
 
@@ -197,12 +194,11 @@ class FuchsianGroup:
 class OrbitBall:
     """Deduplicated {gamma : rho(x, gamma x) <= R}, sorted by displacement.
 
-    Parallel arrays in ball order: displacement bin
-    ``bins = round(displacement / _DISP_BIN)``, then sign-normalized matrix
-    entries.  Words are not stored.  ``nodes`` places each element in the
-    BFS tree ``parents``/``letters`` (parent node or -1, last signed letter
-    or 0 at the root), which a restricted ball shares with the ball it was
-    cut from.
+    Parallel arrays in ball order: displacement, ties in BFS order, so each
+    smaller radius is a prefix.  Words are not stored.  ``nodes`` places
+    each element in the BFS tree ``parents``/``letters`` (parent node or -1,
+    last signed letter or 0 at the root), which a restricted ball shares
+    with the ball it was cut from.
     """
 
     base: complex
@@ -210,15 +206,14 @@ class OrbitBall:
     alphas: np.ndarray
     betas: np.ndarray
     displacements: np.ndarray
-    bins: np.ndarray
     nodes: np.ndarray
     parents: np.ndarray
     letters: np.ndarray
 
     def __post_init__(self):
         # restrictions are views into the cached ball, so none may write
-        for arr in (self.alphas, self.betas, self.displacements, self.bins,
-                    self.nodes, self.parents, self.letters):
+        for arr in (self.alphas, self.betas, self.displacements, self.nodes,
+                    self.parents, self.letters):
             arr.flags.writeable = False
 
     def __len__(self):
@@ -257,36 +252,13 @@ class OrbitBall:
         return (a * z + b) / den, den
 
     def restrict(self, radius):
-        """The elements with displacement <= radius, as slices where possible.
-
-        Every element more than one bin below radius/_DISP_BIN lies inside
-        and every element more than one bin above it outside, since the
-        division is monotone and rounding moves a value by at most half a
-        bin.  Only the bins in between, where displacements need not be in
-        order, are tested one by one.
-        """
+        """The elements with displacement <= radius: a prefix view."""
         if radius > self.radius + 1e-15:
             raise ValueError("cannot grow a ball by restriction")
-        b = radius / _DISP_BIN
-        lo = np.searchsorted(self.bins, b - 1.0, "left")
-        hi = np.searchsorted(self.bins, b + 1.0, "right")
-        edge = self.displacements[lo:hi] <= radius
-        n = lo + np.count_nonzero(edge)
-        if edge[:n - lo].all():
-            sel = slice(0, n)
-        else:
-            sel = np.concatenate([np.arange(lo), lo + np.flatnonzero(edge)])
-        return OrbitBall(self.base, radius, self.alphas[sel], self.betas[sel],
-                         self.displacements[sel], self.bins[sel],
-                         self.nodes[sel], self.parents, self.letters)
-
-
-def _sign_normalize(alphas, betas):
-    """Flip signs so the dominant component of alpha is positive."""
-    use_re = np.abs(alphas.real) >= np.abs(alphas.imag)
-    lead = np.where(use_re, alphas.real, alphas.imag)
-    sign = np.where(lead < 0, -1.0, 1.0)
-    return alphas * sign, betas * sign
+        n = np.searchsorted(self.displacements, radius, "right")
+        return OrbitBall(self.base, radius, self.alphas[:n], self.betas[:n],
+                         self.displacements[:n], self.nodes[:n],
+                         self.parents, self.letters)
 
 
 def _probe_points(x):
@@ -481,15 +453,12 @@ def enumerate_ball(group, x, radius, margin=None,
     kept = np.flatnonzero(np.concatenate(all_d) <= radius)
     alphas, betas, disps = (np.concatenate(c)[kept]
                             for c in (all_a, all_b, all_d))
-    bins = np.round(disps / _DISP_BIN)
-
-    # Stable deterministic order: displacement bin, then matrix components.
-    na, nb = _sign_normalize(alphas, betas)
-    order = np.lexsort((nb.imag, nb.real, na.imag, na.real, bins))
+    # Ball order: displacement, ties in BFS order.
+    order = np.argsort(disps, kind="stable")
     # alphabet index -1 (the root) picks the appended 0
     signed = np.append(np.array(letters, dtype=np.int64), 0)
     full = OrbitBall(x, radius, alphas[order], betas[order], disps[order],
-                     bins[order], kept[order], np.concatenate(all_parent),
+                     kept[order], np.concatenate(all_parent),
                      signed[np.concatenate(all_letter)])
     group._ball_cache[cache_key] = full
     return full.restrict(radius)
@@ -519,11 +488,10 @@ def orbit_pairs(group, x, zs, r):
     # |dt| (1 + cosh rho(a, b)), with |dt| a few ulps over
     # |1 - conj(a) b| >= e^-rho(0, a).  rho(0, z), the displacements and
     # the tested rho(p, z) all stay below rho(0, z) + w, so 2^-40 (4096
-    # ulps) times e^that covers all three errors.  One bin either side
-    # covers the rounding of `bins`, as in OrbitBall.restrict.
+    # ulps) times e^that covers all three errors.
     slack = 2.0 ** -40 * np.exp(dz + w)
-    lo = np.searchsorted(ball.bins, (dz - w - slack) / _DISP_BIN - 1.0, "left")
-    hi = np.searchsorted(ball.bins, (dz + w + slack) / _DISP_BIN + 1.0, "right")
+    lo = np.searchsorted(ball.displacements, dz - w - slack, "left")
+    hi = np.searchsorted(ball.displacements, dz + w + slack, "right")
     order = np.argsort(dz, kind="stable")
     lo, hi = lo[order], hi[order]
     iz, ib = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]

@@ -33,8 +33,8 @@ def injectivity_radius(group, x):
     d0 = group.min_generator_displacement(x)
     ball = enumerate_ball(group, 0.0j,
                           d0 + 0.5 + 2.0 * float(distance(0.0j, x)))
-    # the identity is the BFS root; in a finite group it need not be first
-    pts = ball.terms(x)[0][ball.nodes != 0]
+    # the identity, the BFS root at displacement 0, comes first
+    pts = ball.terms(x)[0][1:]
     return 0.5 * float(np.min(distance(x, pts), initial=math.inf))
 
 
@@ -132,7 +132,7 @@ class QuasiPshReport:
     violating_points: list = field(default_factory=list)
 
 
-def quasi_psh_check(group, x, r, spacing=0.0125, lower=None):
+def quasi_psh_check(group, x, r, spacing=0.0125):
     """Finite-difference check of d2 psi / dz dzbar >= -2 D(r,x) g.
 
     Uses the 9-point Laplacian at spacings h = 1e-3 and h/2; tau is twice
@@ -140,13 +140,10 @@ def quasi_psh_check(group, x, r, spacing=0.0125, lower=None):
     scale.  Grid points within Euclidean distance 10h of an orbit point of
     x within r are excluded (psi is log-singular at those, and the bound
     holds distributionally).
-    `lower` overrides the coefficient -2 D (the single-center configuration
-    obeys the sharper -2/r^2).
     """
     x = complex(x)
     h = 1e-3
     dvalue = density(group, x, r, spacing=max(spacing, 0.02)).value
-    coeff = 2.0 * dvalue if lower is None else float(lower)
     if group.is_trivial:
         span = np.arange(-0.7, 0.7001, spacing)
         gx, gy = np.meshgrid(span, span, indexing="ij")
@@ -170,7 +167,7 @@ def quasi_psh_check(group, x, r, spacing=0.0125, lower=None):
     l1 = lap(h)
     l2 = lap(h / 2.0)
     tau = 2.0 * float(np.max(np.abs(l1 - l2))) + 1e-9
-    margin = 0.25 * l2 + coeff * bergman_metric(zs)
+    margin = 0.25 * l2 + 2.0 * dvalue * bergman_metric(zs)
     bad = margin < -tau
     return QuasiPshReport(
         r=r, density_value=dvalue, fd_spacing=h, tau=tau,

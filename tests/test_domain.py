@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from discforms.domain import dirichlet_domain, disc_domain
 from discforms.geometry import (
@@ -36,6 +37,28 @@ def test_octagon_shape(domain):
     # D8 symmetry: vertices at odd multiples of pi/8
     ang = np.sort(np.angle(np.array(domain.vertices)))
     assert np.max(np.abs(np.diff(ang) - math.pi / 4)) < 1e-9
+
+
+@settings(deadline=None)
+@given(st.floats(1e-6, 0.999), st.floats(-math.pi, math.pi),
+       st.floats(-0.999, 0.999))
+def test_bisector_is_a_klein_chord(r, theta, s):
+    # the chord Re(conj(n) k) = |p|, n = p/|p|, that the polygon is cut
+    # with is equidistant from 0 and p
+    p = r * complex(math.cos(theta), math.sin(theta))
+    n = p / abs(p)
+    k = n * complex(abs(p), s * math.sqrt(1.0 - abs(p) ** 2))
+    z = klein_to_poincare(k)
+    to_0, to_p = float(distance(0.0j, z)), float(distance(p, z))
+    assert abs(to_0 - to_p) <= 1e-12 * to_0
+
+
+def test_cut_polygon_is_the_closed_form_octagon(octagon, domain):
+    # the preset's D_0, vertices at 2^(-1/4) e^(i(2k+1)pi/8), up to where
+    # the list starts
+    verts = np.array(octagon.domain_vertices)
+    start = int(np.argmin(np.abs(domain.vertices - verts[0])))
+    assert np.max(np.abs(np.roll(domain.vertices, -start) - verts)) < 1e-14
 
 
 def test_contains_center_and_boundary(domain):

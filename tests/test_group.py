@@ -320,28 +320,48 @@ def test_roundtrip_sums_the_moments_once(monkeypatch):
         assert len(rep.rel_errors) == len(pts) and rep.max_rel_error < 0.05
 
 
-def test_restrict_matches_mask():
-    # restriction equals the selection displacement <= R element for
-    # element, also at radii inside bins where displacements are unsorted
+@pytest.mark.parametrize("x", WALK_POINTS)
+def test_ball_sorted_by_displacement(x):
+    # each build sorts its ball by displacement, ties in BFS order
+    g = preset_genus2_octagon()
+    for radius in (6.0, 8.0, 10.0):
+        enumerate_ball(g, x, radius)
+        (full,) = g._ball_cache.values()
+        assert full.radius == radius
+        assert np.all(np.diff(full.displacements) >= 0)
+        tie = np.diff(full.displacements) == 0
+        assert np.all(np.diff(full.nodes)[tie] > 0)
+        assert full.nodes[0] == 0
+
+
+def test_restrict_is_a_prefix_view():
+    # restriction equals the selection displacement <= r element for
+    # element, at an element's displacement, one ulp either side of it and
+    # at a tied displacement, and shares the cached ball's memory
     g = preset_genus2_octagon()
     enumerate_ball(g, 0.0j, 10.0)
     (full,) = g._ball_cache.values()
     d = full.displacements
-    unsorted = np.flatnonzero(np.diff(d) < 0)
-    assert len(unsorted) > 0
-    edges = [d[i + k] + e for i in np.r_[unsorted[:3], unsorted[-3:]]
-             for k in (0, 1) for e in (-1e-13, 0.0, 1e-13)]
+    ties = np.flatnonzero(np.diff(d) == 0)
+    assert len(ties) > 0
     words = full.words
-    gaps = 0
-    for r in [6.0, 8.0, 10.0] + edges:
+    radii = [6.0, 8.0, 10.0]
+    for i in [1, 96, 97, len(d) // 2, ties[0], ties[0] + 1, ties[-1]]:
+        radii += [d[i], np.nextafter(d[i], -np.inf),
+                  np.nextafter(d[i], np.inf)]
+    for r in radii:
         keep = d <= r
-        gaps += not keep[:np.count_nonzero(keep)].all()
+        n = np.count_nonzero(keep)
+        assert keep[:n].all()
         ball = full.restrict(r)
+        assert len(ball) == n and ball.radius == r
         assert np.array_equal(ball.alphas, full.alphas[keep])
         assert np.array_equal(ball.betas, full.betas[keep])
         assert np.array_equal(ball.displacements, d[keep])
         assert ball.words == [w for w, k in zip(words, keep) if k]
-    assert gaps > 0   # some radius selects a non-prefix
+        for a, b in [(ball.alphas, full.alphas), (ball.betas, full.betas),
+                     (ball.displacements, d), (ball.nodes, full.nodes)]:
+            assert np.shares_memory(a, b)
 
 
 def test_dedup_matches_sequential_rule():
@@ -535,8 +555,8 @@ def test_finite_group_ball(x):
 
 
 def test_finite_group_injectivity_radius():
-    # every displacement in ROT4's ball at 0 is 0 and the identity sorts
-    # last, so the minimum must skip it as the BFS root, not by position
+    # every displacement in ROT4's ball at 0 is 0; ties keep BFS order, so
+    # the identity, the BFS root, comes first and the minimum skips it
     g = from_config_text(ROT4)
     assert injectivity_radius(g, 0.0j) == 0.0
     for x, want in [(0.2j, 0.29052365066221064),

@@ -138,8 +138,10 @@ def test_quasi_psh_preset(octagon, rho0):
 
 
 def test_quasi_psh_single_center(trivial):
-    # one center: the sharper -2 omega / r^2 bound of the display
-    rep = quasi_psh_check(trivial, 0.0j, 1.0, spacing=0.03, lower=2.0)
+    # one center: D(r) = 1/r^2, so the check's coefficient 2 D is the
+    # sharper -2 omega / r^2 bound of the display
+    rep = quasi_psh_check(trivial, 0.0j, 1.0, spacing=0.03)
+    assert rep.density_value == 1.0
     assert rep.n_violations == 0
 
 
