@@ -48,21 +48,29 @@ def klein_to_poincare(k):
     return k / (1.0 + np.sqrt(np.maximum(0.0, 1.0 - np.abs(k) ** 2)))
 
 
-def in_convex_polygon(vertices, z, slack):
-    """Membership of z (scalar or array) in a convex geodesic polygon.
+def klein_sides(vertices):
+    """Sides (n, c) of a convex geodesic polygon, its vertices CCW.
 
-    vertices are the polygon's Poincare vertices, CCW.  Its sides are
-    chords in the Klein model, so each is a half-plane Re(conj(n) k) <= c
-    with unit outward normal n; slack > 0 admits a band of that Klein
-    width around the boundary, slack < 0 shrinks the polygon.  Points with
-    |z| >= 1, which map back into the Klein disc, are outside.
+    Sides are chords in the Klein model, so each is a half-plane
+    Re(conj(n) k) <= c with unit outward normal n.
     """
     k = poincare_to_klein(np.asarray(vertices, dtype=complex))
     edge = np.roll(k, -1) - k
     # a vanishing side (a repeated vertex) has no direction and bounds nothing
     keep = np.abs(edge) > 1e-12
     n = -1j * edge[keep] / np.abs(edge[keep])
-    c = (np.conj(n) * k[keep]).real
+    return n, (np.conj(n) * k[keep]).real
+
+
+def in_convex_polygon(vertices, z, slack):
+    """Membership of z (scalar or array) in a convex geodesic polygon.
+
+    vertices are the polygon's Poincare vertices, CCW, and its sides the
+    half-planes of klein_sides; slack > 0 admits a band of that Klein
+    width around the boundary, slack < 0 shrinks the polygon.  Points with
+    |z| >= 1, which map back into the Klein disc, are outside.
+    """
+    n, c = klein_sides(vertices)
     za = np.atleast_1d(np.asarray(z, dtype=complex))
     inside = np.empty(za.shape, dtype=bool)
     # 2^15 point-side tests per block: 0.5 MB temporaries; 2^16 added 1-2 MB

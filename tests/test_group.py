@@ -14,9 +14,10 @@ from discforms.geometry import (
     distance, klein_to_poincare, mobius, poincare_to_klein,
 )
 from discforms.group import (
-    DEDUP_MAX_RADIUS, FuchsianGroup, GroupElement, _OCTAGON_RELATOR, _accept,
-    _reduce_word, _SeenKeys, _walk_margin, enumerate_ball, from_config_text,
-    load_group, orbit_counts, preset_genus2_octagon, to_config_text,
+    DEDUP_MAX_RADIUS, DEDUP_TOL, FuchsianGroup, GroupElement, _OCTAGON_RELATOR,
+    _accept, _probe_points, _reduce_word, _SeenKeys, _tile_sinh, _walk_margin,
+    enumerate_ball, from_config_text, load_group, orbit_counts,
+    preset_genus2_octagon, to_config_text,
 )
 from discforms.kernels import roundtrip_check
 from discforms.series import SeedFunction
@@ -117,19 +118,31 @@ def test_ball_growth_rate(octagon):
         assert math.exp(2.0) / 2.0 < ratio < math.exp(2.0) * 2.0
 
 
-def test_ball_huber_count():
-    # Huber: N(R) = (cosh R - 1)/2 + O(e^{2R/3}) for a closed genus-2
-    # surface (area 4 pi); the octagon gives 97, 793 and 5,433.  A fresh
-    # group per radius, so each count comes from a build, not the cache.
-    for r in (6.0, 8.0, 10.0):
-        n = len(enumerate_ball(preset_genus2_octagon(), 0.0j, r))
-        assert abs(n - (math.cosh(r) - 1.0) / 2.0) <= math.exp(2.0 * r / 3.0)
-
-
 # base points in D_0: four by hand and two of the ball-cold benchmark pool
 WALK_POINTS = [0.0j, 0.2 + 0.0j, 0.35 + 0.1j, -0.3j,
                0.1506552496487738 + 0.3499625193170382j,
                -0.061721954408755525 + 0.12119534290696322j]
+
+
+@pytest.fixture(scope="module")
+def nested_balls():
+    # one group per base point and radius, for fresh builds at radii 8,
+    # 10 and 12 that the groups then keep cached
+    return {(x, r): preset_genus2_octagon() for x in WALK_POINTS
+            for r in (8.0, 10.0, 12.0)}
+
+
+def test_ball_huber_count(nested_balls):
+    # Huber: N(R) = (cosh R - 1)/2 + O(e^{2R/3}) for a closed genus-2
+    # surface (area 4 pi); the octagon gives 97, 793, 5,433 and 40,905.  A
+    # fresh group per radius, so each count comes from a build, not the
+    # cache.
+    counts = [len(enumerate_ball(preset_genus2_octagon(), 0.0j, 6.0))]
+    counts += [len(enumerate_ball(nested_balls[0.0j, r], 0.0j, r))
+               for r in (8.0, 10.0, 12.0)]
+    assert counts == [97, 793, 5433, 40905]
+    for r, n in zip((6.0, 8.0, 10.0, 12.0), counts):
+        assert abs(n - (math.cosh(r) - 1.0) / 2.0) <= math.exp(2.0 * r / 3.0)
 
 
 def _vertex_reach(g, x):
@@ -138,14 +151,22 @@ def _vertex_reach(g, x):
 
 
 def _same_elements(ball, ref):
-    """Both balls hold the same PSU(1,1) elements (words may differ)."""
-    res = np.minimum(
-        np.abs(ball.alphas[:, None] - ref.alphas[None, :])
-        + np.abs(ball.betas[:, None] - ref.betas[None, :]),
-        np.abs(ball.alphas[:, None] + ref.alphas[None, :])
-        + np.abs(ball.betas[:, None] + ref.betas[None, :]))
-    return (len(ball) == len(ref) and np.all(np.min(res, axis=0) < 1e-9)
-            and np.all(np.min(res, axis=1) < 1e-9))
+    """Both balls hold the same elements: each element's images of the two
+    probe points lie within DEDUP_TOL of one element's of the other ball.
+    Spellings of an element may differ, and elements of a ball are far
+    apart, so equal sizes make the match one to one."""
+    def images(b):
+        return np.stack([mobius(b.alphas, b.betas, p)
+                         for p in _probe_points(ball.base)], axis=1)
+    if len(ball) != len(ref):
+        return False
+    mine, theirs = images(ball), images(ref)
+    order = np.argsort(theirs[:, 0].real)
+    key = theirs[order, 0].real
+    lo = np.searchsorted(key, mine[:, 0].real - DEDUP_TOL, "left")
+    hi = np.searchsorted(key, mine[:, 0].real + DEDUP_TOL, "right")
+    return all(np.any(np.max(np.abs(theirs[order[i:j]] - im), axis=1)
+                      <= DEDUP_TOL) for im, i, j in zip(mine, lo, hi))
 
 
 def test_preset_polygon_is_dirichlet_domain(octagon):
@@ -186,18 +207,78 @@ def _off_side(i, t, e, sign):
     st.complex_numbers(max_magnitude=0.99)))
 def test_walk_margin_certified_exactly_in_domain(marked_octagon, x):
     g, dom = marked_octagon
-    assert (_walk_margin(g, complex(x), 1.0) > 0) == dom.contains(x)
+    margin, tiles = _walk_margin(g, complex(x), 1.0)
+    assert (margin > 0) == (tiles is not None) == dom.contains(x)
 
 
 @pytest.mark.parametrize("x", WALK_POINTS)
 def test_ball_complete_against_wider_margin(x):
-    # the certified margin c(x) finds every element that a BFS with margin
-    # c(x) + 3 finds
-    g = preset_genus2_octagon()
-    ball = enumerate_ball(g, x, 7.0)
-    wide = enumerate_ball(preset_genus2_octagon(), x, 7.0,
-                          margin=_vertex_reach(g, x) + 3.0)
-    assert _same_elements(ball, wide)
+    # the certified margin c(x) and the tile test find every element that
+    # a BFS with margin c(x) + 3 and no tile test finds.  At R = 10 that
+    # BFS takes 8-19 s and 0.7-1.4 GB, so there it has margin c(x) + 1, at
+    # two of the points.
+    cases = [(6.0, 3.0), (7.0, 3.0), (8.0, 3.0)]
+    if x in (0.0j, 0.35 + 0.1j):
+        cases.append((10.0, 1.0))
+    for radius, extra in cases:
+        g = preset_genus2_octagon()
+        ball = enumerate_ball(g, x, radius)
+        wide = enumerate_ball(preset_genus2_octagon(), x, radius,
+                              margin=_vertex_reach(g, x) + extra)
+        assert _same_elements(ball, wide)
+
+
+# D_0's sides, sampled densely: Klein chords are straight
+_D0_BOUNDARY = klein_to_poincare(
+    _KLEIN_D0[:, None] + np.linspace(0.0, 1.0, 2001)[None, :]
+    * (np.roll(_KLEIN_D0, -1) - _KLEIN_D0)[:, None]).ravel()
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(st.sampled_from(WALK_POINTS),
+                 st.complex_numbers(max_magnitude=0.64)),
+       st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, -1, -2, -3, -4]),
+                max_size=4))
+def test_tile_bound_below_the_distance_to_d0(marked_octagon, x, word):
+    # the tile test's lemma: its bound on sinh rho(x, g D_0) is at most
+    # sinh of the distance from g^-1 x to sampled points of D_0's sides (0
+    # inside D_0), itself at least the true distance.  The disc of radius
+    # 0.64 lies in D_0 (its inradius is tanh(D0/4) = 0.643).
+    oct_, dom = marked_octagon
+    _, tiles = _walk_margin(oct_, complex(x), 1.0)
+    g = oct_.element_from_word(word)
+    bound = _tile_sinh(tiles, x, np.array([g.alpha]), np.array([g.beta]))[0]
+    w = g.inverse().apply(x)
+    d = 0.0 if dom.contains(w) else float(np.min(distance(w, _D0_BOUNDARY)))
+    # rounding: w and the distance to it lose ulps times e^rho(0, w), up
+    # to 1e-10 at four letters; the bound a few ulps of cosh rho(0, w)
+    assert bound <= math.sinh(d) * (1.0 + 1e-9) \
+        + 1e-13 * math.cosh(distance(0.0j, w))
+
+
+@pytest.mark.parametrize("x", WALK_POINTS)
+def test_ball_bits_independent_of_build_radius(nested_balls, x):
+    # a fresh ball at R is, array for array and word for word, the ball
+    # served by restricting a cached ball built at a larger R'
+    for r in (8.0, 10.0, 12.0):
+        enumerate_ball(nested_balls[x, r], x, r)
+    for r, r_big in [(8.0, 10.0), (8.0, 12.0), (10.0, 12.0)]:
+        fresh = enumerate_ball(nested_balls[x, r], x, r)
+        cut = enumerate_ball(nested_balls[x, r_big], x, r)
+        assert nested_balls[x, r_big]._ball_cache[
+            (round(x.real, 12), round(x.imag, 12))].radius == r_big
+        for a, b in [(fresh.alphas, cut.alphas), (fresh.betas, cut.betas),
+                     (fresh.displacements, cut.displacements)]:
+            assert np.array_equal(a, b)
+        assert fresh.words == cut.words
+
+
+def test_tile_test_prunes_the_tree(nested_balls):
+    # 38,319 nodes here, where the displacement test alone builds 123,629
+    # for the same 5,463 elements
+    x = 0.35 + 0.1j
+    ball = enumerate_ball(nested_balls[x, 10.0], x, 10.0)
+    assert len(ball) == 5463 and len(ball.parents) <= 40_000
 
 
 @pytest.fixture(scope="module")
@@ -210,9 +291,10 @@ def walk_group():
 @given(st.sampled_from(WALK_POINTS[:4]), st.integers(0, 10 ** 6))
 def test_walk_lemma(walk_group, x, pick):
     # tiles g_i D_0 met by the geodesic from x to gamma x have
-    # rho(x, g_i x) <= rho(x, gamma x) + c(x); g_i is found by reducing a
-    # geodesic point p into D_0 (p = g_i q) and matching in a reference
-    # ball built with the wider margin c(x) + 3
+    # rho(x, g_i x) <= rho(x, gamma x) + c(x) and pass the tile test at
+    # radius rho(x, gamma x); g_i is found by reducing a geodesic point p
+    # into D_0 (p = g_i q) and matching in a reference ball built with the
+    # wider margin c(x) + 3
     g = walk_group
     c = _vertex_reach(g, x)
     ball = enumerate_ball(g, x, 4.5)
@@ -229,6 +311,9 @@ def test_walk_lemma(walk_group, x, pick):
     assert np.all(hits.any(axis=0))
     tiles = np.flatnonzero(hits.any(axis=1))
     assert np.all(ref.displacements[tiles] <= d + c + 1e-9)
+    _, tile_test = _walk_margin(g, x, d)
+    assert np.all(_tile_sinh(tile_test, x, ref.alphas[tiles], ref.betas[tiles])
+                  <= tile_test[2])
 
 
 def test_counts_invariant_and_reduced_into_domain(octagon, rng):
