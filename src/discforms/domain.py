@@ -55,6 +55,11 @@ class FundamentalDomain:
     weights: np.ndarray           # positive, sum ~ euclidean polygon area
     spacing: float
 
+    def __post_init__(self):
+        # the group caches its domains, so no caller may write
+        for arr in (self.vertices, self.nodes, self.weights):
+            arr.flags.writeable = False
+
     def contains(self, z, slack=0.0):
         """Vectorized membership test; see geometry.in_convex_polygon."""
         return in_convex_polygon(self.vertices, z, slack)
@@ -160,10 +165,17 @@ def dirichlet_domain(group, spacing):
 
     Cuts half-spaces over an orbit ball of radius 2*d0 + 1 (d0 = the
     smallest generator displacement) and retries twice with a larger ball
-    if the polygon could still be cut by farther orbit points.
+    if the polygon could still be cut by farther orbit points.  The group
+    caches one domain per spacing.
     """
-    if group.is_trivial:
-        return disc_domain(spacing=spacing)
+    if spacing not in group._domain_cache:
+        group._domain_cache[spacing] = (
+            disc_domain(spacing=spacing) if group.is_trivial
+            else _dirichlet_domain(group, spacing))
+    return group._domain_cache[spacing]
+
+
+def _dirichlet_domain(group, spacing):
     d0 = group.min_generator_displacement()
     reach = 2.0 * d0 + 1.0
     for _ in range(3):

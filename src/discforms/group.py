@@ -111,13 +111,14 @@ def _reduce_word(word):
 
 @dataclass
 class FuchsianGroup:
-    """Generators, relators, their side-paired polygon D_0 and a ball cache."""
+    """Generators, relators, side-paired polygon D_0, ball and domain caches."""
 
     generators: list
     relators: list = field(default_factory=list)
     name: str = ""
     domain_vertices: tuple = ()     # convex D_0, CCW; empty when unknown
     _ball_cache: dict = field(default_factory=dict, repr=False)
+    _domain_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def is_trivial(self):

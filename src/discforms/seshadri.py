@@ -108,16 +108,59 @@ def psi_values(group, x, r, zs):
     x = complex(x)
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     # querying at SINGULAR_TOL at least keeps the -inf marker for tiny r
-    q = max(r, SINGULAR_TOL)
-    iz, p = orbit_pairs(group, x, zs, q)
-    d = distance(p, zs[iz])
+    iz, p = orbit_pairs(group, x, zs, max(r, SINGULAR_TOL))
+    return _cutoff_sum(iz, p, zs[iz], r, len(zs))
+
+
+def _cutoff_sum(iz, p, z, r, n):
+    """psi^x at n points zs from their orbit pairs (iz, p), z = zs[iz].
+
+    bincount adds each point's terms in the order of its pairs, ball order.
+    """
+    d = distance(p, z)
     with np.errstate(divide="ignore"):
         t = 2.0 * np.log(np.maximum(d, 1e-300) / r)
     val, _ = cutoff_a(t)
     # bincount returns integers when no pair is found
-    out = np.bincount(iz, weights=val, minlength=len(zs)).astype(float)
+    out = np.bincount(iz, weights=val, minlength=n).astype(float)
     out[iz[d < SINGULAR_TOL]] = -math.inf
     return out
+
+
+# nodes per candidate query of the stencil; at --r-factors 4 all nodes at
+# once held 172 MB of candidates at peak, blocks of 1,024 nodes 52 MB
+_STENCIL_BLOCK = 1024
+
+
+def _stencil_psi(group, x, r, zs, offsets):
+    """Blocks (blk, psi): psi[k] is psi^x at zs[blk] + offsets[k].
+
+    One candidate query per block, at q + reach with q psi_values' radius
+    and reach >= rho(z, z + o) for all nodes and offsets.  Each point keeps
+    the candidates that pass orbit_pairs' own test at q: psi_values' pairs
+    in its order, so every value is the same to the bit.
+    """
+    q = max(r, SINGULAR_TOL)
+    dz = distance(0.0j, zs)
+    reach = max(float(np.max(distance(zs, zs + o))) for o in offsets)
+    # Rounding slack: psi_values' test of rho(p, z + o) < q, this reach and
+    # the candidate test of rho(p, z) each err by a few ulps times
+    # e^(rho(0, a) + rho(a, b)), a = z + o or z (see orbit_pairs); each
+    # exponent stays below max rho(0, z) + q + reach: 2^-40 e^that covers.
+    reach += 2.0 ** -40 * math.exp(float(np.max(dz)) + q + reach)
+    t_max = np.tanh(q / 2.0)
+    # farthest nodes first: the first query sizes the ball for the rest
+    order = np.argsort(-dz, kind="stable")
+    for s in range(0, len(zs), _STENCIL_BLOCK):
+        blk = order[s:s + _STENCIL_BLOCK]
+        iz, p = orbit_pairs(group, x, zs[blk], q + reach)
+        zc = zs[blk][iz]
+        psi = np.empty((len(offsets), len(blk)))
+        for k, o in enumerate(offsets):
+            z = zc + o
+            near = np.abs((p - z) / (1.0 - np.conj(p) * z)) < t_max
+            psi[k] = _cutoff_sum(iz[near], p[near], z[near], r, len(blk))
+        yield blk, psi
 
 
 @dataclass
@@ -153,19 +196,16 @@ def quasi_psh_check(group, x, r, spacing=0.0125):
         zs = dirichlet_domain(group, spacing=spacing).nodes
     iz, p = orbit_pairs(group, x, zs, r)
     zs = np.delete(zs, iz[np.abs(zs[iz] - p) <= 10.0 * h])
-
-    def lap(hh):
-        # 9-point Laplacian: (4*edges + corners - 20*center) / (6 h^2)
-        off = hh * np.array([1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j,
-                             -1 - 1j, 0])
-        wts = np.array([4.0, 4, 4, 4, 1, 1, 1, 1, -20.0]) / (6.0 * hh * hh)
-        acc = np.zeros(len(zs))
-        for o, wgt in zip(off, wts):
-            acc += wgt * psi_values(group, x, r, zs + o)
-        return acc
-
-    l1 = lap(h)
-    l2 = lap(h / 2.0)
+    # 9-point Laplacians (4*edges + corners - 20*center) / (6 h^2) at h
+    # and h/2, each summed in the order of its stencil points
+    steps = (h, h / 2.0)
+    unit = np.array([1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j, 0])
+    l1, l2 = laps = np.zeros((2, len(zs)))
+    for blk, psi in _stencil_psi(group, x, r, zs,
+                                 np.outer(steps, unit).ravel()):
+        for lap, hh, rows in zip(laps, steps, psi.reshape(2, 9, -1)):
+            wts = np.array([4.0, 4, 4, 4, 1, 1, 1, 1, -20.0]) / (6.0 * hh * hh)
+            lap[blk] = sum(wgt * row for wgt, row in zip(wts, rows))
     tau = 2.0 * float(np.max(np.abs(l1 - l2))) + 1e-9
     margin = 0.25 * l2 + 2.0 * dvalue * bergman_metric(zs)
     bad = margin < -tau

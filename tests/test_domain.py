@@ -109,6 +109,17 @@ def test_tiling(octagon, domain, rng):
         assert hits == 1
 
 
+def test_domain_cached_read_only(octagon, trivial):
+    # one domain per group and spacing, shared, so no caller may write it
+    for g in (octagon, trivial):
+        dom = dirichlet_domain(g, spacing=0.05)
+        assert dirichlet_domain(g, spacing=0.05) is dom
+        assert dirichlet_domain(g, spacing=0.04) is not dom
+        for arr in (dom.vertices, dom.nodes, dom.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+
+
 def test_disc_domain_mass():
     dom = disc_domain(spacing=0.02)
     # 1024-gon inscribed at r ~ 1: mass just under pi

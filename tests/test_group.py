@@ -353,26 +353,26 @@ def test_cache_serves_only_its_radius():
 
 
 def test_orbit_work_reads_only_the_ball_at_0(monkeypatch):
-    # orbit queries at x != 0 read the ball at 0; quasi_psh_check's stencil
-    # ball serves its 18 psi_values calls, and the scan and the round trip
-    # build their series ball before the domain's smaller one
-    builds, psi_builds = [], []
-    real_probe, real_psi = group_module._probe_points, seshadri.psi_values
+    # orbit queries at x != 0 read the ball at 0; quasi_psh_check's first
+    # candidate query of an r sizes the ball for all its blocks (made small
+    # here, so there are several), and the scan and the round trip build
+    # their series ball before the domain's smaller one
+    builds, queries = [], []
+    real_probe, real_pairs = group_module._probe_points, seshadri.orbit_pairs
 
-    def psi(*args):
-        n = len(builds)
-        out = real_psi(*args)
-        psi_builds.append(len(builds) - n)
+    def pairs(group, x, zs, r):
+        out = real_pairs(group, x, zs, r)
+        queries.append((r, len(builds)))
         return out
     monkeypatch.setattr(group_module, "_probe_points",
                         lambda x: builds.append(x) or real_probe(x))
-    monkeypatch.setattr(seshadri, "psi_values", psi)
-    x = 0.3 - 0.1j
+    monkeypatch.setattr(seshadri, "orbit_pairs", pairs)
+    monkeypatch.setattr(seshadri, "_STENCIL_BLOCK", 64)
+    x, r = 0.3 - 0.1j, 4.5
     seed = SeedFunction.poly([1.0])
     for run, n_builds in [
             (lambda g: seshadri_lower_bound(g, x), None),
-            # at r = 4.5 the stencil corners ask for the largest ball
-            (lambda g: quasi_psh_check(g, x, 4.5, spacing=0.05), None),
+            (lambda g: quasi_psh_check(g, x, r, spacing=0.03), None),
             (lambda g: very_ampleness_scan(g, 4, n_samples=10), 1),
             (lambda g: roundtrip_check(g, seed, 4, [0.1, 0.2j],
                                        spacing=0.05), 1)]:
@@ -381,7 +381,9 @@ def test_orbit_work_reads_only_the_ball_at_0(monkeypatch):
         run(g)
         assert list(g._ball_cache) == [(0.0, 0.0)]
         assert n_builds is None or len(builds) == n_builds
-    assert psi_builds == [0] * 18
+    # the candidate queries ask past r; builds done after each one
+    built = [n for q, n in queries if q > r]
+    assert len(built) > 1 and built == [built[0]] * len(built)
 
 
 def test_roundtrip_sums_the_moments_once(monkeypatch):

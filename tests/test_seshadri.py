@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from discforms import cli, domain as domain_module, group as group_module
 from discforms import seshadri
 from discforms.domain import dirichlet_domain
 from discforms.geometry import distance
@@ -137,6 +138,65 @@ def test_quasi_psh_preset(octagon, rho0):
     assert rep.n_checked > 1000
 
 
+# the 18 stencil points of quasi_psh_check: h = 1e-3 and h/2
+_UNIT = np.array([1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j, 0])
+_OFFSETS = np.concatenate([1e-3 * _UNIT, 1e-3 / 2.0 * _UNIT])
+
+
+# r = rho_x and 4 rho_x, and r below 10h = 0.01; the octagon's nodes reach
+# its vertices, where rho(z, z + o) is about 7 times the Euclidean |o|
+@pytest.mark.parametrize("name, x, factor, r", [
+    ("octagon", 0.0j, 1.0, None), ("octagon", 0.0j, 4.0, None),
+    ("octagon", 0.3 - 0.1j, 1.0, None), ("octagon", 0.3 - 0.1j, 4.0, None),
+    ("octagon", 0.0j, None, 0.005), ("octagon", 0.3 - 0.1j, None, 0.005),
+    ("trivial", 0.005 + 0j, None, 0.0125), ("trivial", 0.0j, None, 1.0)])
+def test_stencil_psi_matches_psi_values(octagon, trivial, monkeypatch, name,
+                                        x, factor, r):
+    # every stencil value is psi_values' at the same point, to the bit;
+    # small blocks make several candidate queries
+    monkeypatch.setattr(seshadri, "_STENCIL_BLOCK", 256)
+    g = octagon if name == "octagon" else trivial
+    r = r or factor * injectivity_radius(g, x)
+    span = np.arange(-0.7, 0.7001, 0.05)
+    zs = (dirichlet_domain(g, spacing=0.03).nodes if name == "octagon"
+          else (span[:, None] + 1j * span[None, :]).ravel())
+    # points on and near the orbit of x: -inf markers and small-r terms
+    orbit = [x] + [h.apply(x) for h in g.generators[:1]]
+    zs = np.append(zs, [p + d for p in orbit for d in (0, 0.002, 0.003j)])
+    blocks, n_terms = [], 0
+    for blk, psi in seshadri._stencil_psi(g, x, r, zs, _OFFSETS):
+        blocks.append(blk)
+        for o, row in zip(_OFFSETS, psi):
+            assert np.array_equal(row, psi_values(g, x, r, zs[blk] + o))
+            n_terms += np.count_nonzero(row)
+    assert len(blocks) > 1 and n_terms > 0
+    assert np.array_equal(np.sort(np.concatenate(blocks)),
+                          np.arange(len(zs)))
+
+
+def test_quasi_psh_builds_each_ball_once(monkeypatch, capsys):
+    # at --r-factors 4: injectivity_radius, dirichlet_domain, density's
+    # coarse and refined counts, then the stencil's first candidate query
+    builds = []
+    real_probe = group_module._probe_points
+    monkeypatch.setattr(group_module, "_probe_points",
+                        lambda x: builds.append(x) or real_probe(x))
+    assert cli.main(["quasi-psh-check", "--r-factors", "4"]) == 0
+    assert len(builds) == 5
+
+
+def test_one_quadrature_grid_per_group_and_spacing(monkeypatch, capsys):
+    grids = []
+    real_grid = domain_module._clipped_grid
+    monkeypatch.setattr(domain_module, "_clipped_grid",
+                        lambda *a: grids.append(a[1]) or real_grid(*a))
+    seshadri_lower_bound(preset_genus2_octagon(), 0.0j)
+    assert grids == [0.02]
+    grids.clear()
+    assert cli.main(["quasi-psh-check"]) == 0
+    assert sorted(grids) == [0.0125, 0.02]
+
+
 def test_quasi_psh_single_center(trivial):
     # one center: D(r) = 1/r^2, so the check's coefficient 2 D is the
     # sharper -2 omega / r^2 bound of the display
@@ -154,12 +214,12 @@ def test_quasi_psh_skips_only_nodes_near_the_singular_orbit(trivial,
     x, r = 0.005 + 0j, 0.0125
     assert distance(x, 0.0) < r < distance(x, 0.0125)
     calls = []
-    real_psi = seshadri.psi_values
-    monkeypatch.setattr(seshadri, "psi_values",
-                        lambda *a: calls.append(a[3]) or real_psi(*a))
+    real_pairs = seshadri.orbit_pairs
+    monkeypatch.setattr(seshadri, "orbit_pairs",
+                        lambda *a: calls.append(a[2:]) or real_pairs(*a))
     rep = quasi_psh_check(trivial, x, r)
-    # the first Laplacian stencil point of each checked node is node + h
-    checked = calls[0] - rep.fd_spacing
+    # the stencil's candidate queries, past r, take the checked nodes
+    checked = np.concatenate([zs for zs, q in calls if q > r])
     assert len(checked) == rep.n_checked
     assert np.min(np.abs(checked - 0.0125)) < 1e-9
     assert np.min(np.abs(checked - 0.0)) > 0.01
