@@ -274,6 +274,15 @@ def cmd_separation_scan(args):
 
 # --------------------------------------------------------------- wiring
 
+def positive_int(text):
+    """argparse type for counts: an int >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, "
+                                         f"got {text}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -317,7 +326,7 @@ def build_parser():
         radius=F(type=float, default=10.0))
     add("automorphy-check", cmd_automorphy_check, **G, f=F(default="poly 1"),
         m=F(type=int, default=4), radius=F(type=float, default=10.0),
-        samples=F(type=int, default=20))
+        samples=F(type=positive_int, default=20))
     add("norm", cmd_norm, f=F(default="poly 1"), p=F(type=int, default=1),
         l=F(type=float, default=0.0))
     add("lemma22-check", cmd_lemma22_check, **G, f=F(default="poly 1"),
@@ -326,7 +335,7 @@ def build_parser():
         l=F(type=float, default=1.0), delta=F(type=float, default=1e-3),
         dilation=F(type=float, default=None))
     add("kernel-check", cmd_kernel_check, **G, m=F(type=int, default=4),
-        samples=F(type=int, default=100))
+        samples=F(type=positive_int, default=100))
     add("cm-constant", cmd_cm_constant, m=F(type=int, default=4))
     add("roundtrip", cmd_roundtrip, **G, f=F(default="poly 1"),
         m=F(type=int, default=4), radius=F(type=float, default=8.0),
@@ -344,7 +353,7 @@ def build_parser():
         C=F(type=float, default=None))
     add("separation-scan", cmd_separation_scan, **G, m=F(type=int, default=4),
         d=F(type=int, default=6), radius=F(type=float, default=8.0),
-        samples=F(type=int, default=100))
+        samples=F(type=positive_int, default=100))
     return ap
 
 

@@ -1,8 +1,9 @@
 """Poincare series evaluation with tail control, and weighted norms.
 
-All series are truncated to an orbit ball and accumulated in displacement
-order with error-free summation (math.fsum on real and imaginary parts), so
-a result is independent of any internal partitioning of the terms.  Tail
+All series are truncated to an orbit ball and summed by exact_sum, which
+rounds the exact sum of the real and imaginary parts once.  A correctly
+rounded sum is unique, so a result is independent of the order and any
+partitioning of the terms, and equals math.fsum's to the bit.  Tail
 estimates come from geometric extrapolation of the last two displacement
 shells; they are honest empirical control, never claimed rigorous.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +72,11 @@ class SeedFunction:
 
     def sup_disc(self):
         """sup |f| on the closed disc (maximum modulus: boundary samples)."""
+        return self._boundary_sup
+
+    @cached_property
+    def _boundary_sup(self):
+        # sampled once per seed; every tail estimate of the seed reuses it
         th = np.exp(2j * np.pi * np.arange(4096) / 4096)
         return float(np.max(np.abs(self(th))))
 
@@ -84,8 +91,58 @@ class SeriesValue:
     radius_used: float
 
 
-def _fsum_complex(terms):
-    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+def exact_sum(terms):
+    """Correctly rounded sum of a real or complex array.
+
+    Equals math.fsum(terms) for real terms and complex(fsum(terms.real),
+    fsum(terms.imag)) for complex ones: a correctly rounded sum is unique,
+    so no bit can differ.  It gets there without fsum's per-term Python
+    loop (see _exact_totals).  Where the exact total is zero fsum still
+    decides the sign, and inputs the binning cannot take go to fsum whole.
+    """
+    terms = np.ravel(terms)
+    width = 2 if np.iscomplexobj(terms) else 1
+    parts = terms.view(np.float64).reshape(-1, width)
+    totals, scale = _exact_totals(parts)
+    out = [math.fsum(parts[:, k]) if not total      # None, or an exact 0
+           else float(total << scale) if scale >= 0
+           else total / (1 << -scale)               # int division rounds once
+           for k, total in enumerate(totals)]
+    return complex(*out) if width == 2 else out[0]
+
+
+def _exact_totals(parts):
+    """Exact column sums of a float array as ints times 2^scale.
+
+    Each term is M 2^e with M an integer, |M| < 2^53.  With e - min(e) =
+    16 q + r, the integer M 2^r (|.| < 2^68) is cut into two 26-bit limbs
+    and a signed top limb, and np.bincount sums each limb per (column, q).
+    Below 2^26 terms every such sum is an integer under 2^53, so it is
+    exact; the few bins then meet as Python ints.  Gives None per column
+    for empty or overlong input and for non-finite terms or terms near
+    overflow, whose sum fsum decides (inf, NaN or an error).
+    """
+    width = parts.shape[1]
+    # NaN fails the comparison; 2^26 terms below 2^996 stay below 2^1022
+    if not (0 < len(parts) < 2 ** 26 and np.abs(parts).max() < 2.0 ** 996):
+        return [None] * width, 0
+    mant, expo = np.frexp(parts)
+    lo_exp, hi_exp = int(expo.min()), int(expo.max())
+    expo -= lo_exp
+    low = np.ldexp(mant, (expo & 15) + 53)
+    top = np.floor(low * 2.0 ** -52)
+    low -= top * 2.0 ** 52
+    mid = np.floor(low * 2.0 ** -26)
+    low -= mid * 2.0 ** 26
+    nbins = ((hi_exp - lo_exp) >> 4) + 1
+    bins = expo >> 4
+    bins += np.arange(width, dtype=bins.dtype) * nbins   # one row per column
+    bins = bins.ravel()
+    sums = np.stack([np.bincount(bins, limb.ravel(), width * nbins)
+                     for limb in (low, mid, top)], axis=-1)
+    return [sum(((int(c) << 52) + (int(b) << 26) + int(a)) << 16 * q
+                for q, (a, b, c) in enumerate(column) if a or b or c)
+            for column in sums.reshape(width, nbins, 3).tolist()], lo_exp - 53
 
 
 def _shell_tail(displacements, abs_terms, radius):
@@ -114,7 +171,7 @@ def weight_sum(group, x, z, radius):
     ball = enumerate_ball(group, x, radius)
     _, den = ball.terms(z)
     terms = np.abs(den ** -2) ** 2
-    value = math.fsum(terms)
+    value = exact_sum(terms)
     tail = _shell_tail(ball.displacements, terms, radius)
     return SeriesValue(value, tail, len(ball), radius)
 
@@ -129,7 +186,7 @@ def poincare_eval(group, f, m, z, radius, ball=None):
     gz, den = ball.terms(z)
     jm = den ** (-2 * m)
     terms = f(gz) * jm
-    value = _fsum_complex(terms)
+    value = exact_sum(terms)
     tail = f.sup_disc() * _shell_tail(ball.displacements, np.abs(jm), radius)
     return SeriesValue(value, tail, len(ball), radius)
 
@@ -243,8 +300,8 @@ def lemma22_check(group, f, m, radius):
     tile_k = (np.pi * (1.0 - np.abs(gz) ** 2) ** 2) ** ((m - 2) / 2.0)
     unfolded = np.sum(tile_w * absf * tile_k, axis=1)
 
-    lhs = math.fsum(per_gamma)
-    unfolded_total = math.fsum(unfolded)
+    lhs = exact_sum(per_gamma)
+    unfolded_total = exact_sum(unfolded)
     rhs, rhs_err = norm_pl(f, 1, (m - 2) / 2.0)
     cum = np.cumsum(per_gamma)
     shells = np.arange(1.0, radius + 0.5 * SHELL_WIDTH, SHELL_WIDTH)

@@ -152,3 +152,22 @@ def test_each_command_registered_once_and_unnamed_in_its_body():
         strings = {n.value for n in ast.walk(fns[fn])
                    if isinstance(n, ast.Constant)}
         assert command not in strings, fn
+
+
+def _fsum_calls(node):
+    return [c for c in ast.walk(node) if isinstance(c, ast.Call)
+            and "fsum" in (getattr(c.func, "id", None),
+                           getattr(c.func, "attr", None))]
+
+
+def test_orbit_sums_go_through_exact_sum():
+    # exact_sum gives fsum's bits without its per-term loop; its own
+    # fallback is the one fsum call left in src/ (tests and perfbench keep
+    # fsum as the independent oracle)
+    calls, inside = [], []
+    for _, tree in _trees("src"):
+        calls += _fsum_calls(tree)
+        inside += [c for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef)
+                   and fn.name == "exact_sum" for c in _fsum_calls(fn)]
+    assert len(calls) == 1 and calls == inside

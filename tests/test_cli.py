@@ -349,3 +349,15 @@ def test_config_value_is_typed_like_the_flag(tmp_path, capsys):
                      "--config", str(cfg))
     assert code == 1 and data is None
     assert "invalid int value: '4.7'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["automorphy-check", "kernel-check",
+                                     "separation-scan"])
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_samples_must_be_positive(tmp_path, capsys, command, samples):
+    # 0 used to pass over no samples or fail inside NumPy or min()
+    code, data = run(tmp_path, command, "--samples", samples)
+    assert code == 1 and data is None
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == (f"error: argument --samples: must be a positive "
+                       f"integer, got {samples}")

@@ -1,15 +1,19 @@
 """Poincare series values, tails, norms and the integral inequalities."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
 
+from hypothesis import example, given, settings, strategies as st
+
+from discforms import cli, series
 from discforms.errors import UnboundedSeed, TargetNotReached
 from discforms.series import (
-    SeedFunction, lemma22_check, norm_pl, poincare_eval, polynomial_approx,
-    schwarz_bound_check, weight_sum,
+    SeedFunction, exact_sum, lemma22_check, norm_pl, poincare_eval,
+    polynomial_approx, schwarz_bound_check, weight_sum,
 )
 from discforms.group import enumerate_ball
 
@@ -78,7 +82,8 @@ def test_poincare_trivial(trivial):
 
 
 def test_poincare_reordering(octagon, rng):
-    # fsum in displacement order vs brute-force sums in random orders
+    # exact_sum (fsum's correctly rounded, hence order-free, value) vs
+    # plain sums in random orders
     z = 0.0j
     ball = enumerate_ball(octagon, 0.0j, 8.0)
     sv = poincare_eval(octagon, ONE, 4, z, 8.0, ball=ball)
@@ -150,3 +155,103 @@ def test_schwarz_preset(octagon, rng):
         rep = schwarz_bound_check(octagon, ONE, 3, z, 8.0)
         assert rep.holds_at_every_prefix
         assert rep.lhs_sq <= rep.rhs * (1.0 + 1e-12)
+
+
+# ---------------------------------------------------------------- exact_sum
+
+def _outcome(fn, x):
+    """Type and bits of fn(x) (signs of zero and NaN included), or the
+    error type."""
+    try:
+        v = fn(x)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+    return type(v), *(math.copysign(1.0, p) if math.isnan(p) else p.hex()
+                      for p in (complex(v).real, complex(v).imag))
+
+
+def _fsum_oracle(x):
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        return complex(math.fsum(x.real), math.fsum(x.imag))
+    return math.fsum(x)
+
+
+def _assert_fsum_bits(x):
+    assert _outcome(exact_sum, x) == _outcome(_fsum_oracle, x)
+
+
+@settings(deadline=None, max_examples=120)
+@given(n=st.integers(1, 10 ** 5), ends=st.lists(st.integers(-1074, 999),
+                                                min_size=2, max_size=2),
+       cancel=st.floats(0.0, 1.0), complex_=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=10 ** 5, ends=[-1074, 999], cancel=1.0, complex_=False, seed=0)
+@example(n=10 ** 5, ends=[-1074, -1000], cancel=0.5, complex_=True, seed=1)
+@example(n=10 ** 5, ends=[-120, 0], cancel=0.0, complex_=True, seed=2)
+@example(n=3, ends=[-1074, -1074], cancel=1.0, complex_=False, seed=3)
+def test_exact_sum_is_fsum_bit_for_bit(n, ends, cancel, complex_, seed):
+    # magnitudes 2^lo .. 2^hi, subnormals below 2^-1022, and a share
+    # `cancel` of the terms followed somewhere by their negatives (all of
+    # them: an exact zero total, whose sign fsum decides)
+    rng = np.random.default_rng(seed)
+    size = 2 * n if complex_ else n
+    e = rng.integers(min(ends), max(ends) + 1, size)
+    x = np.ldexp(rng.uniform(1.0, 2.0, size) * rng.choice([-1.0, 1.0], size),
+                 e)
+    if complex_:
+        x = x.view(complex)
+    x = np.concatenate([x, -x[:int(cancel * len(x))]])
+    _assert_fsum_bits(x[rng.permutation(len(x))])
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.floats(width=64), max_size=40), st.booleans())
+def test_exact_sum_matches_fsum_on_any_floats(xs, complex_):
+    # every float, inf and NaN included: the same bits or the same error
+    x = np.array(xs, dtype=float)
+    if complex_:
+        x = x[:len(x) // 2 * 2].view(complex)
+    _assert_fsum_bits(x)
+
+
+@pytest.mark.parametrize("xs", [
+    [], [0.0], [-0.0], [-0.0, -0.0], [1.0, -1.0], [5e-324, -5e-324],
+    [1.0, 2.0 ** -53], [1.0, 2.0 ** -53, 2.0 ** -106], [3.0, 2.0 ** -52],
+    [1.0, -(2.0 ** -54)], [2.0 ** -1022, -(2.0 ** -1074)],
+    [math.inf], [-math.inf, 1.0], [math.inf, -math.inf], [math.nan, 1.0],
+    [1e308, 1e308], [1e308, 1e308, -1e308], [2.0 ** 995, 2.0 ** 995],
+    [0.99 * 2.0 ** 1020] * 17 + [-0.99 * 2.0 ** 1020] * 16,
+    [complex(math.inf, 1.0), 1.0], [complex(0.0, -0.0)], [1j, -1j],
+    [complex(1.0, 2.0 ** -53), complex(2.0 ** -53, 1.0)]])
+def test_exact_sum_edge_cases(xs):
+    x = np.array(xs, dtype=complex if any(map(np.iscomplexobj, xs))
+                 else float)
+    _assert_fsum_bits(x)
+
+
+def test_automorphy_check_samples_the_seed_sup_once(monkeypatch):
+    # 20 samples at the defaults make 40 poincare_eval calls; the seed's
+    # boundary sup is sampled on the first and reused, bit for bit
+    boundary, calls = [], []
+    seed_call = SeedFunction.__call__
+    eval_ = series.poincare_eval
+
+    def counting_call(self, z):
+        boundary.append(np.shape(z) == (4096,))
+        return seed_call(self, z)
+
+    def recording_eval(group, f, m, z, radius):
+        calls.append(((group, f, m, z, radius),
+                      eval_(group, f, m, z, radius)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(SeedFunction, "__call__", counting_call)
+    monkeypatch.setattr(series, "poincare_eval", recording_eval)
+    assert cli.main(["automorphy-check", "--out", os.devnull]) == 0
+    assert len(calls) == 40 and sum(boundary) == 1
+    for (group, f, m, z, radius), got in calls:
+        fresh = SeedFunction(f.kind, f.coeffs, f.den_coeffs)
+        want = eval_(group, fresh, m, z, radius)
+        assert got.tail_estimate.hex() == want.tail_estimate.hex()
+        assert got.value == want.value
