@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import DiscformsError
+from .errors import ConfigError, DiscformsError
 from . import series, kernels, seshadri, embedding
 from .domain import dirichlet_domain
 from .geometry import disc_points
@@ -139,7 +139,10 @@ def cmd_automorphy_check(args):
     worst = 0.0
     records = []
     gens = list(g.generators) + [h.inverse() for h in g.generators]
-    for _ in range(args.samples if gens else 0):
+    if not gens:
+        raise ConfigError(f"argument --group: {args.group} has no "
+                          f"generators, so there is nothing to check")
+    for _ in range(args.samples):
         z = disc_points(rng, 1, 0.5)[0]
         h = gens[rng.integers(len(gens))]
         res, pz, pgz = series.automorphy_residual(g, f, args.m, h,

@@ -7,13 +7,15 @@ i.e. up to a global sign of the pair.
 
 Enumeration is by geometric ball rather than by word length: breadth-first
 search over freely reduced words, pruning a branch once its displacement
-exceeds the target radius plus a margin, one the walk lemma certifies
-complete in the side-pairing polygon D_0, and there also once a lower bound
-on the distance to its tile g D_0 exceeds the radius plus a rounding slack
-(see enumerate_ball).  Products are re-normalized to SU(1,1) after every
-multiplication to control drift, and deduplicated on a rounded,
-sign-invariant key.  An element's bits follow from its BFS path alone, not
-from the build radius.
+exceeds the target radius plus a margin (see enumerate_ball).  At 0, when
+D_0 is the Dirichlet polygon about 0 and the alphabet pairs its sides, the
+descent lemma makes the margin a rounding slack alone and the search tree
+is the ball.  Elsewhere in the side-pairing polygon D_0 the walk lemma
+certifies a margin c(x), and a branch is also pruned once a lower bound on
+the distance to its tile g D_0 exceeds the radius plus a rounding slack.
+Products are re-normalized to SU(1,1) after every multiplication to control
+drift, and deduplicated on a rounded, sign-invariant key.  An element's
+bits follow from its BFS path alone, not from the build radius.
 """
 
 from __future__ import annotations
@@ -37,6 +39,11 @@ DEDUP_TOL = 1e-9
 DEDUP_MAX_RADIUS = 19.0
 
 DEFAULT_ELEMENT_CAP = 5_000_000
+
+# A side of D_0 is taken for the bisector of 0 and g 0 when they agree to
+# this: stored vertices and generator entries are good to ~1e-15 (4.6e-16
+# measured on the octagon), while a polygon rotated by 0.01 misses by 9e-3.
+_SIDE_TOL = 1e-12
 
 # Pairs orbit_pairs handles at once: ~1 MB complex temporaries, which stay
 # in cache.  Chunks of 4M pairs ran slower and held about 300 MB at the CLI
@@ -172,6 +179,26 @@ class FuchsianGroup:
         for arr in (alphas, betas, inv_index):
             arr.flags.writeable = False
         return letters, alphas, betas, inv_index
+
+    @cached_property
+    def dirichlet_at_0(self):
+        """Whether D_0 is the Dirichlet polygon about 0, its sides paired
+        by alphabet elements: enumerate_ball's margin-0 precondition.
+
+        The bisector of 0 and p is the Klein chord at distance |p| from 0,
+        normal to p, so each Klein side Re(conj(n) k) <= c of D_0 must have
+        c n = g 0 = beta/conj(alpha) for some alphabet element g, within
+        _SIDE_TOL.  D_0 is then the intersection of those bisectors'
+        half-planes, which holds the Dirichlet polygon, a fundamental
+        domain of the same area as D_0; so the two are equal.
+        """
+        if not self.domain_vertices:
+            return False
+        _, a, b, _ = self.alphabet
+        n, c = klein_sides(self.domain_vertices)
+        miss = np.abs((c * n)[:, None] - (b / np.conj(a))[None, :])
+        return bool(np.all(np.min(miss, axis=1, initial=np.inf)
+                           <= _SIDE_TOL))
 
     def min_generator_displacement(self, x=0.0j):
         return min((g.displacement(x) for g in self.generators), default=0.0)
@@ -415,22 +442,34 @@ def enumerate_ball(group, x, radius, margin=None,
                    max_elements=DEFAULT_ELEMENT_CAP):
     """All gamma with rho(x, gamma x) <= radius, by pruned BFS.
 
-    Nodes past radius + margin are not expanded.  Walk lemma (Beardon 1983,
-    ch. 9; Katok 1992, ch. 3-4): for x in D_0 (``domain_vertices``), the
-    geodesic from x to gamma x crosses tiles D_0, g_1 D_0, ..., gamma D_0,
-    each one generator step from the last and holding a geodesic point p_i
-    with rho(p_i, g_i x) <= c(x), the largest distance from x to a vertex
-    of D_0; so the default margin c(x) plus a rounding slack is complete.
-    Since rho(x, p_i) <= rho(x, gamma x), the walk also needs only tiles
-    within radius of x: with the default margin, a node g is dropped too
-    once a lower bound on sinh rho(x, g D_0) from D_0's side half-planes
-    (_tile_sinh) exceeds sinh(radius) plus a rounding slack.  At x = 0.35 +
-    0.1j and radius 10 that shrinks the BFS tree from 123,629 to 38,319
-    nodes for the same 5,463 elements.  Without D_0, or for x outside it,
-    the default margin is the largest generator displacement at x, and
-    completeness is empirical.  An explicit margin runs no tile test.  The
-    cache serves only radii up to the one built.  Past DEDUP_MAX_RADIUS or
-    max_elements a build raises BudgetExceeded.
+    Nodes past radius + margin are not expanded.  Descent lemma (Beardon
+    1983, ch. 9; Katok 1992, ch. 3): when D_0 is the Dirichlet polygon
+    about 0 and the alphabet pairs its sides (``dirichlet_at_0``), every
+    gamma != id has a letter s with rho(0, gamma s 0) < rho(0, gamma 0).
+    The geodesic from 0 to gamma 0 enters the cell gamma D_0 at a point q
+    on a side of it, and the cell gamma s D_0 across that side holds q; as
+    Dirichlet cells are the Voronoi cells of the orbit, rho(0, gamma s 0)
+    <= rho(0, q) + rho(q, gamma 0) = rho(0, gamma 0), with equality only
+    for gamma s 0 = gamma 0.  So every ball element ends a path from the
+    identity along which the displacement rises, and at x = 0 the default
+    margin is a rounding slack alone: no tile test runs, and the BFS tree
+    is the ball (5,433 nodes at radius 10, where c(0) built 38,489).
+
+    At other x, walk lemma (Beardon 1983, ch. 9; Katok 1992, ch. 3-4): for
+    x in D_0 (``domain_vertices``), the geodesic from x to gamma x crosses
+    tiles D_0, g_1 D_0, ..., gamma D_0, each one generator step from the
+    last and holding a geodesic point p_i with rho(p_i, g_i x) <= c(x), the
+    largest distance from x to a vertex of D_0; so the default margin c(x)
+    plus a rounding slack is complete.  Since rho(x, p_i) <= rho(x, gamma
+    x), the walk also needs only tiles within radius of x: with the margin
+    c(x), a node g is dropped too once a lower bound on sinh rho(x, g D_0)
+    from D_0's side half-planes (_tile_sinh) exceeds sinh(radius) plus a
+    rounding slack.  At x = 0.35 + 0.1j and radius 10 that shrinks the BFS
+    tree from 123,629 to 38,319 nodes for the same 5,463 elements.  Without
+    D_0, or for x outside it, the default margin is the largest generator
+    displacement at x, and completeness is empirical.  An explicit margin
+    runs no tile test.  The cache serves only radii up to the one built.
+    Past DEDUP_MAX_RADIUS or max_elements a build raises BudgetExceeded.
     """
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
@@ -442,7 +481,14 @@ def enumerate_ball(group, x, radius, margin=None,
 
     letters, gen_a, gen_b, inv_index = group.alphabet
     tiles = None
-    if margin is None:
+    if margin is None and x == 0 and group.dirichlet_at_0:
+        # Slack as in orbit_pairs: a displacement below radius + margin is
+        # computed to e = 2^-40 e^radius (its 4096 ulps absorb e^margin <
+        # 1.001 below DEDUP_MAX_RADIUS).  A kept element is truly within
+        # radius + e; by the lemma so is every node on its descent path,
+        # whose computed displacement is then within radius + 2 e.
+        margin = 2.0 ** -39 * np.exp(radius)
+    elif margin is None:
         margin, tiles = _walk_margin(group, x, radius)
     expand_limit = radius + margin
     if expand_limit > DEDUP_MAX_RADIUS:

@@ -361,3 +361,12 @@ def test_samples_must_be_positive(tmp_path, capsys, command, samples):
     err = capsys.readouterr().err.splitlines()
     assert err[-1] == (f"error: argument --samples: must be a positive "
                        f"integer, got {samples}")
+
+
+def test_automorphy_check_needs_generators(tmp_path, capsys):
+    # a group without generators used to pass over "samples": []
+    code, data = run(tmp_path, "automorphy-check", "--group", "trivial")
+    assert code == 1 and data is None
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: argument --group: trivial has no generators, so "
+                   "there is nothing to check"]

@@ -28,8 +28,9 @@ from discforms.seshadri import (
 from conftest import random_disc_points
 
 D0 = 2.0 * math.acosh(1.0 + math.sqrt(2.0))   # preset generator displacement
-# distance from 0 to the vertices of the preset's polygon D_0, the margin
-# enumerate_ball uses at 0 (plus a rounding slack, below 1e-3 up to 19)
+# c(0): distance from 0 to the vertices of the preset's polygon D_0, the
+# walk-lemma margin; enumerate_ball uses it at 0 only when D_0 fails the
+# descent lemma's precondition (FuchsianGroup.dirichlet_at_0)
 C_WALK = math.acosh((1.0 + math.sqrt(2.0)) ** 2)
 
 
@@ -281,6 +282,53 @@ def test_tile_test_prunes_the_tree(nested_balls):
     assert len(ball) == 5463 and len(ball.parents) <= 40_000
 
 
+def test_tree_is_the_ball_at_0(nested_balls):
+    # descent lemma: at 0 no node outside the ball is expanded
+    balls = [enumerate_ball(preset_genus2_octagon(), 0.0j, 6.0)]
+    balls += [enumerate_ball(nested_balls[0.0j, r], 0.0j, r)
+              for r in (8.0, 10.0, 12.0)]
+    assert [len(b.parents) for b in balls] == [len(b) for b in balls] \
+        == [97, 793, 5433, 40905]
+
+
+@pytest.mark.parametrize("radius", [6.0, 8.0, 10.0])
+def test_margin_0_ball_equals_walk_margin_ball(radius):
+    # the same elements, bits and words as a build with the walk-lemma
+    # margin c(0) passed explicitly
+    ball = enumerate_ball(preset_genus2_octagon(), 0.0j, radius)
+    ref = enumerate_ball(preset_genus2_octagon(), 0.0j, radius,
+                         margin=C_WALK + 1e-3)
+    assert len(ref.parents) > len(ball.parents) == len(ball)
+    for a, b in [(ball.alphas, ref.alphas), (ball.betas, ref.betas),
+                 (ball.displacements, ref.displacements)]:
+        assert np.array_equal(a, b)
+    assert ball.words == ref.words
+
+
+def test_margin_0_needs_the_dirichlet_polygon(octagon, monkeypatch):
+    # the precondition is checked, not assumed: it holds on the octagon
+    # only, and a D_0 rotated by 0.01 is no Dirichlet polygon, so its ball
+    # at 0 falls back to the walk-lemma margin c(0)
+    assert octagon.dirichlet_at_0
+    assert not load_group("trivial").dirichlet_at_0
+    assert not from_config_text(to_config_text(octagon)).dirichlet_at_0
+    rotated = FuchsianGroup(
+        octagon.generators, octagon.relators,
+        domain_vertices=tuple(np.array(octagon.domain_vertices)
+                              * np.exp(0.01j)))
+    assert not rotated.dirichlet_at_0
+    calls = []
+    real = group_module._walk_margin
+    monkeypatch.setattr(group_module, "_walk_margin",
+                        lambda g, x, r: calls.append(x) or real(g, x, r))
+    ball = enumerate_ball(rotated, 0.0j, 8.0)
+    assert calls == [0.0j]
+    assert len(ball.parents) > len(ball)
+    wide = enumerate_ball(preset_genus2_octagon(), 0.0j, 8.0,
+                          margin=C_WALK + 3.0)
+    assert _same_elements(ball, wide)
+
+
 @pytest.fixture(scope="module")
 def walk_group():
     # its own group, so the large reference balls stay out of other tests
@@ -476,14 +524,21 @@ def test_dedup_matches_sequential_rule():
 
 def test_ball_dedup_radius_limit():
     g = preset_genus2_octagon()
+    # off 0 the walk-lemma margin c(x) counts against the limit
+    x = 0.2 + 0.0j
+    c = _vertex_reach(g, x)
     with pytest.raises(BudgetExceeded, match="dedup"):
-        enumerate_ball(g, 0.0j, DEDUP_MAX_RADIUS - C_WALK + 0.01)
+        enumerate_ball(g, x, DEDUP_MAX_RADIUS - c + 0.01)
     with pytest.raises(BudgetExceeded, match="dedup"):
         enumerate_ball(g, 0.0j, 5.0, margin=DEDUP_MAX_RADIUS)
     # just inside the limit the build starts (and meets the element cap)
     with pytest.raises(BudgetExceeded, match="cap"):
-        enumerate_ball(g, 0.0j, DEDUP_MAX_RADIUS - C_WALK - 0.01,
-                       max_elements=100)
+        enumerate_ball(g, x, DEDUP_MAX_RADIUS - c - 0.01, max_elements=100)
+    # at 0 the margin is the rounding slack alone, 3e-4 at radius 19
+    with pytest.raises(BudgetExceeded, match="dedup"):
+        enumerate_ball(g, 0.0j, DEDUP_MAX_RADIUS + 0.01)
+    with pytest.raises(BudgetExceeded, match="cap"):
+        enumerate_ball(g, 0.0j, DEDUP_MAX_RADIUS - 0.01, max_elements=100)
     # the trivial group runs the same build, so the same limit holds
     with pytest.raises(BudgetExceeded, match="dedup"):
         enumerate_ball(load_group("trivial"), 0.0j, DEDUP_MAX_RADIUS + 0.01)
