@@ -270,18 +270,28 @@ class OrbitBall:
         return [(GroupElement(a, b, w), d) for a, b, w, d in
                 zip(self.alphas, self.betas, self.words, self.displacements)]
 
-    def terms(self, z):
+    def terms(self, z, out=None):
         """(gamma z, den) per element, den = conj(beta) z + conj(alpha).
 
         j_gamma(z) = den^-2.  Shape (n,) for a scalar z and (n, len(z)) for
-        an array, rows in ball order.
+        an array, rows in ball order; written into the pair ``out`` when
+        given.
         """
         z = np.asarray(z, dtype=complex)
         a, b = self.alphas, self.betas
         if z.ndim:
             a, b, z = a[:, None], b[:, None], z[None, :]
-        den = np.conj(b) * z + np.conj(a)
-        return (a * z + b) / den, den
+        if out is None:
+            shape = np.broadcast_shapes(a.shape, z.shape)
+            out = np.empty(shape, complex), np.empty(shape, complex)
+        gz, den = out
+        # in place, but the steps and operand order of (a z + b)/den
+        np.multiply(np.conj(b), z, out=den)
+        den += np.conj(a)
+        np.multiply(a, z, out=gz)
+        gz += b
+        gz /= den
+        return gz, den
 
     def restrict(self, radius):
         """The elements with displacement <= radius: a prefix view."""

@@ -255,3 +255,25 @@ def test_automorphy_check_samples_the_seed_sup_once(monkeypatch):
         want = eval_(group, fresh, m, z, radius)
         assert got.tail_estimate.hex() == want.tail_estimate.hex()
         assert got.value == want.value
+
+
+@pytest.mark.parametrize("f", [SeedFunction.poly([0.0, 0.0, 1.0]),
+                               SeedFunction.poly([1.0, 0.5j, -0.25]),
+                               SeedFunction.rational([1.0, 0.3], [2.0, -1.0])],
+                         ids=["z2", "quadratic", "rational"])
+def test_poincare_values_bits_and_one_workspace(octagon, f):
+    # the block loop writes into one workspace per call; its bits are the
+    # column sums of f(gz) den^-2m built fresh per block, as before.  At
+    # R = 10 blocks hold 12 points, so 64 points end in a block of 16.
+    ball = enumerate_ball(octagon, 0.0j, 10.0)
+    zs = random_disc_points(np.random.default_rng(7), 64, 0.5)
+    for m in (2, 4):
+        got = series.poincare_values(octagon, f, m, zs, 10.0)
+        want = np.concatenate([
+            np.sum(f(gz) * den ** (-2 * m), axis=0) for gz, den in
+            map(ball.terms, np.split(zs, [12, 24, 36, 48]))])
+        assert got.tobytes() == want.tobytes()
+    gz = ball.terms(zs[:5])[0]
+    out = np.empty_like(gz)
+    assert f.eval_into(gz, out) is out
+    assert out.tobytes() == f(gz).tobytes()
