@@ -5,17 +5,16 @@ z -> (alpha z + beta)/(conj(beta) z + conj(alpha)), together with the word
 in the generators that produced them.  Elements are compared in PSU(1,1),
 i.e. up to a global sign of the pair.
 
-Enumeration is by geometric ball rather than by word length: breadth-first
-search over freely reduced words, pruning a branch once its displacement
-exceeds the target radius plus a margin (see enumerate_ball).  At 0, when
-D_0 is the Dirichlet polygon about 0 and the alphabet pairs its sides, the
-descent lemma makes the margin a rounding slack alone and the search tree
-is the ball.  Elsewhere in the side-pairing polygon D_0 the walk lemma
-certifies a margin c(x), and a branch is also pruned once a lower bound on
-the distance to its tile g D_0 exceeds the radius plus a rounding slack.
-Products are re-normalized to SU(1,1) after every multiplication to control
-drift, and deduplicated on a rounded, sign-invariant key.  An element's
-bits follow from its BFS path alone, not from the build radius.
+Enumeration is by geometric ball rather than by word length.  At 0 it is a
+breadth-first search over freely reduced words, pruning a branch once its
+displacement exceeds the target radius plus a margin; when D_0 is the
+Dirichlet polygon about 0 and the alphabet pairs its sides, the descent
+lemma makes the margin a rounding slack alone and the search tree is the
+ball.  At other base points x the ball is cut from the ball at 0 of radius
+R + 2 rho(0, x) (see enumerate_ball).  Products are re-normalized to
+SU(1,1) after every multiplication to control drift, and deduplicated on
+a rounded, sign-invariant key.  An element's bits follow from its BFS path
+alone, not from the build radius.
 """
 
 from __future__ import annotations
@@ -26,9 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceeded, ConfigError, NonUnitary
-from .geometry import (check_disc_point, check_su11, distance,
-                       in_convex_polygon, klein_sides, mobius,
-                       mobius_jacobian)
+from .geometry import (check_disc_point, check_su11, distance, klein_sides,
+                       mobius, mobius_jacobian)
 
 # Deduplication tolerance in max-norm on (alpha, beta) up to sign.  Generator
 # entries are algebraic numbers evaluated in double precision; renormalized
@@ -393,93 +391,39 @@ def _accept(k1, k2, seen1, seen2):
     return rows
 
 
-def _walk_margin(group, x, radius):
-    """enumerate_ball's default (margin, tiles) at x; see there.
-
-    tiles is None unless x lies in D_0; else (n, c, limit) for _tile_sinh
-    and the bound past which a tile is dropped.
-    """
-    v = np.asarray(group.domain_vertices, dtype=complex)
-    if not (len(v) and in_convex_polygon(v, x, 0.0)):
-        return group.max_generator_displacement(x), None
-    c = float(np.max(distance(x, v)))
-    rho = float(distance(0.0j, x))
-    # Slack as in orbit_pairs: a displacement below radius + c is computed
-    # to 2^-40 e^(rho(0, x) + radius + c); the lemma compares two: 2^-39
-    margin = c + 2.0 ** -39 * np.exp(rho + radius + c)
-    n, cs = klein_sides(v)
-    h = np.sqrt(1.0 - cs * cs)
-    # Slack of the tile test: a tested g has rho(x, g x) <= radius + margin,
-    # so rho(0, g^-1 x) <= reach := rho(0, x) + radius + margin; each of the
-    # two terms of a side's value in _tile_sinh is at most e^reach / h.  A few
-    # roundings, the drift of (alpha, beta) over 40 letters and the ~1e-15
-    # error of stored vertices: 2^-41 of that per term.  Renormalization
-    # leaves (alpha, beta) a real scale off SU(1,1), by a few ulps of
-    # |alpha|^2 + |beta|^2 = cosh rho(0, g 0) <= e^(reach + rho(0, x)); that
-    # scales each term by 2^-50 e^(reach + rho(0, x)) at most.  Both terms:
-    reach = rho + radius + margin
-    limit = np.sinh(radius) + (2.0 ** -40 + 2.0 ** -49 * np.exp(reach + rho)) \
-        * np.exp(reach) / np.min(h)
-    return margin, (2.0 * n / h, cs / h, limit)
-
-
-def _tile_sinh(tiles, x, alphas, betas):
-    """Lower bound on sinh rho(x, g D_0) per g = (alpha, beta); 0 when
-    g^-1 x lies in D_0.  tiles as returned by _walk_margin.
-
-    rho(x, g D_0) = rho(g^-1 x, D_0), at least the distance to the line of
-    any side of D_0 that g^-1 x lies beyond.  On the hyperboloid, the side
-    Re(conj(n) k) <= c is the plane with unit normal (c, n)/h, h =
-    sqrt(1 - c^2), and a point's signed distance from it has sinh
-    (Re(conj(n) X) - c X0)/h.  The hyperboloid point (X0, X) of
-    g^-1 x = u/s is (|u|^2 + |s|^2, 2 u conj(s)) / (1 - |x|^2), taken
-    straight from (alpha, beta): no cancellation near the boundary, where
-    the Klein model's sqrt(1 - |k|^2) would lose digits.
-    """
-    ns, cs, _ = tiles
-    u = np.conj(alphas) * x - betas
-    s = alphas - np.conj(betas) * x
-    sc = np.conj(s)     # named: see the child product in enumerate_ball
-    w = u * sc
-    m = u.real ** 2 + u.imag ** 2 + s.real ** 2 + s.imag ** 2
-    best = np.zeros(len(m))
-    for n, c in zip(ns, cs):
-        np.maximum(best, n.real * w.real + n.imag * w.imag - c * m, out=best)
-    return best / (1.0 - abs(x) ** 2)
-
-
 def enumerate_ball(group, x, radius, margin=None,
                    max_elements=DEFAULT_ELEMENT_CAP):
-    """All gamma with rho(x, gamma x) <= radius, by pruned BFS.
+    """All gamma with rho(x, gamma x) <= radius.
 
-    Nodes past radius + margin are not expanded.  Descent lemma (Beardon
-    1983, ch. 9; Katok 1992, ch. 3): when D_0 is the Dirichlet polygon
-    about 0 and the alphabet pairs its sides (``dirichlet_at_0``), every
-    gamma != id has a letter s with rho(0, gamma s 0) < rho(0, gamma 0).
-    The geodesic from 0 to gamma 0 enters the cell gamma D_0 at a point q
-    on a side of it, and the cell gamma s D_0 across that side holds q; as
-    Dirichlet cells are the Voronoi cells of the orbit, rho(0, gamma s 0)
-    <= rho(0, q) + rho(q, gamma 0) = rho(0, gamma 0), with equality only
-    for gamma s 0 = gamma 0.  So every ball element ends a path from the
-    identity along which the displacement rises, and at x = 0 the default
-    margin is a rounding slack alone: no tile test runs, and the BFS tree
-    is the ball (5,433 nodes at radius 10, where c(0) built 38,489).
+    At x = 0, by pruned BFS: nodes past radius + margin are not expanded.
+    Descent lemma (Beardon 1983, ch. 9; Katok 1992, ch. 3): when D_0 is the
+    Dirichlet polygon about 0 and the alphabet pairs its sides
+    (``dirichlet_at_0``), every gamma != id has a letter s with
+    rho(0, gamma s 0) < rho(0, gamma 0).  The geodesic from 0 to gamma 0
+    enters the cell gamma D_0 at a point q on a side of it, and the cell
+    gamma s D_0 across that side holds q; as Dirichlet cells are the
+    Voronoi cells of the orbit, rho(0, gamma s 0) <= rho(0, q) +
+    rho(q, gamma 0) = rho(0, gamma 0), with equality only for gamma s 0 =
+    gamma 0.  So every ball element ends a path from the identity along
+    which the displacement rises, the default margin is a rounding slack
+    alone, and the BFS tree is the ball (5,433 nodes at radius 10).  When
+    the check fails the default margin is the largest generator
+    displacement at 0, and completeness is empirical.
 
-    At other x, walk lemma (Beardon 1983, ch. 9; Katok 1992, ch. 3-4): for
-    x in D_0 (``domain_vertices``), the geodesic from x to gamma x crosses
-    tiles D_0, g_1 D_0, ..., gamma D_0, each one generator step from the
-    last and holding a geodesic point p_i with rho(p_i, g_i x) <= c(x), the
-    largest distance from x to a vertex of D_0; so the default margin c(x)
-    plus a rounding slack is complete.  Since rho(x, p_i) <= rho(x, gamma
-    x), the walk also needs only tiles within radius of x: with the margin
-    c(x), a node g is dropped too once a lower bound on sinh rho(x, g D_0)
-    from D_0's side half-planes (_tile_sinh) exceeds sinh(radius) plus a
-    rounding slack.  At x = 0.35 + 0.1j and radius 10 that shrinks the BFS
-    tree from 123,629 to 38,319 nodes for the same 5,463 elements.  Without
-    D_0, or for x outside it, the default margin is the largest generator
-    displacement at x, and completeness is empirical.  An explicit margin
-    runs no tile test.  The cache serves only radii up to the one built.
-    Past DEDUP_MAX_RADIUS or max_elements a build raises BudgetExceeded.
+    At other x, by filtering the ball at 0: rho(x, gamma x) <= R gives
+    rho(0, gamma 0) <= rho(0, x) + R + rho(gamma x, gamma 0) = R +
+    2 rho(0, x), so the ball at x is the part of the group's ball at 0 of
+    that radius (plus a rounding slack) with rho(x, gamma x) <= R, sorted
+    by it, ties in the order of the ball at 0.  It is exactly as complete
+    as the ball at 0, certified on the octagon at every x, and shares its
+    tree, so words and restriction work as there.  The ball at 0 grows
+    like e^(R + 2 rho(0, x)), so the filter reads about e^(2 rho(0, x))
+    elements per kept one: at radius 10 it beats a BFS at x up to
+    rho(0, x) ~ 1 and takes 1.4 s near a vertex of D_0 (rho = 2.19).  An
+    explicit margin runs the BFS at x instead, with no proof behind it.
+
+    The cache serves only radii up to the one built.  Past
+    DEDUP_MAX_RADIUS or max_elements a build raises BudgetExceeded.
     """
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
@@ -489,9 +433,30 @@ def enumerate_ball(group, x, radius, margin=None,
     if cached is not None and cached.radius >= radius:
         return cached.restrict(radius)
 
+    if margin is None and x != 0:
+        rho = float(distance(0.0j, x))
+        # Slack as in orbit_pairs: a kept element's computed rho(x, gamma x)
+        # <= radius is off by at most e = 2^-40 e^(radius + 2 rho) (4096
+        # ulps of its conditioning), and so is its computed rho(0, gamma 0)
+        # <= radius + 2 rho + e; two of them: 2^-39 e^(radius + 2 rho)
+        reach = radius + 2.0 * rho + 2.0 ** -39 * np.exp(radius + 2.0 * rho)
+        if reach > DEDUP_MAX_RADIUS:
+            raise BudgetExceeded(
+                f"radius + 2 rho(0, x) + slack = {reach:.6g} exceeds "
+                f"{DEDUP_MAX_RADIUS:g}, the limit of the {DEDUP_TOL:g} "
+                f"dedup key")
+        at0 = enumerate_ball(group, 0.0j, reach, max_elements=max_elements)
+        disp = distance(x, mobius(at0.alphas, at0.betas, x))
+        kept = np.flatnonzero(disp <= radius)
+        kept = kept[np.argsort(disp[kept], kind="stable")]
+        full = OrbitBall(x, radius, at0.alphas[kept], at0.betas[kept],
+                         disp[kept], at0.nodes[kept], at0.parents,
+                         at0.letters)
+        group._ball_cache[cache_key] = full
+        return full.restrict(radius)
+
     letters, gen_a, gen_b, inv_index = group.alphabet
-    tiles = None
-    if margin is None and x == 0 and group.dirichlet_at_0:
+    if margin is None and group.dirichlet_at_0:
         # Slack as in orbit_pairs: a displacement below radius + margin is
         # computed to e = 2^-40 e^radius (its 4096 ulps absorb e^margin <
         # 1.001 below DEDUP_MAX_RADIUS).  A kept element is truly within
@@ -499,7 +464,7 @@ def enumerate_ball(group, x, radius, margin=None,
         # whose computed displacement is then within radius + 2 e.
         margin = 2.0 ** -39 * np.exp(radius)
     elif margin is None:
-        margin, tiles = _walk_margin(group, x, radius)
+        margin = group.max_generator_displacement(x)
     expand_limit = radius + margin
     if expand_limit > DEDUP_MAX_RADIUS:
         raise BudgetExceeded(
@@ -546,8 +511,6 @@ def enumerate_ball(group, x, radius, margin=None,
         cb /= norm
         disp = distance(x, mobius(ca, cb, x))
         keep = disp <= expand_limit
-        if tiles is not None:
-            keep[keep] = _tile_sinh(tiles, x, ca[keep], cb[keep]) <= tiles[2]
         par, ca, cb, lidx, disp = (par[keep], ca[keep], cb[keep],
                                    lidx[keep], disp[keep])
         new_rows = _accept(*_dedup_keys(ca, cb, probes), seen1, seen2)

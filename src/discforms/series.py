@@ -334,10 +334,11 @@ def lemma22_check(group, f, m, radius):
     lhs = exact_sum(per_gamma)
     unfolded_total = exact_sum(unfolded)
     rhs, rhs_err = norm_pl(f, 1, (m - 2) / 2.0)
-    cum = np.cumsum(per_gamma)
+    # each shell's sum correctly rounded, so a shell at the radius is lhs
     shells = np.arange(1.0, radius + 0.5 * SHELL_WIDTH, SHELL_WIDTH)
-    partial = [(float(s), float(cum[ball.displacements <= s][-1]))
-               for s in shells if np.any(ball.displacements <= s)]
+    ends = np.searchsorted(ball.displacements, shells, "right")
+    partial = [(float(s), exact_sum(per_gamma[:n]))
+               for s, n in zip(shells, ends)]
     gap = abs(unfolded_total - lhs) / max(lhs, 1e-300)
     return IntegralBoundReport(
         lhs=lhs, rhs=rhs, rhs_quadrature_error=rhs_err,

@@ -136,6 +136,16 @@ def test_weight_sum_trivial(tmp_path):
     assert data["report"]["value"] == 1.0
 
 
+@pytest.mark.parametrize("extra", [[], ["--radius", "8"]])
+def test_lemma22_last_shell_is_lhs(tmp_path, extra):
+    # shell sums are correctly rounded like lhs, so the shell at the radius
+    # reports lhs to the bit
+    code, data = run(tmp_path, "lemma22-check", *extra)
+    rep = data["report"]
+    assert code == 0
+    assert rep["partial_lhs"][-1] == [data["config"]["radius"], rep["lhs"]]
+
+
 def test_enumerate_csv(tmp_path):
     csv_path = tmp_path / "ball.csv"
     code, data = run(tmp_path, "enumerate", "--radius", "4.5",
@@ -209,6 +219,16 @@ def test_enumerate_nonfinite_radius(capsys):
         assert cli.main(["enumerate", "--radius", r]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "finite" in err
+
+
+def test_enumerate_far_point_past_dedup_limit(tmp_path, capsys):
+    # the ball at 0.97 is cut from the ball at 0 of radius 12 + 2 rho(0, x)
+    # = 20.4, past the dedup key's limit: one line, no report
+    code, data = run(tmp_path, "enumerate", "--x", "0.97", "--radius", "12")
+    assert code == 1 and data is None
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: radius + 2 rho(0, x) + slack = 20.3")
 
 
 @pytest.mark.parametrize("spec", ["rational 1 / 0", "rational 1 /",

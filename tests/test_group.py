@@ -1,6 +1,8 @@
 """Fuchsian group arithmetic, enumeration and the genus-2 preset."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,14 +12,12 @@ from discforms import group as group_module, kernels, seshadri
 from discforms.domain import dirichlet_domain
 from discforms.embedding import very_ampleness_scan
 from discforms.errors import BudgetExceeded, ConfigError
-from discforms.geometry import (
-    distance, klein_to_poincare, mobius, poincare_to_klein,
-)
+from discforms.geometry import distance, in_convex_polygon, mobius
 from discforms.group import (
     DEDUP_MAX_RADIUS, DEDUP_TOL, FuchsianGroup, GroupElement, _OCTAGON_RELATOR,
-    _accept, _probe_points, _reduce_word, _SeenKeys, _tile_sinh, _walk_margin,
-    enumerate_ball, from_config_text, load_group, orbit_counts,
-    preset_genus2_octagon, to_config_text,
+    _accept, _probe_points, _reduce_word, _SeenKeys, enumerate_ball,
+    from_config_text, load_group, orbit_counts, preset_genus2_octagon,
+    to_config_text,
 )
 from discforms.kernels import roundtrip_check
 from discforms.series import SeedFunction
@@ -29,8 +29,7 @@ from conftest import random_disc_points
 
 D0 = 2.0 * math.acosh(1.0 + math.sqrt(2.0))   # preset generator displacement
 # c(0): distance from 0 to the vertices of the preset's polygon D_0, the
-# walk-lemma margin; enumerate_ball uses it at 0 only when D_0 fails the
-# descent lemma's precondition (FuchsianGroup.dirichlet_at_0)
+# walk-lemma margin of a BFS at 0 without the descent lemma
 C_WALK = math.acosh((1.0 + math.sqrt(2.0)) ** 2)
 
 
@@ -181,43 +180,13 @@ def test_preset_polygon_is_dirichlet_domain(octagon):
     assert _vertex_reach(octagon, 0.0j) == pytest.approx(C_WALK, abs=1e-12)
 
 
-@pytest.fixture(scope="module")
-def marked_octagon():
-    g = preset_genus2_octagon()
-    # the uncertified margin, marked negative to tell the branches apart
-    g.max_generator_displacement = lambda x: -1.0
-    return g, dirichlet_domain(g, spacing=0.05)
-
-
-_KLEIN_D0 = poincare_to_klein(np.array(
-    preset_genus2_octagon().domain_vertices))
-
-
-def _off_side(i, t, e, sign):
-    """A point 10^e (Klein) radially off side i of D_0, a fraction t along
-    it: far above the 2e-15 by which the preset and computed vertices
-    differ."""
-    p = _KLEIN_D0[i] + t * (_KLEIN_D0[(i + 1) % 8] - _KLEIN_D0[i])
-    return klein_to_poincare(p + sign * 10.0 ** e * p / abs(p))
-
-
-@settings(deadline=None, max_examples=300)
-@given(st.one_of(
-    st.builds(_off_side, st.integers(0, 7), st.floats(0.0, 1.0),
-              st.integers(-12, -1), st.sampled_from([-1.0, 1.0])),
-    st.complex_numbers(max_magnitude=0.99)))
-def test_walk_margin_certified_exactly_in_domain(marked_octagon, x):
-    g, dom = marked_octagon
-    margin, tiles = _walk_margin(g, complex(x), 1.0)
-    assert (margin > 0) == (tiles is not None) == dom.contains(x)
-
-
 @pytest.mark.parametrize("x", WALK_POINTS)
 def test_ball_complete_against_wider_margin(x):
-    # the certified margin c(x) and the tile test find every element that
-    # a BFS with margin c(x) + 3 and no tile test finds.  At R = 10 that
-    # BFS takes 8-19 s and 0.7-1.4 GB, so there it has margin c(x) + 1, at
-    # two of the points.
+    # the default ball (the descent-lemma BFS at 0, the ball at 0 filtered
+    # elsewhere) holds every element that a BFS at x with margin c(x) + 3
+    # finds, c(x) being the walk lemma's margin.  At R = 10 that BFS takes
+    # 8-19 s and 0.7-1.4 GB, so there it has margin c(x) + 1, at two of the
+    # points.
     cases = [(6.0, 3.0), (7.0, 3.0), (8.0, 3.0)]
     if x in (0.0j, 0.35 + 0.1j):
         cases.append((10.0, 1.0))
@@ -229,32 +198,67 @@ def test_ball_complete_against_wider_margin(x):
         assert _same_elements(ball, wide)
 
 
-# D_0's sides, sampled densely: Klein chords are straight
-_D0_BOUNDARY = klein_to_poincare(
-    _KLEIN_D0[:, None] + np.linspace(0.0, 1.0, 2001)[None, :]
-    * (np.roll(_KLEIN_D0, -1) - _KLEIN_D0)[:, None]).ravel()
+@pytest.mark.parametrize("x", [0.8 + 0.0j, -0.5 - 0.6j])
+def test_ball_outside_d0_against_wider_margin(x):
+    # outside D_0 the filtered ball is as certified as the ball at 0; a BFS
+    # at x with a margin one past the largest generator displacement at x
+    # finds the same elements, and the words spell them (to 1e-10 of
+    # |alpha| ~ e^(rho(0, gamma 0)/2), here up to 500)
+    assert not in_convex_polygon(preset_genus2_octagon().domain_vertices, x,
+                                 0.0)
+    for radius in (6.0, 8.0):
+        ball = enumerate_ball(preset_genus2_octagon(), x, radius)
+        g = preset_genus2_octagon()
+        wide = enumerate_ball(g, x, radius,
+                              margin=g.max_generator_displacement(x) + 1.0)
+        assert _same_elements(ball, wide)
+    assert np.all(ball.displacements <= radius)
+    for w, a, b in zip(ball.words, ball.alphas, ball.betas):
+        h = g.element_from_word(w)
+        assert min(abs(h.alpha - a) + abs(h.beta - b),
+                   abs(h.alpha + a) + abs(h.beta + b)) < 1e-10 * abs(a)
 
 
-@settings(deadline=None, max_examples=200)
-@given(st.one_of(st.sampled_from(WALK_POINTS),
-                 st.complex_numbers(max_magnitude=0.64)),
-       st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, -1, -2, -3, -4]),
-                max_size=4))
-def test_tile_bound_below_the_distance_to_d0(marked_octagon, x, word):
-    # the tile test's lemma: its bound on sinh rho(x, g D_0) is at most
-    # sinh of the distance from g^-1 x to sampled points of D_0's sides (0
-    # inside D_0), itself at least the true distance.  The disc of radius
-    # 0.64 lies in D_0 (its inradius is tanh(D0/4) = 0.643).
-    oct_, dom = marked_octagon
-    _, tiles = _walk_margin(oct_, complex(x), 1.0)
-    g = oct_.element_from_word(word)
-    bound = _tile_sinh(tiles, x, np.array([g.alpha]), np.array([g.beta]))[0]
-    w = g.inverse().apply(x)
-    d = 0.0 if dom.contains(w) else float(np.min(distance(w, _D0_BOUNDARY)))
-    # rounding: w and the distance to it lose ulps times e^rho(0, w), up
-    # to 1e-10 at four letters; the bound a few ulps of cosh rho(0, w)
-    assert bound <= math.sinh(d) * (1.0 + 1e-9) \
-        + 1e-13 * math.cosh(distance(0.0j, w))
+def test_ball_cold_pool_counts(monkeypatch):
+    # the recorded counts of the benchmark's 64 base points at R = 10, and,
+    # at R = 6, the elements of a BFS at x with margin c(x) + 1; the first
+    # point reaches farthest from 0, so one ball at 0 serves all 64
+    with open(Path(__file__).parents[1] / "perfbench" / "reference"
+              / "ball_cold.json") as fh:
+        ref = json.load(fh)
+    pool = [(complex(*x), n) for row, counts in zip(ref["base_points"],
+                                                    ref["kept"])
+            for x, n in zip(row, counts)]
+    pool.sort(key=lambda p: -abs(p[0]))
+    builds = []
+    real_probe = group_module._probe_points
+    monkeypatch.setattr(group_module, "_probe_points",
+                        lambda x: builds.append(x) or real_probe(x))
+    g = preset_genus2_octagon()
+    assert [len(enumerate_ball(g, x, ref["radius"])) for x, _ in pool] \
+        == [n for _, n in pool]
+    assert builds == [0.0j]
+    for x, _ in pool:
+        wide = enumerate_ball(preset_genus2_octagon(), x, 6.0,
+                              margin=_vertex_reach(g, x) + 1.0)
+        assert _same_elements(enumerate_ball(g, x, 6.0), wide)
+
+
+def test_second_base_point_builds_nothing(monkeypatch):
+    # a ball off 0 builds only the ball at 0 of radius R + 2 rho(0, x), and
+    # only when the cached one is smaller
+    builds = []
+    real_probe = group_module._probe_points
+    monkeypatch.setattr(group_module, "_probe_points",
+                        lambda x: builds.append(x) or real_probe(x))
+    g = preset_genus2_octagon()
+    for x, n_builds in [(0.3 + 0.0j, 1), (0.2j, 1), (0.0j, 1), (-0.1, 1),
+                        (0.35 + 0.1j, 2)]:
+        enumerate_ball(g, x, 8.0)
+        assert len(builds) == n_builds
+    assert builds == [0.0j, 0.0j]
+    reach = g._ball_cache[0.0, 0.0].radius
+    assert 8.0 + 2.0 * distance(0.0j, 0.35 + 0.1j) < reach < 8.0 + 1.6
 
 
 @pytest.mark.parametrize("x", WALK_POINTS)
@@ -272,14 +276,6 @@ def test_ball_bits_independent_of_build_radius(nested_balls, x):
                      (fresh.displacements, cut.displacements)]:
             assert np.array_equal(a, b)
         assert fresh.words == cut.words
-
-
-def test_tile_test_prunes_the_tree(nested_balls):
-    # 38,319 nodes here, where the displacement test alone builds 123,629
-    # for the same 5,463 elements
-    x = 0.35 + 0.1j
-    ball = enumerate_ball(nested_balls[x, 10.0], x, 10.0)
-    assert len(ball) == 5463 and len(ball.parents) <= 40_000
 
 
 def test_tree_is_the_ball_at_0(nested_balls):
@@ -305,10 +301,10 @@ def test_margin_0_ball_equals_walk_margin_ball(radius):
     assert ball.words == ref.words
 
 
-def test_margin_0_needs_the_dirichlet_polygon(octagon, monkeypatch):
+def test_margin_0_needs_the_dirichlet_polygon(octagon):
     # the precondition is checked, not assumed: it holds on the octagon
     # only, and a D_0 rotated by 0.01 is no Dirichlet polygon, so its ball
-    # at 0 falls back to the walk-lemma margin c(0)
+    # at 0 takes the empirical margin, the largest generator displacement
     assert octagon.dirichlet_at_0
     assert not load_group("trivial").dirichlet_at_0
     assert not from_config_text(to_config_text(octagon)).dirichlet_at_0
@@ -317,51 +313,17 @@ def test_margin_0_needs_the_dirichlet_polygon(octagon, monkeypatch):
         domain_vertices=tuple(np.array(octagon.domain_vertices)
                               * np.exp(0.01j)))
     assert not rotated.dirichlet_at_0
-    calls = []
-    real = group_module._walk_margin
-    monkeypatch.setattr(group_module, "_walk_margin",
-                        lambda g, x, r: calls.append(x) or real(g, x, r))
     ball = enumerate_ball(rotated, 0.0j, 8.0)
-    assert calls == [0.0j]
     assert len(ball.parents) > len(ball)
+    margin = rotated.max_generator_displacement(0.0j)
+    assert margin == pytest.approx(D0, abs=1e-12)
+    same = enumerate_ball(preset_genus2_octagon(), 0.0j, 8.0, margin=margin)
+    for a, b in [(ball.alphas, same.alphas), (ball.betas, same.betas),
+                 (ball.parents, same.parents)]:
+        assert np.array_equal(a, b)
     wide = enumerate_ball(preset_genus2_octagon(), 0.0j, 8.0,
                           margin=C_WALK + 3.0)
     assert _same_elements(ball, wide)
-
-
-@pytest.fixture(scope="module")
-def walk_group():
-    # its own group, so the large reference balls stay out of other tests
-    return preset_genus2_octagon()
-
-
-@settings(deadline=None, max_examples=25)
-@given(st.sampled_from(WALK_POINTS[:4]), st.integers(0, 10 ** 6))
-def test_walk_lemma(walk_group, x, pick):
-    # tiles g_i D_0 met by the geodesic from x to gamma x have
-    # rho(x, g_i x) <= rho(x, gamma x) + c(x) and pass the tile test at
-    # radius rho(x, gamma x); g_i is found by reducing a geodesic point p
-    # into D_0 (p = g_i q) and matching in a reference ball built with the
-    # wider margin c(x) + 3
-    g = walk_group
-    c = _vertex_reach(g, x)
-    ball = enumerate_ball(g, x, 4.5)
-    gamma = pick % len(ball)
-    d = float(ball.displacements[gamma])
-    ref = enumerate_ball(g, x, 4.5 + c + 1e-9, margin=c + 3.0)
-    # the geodesic from x to gamma x, as a radius in the chart centred at x
-    gx = mobius(ball.alphas[gamma], ball.betas[gamma], x)
-    w = np.linspace(0.0, 1.0, 101) * (gx - x) / (1.0 - np.conj(x) * gx)
-    p = (w + x) / (1.0 + np.conj(x) * w)
-    q = g.reduce_points(p)
-    hits = np.abs(mobius(ref.alphas[:, None], ref.betas[:, None], q[None, :])
-                  - p[None, :]) < 1e-9
-    assert np.all(hits.any(axis=0))
-    tiles = np.flatnonzero(hits.any(axis=1))
-    assert np.all(ref.displacements[tiles] <= d + c + 1e-9)
-    _, tile_test = _walk_margin(g, x, d)
-    assert np.all(_tile_sinh(tile_test, x, ref.alphas[tiles], ref.betas[tiles])
-                  <= tile_test[2])
 
 
 def test_counts_invariant_and_reduced_into_domain(octagon, rng):
@@ -457,15 +419,21 @@ def test_roundtrip_sums_the_moments_once(monkeypatch):
 
 @pytest.mark.parametrize("x", WALK_POINTS)
 def test_ball_sorted_by_displacement(x):
-    # each build sorts its ball by displacement, ties in BFS order
+    # each build sorts its ball by displacement, ties in BFS order at 0 and
+    # in the order of the ball at 0 elsewhere
     g = preset_genus2_octagon()
+    key = (round(x.real, 12), round(x.imag, 12))
     for radius in (6.0, 8.0, 10.0):
         enumerate_ball(g, x, radius)
-        (full,) = g._ball_cache.values()
+        full = g._ball_cache[key]
         assert full.radius == radius
         assert np.all(np.diff(full.displacements) >= 0)
+        at0 = g._ball_cache[0.0, 0.0]
+        rank = np.empty(len(at0.parents), dtype=np.int64)
+        rank[at0.nodes] = np.arange(len(at0))
         tie = np.diff(full.displacements) == 0
-        assert np.all(np.diff(full.nodes)[tie] > 0)
+        assert np.all(np.diff(rank[full.nodes])[tie] > 0)
+        assert np.all(np.diff(at0.nodes)[np.diff(at0.displacements) == 0] > 0)
         assert full.nodes[0] == 0
 
 
@@ -524,16 +492,17 @@ def test_dedup_matches_sequential_rule():
 
 def test_ball_dedup_radius_limit():
     g = preset_genus2_octagon()
-    # off 0 the walk-lemma margin c(x) counts against the limit
+    # off 0 the reach of the ball at 0, R + 2 rho(0, x) plus a slack of
+    # 3.3e-4 or less below the limit, counts against it
     x = 0.2 + 0.0j
-    c = _vertex_reach(g, x)
-    with pytest.raises(BudgetExceeded, match="dedup"):
-        enumerate_ball(g, x, DEDUP_MAX_RADIUS - c + 0.01)
+    c = 2.0 * float(distance(0.0j, x))
+    with pytest.raises(BudgetExceeded, match=r"2 rho\(0, x\).*dedup"):
+        enumerate_ball(g, x, DEDUP_MAX_RADIUS - c + 0.001)
     with pytest.raises(BudgetExceeded, match="dedup"):
         enumerate_ball(g, 0.0j, 5.0, margin=DEDUP_MAX_RADIUS)
     # just inside the limit the build starts (and meets the element cap)
     with pytest.raises(BudgetExceeded, match="cap"):
-        enumerate_ball(g, x, DEDUP_MAX_RADIUS - c - 0.01, max_elements=100)
+        enumerate_ball(g, x, DEDUP_MAX_RADIUS - c - 0.001, max_elements=100)
     # at 0 the margin is the rounding slack alone, 3e-4 at radius 19
     with pytest.raises(BudgetExceeded, match="dedup"):
         enumerate_ball(g, 0.0j, DEDUP_MAX_RADIUS + 0.01)
