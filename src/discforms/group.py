@@ -291,6 +291,16 @@ class OrbitBall:
         gz /= den
         return gz, den
 
+    def rows(self, rows):
+        """The elements in the slice ``rows`` of ball order, as a view.
+
+        Not a ball unless the slice is a prefix; it serves to evaluate
+        terms in blocks of rows.
+        """
+        return OrbitBall(self.base, self.radius, self.alphas[rows],
+                         self.betas[rows], self.displacements[rows],
+                         self.nodes[rows], self.parents, self.letters)
+
     def restrict(self, radius):
         """The elements with displacement <= radius: a prefix view."""
         if radius > self.radius + 1e-15:
@@ -422,13 +432,14 @@ def enumerate_ball(group, x, radius, margin=None,
     rho(0, x) ~ 1 and takes 1.4 s near a vertex of D_0 (rho = 2.19).  An
     explicit margin runs the BFS at x instead, with no proof behind it.
 
-    The cache serves only radii up to the one built.  Past
-    DEDUP_MAX_RADIUS or max_elements a build raises BudgetExceeded.
+    The cache is keyed on the exact x and serves only radii up to the one
+    built.  Past DEDUP_MAX_RADIUS or max_elements a build raises
+    BudgetExceeded.
     """
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
     x = complex(check_disc_point(x))
-    cache_key = (round(x.real, 12), round(x.imag, 12))
+    cache_key = (x.real, x.imag)
     cached = group._ball_cache.get(cache_key)
     if cached is not None and cached.radius >= radius:
         return cached.restrict(radius)

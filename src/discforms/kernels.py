@@ -31,7 +31,7 @@ import numpy as np
 from .geometry import check_disc_point, disc_points
 from .domain import dirichlet_domain
 from .group import enumerate_ball
-from .series import poincare_values, _polar_grid
+from .series import poincare_values, _polar_sum
 
 
 def weighted_kernel(m, z, w):
@@ -102,14 +102,12 @@ def reproducing_check(m, h, w):
     w = check_disc_point(complex(w))
     expected = np.conj(h(w))
 
-    def integral(n_r, n_theta):
-        z, wt = _polar_grid(n_r, n_theta)
-        dens = (weighted_kernel(m, z, w) * np.conj(h(z))
-                * (np.pi * (1.0 - np.abs(z) ** 2) ** 2) ** (m - 1))
-        return complex(np.sum(dens * wt))
+    def dens(z, wt):
+        return (weighted_kernel(m, z, w) * np.conj(h(z))
+                * (np.pi * (1.0 - np.abs(z) ** 2) ** 2) ** (m - 1) * wt)
 
-    full = integral(800, 512)
-    half = integral(400, 256)
+    full = complex(_polar_sum(800, 512, dens, complex))
+    half = complex(_polar_sum(400, 256, dens, complex))
     scale = max(abs(expected), 1e-300)
     return ReproducingReport(full, expected, abs(full - expected) / scale,
                              abs(half - expected) / scale)
@@ -130,13 +128,16 @@ def cm_constant(m, probes=(0.0, 0.2, 0.4j, -0.3 + 0.3j, 0.5)):
     Mobius invariance makes A constant; at w=0 the integrand is radial and
     A(0) = (2m-1)/(m-1) in closed form.
     """
-    z, wt = _polar_grid(1600, 512)
-    kz = (np.pi * (1.0 - np.abs(z) ** 2) ** 2) ** (m / 2.0 - 1.0)
+    def integrand(z, wt, w):
+        kz = (np.pi * (1.0 - np.abs(z) ** 2) ** 2) ** (m / 2.0 - 1.0)
+        return np.abs(weighted_kernel(m, z, w)) * kz * wt
+
     vals = []
     for w in probes:
         w = check_disc_point(complex(w))
         pref = (np.pi * (1.0 - abs(w) ** 2) ** 2) ** (m / 2.0)
-        integ = float(np.sum(np.abs(weighted_kernel(m, z, w)) * kz * wt))
+        integ = float(_polar_sum(
+            1600, 512, lambda z, wt: integrand(z, wt, w), float))
         vals.append(pref * integ)
     analytic = (2 * m - 1) / (m - 1)
     return CmReport(m, vals, [complex(p) for p in probes], analytic,

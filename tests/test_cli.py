@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -144,6 +145,21 @@ def test_lemma22_last_shell_is_lhs(tmp_path, extra):
     rep = data["report"]
     assert code == 0
     assert rep["partial_lhs"][-1] == [data["config"]["radius"], rep["lhs"]]
+
+
+@pytest.mark.parametrize("command", ["lemma22-check", "cm-constant",
+                                     "kernel-check", "norm"])
+def test_quadrature_memory_budget(tmp_path, command):
+    # the dense integrands are evaluated in blocks; over whole grids these
+    # commands peaked at 115, 50, 28 and 22 MiB
+    tracemalloc.start()
+    try:
+        code, _ = run(tmp_path, command)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 20 * 2 ** 20
 
 
 def test_enumerate_csv(tmp_path):

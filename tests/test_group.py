@@ -271,7 +271,7 @@ def test_ball_bits_independent_of_build_radius(nested_balls, x):
         fresh = enumerate_ball(nested_balls[x, r], x, r)
         cut = enumerate_ball(nested_balls[x, r_big], x, r)
         assert nested_balls[x, r_big]._ball_cache[
-            (round(x.real, 12), round(x.imag, 12))].radius == r_big
+            (x.real, x.imag)].radius == r_big
         for a, b in [(fresh.alphas, cut.alphas), (fresh.betas, cut.betas),
                      (fresh.displacements, cut.displacements)]:
             assert np.array_equal(a, b)
@@ -362,6 +362,22 @@ def test_cache_serves_only_its_radius():
     assert kept is rebuilt
 
 
+@pytest.mark.parametrize("order", [(0.0j, 1e-13), (1e-13, 0.0j)])
+def test_ball_cache_keys_the_exact_base_point(order):
+    # a base point within 5e-13 of 0 once shared the ball at 0's key, so the
+    # second request was served the first one's ball; in either order each
+    # now gets its own, and the ball at 0 is kept
+    g = preset_genus2_octagon()
+    balls = {x: enumerate_ball(g, x, 5.0) for x in order}
+    for x, ball in balls.items():
+        assert ball.base == x
+        assert enumerate_ball(g, x, 5.0).base == x
+        assert np.array_equal(ball.displacements, enumerate_ball(
+            preset_genus2_octagon(), x, 5.0).displacements)
+    assert g._ball_cache[0.0, 0.0].base == 0.0
+    assert g._ball_cache[1e-13, 0.0].base == 1e-13
+
+
 def test_orbit_work_reads_only_the_ball_at_0(monkeypatch):
     # orbit queries at x != 0 read the ball at 0; quasi_psh_check's first
     # candidate query of an r sizes the ball for all its blocks (made small
@@ -422,7 +438,7 @@ def test_ball_sorted_by_displacement(x):
     # each build sorts its ball by displacement, ties in BFS order at 0 and
     # in the order of the ball at 0 elsewhere
     g = preset_genus2_octagon()
-    key = (round(x.real, 12), round(x.imag, 12))
+    key = (x.real, x.imag)
     for radius in (6.0, 8.0, 10.0):
         enumerate_ball(g, x, radius)
         full = g._ball_cache[key]

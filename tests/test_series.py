@@ -9,7 +9,7 @@ from scipy.special import beta as beta_fn
 
 from hypothesis import example, given, settings, strategies as st
 
-from discforms import cli, series
+from discforms import cli, kernels, series
 from discforms.errors import UnboundedSeed, TargetNotReached
 from discforms.series import (
     SeedFunction, exact_sum, lemma22_check, norm_pl, poincare_eval,
@@ -280,3 +280,26 @@ def test_poincare_values_bits_and_one_workspace(octagon, f):
     out = np.empty_like(gz)
     assert f.eval_into(gz, out) is out
     assert out.tobytes() == f(gz).tobytes()
+
+
+def _quadratures(group, radii):
+    f = SeedFunction.poly([0.0, 1.0])
+    return ([series.lemma22_check(group, f, 4, r) for r in radii]
+            + [series.norm_pl(f, p, l) for p, l in [(1, 0.0), (2, 1.5)]]
+            + [kernels.reproducing_check(4, SeedFunction.poly([0, 0, 1.0]),
+                                         0.3), kernels.cm_constant(4)])
+
+
+@pytest.mark.parametrize("polar_block, ball_rows, radii", [
+    (1, 3, (6.0, 8.0)),
+    # one block: at radius 8 that would hold about 1 GB of ball rows
+    (10 ** 9, 10 ** 9, (6.0,))], ids=["tiny", "one-block"])
+def test_quadrature_independent_of_block_size(octagon, monkeypatch,
+                                              polar_block, ball_rows, radii):
+    # the integrands are evaluated in blocks of grid rows and ball rows;
+    # every element and every summation tree is the whole grid's, so no
+    # float moves with the block size
+    want = _quadratures(octagon, radii)
+    monkeypatch.setattr(series, "_POLAR_BLOCK", polar_block)
+    monkeypatch.setattr(series, "_BALL_ROWS", ball_rows)
+    assert _quadratures(octagon, radii) == want
