@@ -19,7 +19,7 @@ from .group import (
 from .domain import FundamentalDomain, dirichlet_domain, disc_domain
 from .series import (
     SeedFunction, SeriesValue, weight_sum, poincare_eval, poincare_values,
-    norm_pl, lemma22_check, polynomial_approx, schwarz_bound_check,
+    norm_pl, lemma22_check, polynomial_approx,
 )
 from .kernels import (
     weighted_kernel, weighted_kernel_series, kernel_transformation_check,

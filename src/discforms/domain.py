@@ -160,6 +160,13 @@ def _clipped_grid(verts, h):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+def check_spacing(spacing):
+    """Reject a grid spacing that is not positive and finite."""
+    if not (np.isfinite(spacing) and spacing > 0):
+        raise ValueError(f"spacing must be positive and finite, "
+                         f"got {spacing!r}")
+
+
 def dirichlet_domain(group, spacing):
     """Dirichlet fundamental domain about 0 with a quadrature grid.
 
@@ -168,6 +175,7 @@ def dirichlet_domain(group, spacing):
     if the polygon could still be cut by farther orbit points.  The group
     caches one domain per spacing.
     """
+    check_spacing(spacing)
     if spacing not in group._domain_cache:
         group._domain_cache[spacing] = (
             disc_domain(spacing=spacing) if group.is_trivial

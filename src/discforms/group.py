@@ -116,13 +116,13 @@ def _reduce_word(word):
 
 @dataclass
 class FuchsianGroup:
-    """Generators, relators, side-paired polygon D_0, ball and domain caches."""
+    """Generators, relators, side-paired polygon D_0, ball at 0, domains."""
 
     generators: list
     relators: list = field(default_factory=list)
     name: str = ""
     domain_vertices: tuple = ()     # convex D_0, CCW; empty when unknown
-    _ball_cache: dict = field(default_factory=dict, repr=False)
+    _ball_at_0: OrbitBall = field(default=None, repr=False)
     _domain_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -207,9 +207,10 @@ class FuchsianGroup:
     def reduce_points(self, zs):
         """Orbit representatives of zs: apply the letter that lowers
         rho(0, z) most until none does, i.e. into D_0 when D_0 is the
-        Dirichlet polygon of 0 and the alphabet pairs its sides."""
+        Dirichlet polygon of 0 and the alphabet pairs its sides.  Points
+        off the disc are rejected, not carried into it."""
         _, a, b, _ = self.alphabet
-        z = np.array(zs, dtype=complex)
+        z = check_disc_point(np.array(zs, dtype=complex))
         while len(a):
             img = mobius(a[:, None], b[:, None], z)
             w = img[np.argmin(np.abs(img), axis=0), np.arange(len(z))]
@@ -432,18 +433,13 @@ def enumerate_ball(group, x, radius, margin=None,
     rho(0, x) ~ 1 and takes 1.4 s near a vertex of D_0 (rho = 2.19).  An
     explicit margin runs the BFS at x instead, with no proof behind it.
 
-    The cache is keyed on the exact x and serves only radii up to the one
-    built.  Past DEDUP_MAX_RADIUS or max_elements a build raises
-    BudgetExceeded.
+    The group keeps one ball, its last default-margin ball at 0, which
+    serves every cut and smaller radius; any other ball is built afresh.
+    Past DEDUP_MAX_RADIUS or max_elements a build raises BudgetExceeded.
     """
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
     x = complex(check_disc_point(x))
-    cache_key = (x.real, x.imag)
-    cached = group._ball_cache.get(cache_key)
-    if cached is not None and cached.radius >= radius:
-        return cached.restrict(radius)
-
     if margin is None and x != 0:
         rho = float(distance(0.0j, x))
         # Slack as in orbit_pairs: a kept element's computed rho(x, gamma x)
@@ -460,11 +456,12 @@ def enumerate_ball(group, x, radius, margin=None,
         disp = distance(x, mobius(at0.alphas, at0.betas, x))
         kept = np.flatnonzero(disp <= radius)
         kept = kept[np.argsort(disp[kept], kind="stable")]
-        full = OrbitBall(x, radius, at0.alphas[kept], at0.betas[kept],
+        return OrbitBall(x, radius, at0.alphas[kept], at0.betas[kept],
                          disp[kept], at0.nodes[kept], at0.parents,
                          at0.letters)
-        group._ball_cache[cache_key] = full
-        return full.restrict(radius)
+    cache, held = margin is None, group._ball_at_0
+    if cache and held is not None and held.radius >= radius:
+        return held.restrict(radius)
 
     letters, gen_a, gen_b, inv_index = group.alphabet
     if margin is None and group.dirichlet_at_0:
@@ -554,7 +551,8 @@ def enumerate_ball(group, x, radius, margin=None,
     full = OrbitBall(x, radius, alphas[order], betas[order], disps[order],
                      kept[order], np.concatenate(all_parent),
                      signed[np.concatenate(all_letter)])
-    group._ball_cache[cache_key] = full
+    if cache:
+        group._ball_at_0 = full
     return full.restrict(radius)
 
 

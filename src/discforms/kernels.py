@@ -199,6 +199,10 @@ def roundtrip_check(group, f0, m, sample_points, spacing, radius=8.0):
     f, _ = relative_poincare(domain, h_nodes, m, orbit)
     rel = []
     for f_orbit, den_s, hz in zip(f, den, h_samples):
-        resummed = complex(np.sum(f_orbit * den_s ** (-2 * m)))
+        # named: NumPy would compute f_orbit * (a temporary of 16,384 or
+        # more elements) in place with the operands swapped, which moves
+        # last bits of a complex product
+        jm = den_s ** (-2 * m)
+        resummed = complex(np.sum(f_orbit * jm))
         rel.append(abs(resummed - hz) / max(abs(hz), 1e-300))
     return RoundTripReport(max(rel), rel, list(samples), spacing, radius)

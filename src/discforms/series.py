@@ -396,36 +396,6 @@ def lemma22_check(group, f, m, radius):
         partial_lhs=partial)
 
 
-@dataclass
-class SchwarzReport:
-    lhs_sq: float                  # (sum |f(gamma z) j^m|)^2
-    rhs: float                     # sum |f^2 j^{2m-2}| * sum |j|^2
-    holds_at_every_prefix: bool
-    max_prefix_ratio: float        # max over prefixes of lhs^2 / rhs
-
-
-def schwarz_bound_check(group, f, m, z, radius):
-    """Cauchy-Schwarz comparison of the three truncated orbit sums.
-
-    ||P_m(f)||(z)^2 <= ||P_{2m-2}(f^2)||(z) * sum |j|^2 holds term-wise at
-    every truncation, so it is asserted at every prefix of the
-    displacement-ordered sum.
-    """
-    z = check_disc_point(complex(z))
-    ball = enumerate_ball(group, 0.0j, radius)
-    gz, den = ball.terms(z)
-    jm = den ** (-2 * m)
-    fz = f(gz)
-    a = np.cumsum(np.abs(fz * jm))
-    b = np.cumsum(np.abs(fz ** 2 * jm ** 2 * den ** 4))
-    c = np.cumsum(np.abs(jm) ** (2.0 / m))
-    ratios = a ** 2 / np.maximum(b * c, 1e-300)
-    return SchwarzReport(
-        lhs_sq=float(a[-1] ** 2), rhs=float(b[-1] * c[-1]),
-        holds_at_every_prefix=bool(np.all(ratios <= 1.0 + 1e-12)),
-        max_prefix_ratio=float(np.max(ratios)))
-
-
 # ---------------------------------------------------------------------------
 # Polynomial approximation of bounded seeds
 # ---------------------------------------------------------------------------
@@ -445,11 +415,13 @@ def polynomial_approx(f, l, delta, dilation=None, max_degree=200):
     closed disc, so the dilation t defaults to 1.  Degrees are tried
     greedily until the measured norm clears the target.
     """
-    if f.kind == "poly":
-        return PolyApproxResult(f, 0.0, 1.0, f.degree)
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     t = 1.0 if dilation is None else float(dilation)
     if not 0.0 < t <= 1.0:
         raise ValueError("dilation t must lie in (0, 1]")
+    if f.kind == "poly":
+        return PolyApproxResult(f, 0.0, 1.0, f.degree)
 
     th = np.exp(2j * np.pi * np.arange(4096) / 4096)
     coeffs = np.fft.fft(f(t * th)) / 4096  # Taylor coefficients of f(t z)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import dirichlet_domain
+from .domain import check_spacing, dirichlet_domain
 from .geometry import bergman_metric, distance
 from .group import enumerate_ball, orbit_counts, orbit_pairs
 
@@ -25,17 +25,13 @@ def injectivity_radius(group, x):
 
     rho_x is Gamma-invariant, so x is first reduced toward 0 to keep the
     ball small.  The smallest generator displacement d0 at x bounds the
-    minimum, and the ball at 0 of radius d0 + 2 rho(0, x) (plus 0.5 of
-    slack) holds every gamma with rho(x, gamma x) <= d0.  A group with no
-    generators has only the identity: rho_x is infinite.
+    minimum, so the ball at x of radius d0 (plus 0.5 of slack) holds it,
+    second in ball order after the identity.  A group with no generators
+    has only the identity: rho_x is infinite.
     """
     x = complex(group.reduce_points([x])[0])
-    d0 = group.min_generator_displacement(x)
-    ball = enumerate_ball(group, 0.0j,
-                          d0 + 0.5 + 2.0 * float(distance(0.0j, x)))
-    # the identity, the BFS root at displacement 0, comes first
-    pts = ball.terms(x)[0][1:]
-    return 0.5 * float(np.min(distance(x, pts), initial=math.inf))
+    ball = enumerate_ball(group, x, group.min_generator_displacement(x) + 0.5)
+    return 0.5 * float(ball.displacements[1]) if len(ball) > 1 else math.inf
 
 
 @dataclass
@@ -184,6 +180,7 @@ def quasi_psh_check(group, x, r, spacing=0.0125):
     x within r are excluded (psi is log-singular at those, and the bound
     holds distributionally).
     """
+    check_spacing(spacing)
     x = complex(x)
     h = 1e-3
     dvalue = density(group, x, r, spacing=max(spacing, 0.02)).value

@@ -171,3 +171,21 @@ def test_orbit_sums_go_through_exact_sum():
                    if isinstance(fn, ast.FunctionDef)
                    and fn.name == "exact_sum" for c in _fsum_calls(fn)]
     assert len(calls) == 1 and calls == inside
+
+
+def _slot_uses(node):
+    return sum(1 for n in ast.walk(node)
+               if isinstance(n, ast.Attribute) and n.attr == "_ball_at_0"
+               or isinstance(n, ast.Constant) and n.value == "_ball_at_0")
+
+
+def test_only_enumerate_ball_touches_the_ball_slot():
+    # the group keeps one ball, the ball at 0, and enumerate_ball alone
+    # reads or writes it; every other function asks enumerate_ball
+    uses, owned = 0, 0
+    for _, tree in _trees("src"):
+        uses += _slot_uses(tree)
+        owned += sum(_slot_uses(fn) for fn in ast.walk(tree)
+                     if isinstance(fn, ast.FunctionDef)
+                     and fn.name == "enumerate_ball")
+    assert uses == owned > 0

@@ -106,13 +106,37 @@ def test_input_error_exit_code(tmp_path):
 @pytest.mark.parametrize("argv, point", [
     (["enumerate", "--x", "nan"], "(nan+0j)"),
     (["weight-sum", "--z", "nan"], "(nan+0j)"),
-    (["poincare-eval", "--z", "nan+1j"], "(nan+1j)")])
+    (["poincare-eval", "--z", "nan+1j"], "(nan+1j)"),
+    (["injectivity-radius", "--x", "1.5"], "(1.5+0j)"),
+    (["injectivity-radius", "--x", "1"], "(1+0j)"),
+    (["injectivity-radius", "--x", "nan"], "(nan+0j)")])
 def test_nan_point_exits_1(tmp_path, capsys, argv, point):
-    # NaN fails every comparison, so the disc check must not be |z| >= limit
+    # NaN fails every comparison, so the disc check must not be |z| >= limit;
+    # a point outside the disc is rejected before reduction could carry it in
     code, data = run(tmp_path, *argv)
     assert code == 1 and data is None
     err = capsys.readouterr().err
     assert err == f"error: point {point} is not inside |z| < 0.999999999999\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fundamental-domain", "--spacing", "0"],
+    ["fundamental-domain", "--spacing", "-0.1"],
+    ["fundamental-domain", "--spacing", "nan"],
+    ["roundtrip", "--spacing", "0"],
+    ["quasi-psh-check", "--spacing", "0"],
+    ["quasi-psh-check", "--group", "trivial", "--spacing", "0"],
+    ["approx-poly", "--f", "poly 1", "--dilation", "-5"],
+    ["approx-poly", "--f", "poly 1", "--delta", "0"],
+    ["approx-poly", "--f", "rational 1 / 2 -1", "--delta", "0"],
+    ["approx-poly", "--f", "rational 1 / 2 -1", "--delta", "nan"],
+    ["approx-poly", "--f", "rational 1 / 2 -1", "--dilation", "1.5"]])
+def test_bad_numeric_flag_exits_1(tmp_path, capsys, argv):
+    # one error line, no traceback
+    code, data = run(tmp_path, *argv)
+    assert code == 1 and data is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cutoff_command(tmp_path):

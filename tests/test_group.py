@@ -14,13 +14,14 @@ from discforms.embedding import very_ampleness_scan
 from discforms.errors import BudgetExceeded, ConfigError
 from discforms.geometry import distance, in_convex_polygon, mobius
 from discforms.group import (
-    DEDUP_MAX_RADIUS, DEDUP_TOL, FuchsianGroup, GroupElement, _OCTAGON_RELATOR,
+    DEDUP_MAX_RADIUS, DEDUP_TOL, FuchsianGroup, GroupElement, OrbitBall,
+    _OCTAGON_RELATOR,
     _accept, _probe_points, _reduce_word, _SeenKeys, enumerate_ball,
     from_config_text, load_group, orbit_counts, preset_genus2_octagon,
     to_config_text,
 )
 from discforms.kernels import roundtrip_check
-from discforms.series import SeedFunction
+from discforms.series import SeedFunction, weight_sum
 from discforms.seshadri import (
     injectivity_radius, quasi_psh_check, seshadri_lower_bound,
 )
@@ -257,21 +258,20 @@ def test_second_base_point_builds_nothing(monkeypatch):
         enumerate_ball(g, x, 8.0)
         assert len(builds) == n_builds
     assert builds == [0.0j, 0.0j]
-    reach = g._ball_cache[0.0, 0.0].radius
+    reach = g._ball_at_0.radius
     assert 8.0 + 2.0 * distance(0.0j, 0.35 + 0.1j) < reach < 8.0 + 1.6
 
 
 @pytest.mark.parametrize("x", WALK_POINTS)
 def test_ball_bits_independent_of_build_radius(nested_balls, x):
     # a fresh ball at R is, array for array and word for word, the ball
-    # served by restricting a cached ball built at a larger R'
+    # served by a group whose ball at 0 was built for a larger R'
     for r in (8.0, 10.0, 12.0):
         enumerate_ball(nested_balls[x, r], x, r)
     for r, r_big in [(8.0, 10.0), (8.0, 12.0), (10.0, 12.0)]:
         fresh = enumerate_ball(nested_balls[x, r], x, r)
         cut = enumerate_ball(nested_balls[x, r_big], x, r)
-        assert nested_balls[x, r_big]._ball_cache[
-            (x.real, x.imag)].radius == r_big
+        assert nested_balls[x, r_big]._ball_at_0.radius >= r_big
         for a, b in [(fresh.alphas, cut.alphas), (fresh.betas, cut.betas),
                      (fresh.displacements, cut.displacements)]:
             assert np.array_equal(a, b)
@@ -347,35 +347,74 @@ def test_counts_invariant_and_reduced_into_domain(octagon, rng):
 def test_cache_serves_only_its_radius():
     g = preset_genus2_octagon()
     small = enumerate_ball(g, 0.0j, 6.0)
-    (built,) = g._ball_cache.values()
+    built = g._ball_at_0
     assert built.radius == 6.0 and np.all(built.displacements <= 6.0)
     assert len(built) == len(small) == 97
     # a larger request rebuilds rather than serving past the built radius
     grown = enumerate_ball(g, 0.0j, 6.1)
-    (rebuilt,) = g._ball_cache.values()
+    rebuilt = g._ball_at_0
     assert rebuilt is not built and grown.radius == rebuilt.radius == 6.1
     assert len(grown) == len(enumerate_ball(preset_genus2_octagon(), 0.0j,
                                             6.1))
     # a smaller one is a restriction of the cached ball
     assert enumerate_ball(g, 0.0j, 5.0).radius == 5.0
-    (kept,) = g._ball_cache.values()
-    assert kept is rebuilt
+    assert g._ball_at_0 is rebuilt
 
 
 @pytest.mark.parametrize("order", [(0.0j, 1e-13), (1e-13, 0.0j)])
 def test_ball_cache_keys_the_exact_base_point(order):
-    # a base point within 5e-13 of 0 once shared the ball at 0's key, so the
-    # second request was served the first one's ball; in either order each
-    # now gets its own, and the ball at 0 is kept
+    # a base point within 5e-13 of 0 once shared the ball at 0's cache key,
+    # so the second request was served the first one's ball.  In either
+    # order each gets a ball at its own base point, and an off-0 request
+    # never returns the kept ball at 0 nor puts its own ball in its place.
     g = preset_genus2_octagon()
-    balls = {x: enumerate_ball(g, x, 5.0) for x in order}
-    for x, ball in balls.items():
-        assert ball.base == x
-        assert enumerate_ball(g, x, 5.0).base == x
+    for x in order:
+        ball = enumerate_ball(g, x, 5.0)
+        held = g._ball_at_0
+        assert ball.base == x and held.base == 0.0
+        again = enumerate_ball(g, x, 5.0)
+        assert again.base == x and g._ball_at_0 is held
         assert np.array_equal(ball.displacements, enumerate_ball(
             preset_genus2_octagon(), x, 5.0).displacements)
-    assert g._ball_cache[0.0, 0.0].base == 0.0
-    assert g._ball_cache[1e-13, 0.0].base == 1e-13
+        if x != 0:
+            assert not np.shares_memory(ball.displacements,
+                                        held.displacements)
+    assert enumerate_ball(g, 0.0j, 5.0).base == 0.0
+
+
+def test_group_keeps_only_the_ball_at_0():
+    # library work at x != 0 leaves one ball on the group, the ball at 0;
+    # every ball at x != 0 is a fresh cut, equal to one on a new group
+    g = preset_genus2_octagon()
+    x = 0.3 - 0.1j
+    seshadri_lower_bound(g, x)
+    quasi_psh_check(g, x, 1.5, spacing=0.05)
+    weight_sum(g, 0.3, 0.1j, 8.0)
+    for z in (0.35 + 0.1j, -0.3j, 1e-13):
+        ball = enumerate_ball(g, z, 8.0)
+        fresh = enumerate_ball(preset_genus2_octagon(), z, 8.0)
+        for a, b in [(ball.alphas, fresh.alphas), (ball.betas, fresh.betas),
+                     (ball.displacements, fresh.displacements)]:
+            assert np.array_equal(a, b)
+        assert ball.words == fresh.words
+    balls = [v for v in vars(g).values() if isinstance(v, OrbitBall)]
+    assert len(balls) == 1 and balls[0] is g._ball_at_0
+    assert g._ball_at_0.base == 0.0
+
+
+@pytest.mark.parametrize("x", [0.0j, 0.2 + 0.0j])
+def test_margin_build_leaves_the_kept_ball(x):
+    # an explicit margin builds by BFS at x whatever the group keeps, and
+    # keeps nothing: a wide-margin oracle never compares a ball with itself
+    g = preset_genus2_octagon()
+    enumerate_ball(g, x, 8.0, margin=1.0)
+    assert g._ball_at_0 is None
+    enumerate_ball(g, 0.0j, 9.0)
+    held = g._ball_at_0
+    wide = enumerate_ball(g, x, 6.0, margin=C_WALK + 1.0)
+    assert g._ball_at_0 is held and held.radius == 9.0
+    assert len(wide.parents) > len(wide)
+    assert not np.shares_memory(wide.alphas, held.alphas)
 
 
 def test_orbit_work_reads_only_the_ball_at_0(monkeypatch):
@@ -405,7 +444,7 @@ def test_orbit_work_reads_only_the_ball_at_0(monkeypatch):
         g = preset_genus2_octagon()
         builds.clear()
         run(g)
-        assert list(g._ball_cache) == [(0.0, 0.0)]
+        assert g._ball_at_0.base == 0.0
         assert n_builds is None or len(builds) == n_builds
     # the candidate queries ask past r; builds done after each one
     built = [n for q, n in queries if q > r]
@@ -438,13 +477,11 @@ def test_ball_sorted_by_displacement(x):
     # each build sorts its ball by displacement, ties in BFS order at 0 and
     # in the order of the ball at 0 elsewhere
     g = preset_genus2_octagon()
-    key = (x.real, x.imag)
     for radius in (6.0, 8.0, 10.0):
-        enumerate_ball(g, x, radius)
-        full = g._ball_cache[key]
+        full = enumerate_ball(g, x, radius)
         assert full.radius == radius
         assert np.all(np.diff(full.displacements) >= 0)
-        at0 = g._ball_cache[0.0, 0.0]
+        at0 = g._ball_at_0
         rank = np.empty(len(at0.parents), dtype=np.int64)
         rank[at0.nodes] = np.arange(len(at0))
         tie = np.diff(full.displacements) == 0
@@ -459,7 +496,7 @@ def test_restrict_is_a_prefix_view():
     # at a tied displacement, and shares the cached ball's memory
     g = preset_genus2_octagon()
     enumerate_ball(g, 0.0j, 10.0)
-    (full,) = g._ball_cache.values()
+    full = g._ball_at_0
     d = full.displacements
     ties = np.flatnonzero(np.diff(d) == 0)
     assert len(ties) > 0
@@ -656,7 +693,7 @@ def test_load_presets(trivial):
     assert trivial.is_trivial
     ball = enumerate_ball(trivial, 0.0j, 5.0)
     assert len(ball) == 1
-    # a fresh build, then a restriction of that larger cached ball
+    # a cut of a fresh ball at 0, then a cut of that larger kept ball
     g = load_group("trivial")
     for radius in (5.0, 3.0):
         ball = enumerate_ball(g, 0.2j, radius)

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from discforms import kernels
 from discforms.domain import dirichlet_domain
 from discforms.errors import BoundaryPoint
 from discforms.geometry import disc_points
-from discforms.group import enumerate_ball
+from discforms.group import enumerate_ball, preset_genus2_octagon
 from discforms.kernels import (
     cm_constant, kernel_transformation_check, relative_poincare,
     reproducing_check, roundtrip_check, weighted_kernel,
@@ -284,3 +285,29 @@ def test_roundtrip_preset(octagon):
     fine = roundtrip_check(octagon, ONE, 4, pts, radius=8.0, spacing=0.02)
     assert fine.max_rel_error < 0.05
     assert fine.max_rel_error <= coarse.max_rel_error
+
+
+def test_roundtrip_resum_multiplies_as_written(monkeypatch):
+    # at radius 11.5 each sample's orbit holds 16,384 or more terms, where
+    # NumPy computes a product with a temporary on its right in place,
+    # operands swapped, and a swapped complex product moves last bits; the
+    # re-sum must be f_orbit * jm as written
+    seen = []
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+    real = kernels.relative_poincare
+    monkeypatch.setattr(kernels, "relative_poincare", spy)
+    g = preset_genus2_octagon()
+    pts = np.array([0.1 + 0.1j, -0.15 + 0.05j, 0.2j])
+    rep = roundtrip_check(g, ONE, 4, pts, spacing=0.2, radius=11.5)
+    ball = enumerate_ball(g, 0.0j, 11.5)
+    assert len(ball) >= 16_384
+    (f, _), = seen
+    hz = poincare_values(g, ONE, 4, pts, 11.5)
+    for f_orbit, den_s, h, rel in zip(f, ball.terms(pts)[1].T, hz,
+                                      rep.rel_errors):
+        jm = den_s ** -8
+        want = complex(np.sum(np.multiply(f_orbit, jm)))
+        assert rel == abs(want - h) / abs(h)

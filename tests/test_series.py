@@ -13,7 +13,7 @@ from discforms import cli, kernels, series
 from discforms.errors import UnboundedSeed, TargetNotReached
 from discforms.series import (
     SeedFunction, exact_sum, lemma22_check, norm_pl, poincare_eval,
-    polynomial_approx, schwarz_bound_check, weight_sum,
+    polynomial_approx, weight_sum,
 )
 from discforms.group import enumerate_ball
 
@@ -145,19 +145,6 @@ def test_polynomial_approx_downstream(octagon, rng):
         ph = poincare_eval(octagon, res.poly, 4, z, 8.0)
         ws = weight_sum(octagon, 0.0j, z, 8.0)
         assert abs(pf.value - ph.value) <= sup * (ws.value + ws.tail_estimate)
-
-
-def test_schwarz_trivial_equality(trivial):
-    rep = schwarz_bound_check(trivial, Z, 3, 0.2 + 0.1j, 5.0)
-    assert rep.holds_at_every_prefix
-    assert rep.max_prefix_ratio == pytest.approx(1.0, abs=1e-12)
-
-
-def test_schwarz_preset(octagon, rng):
-    for z in random_disc_points(rng, 3, r_max=0.5):
-        rep = schwarz_bound_check(octagon, ONE, 3, z, 8.0)
-        assert rep.holds_at_every_prefix
-        assert rep.lhs_sq <= rep.rhs * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------- exact_sum
