@@ -60,9 +60,9 @@ class FundamentalDomain:
         for arr in (self.vertices, self.nodes, self.weights):
             arr.flags.writeable = False
 
-    def contains(self, z, slack=0.0):
+    def contains(self, z):
         """Vectorized membership test; see geometry.in_convex_polygon."""
-        return in_convex_polygon(self.vertices, z, slack)
+        return in_convex_polygon(self.vertices, z, 0.0)
 
     @property
     def euclidean_area(self):

@@ -36,7 +36,8 @@ DEDUP_TOL = 1e-9
 # separates distinct orbit images; see _dedup_keys.
 DEDUP_MAX_RADIUS = 19.0
 
-DEFAULT_ELEMENT_CAP = 5_000_000
+# Most elements a BFS build may keep in its tree before BudgetExceeded.
+ELEMENT_CAP = 5_000_000
 
 # A side of D_0 is taken for the bisector of 0 and g 0 when they agree to
 # this: stored vertices and generator entries are good to ~1e-15 (4.6e-16
@@ -85,9 +86,6 @@ class GroupElement:
         return GroupElement(np.conj(self.alpha), -self.beta,
                             tuple(-l for l in reversed(self.word)))
 
-    def is_identity(self):
-        return _psu_gap(self, GroupElement.identity()) <= DEDUP_TOL
-
     def psu_close(self, other):
         """PSU(1,1) comparison: equal up to a global sign of the pair."""
         return _psu_gap(self, other) <= DEDUP_TOL
@@ -122,8 +120,10 @@ class FuchsianGroup:
     relators: list = field(default_factory=list)
     name: str = ""
     domain_vertices: tuple = ()     # convex D_0, CCW; empty when unknown
-    _ball_at_0: OrbitBall = field(default=None, repr=False)
-    _domain_cache: dict = field(default_factory=dict, repr=False)
+    # caches, not part of the group's value: == compares the fields above
+    _ball_at_0: OrbitBall = field(default=None, repr=False, compare=False)
+    _domain_cache: dict = field(default_factory=dict, repr=False,
+                                compare=False)
 
     @property
     def is_trivial(self):
@@ -402,24 +402,22 @@ def _accept(k1, k2, seen1, seen2):
     return rows
 
 
-def enumerate_ball(group, x, radius, margin=None,
-                   max_elements=DEFAULT_ELEMENT_CAP):
+def enumerate_ball(group, x, radius):
     """All gamma with rho(x, gamma x) <= radius.
 
-    At x = 0, by pruned BFS: nodes past radius + margin are not expanded.
-    Descent lemma (Beardon 1983, ch. 9; Katok 1992, ch. 3): when D_0 is the
-    Dirichlet polygon about 0 and the alphabet pairs its sides
-    (``dirichlet_at_0``), every gamma != id has a letter s with
-    rho(0, gamma s 0) < rho(0, gamma 0).  The geodesic from 0 to gamma 0
-    enters the cell gamma D_0 at a point q on a side of it, and the cell
-    gamma s D_0 across that side holds q; as Dirichlet cells are the
-    Voronoi cells of the orbit, rho(0, gamma s 0) <= rho(0, q) +
-    rho(q, gamma 0) = rho(0, gamma 0), with equality only for gamma s 0 =
+    At x = 0, by pruned BFS (_bfs_ball).  Descent lemma (Beardon 1983,
+    ch. 9; Katok 1992, ch. 3): when D_0 is the Dirichlet polygon about 0
+    and the alphabet pairs its sides (``dirichlet_at_0``), every gamma != id
+    has a letter s with rho(0, gamma s 0) < rho(0, gamma 0).  The geodesic
+    from 0 to gamma 0 enters the cell gamma D_0 at a point q on a side of
+    it, and the cell gamma s D_0 across that side holds q; as Dirichlet
+    cells are the Voronoi cells of the orbit, rho(0, gamma s 0) <= rho(0, q)
+    + rho(q, gamma 0) = rho(0, gamma 0), with equality only for gamma s 0 =
     gamma 0.  So every ball element ends a path from the identity along
-    which the displacement rises, the default margin is a rounding slack
-    alone, and the BFS tree is the ball (5,433 nodes at radius 10).  When
-    the check fails the default margin is the largest generator
-    displacement at 0, and completeness is empirical.
+    which the displacement rises, the margin is a rounding slack alone, and
+    the BFS tree is the ball (5,433 nodes at radius 10).  When the check
+    fails the margin is the largest generator displacement at 0, and
+    completeness is empirical.
 
     At other x, by filtering the ball at 0: rho(x, gamma x) <= R gives
     rho(0, gamma 0) <= rho(0, x) + R + rho(gamma x, gamma 0) = R +
@@ -427,20 +425,16 @@ def enumerate_ball(group, x, radius, margin=None,
     that radius (plus a rounding slack) with rho(x, gamma x) <= R, sorted
     by it, ties in the order of the ball at 0.  It is exactly as complete
     as the ball at 0, certified on the octagon at every x, and shares its
-    tree, so words and restriction work as there.  The ball at 0 grows
-    like e^(R + 2 rho(0, x)), so the filter reads about e^(2 rho(0, x))
-    elements per kept one: at radius 10 it beats a BFS at x up to
-    rho(0, x) ~ 1 and takes 1.4 s near a vertex of D_0 (rho = 2.19).  An
-    explicit margin runs the BFS at x instead, with no proof behind it.
+    tree, so words and restriction work as there.
 
-    The group keeps one ball, its last default-margin ball at 0, which
-    serves every cut and smaller radius; any other ball is built afresh.
-    Past DEDUP_MAX_RADIUS or max_elements a build raises BudgetExceeded.
+    The group keeps one ball, its last ball at 0, which serves every cut
+    and smaller radius; a ball at x != 0 is cut afresh on every call.  Past
+    DEDUP_MAX_RADIUS or ELEMENT_CAP a build raises BudgetExceeded.
     """
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
     x = complex(check_disc_point(x))
-    if margin is None and x != 0:
+    if x != 0:
         rho = float(distance(0.0j, x))
         # Slack as in orbit_pairs: a kept element's computed rho(x, gamma x)
         # <= radius is off by at most e = 2^-40 e^(radius + 2 rho) (4096
@@ -452,27 +446,31 @@ def enumerate_ball(group, x, radius, margin=None,
                 f"radius + 2 rho(0, x) + slack = {reach:.6g} exceeds "
                 f"{DEDUP_MAX_RADIUS:g}, the limit of the {DEDUP_TOL:g} "
                 f"dedup key")
-        at0 = enumerate_ball(group, 0.0j, reach, max_elements=max_elements)
+        at0 = enumerate_ball(group, 0.0j, reach)
         disp = distance(x, mobius(at0.alphas, at0.betas, x))
         kept = np.flatnonzero(disp <= radius)
         kept = kept[np.argsort(disp[kept], kind="stable")]
         return OrbitBall(x, radius, at0.alphas[kept], at0.betas[kept],
                          disp[kept], at0.nodes[kept], at0.parents,
                          at0.letters)
-    cache, held = margin is None, group._ball_at_0
-    if cache and held is not None and held.radius >= radius:
-        return held.restrict(radius)
-
-    letters, gen_a, gen_b, inv_index = group.alphabet
-    if margin is None and group.dirichlet_at_0:
+    held = group._ball_at_0
+    if held is None or held.radius < radius:
         # Slack as in orbit_pairs: a displacement below radius + margin is
         # computed to e = 2^-40 e^radius (its 4096 ulps absorb e^margin <
         # 1.001 below DEDUP_MAX_RADIUS).  A kept element is truly within
         # radius + e; by the lemma so is every node on its descent path,
         # whose computed displacement is then within radius + 2 e.
-        margin = 2.0 ** -39 * np.exp(radius)
-    elif margin is None:
-        margin = group.max_generator_displacement(x)
+        margin = (2.0 ** -39 * np.exp(radius) if group.dirichlet_at_0
+                  else group.max_generator_displacement(0.0j))
+        held = group._ball_at_0 = _bfs_ball(group, 0.0j, radius, margin)
+    return held.restrict(radius)
+
+
+def _bfs_ball(group, x, radius, margin):
+    """BFS ball about x: no node past radius + margin is expanded, and
+    enumerate_ball proves its margin at 0; off 0 with a wide margin, it is
+    the tests' reference.  The tree is kept whole, in BFS order."""
+    letters, gen_a, gen_b, inv_index = group.alphabet
     expand_limit = radius + margin
     if expand_limit > DEDUP_MAX_RADIUS:
         raise BudgetExceeded(
@@ -525,8 +523,8 @@ def enumerate_ball(group, x, radius, margin=None,
         if not len(new_rows):
             break
         total += len(new_rows)
-        if total > max_elements:
-            raise BudgetExceeded(f"orbit ball exceeded cap {max_elements}")
+        if total > ELEMENT_CAP:
+            raise BudgetExceeded(f"orbit ball exceeded cap {ELEMENT_CAP}")
 
         base = sum(len(a) for a in all_a)
         all_a.append(ca[new_rows])
@@ -548,12 +546,9 @@ def enumerate_ball(group, x, radius, margin=None,
     order = np.argsort(disps, kind="stable")
     # alphabet index -1 (the root) picks the appended 0
     signed = np.append(np.array(letters, dtype=np.int64), 0)
-    full = OrbitBall(x, radius, alphas[order], betas[order], disps[order],
+    return OrbitBall(x, radius, alphas[order], betas[order], disps[order],
                      kept[order], np.concatenate(all_parent),
                      signed[np.concatenate(all_letter)])
-    if cache:
-        group._ball_at_0 = full
-    return full.restrict(radius)
 
 
 def orbit_pairs(group, x, zs, r):

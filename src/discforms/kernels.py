@@ -33,6 +33,10 @@ from .domain import dirichlet_domain
 from .group import enumerate_ball
 from .series import poincare_values, _polar_sum
 
+# Terms kept by weighted_kernel_series; the points w of cm_constant's A(w).
+SERIES_DEGREE = 200
+CM_PROBES = (0.0, 0.2, 0.4j, -0.3 + 0.3j, 0.5)
+
 
 def weighted_kernel(m, z, w):
     """Closed-form weight-m Bergman kernel K_m(z, w)."""
@@ -53,13 +57,13 @@ def _kernel_coefficients(m):
         c, k = c * (2 * m + k) / (k + 1), k + 1
 
 
-def weighted_kernel_series(m, z, w, degree=200):
+def weighted_kernel_series(m, z, w):
     """Truncated orthonormal expansion of K_m; oracle for the closed form."""
     z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
     zw = z * np.conj(w)
     total = np.zeros(zw.shape, dtype=complex)
     power = np.ones_like(total)
-    for _, c in zip(range(degree + 1), _kernel_coefficients(m)):
+    for _, c in zip(range(SERIES_DEGREE + 1), _kernel_coefficients(m)):
         total = total + c * power
         power = power * zw
     return total[()] if total.shape == () else total
@@ -122,7 +126,7 @@ class CmReport:
     spread: float         # (max-min)/analytic
 
 
-def cm_constant(m, probes=(0.0, 0.2, 0.4j, -0.3 + 0.3j, 0.5)):
+def cm_constant(m):
     """A(w) = K(w,w)^(-m/2) Int |K_m(z,w)| K(z,z)^(1-m/2) at probe points.
 
     Mobius invariance makes A constant; at w=0 the integrand is radial and
@@ -133,14 +137,14 @@ def cm_constant(m, probes=(0.0, 0.2, 0.4j, -0.3 + 0.3j, 0.5)):
         return np.abs(weighted_kernel(m, z, w)) * kz * wt
 
     vals = []
-    for w in probes:
+    for w in CM_PROBES:
         w = check_disc_point(complex(w))
         pref = (np.pi * (1.0 - abs(w) ** 2) ** 2) ** (m / 2.0)
         integ = float(_polar_sum(
             1600, 512, lambda z, wt: integrand(z, wt, w), float))
         vals.append(pref * integ)
     analytic = (2 * m - 1) / (m - 1)
-    return CmReport(m, vals, [complex(p) for p in probes], analytic,
+    return CmReport(m, vals, [complex(p) for p in CM_PROBES], analytic,
                     (max(vals) - min(vals)) / analytic)
 
 

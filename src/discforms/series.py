@@ -27,6 +27,9 @@ MIN_POLE_MODULUS = 1.05
 
 SHELL_WIDTH = 1.0
 
+# Highest degree polynomial_approx tries before TargetNotReached.
+APPROX_DEGREE_CAP = 200
+
 
 def _horner(coeffs, z, y):
     """sum coeffs[k] z^k into y, by np.polyval's steps, so with its bits."""
@@ -83,19 +86,10 @@ class SeedFunction:
             out /= _horner(self.den_coeffs, z, np.empty_like(out))
         return out
 
-    @property
-    def degree(self):
-        if self.kind != "poly":
-            raise ValueError("degree of a non-polynomial seed")
-        return len(self.coeffs) - 1
-
-    def sup_disc(self):
-        """sup |f| on the closed disc (maximum modulus: boundary samples)."""
-        return self._boundary_sup
-
     @cached_property
-    def _boundary_sup(self):
-        # sampled once per seed; every tail estimate of the seed reuses it
+    def sup_disc(self):
+        """sup |f| on the closed disc (maximum modulus: boundary samples),
+        sampled once per seed; every tail estimate of the seed reuses it."""
         th = np.exp(2j * np.pi * np.arange(4096) / 4096)
         return float(np.max(np.abs(self(th))))
 
@@ -206,7 +200,7 @@ def poincare_eval(group, f, m, z, radius, ball=None):
     jm = den ** (-2 * m)
     terms = f(gz) * jm
     value = exact_sum(terms)
-    tail = f.sup_disc() * _shell_tail(ball.displacements, np.abs(jm), radius)
+    tail = f.sup_disc * _shell_tail(ball.displacements, np.abs(jm), radius)
     return SeriesValue(value, tail, len(ball), radius)
 
 
@@ -294,12 +288,17 @@ def _norm_once(f, p, l, n_r, n_theta):
     return float(_polar_sum(n_r, n_theta, integrand, float))
 
 
+def check_l(l):
+    """Reject a weight exponent l that is not finite and >= 0."""
+    if not (np.isfinite(l) and l >= 0):
+        raise ValueError(f"l must be finite and >= 0, got {l!r}")
+
+
 def norm_pl(f, p, l, grid=(800, 512)):
     """(||f||_{p,l}, halving error) by polar quadrature; f takes arrays."""
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")
-    if l < 0:
-        raise ValueError("l must be >= 0")
+    check_l(l)
     n_r, n_theta = grid
     i_full = _norm_once(f, p, l, n_r, n_theta)
     i_half = _norm_once(f, p, l, n_r // 2, n_theta // 2)
@@ -408,7 +407,7 @@ class PolyApproxResult:
     degree: int
 
 
-def polynomial_approx(f, l, delta, dilation=None, max_degree=200):
+def polynomial_approx(f, l, delta, dilation=None):
     """Polynomial h with ||f - h||_{1,l} < delta, by dilated Taylor series.
 
     Rational seeds (poles at modulus >= 1.05) are holomorphic past the
@@ -417,22 +416,22 @@ def polynomial_approx(f, l, delta, dilation=None, max_degree=200):
     """
     if not (np.isfinite(delta) and delta > 0):
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    check_l(l)
     t = 1.0 if dilation is None else float(dilation)
     if not 0.0 < t <= 1.0:
         raise ValueError("dilation t must lie in (0, 1]")
     if f.kind == "poly":
-        return PolyApproxResult(f, 0.0, 1.0, f.degree)
+        return PolyApproxResult(f, 0.0, 1.0, len(f.coeffs) - 1)
 
     th = np.exp(2j * np.pi * np.arange(4096) / 4096)
     coeffs = np.fft.fft(f(t * th)) / 4096  # Taylor coefficients of f(t z)
 
-    degree = 1
-    while degree <= max_degree:
+    degree, cap = 1, APPROX_DEGREE_CAP      # read at each call
+    while degree <= cap:
         h = SeedFunction.poly(coeffs[:degree + 1])
         achieved, _ = norm_pl(lambda z: f(z) - h(z), 1, l, grid=(400, 256))
         if achieved < delta:
             return PolyApproxResult(h, achieved, t, degree)
-        degree = min(2 * degree, max_degree) if degree < max_degree \
-            else max_degree + 1
+        degree = min(2 * degree, cap) if degree < cap else cap + 1
     raise TargetNotReached(
-        f"degree cap {max_degree} hit before ||f-h||_(1,{l}) < {delta}")
+        f"degree cap {cap} hit before ||f-h||_(1,{l}) < {delta}")

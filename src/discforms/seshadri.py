@@ -43,7 +43,7 @@ class DensityReport:
     n_grid: int
 
 
-def density(group, x, r, spacing=0.02, refine=True):
+def density(group, x, r, spacing=0.02):
     """D(r,x): sup over centers z of #{orbit points of x within r of z} / r^2.
 
     The count is Gamma-invariant in z, so the sup is scanned over a grid on
@@ -62,17 +62,16 @@ def density(group, x, r, spacing=0.02, refine=True):
     counts = orbit_counts(group, x, zs, r)
     i = int(np.argmax(counts))
     best, center = int(counts[i]), complex(zs[i])
-    if refine:
-        # counts are piecewise constant; refinement targets the jump loci
-        h_loc = (r / 20.0) * (1.0 - abs(center) ** 2) / 2.0
-        span = np.arange(-10, 11) * h_loc
-        gx, gy = np.meshgrid(span, span, indexing="ij")
-        local = center + gx.ravel() + 1j * gy.ravel()
-        local = local[np.abs(local) < 1.0 - 1e-9]
-        lc = orbit_counts(group, x, group.reduce_points(local), r)
-        j = int(np.argmax(lc))
-        if lc[j] > best:
-            best, center = int(lc[j]), complex(local[j])
+    # counts are piecewise constant; refinement targets the jump loci
+    h_loc = (r / 20.0) * (1.0 - abs(center) ** 2) / 2.0
+    span = np.arange(-10, 11) * h_loc
+    gx, gy = np.meshgrid(span, span, indexing="ij")
+    local = center + gx.ravel() + 1j * gy.ravel()
+    local = local[np.abs(local) < 1.0 - 1e-9]
+    lc = orbit_counts(group, x, group.reduce_points(local), r)
+    j = int(np.argmax(lc))
+    if lc[j] > best:
+        best, center = int(lc[j]), complex(local[j])
     return DensityReport(best / r ** 2, best, center, r, len(nodes))
 
 

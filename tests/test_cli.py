@@ -3,8 +3,10 @@
 import cmath
 import dataclasses
 import json
+import shlex
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,13 +132,62 @@ def test_nan_point_exits_1(tmp_path, capsys, argv, point):
     ["approx-poly", "--f", "poly 1", "--delta", "0"],
     ["approx-poly", "--f", "rational 1 / 2 -1", "--delta", "0"],
     ["approx-poly", "--f", "rational 1 / 2 -1", "--delta", "nan"],
-    ["approx-poly", "--f", "rational 1 / 2 -1", "--dilation", "1.5"]])
+    ["approx-poly", "--f", "rational 1 / 2 -1", "--dilation", "1.5"],
+    ["norm", "--l", "nan"],
+    ["norm", "--l", "inf"],
+    ["approx-poly", "--f", "rational 1 / 2 -1", "--l", "nan"],
+    ["approx-poly", "--f", "rational 1 / 2 -1", "--l", "inf"],
+    ["approx-poly", "--f", "poly 1", "--l", "nan"]])
 def test_bad_numeric_flag_exits_1(tmp_path, capsys, argv):
     # one error line, no traceback
     code, data = run(tmp_path, *argv)
     assert code == 1 and data is None
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if "--l" in argv:
+        # before any quadrature: not the JSON writer's complaint, nor a
+        # degree cap reached on NaN norms
+        assert err.startswith("error: l must be finite and >= 0, got ")
+
+
+def test_polynomial_seed_takes_no_dilation(tmp_path, capsys):
+    # a polynomial is its own approximation, reported with dilation 1; a
+    # --dilation the command would ignore is an input error naming the flag
+    code, data = run(tmp_path, "approx-poly", "--f", "poly 1 2",
+                     "--dilation", "0.5")
+    assert code == 1 and data is None
+    assert capsys.readouterr().err.startswith("error: argument --dilation: ")
+    code, data = run(tmp_path, "approx-poly", "--f", "poly 1 2")
+    assert code == 0 and data["report"]["dilation"] == 1.0
+    code, data = run(tmp_path, "approx-poly", "--f", "rational 1 / 2 -1",
+                     "--dilation", "0.999", "--delta", "0.01")
+    assert code == 0 and data["report"]["dilation"] == 0.999
+
+
+def _readme_commands():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    lines = [shlex.split(line)
+             for line in block.split("```", 1)[0].splitlines()]
+    assert all(line[0] == "discforms" for line in lines)
+    return [line[1:] for line in lines]
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_names_every_subcommand():
+    assert sorted(argv[0] for argv in README_COMMANDS) \
+        == sorted(cli.build_parser().flags)
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda a: a[0])
+def test_readme_command_runs(tmp_path, monkeypatch, capsys, argv):
+    # each documented command as written, in a fresh directory for --csv:
+    # exit 0 or 2 and nothing on stderr
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) in (0, 2)
+    assert capsys.readouterr().err == ""
 
 
 def test_cutoff_command(tmp_path):

@@ -16,7 +16,8 @@ from discforms.geometry import distance, in_convex_polygon, mobius
 from discforms.group import (
     DEDUP_MAX_RADIUS, DEDUP_TOL, FuchsianGroup, GroupElement, OrbitBall,
     _OCTAGON_RELATOR,
-    _accept, _probe_points, _reduce_word, _SeenKeys, enumerate_ball,
+    _accept, _bfs_ball, _probe_points, _reduce_word, _SeenKeys,
+    enumerate_ball,
     from_config_text, load_group, orbit_counts, preset_genus2_octagon,
     to_config_text,
 )
@@ -44,7 +45,8 @@ def test_relator_residual_is_the_psu_gap_to_identity(octagon):
     want = min(max(abs(g.alpha - 1), abs(g.beta)),
                max(abs(g.alpha + 1), abs(g.beta)))
     assert octagon.relator_residuals() == [want]
-    assert g.is_identity() and not octagon.generators[0].is_identity()
+    one = GroupElement.identity()
+    assert g.psu_close(one) and not octagon.generators[0].psu_close(one)
 
 
 def test_preset_generators_symmetric(octagon):
@@ -62,7 +64,7 @@ def test_word_reduction_and_inverse(octagon):
     g = octagon.element_from_word((1, 2, -2, 3))
     assert g.word == (1, 3)
     gi = g.inverse()
-    assert g.compose(gi).is_identity()
+    assert g.compose(gi).psu_close(GroupElement.identity())
     assert gi.word == (-3, -1)
 
 
@@ -183,7 +185,7 @@ def test_preset_polygon_is_dirichlet_domain(octagon):
 
 @pytest.mark.parametrize("x", WALK_POINTS)
 def test_ball_complete_against_wider_margin(x):
-    # the default ball (the descent-lemma BFS at 0, the ball at 0 filtered
+    # the ball (the descent-lemma BFS at 0, the ball at 0 filtered
     # elsewhere) holds every element that a BFS at x with margin c(x) + 3
     # finds, c(x) being the walk lemma's margin.  At R = 10 that BFS takes
     # 8-19 s and 0.7-1.4 GB, so there it has margin c(x) + 1, at two of the
@@ -194,8 +196,8 @@ def test_ball_complete_against_wider_margin(x):
     for radius, extra in cases:
         g = preset_genus2_octagon()
         ball = enumerate_ball(g, x, radius)
-        wide = enumerate_ball(preset_genus2_octagon(), x, radius,
-                              margin=_vertex_reach(g, x) + extra)
+        wide = _bfs_ball(preset_genus2_octagon(), x, radius,
+                         _vertex_reach(g, x) + extra)
         assert _same_elements(ball, wide)
 
 
@@ -210,8 +212,7 @@ def test_ball_outside_d0_against_wider_margin(x):
     for radius in (6.0, 8.0):
         ball = enumerate_ball(preset_genus2_octagon(), x, radius)
         g = preset_genus2_octagon()
-        wide = enumerate_ball(g, x, radius,
-                              margin=g.max_generator_displacement(x) + 1.0)
+        wide = _bfs_ball(g, x, radius, g.max_generator_displacement(x) + 1.0)
         assert _same_elements(ball, wide)
     assert np.all(ball.displacements <= radius)
     for w, a, b in zip(ball.words, ball.alphas, ball.betas):
@@ -240,8 +241,8 @@ def test_ball_cold_pool_counts(monkeypatch):
         == [n for _, n in pool]
     assert builds == [0.0j]
     for x, _ in pool:
-        wide = enumerate_ball(preset_genus2_octagon(), x, 6.0,
-                              margin=_vertex_reach(g, x) + 1.0)
+        wide = _bfs_ball(preset_genus2_octagon(), x, 6.0,
+                         _vertex_reach(g, x) + 1.0)
         assert _same_elements(enumerate_ball(g, x, 6.0), wide)
 
 
@@ -292,8 +293,7 @@ def test_margin_0_ball_equals_walk_margin_ball(radius):
     # the same elements, bits and words as a build with the walk-lemma
     # margin c(0) passed explicitly
     ball = enumerate_ball(preset_genus2_octagon(), 0.0j, radius)
-    ref = enumerate_ball(preset_genus2_octagon(), 0.0j, radius,
-                         margin=C_WALK + 1e-3)
+    ref = _bfs_ball(preset_genus2_octagon(), 0.0j, radius, C_WALK + 1e-3)
     assert len(ref.parents) > len(ball.parents) == len(ball)
     for a, b in [(ball.alphas, ref.alphas), (ball.betas, ref.betas),
                  (ball.displacements, ref.displacements)]:
@@ -317,12 +317,11 @@ def test_margin_0_needs_the_dirichlet_polygon(octagon):
     assert len(ball.parents) > len(ball)
     margin = rotated.max_generator_displacement(0.0j)
     assert margin == pytest.approx(D0, abs=1e-12)
-    same = enumerate_ball(preset_genus2_octagon(), 0.0j, 8.0, margin=margin)
+    same = _bfs_ball(preset_genus2_octagon(), 0.0j, 8.0, margin)
     for a, b in [(ball.alphas, same.alphas), (ball.betas, same.betas),
                  (ball.parents, same.parents)]:
         assert np.array_equal(a, b)
-    wide = enumerate_ball(preset_genus2_octagon(), 0.0j, 8.0,
-                          margin=C_WALK + 3.0)
+    wide = _bfs_ball(preset_genus2_octagon(), 0.0j, 8.0, C_WALK + 3.0)
     assert _same_elements(ball, wide)
 
 
@@ -336,8 +335,9 @@ def test_counts_invariant_and_reduced_into_domain(octagon, rng):
     pick = rng.integers(len(ball), size=len(zs))
     gz = mobius(ball.alphas[pick], ball.betas[pick], zs)
     q = octagon.reduce_points(gz)
-    assert np.all(dom.contains(q, slack=1e-9))
-    assert np.all(dom.contains(octagon.reduce_points(zs), slack=1e-9))
+    assert np.all(in_convex_polygon(dom.vertices, q, 1e-9))
+    assert np.all(in_convex_polygon(dom.vertices, octagon.reduce_points(zs),
+                                    1e-9))
     for x, r in [(0.0j, 1.5), (0.1 + 0.05j, 3.0)]:
         want = orbit_counts(octagon, x, zs, r)
         assert np.array_equal(orbit_counts(octagon, x, gz, r), want)
@@ -382,6 +382,18 @@ def test_ball_cache_keys_the_exact_base_point(order):
     assert enumerate_ball(g, 0.0j, 5.0).base == 0.0
 
 
+def test_group_equality_ignores_its_caches():
+    # == compares generators, relators, name and D_0; the kept ball and the
+    # domains are caches, so two presets stay equal once each holds them
+    g1, g2 = preset_genus2_octagon(), preset_genus2_octagon()
+    for g in (g1, g2):
+        enumerate_ball(g, 0.0j, 6.0)
+        dirichlet_domain(g, spacing=0.05)
+    assert g1 == g2 and g1._ball_at_0 is not g2._ball_at_0
+    assert g1 != load_group("trivial")
+    assert g1 != from_config_text(to_config_text(g1))   # no D_0
+
+
 def test_group_keeps_only_the_ball_at_0():
     # library work at x != 0 leaves one ball on the group, the ball at 0;
     # every ball at x != 0 is a fresh cut, equal to one on a new group
@@ -404,14 +416,15 @@ def test_group_keeps_only_the_ball_at_0():
 
 @pytest.mark.parametrize("x", [0.0j, 0.2 + 0.0j])
 def test_margin_build_leaves_the_kept_ball(x):
-    # an explicit margin builds by BFS at x whatever the group keeps, and
-    # keeps nothing: a wide-margin oracle never compares a ball with itself
+    # the BFS with an explicit margin, the tests' wide-margin reference,
+    # neither reads nor writes the group's kept ball, so it never compares
+    # a ball with itself
     g = preset_genus2_octagon()
-    enumerate_ball(g, x, 8.0, margin=1.0)
+    _bfs_ball(g, x, 8.0, 1.0)
     assert g._ball_at_0 is None
     enumerate_ball(g, 0.0j, 9.0)
     held = g._ball_at_0
-    wide = enumerate_ball(g, x, 6.0, margin=C_WALK + 1.0)
+    wide = _bfs_ball(g, x, 6.0, C_WALK + 1.0)
     assert g._ball_at_0 is held and held.radius == 9.0
     assert len(wide.parents) > len(wide)
     assert not np.shares_memory(wide.alphas, held.alphas)
@@ -543,7 +556,7 @@ def test_dedup_matches_sequential_rule():
         assert _accept(k1, k2, seen1, seen2).tolist() == want
 
 
-def test_ball_dedup_radius_limit():
+def test_ball_dedup_radius_limit(monkeypatch):
     g = preset_genus2_octagon()
     # off 0 the reach of the ball at 0, R + 2 rho(0, x) plus a slack of
     # 3.3e-4 or less below the limit, counts against it
@@ -552,15 +565,16 @@ def test_ball_dedup_radius_limit():
     with pytest.raises(BudgetExceeded, match=r"2 rho\(0, x\).*dedup"):
         enumerate_ball(g, x, DEDUP_MAX_RADIUS - c + 0.001)
     with pytest.raises(BudgetExceeded, match="dedup"):
-        enumerate_ball(g, 0.0j, 5.0, margin=DEDUP_MAX_RADIUS)
+        _bfs_ball(g, 0.0j, 5.0, DEDUP_MAX_RADIUS)
     # just inside the limit the build starts (and meets the element cap)
-    with pytest.raises(BudgetExceeded, match="cap"):
-        enumerate_ball(g, x, DEDUP_MAX_RADIUS - c - 0.001, max_elements=100)
+    monkeypatch.setattr(group_module, "ELEMENT_CAP", 100)
+    with pytest.raises(BudgetExceeded, match="cap 100"):
+        enumerate_ball(g, x, DEDUP_MAX_RADIUS - c - 0.001)
     # at 0 the margin is the rounding slack alone, 3e-4 at radius 19
     with pytest.raises(BudgetExceeded, match="dedup"):
         enumerate_ball(g, 0.0j, DEDUP_MAX_RADIUS + 0.01)
-    with pytest.raises(BudgetExceeded, match="cap"):
-        enumerate_ball(g, 0.0j, DEDUP_MAX_RADIUS - 0.01, max_elements=100)
+    with pytest.raises(BudgetExceeded, match="cap 100"):
+        enumerate_ball(g, 0.0j, DEDUP_MAX_RADIUS - 0.01)
     # the trivial group runs the same build, so the same limit holds
     with pytest.raises(BudgetExceeded, match="dedup"):
         enumerate_ball(load_group("trivial"), 0.0j, DEDUP_MAX_RADIUS + 0.01)
@@ -589,10 +603,15 @@ def test_ball_unitary_drift(octagon):
     assert np.max(defect) < 1e-10
 
 
-def test_ball_budget():
+def test_ball_budget(monkeypatch):
+    # the cap is read at each build, and a failed build keeps nothing
     g = preset_genus2_octagon()
-    with pytest.raises(BudgetExceeded):
-        enumerate_ball(g, 0.0j, 14.0, max_elements=100)
+    monkeypatch.setattr(group_module, "ELEMENT_CAP", 100)
+    with pytest.raises(BudgetExceeded, match="cap 100"):
+        enumerate_ball(g, 0.0j, 14.0)
+    assert g._ball_at_0 is None
+    monkeypatch.setattr(group_module, "ELEMENT_CAP", 97)
+    assert len(enumerate_ball(g, 0.0j, 6.0)) == 97
 
 
 def test_fixed_point_free(octagon, rng):

@@ -62,8 +62,8 @@ def test_closed_form_vs_series(rng):
     ws = np.append(random_disc_points(rng, 50), _CANCELLING_PAIR[1])
     for m in (2, 3, 4, 6):
         cf = weighted_kernel(m, zs, ws)
-        se = weighted_kernel_series(m, zs, ws, degree=200)
-        tol = _series_rounding_bound(m, zs, ws, cf, 200)
+        se = weighted_kernel_series(m, zs, ws)
+        tol = _series_rounding_bound(m, zs, ws, cf, kernels.SERIES_DEGREE)
         assert np.all(np.abs(cf - se) <= tol)
         # not vacuous: still 5 digits where the series cancels worst, and
         # 11 at the typical point
@@ -106,9 +106,10 @@ def test_reproducing():
     assert rep.rel_error < rep.rel_error_half_grid
 
 
-def test_cm_constant_radial_oracle():
+def test_cm_constant_radial_oracle(monkeypatch):
+    monkeypatch.setattr(kernels, "CM_PROBES", (0.0,))
     for m in (3, 4):
-        rep = cm_constant(m, probes=(0.0,))
+        rep = cm_constant(m)
         # radial 1-D oracle at w = 0: |K_m(z,0)| is constant
         integrand = lambda r: (2 * math.pi * r * (2 * m - 1) / math.pi ** m
                                * (math.pi * (1 - r * r) ** 2) ** (m / 2 - 1))
@@ -118,11 +119,12 @@ def test_cm_constant_radial_oracle():
         assert oracle == pytest.approx(rep.analytic, rel=1e-9)
 
 
-def test_cm_constancy(octagon):
+def test_cm_constancy(octagon, monkeypatch):
     rep = cm_constant(4)
     assert rep.spread < 0.01
     g0 = octagon.generators[0].apply(0.0j)
-    rep2 = cm_constant(4, probes=(0.0, g0))
+    monkeypatch.setattr(kernels, "CM_PROBES", (0.0, g0))
+    rep2 = cm_constant(4)
     assert rep2.values[1] == pytest.approx(rep2.values[0], rel=1e-3)
 
 

@@ -120,7 +120,7 @@ def test_lemma22(octagon):
     assert rep.lhs > 0 and rep.rhs > 0
 
 
-def test_polynomial_approx():
+def test_polynomial_approx(monkeypatch):
     res = polynomial_approx(Z, 1.0, 1e-6)
     assert res.degree == 1 and res.achieved_norm == 0.0
     f = SeedFunction.rational([1.0], [2.0, -1.0])     # 1/(2 - z)
@@ -128,8 +128,9 @@ def test_polynomial_approx():
     assert res.achieved_norm < 1e-3
     assert norm_pl(lambda z: f(z) - res.poly(z), 1, 1.0,
                    grid=(400, 256))[0] < 1e-3
-    with pytest.raises(TargetNotReached):
-        polynomial_approx(f, 1.0, 1e-12, max_degree=4)
+    monkeypatch.setattr(series, "APPROX_DEGREE_CAP", 4)
+    with pytest.raises(TargetNotReached, match="degree cap 4 hit"):
+        polynomial_approx(f, 1.0, 1e-12)
 
 
 def test_polynomial_approx_downstream(octagon, rng):
