@@ -169,8 +169,6 @@ def cmd_lemma22_check(args):
 
 def cmd_approx_poly(args):
     f = parse_seed(args.f)
-    if f.kind == "poly" and args.dilation is not None:
-        raise ConfigError("argument --dilation: a polynomial seed takes none")
     res = series.polynomial_approx(f, args.l, args.delta,
                                    dilation=args.dilation)
     return {

@@ -103,7 +103,7 @@ class ScanReport:
     min_point_ratio: float
     jet_failures: list = field(default_factory=list)
     point_failures: list = field(default_factory=list)
-    threshold_m: int = None     # from the density/injectivity certificate
+    threshold_m: int = None     # never set; a key of the reports
 
 
 def sample_fundamental_domain(group, n, seed):
@@ -122,8 +122,7 @@ def sample_fundamental_domain(group, n, seed):
     return np.array(out[:n])
 
 
-def very_ampleness_scan(group, m, n_samples, d=6, radius=8.0, seed=0,
-                        threshold_m=None):
+def very_ampleness_scan(group, m, n_samples, d=6, radius=8.0, seed=0):
     """Jet tests at n_samples points and point tests at n_samples pairs."""
     # the sections' ball first, so that the sampler's domain ball is a slice
     enumerate_ball(group, 0.0j, radius)
@@ -148,5 +147,4 @@ def very_ampleness_scan(group, m, n_samples, d=6, radius=8.0, seed=0,
         point_pass_rate=1.0 - len(pt_fail) / max(len(pt_ratios), 1),
         min_jet_ratio=float(min(jet_ratios)),
         min_point_ratio=float(min(pt_ratios)),
-        jet_failures=jet_fail, point_failures=pt_fail,
-        threshold_m=threshold_m)
+        jet_failures=jet_fail, point_failures=pt_fail)

@@ -421,6 +421,9 @@ def polynomial_approx(f, l, delta, dilation=None):
     if not 0.0 < t <= 1.0:
         raise ValueError("dilation t must lie in (0, 1]")
     if f.kind == "poly":
+        if dilation is not None:
+            raise ValueError(f"dilation: a polynomial seed takes none, "
+                             f"got {dilation!r}")
         return PolyApproxResult(f, 0.0, 1.0, len(f.coeffs) - 1)
 
     th = np.exp(2j * np.pi * np.arange(4096) / 4096)

@@ -158,7 +158,7 @@ def test_9_separation_scan(octagon):
     eps = seshadri_lower_bound(octagon, 0.0j).epsilon_lower
     m_star = ampleness_thresholds(eps, 1)["main"]
     rep = very_ampleness_scan(octagon, m_star, d=6, radius=8.0,
-                              n_samples=100, threshold_m=m_star)
+                              n_samples=100)
     assert rep.jet_pass_rate == 1.0
     assert rep.point_pass_rate == 1.0
     dt = time.time() - t0

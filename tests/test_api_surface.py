@@ -102,32 +102,19 @@ def _calls_of(source):
     return out
 
 
-# Set only by tests, and kept: dropping it drops `threshold_m` from the
-# separation-scan report, whose key set the benchmark's reference compares.
-UNSET_BY_DESIGN = {("very_ampleness_scan", "threshold_m")}
-
-
 def test_every_defaulted_parameter_is_set_by_a_caller():
     params = _defaulted_params()
     calls = _calls("src", "perfbench")
-    # not vacuous: the scan sees options that callers are known to set,
-    # and the exemption names a parameter that still exists
+    # not vacuous: the scan sees options that callers are known to set
     names = {(fn, p) for fn, p, _, _ in params}
     assert {("norm_pl", "grid"), ("density", "spacing"),
-            ("polynomial_approx", "dilation")} | UNSET_BY_DESIGN <= names
-    # tests set nothing: the exempt parameter has its setters there only
-    (k,) = [k for fn, p, k, _ in params
-            if (fn, p) == ("very_ampleness_scan", "threshold_m")]
-    scans = "very_ampleness_scan"
-    assert _is_set(k, "threshold_m", _calls("tests")[scans])
-    assert not _is_set(k, "threshold_m", calls[scans])
+            ("polynomial_approx", "dilation")} <= names
     # a function that passes its own option on to itself sets nothing
     own = _calls_of("def build(r, cap=9):\n    return build(r, cap=cap)\n"
                     "def use():\n    return build(1, 2)\n")
     assert own == {"build": [(2, False, set(), False)]}
     unset = [f"{where} {fn}({p}=...)" for fn, p, k, where in params
-             if (fn, p) not in UNSET_BY_DESIGN
-             and not _is_set(k, p, calls.get(fn, []))]
+             if not _is_set(k, p, calls.get(fn, []))]
     assert unset == []
 
 

@@ -152,11 +152,12 @@ def test_bad_numeric_flag_exits_1(tmp_path, capsys, argv):
 
 def test_polynomial_seed_takes_no_dilation(tmp_path, capsys):
     # a polynomial is its own approximation, reported with dilation 1; a
-    # --dilation the command would ignore is an input error naming the flag
+    # dilation the library would ignore is an input error naming it
     code, data = run(tmp_path, "approx-poly", "--f", "poly 1 2",
                      "--dilation", "0.5")
     assert code == 1 and data is None
-    assert capsys.readouterr().err.startswith("error: argument --dilation: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: dilation: ") and err.count("\n") == 1
     code, data = run(tmp_path, "approx-poly", "--f", "poly 1 2")
     assert code == 0 and data["report"]["dilation"] == 1.0
     code, data = run(tmp_path, "approx-poly", "--f", "rational 1 / 2 -1",

@@ -123,6 +123,8 @@ def test_lemma22(octagon):
 def test_polynomial_approx(monkeypatch):
     res = polynomial_approx(Z, 1.0, 1e-6)
     assert res.degree == 1 and res.achieved_norm == 0.0
+    with pytest.raises(ValueError, match="^dilation: "):
+        polynomial_approx(Z, 1.0, 1e-6, dilation=0.5)
     f = SeedFunction.rational([1.0], [2.0, -1.0])     # 1/(2 - z)
     res = polynomial_approx(f, 1.0, 1e-3)
     assert res.achieved_norm < 1e-3

@@ -1,5 +1,6 @@
 """Injectivity radius, density, the cut-off potential and thresholds."""
 
+import inspect
 import math
 
 import numpy as np
@@ -78,19 +79,22 @@ def test_density_count_monotone(octagon):
 
 
 def _coarse_best(octagon, x, r):
-    """density()'s best count and center over its grid and the reduced x,
-    before the refinement pass."""
-    zs = np.append(dirichlet_domain(octagon, spacing=0.02).nodes,
-                   octagon.reduce_points([x]))
+    """density()'s report, and its best count and center over its grid and
+    the reduced x, before the refinement pass.  The spacing is density's
+    default, and the node count must match the report's."""
+    spacing = inspect.signature(density).parameters["spacing"].default
+    nodes = dirichlet_domain(octagon, spacing=spacing).nodes
+    rep = density(octagon, x, r)
+    assert rep.n_grid == len(nodes)
+    zs = np.append(nodes, octagon.reduce_points([x]))
     counts = orbit_counts(octagon, x, zs, r)
     i = int(np.argmax(counts))
-    return int(counts[i]), complex(zs[i])
+    return rep, int(counts[i]), complex(zs[i])
 
 
 def test_density_refinement_monotone(octagon, rho0):
-    r = 1.5 * rho0
-    coarse, _ = _coarse_best(octagon, 0.0j, r)
-    assert density(octagon, 0.0j, r).best_count >= coarse
+    rep, coarse, _ = _coarse_best(octagon, 0.0j, 1.5 * rho0)
+    assert rep.best_count >= coarse
 
 
 def test_cutoff_values():
@@ -361,12 +365,16 @@ def _same_points(a, b, tol=1e-9):
 
 
 def _refinement_grid(octagon, x, r):
-    """The local grid density() scans around its coarse best center."""
-    _, c = _coarse_best(octagon, x, r)
+    """The local grid density() scans around its coarse best center; its
+    best count is density's."""
+    rep, coarse, c = _coarse_best(octagon, x, r)
     span = np.arange(-10, 11) * (r / 20.0) * (1.0 - abs(c) ** 2) / 2.0
     gx, gy = np.meshgrid(span, span, indexing="ij")
     local = c + gx.ravel() + 1j * gy.ravel()
-    return local[np.abs(local) < 1.0 - 1e-9]
+    local = local[np.abs(local) < 1.0 - 1e-9]
+    counts = orbit_counts(octagon, x, octagon.reduce_points(local), r)
+    assert rep.best_count == max(coarse, int(np.max(counts)))
+    return local
 
 
 def _shifted_quasi_psh_grid(octagon, x, r):
