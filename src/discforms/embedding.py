@@ -20,7 +20,7 @@ import numpy as np
 
 from .domain import dirichlet_domain
 from .errors import DegenerateBasis, EquivalentPoints
-from .geometry import disc_points
+from .geometry import den_power, disc_points
 from .group import enumerate_ball, orbit_counts
 
 RANK_TOL = 1e-8
@@ -37,9 +37,9 @@ def eval_sections(group, m, d, z, radius):
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     ball = enumerate_ball(group, 0.0j, radius)
     gz, den = ball.terms(z)
-    j = den ** -2
-    jm = den ** (-2 * m)
-    dfac = -2.0 * m * np.conj(ball.betas[:, None]) * den ** (-2 * m - 1)
+    j = den_power(den, 2)
+    jm = den_power(den, 2 * m)
+    dfac = -2.0 * m * np.conj(ball.betas[:, None]) * (jm / den)
     vals = np.empty((d + 1, len(z)), dtype=complex)
     ders = np.empty((d + 1, len(z)), dtype=complex)
     gzk = np.ones_like(gz)          # (gamma z)^k

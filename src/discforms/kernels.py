@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import check_disc_point, disc_points
+from .geometry import check_disc_point, den_power, disc_points, mobius_den
 from .domain import dirichlet_domain
 from .group import enumerate_ball
 from .series import poincare_values, _polar_sum
@@ -44,7 +44,7 @@ def weighted_kernel(m, z, w):
         raise ValueError("weight m must be >= 2")
     z = check_disc_point(np.asarray(z, dtype=complex))
     w = check_disc_point(np.asarray(w, dtype=complex))
-    return (2 * m - 1) / np.pi ** m * (1.0 - z * np.conj(w)) ** (-2 * m)
+    return (2 * m - 1) / np.pi ** m * den_power(1.0 - z * np.conj(w), 2 * m)
 
 
 def _kernel_coefficients(m):
@@ -85,8 +85,9 @@ def kernel_transformation_check(group, m, n_samples, seed=0):
     per = {}
     elems = list(group.generators) + [g.inverse() for g in group.generators]
     for g in elems:
-        lhs = (weighted_kernel(m, g.apply(z), g.apply(w))
-               * g.jac(z) ** m * np.conj(g.jac(w)) ** m)
+        jz, jw = (den_power(mobius_den(g.alpha, g.beta, p), 2 * m)
+                  for p in (z, w))
+        lhs = weighted_kernel(m, g.apply(z), g.apply(w)) * jz * np.conj(jw)
         per["".join(map(str, g.word)) or "id"] = float(
             np.max(np.abs(lhs - base) / np.abs(base)))
     worst = max(per.values()) if per else 0.0
@@ -132,9 +133,15 @@ def cm_constant(m):
     Mobius invariance makes A constant; at w=0 the integrand is radial and
     A(0) = (2m-1)/(m-1) in closed form.
     """
+    if m < 2:
+        raise ValueError("weight m must be >= 2")
+    c = (2 * m - 1) / np.pi ** m
+
     def integrand(z, wt, w):
         kz = (np.pi * (1.0 - np.abs(z) ** 2) ** 2) ** (m / 2.0 - 1.0)
-        return np.abs(weighted_kernel(m, z, w)) * kz * wt
+        # |K_m(z, w)| = c (|1 - z conj(w)|^2)^-m, a real power
+        d = 1.0 - z * np.conj(w)
+        return c * (d.real ** 2 + d.imag ** 2) ** -m * kz * wt
 
     vals = []
     for w in CM_PROBES:
@@ -206,7 +213,7 @@ def roundtrip_check(group, f0, m, sample_points, spacing, radius=8.0):
         # named: NumPy would compute f_orbit * (a temporary of 16,384 or
         # more elements) in place with the operands swapped, which moves
         # last bits of a complex product
-        jm = den_s ** (-2 * m)
+        jm = den_power(den_s, 2 * m)
         resummed = complex(np.sum(f_orbit * jm))
         rel.append(abs(resummed - hz) / max(abs(hz), 1e-300))
     return RoundTripReport(max(rel), rel, list(samples), spacing, radius)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .domain import dirichlet_domain
 from .errors import QuadratureDiverged, TargetNotReached, UnboundedSeed
-from .geometry import check_disc_point
+from .geometry import check_disc_point, den_power, mobius_den
 from .group import enumerate_ball
 
 # Rational seeds must keep their poles at modulus >= this; closer poles make
@@ -76,14 +76,16 @@ class SeedFunction:
         return (np.polyval(self.coeffs[::-1], z)
                 / np.polyval(self.den_coeffs[::-1], z))
 
-    def eval_into(self, z, out):
+    def eval_into(self, z, out, scratch):
         """f(z) for an array z, written into out (complex, shaped like z).
 
-        Bit for bit the array f(z): the same steps, in place.
+        Bit for bit the array f(z): the same steps, in place.  A rational
+        seed evaluates its denominator in scratch (complex, shaped like z,
+        sharing memory with neither z nor out), so no call allocates.
         """
         _horner(self.coeffs, z, out)
         if self.kind == "rational":
-            out /= _horner(self.den_coeffs, z, np.empty_like(out))
+            out /= _horner(self.den_coeffs, z, scratch)
         return out
 
     @cached_property
@@ -183,7 +185,8 @@ def weight_sum(group, x, z, radius):
     z = check_disc_point(complex(z))
     ball = enumerate_ball(group, x, radius)
     _, den = ball.terms(z)
-    terms = np.abs(den ** -2) ** 2
+    # |j|^2 = (|den|^2)^-2, a real power
+    terms = (den.real ** 2 + den.imag ** 2) ** -2.0
     value = exact_sum(terms)
     tail = _shell_tail(ball.displacements, terms, radius)
     return SeriesValue(value, tail, len(ball), radius)
@@ -197,7 +200,7 @@ def poincare_eval(group, f, m, z, radius, ball=None):
     if ball is None:
         ball = enumerate_ball(group, 0.0j, radius)
     gz, den = ball.terms(z)
-    jm = den ** (-2 * m)
+    jm = den_power(den, 2 * m)
     terms = f(gz) * jm
     value = exact_sum(terms)
     tail = f.sup_disc * _shell_tail(ball.displacements, np.abs(jm), radius)
@@ -210,21 +213,23 @@ def poincare_values(group, f, m, zs, radius, ball=None):
     if ball is None:
         ball = enumerate_ball(group, 0.0j, radius)
     # ~2^16-term blocks keep temporaries near 1 MB; two or more points per
-    # block keep each column's in-order sum, so no bit moves
+    # block keep each column's in-order sum, so no bit moves.  Blocks are
+    # even, as the largest one sizes every workspace row
     step = max(2, 2 ** 16 // len(ball))
-    blocks = np.split(zs, np.arange(step, zs.size - step + 1, step))
+    blocks = np.array_split(zs, max(1, zs.size // step))
     # One workspace per call, reused by every block: fresh arrays per block
     # go back to the system and are faulted in again, 1,581 page faults per
     # 64-point call at R = 10, unless earlier work raised glibc's thresholds
     n = len(ball)
-    work = np.empty((3, n * max(map(len, blocks))), dtype=complex)
+    work = np.empty((4, n * max(map(len, blocks))), dtype=complex)
     sums = []
     for block in blocks:
-        gz, den, val = (w[:n * len(block)].reshape(n, -1) for w in work)
+        gz, den, jm, val = (w[:n * len(block)].reshape(n, -1) for w in work)
         ball.terms(block, out=(gz, den))
-        np.power(den, -2 * m, out=den)
-        f.eval_into(gz, val)
-        val *= den
+        den_power(den, 2 * m, out=jm)
+        # den is spent: its row is a rational seed's scratch
+        f.eval_into(gz, val, den)
+        val *= jm
         sums.append(np.sum(val, axis=0))
     return np.concatenate(sums)
 
@@ -237,7 +242,8 @@ def automorphy_residual(group, f, m, g, z, radius):
     """
     pz = poincare_eval(group, f, m, z, radius)
     pgz = poincare_eval(group, f, m, g.apply(z), radius)
-    return abs(pgz.value * g.jac(z) ** m - pz.value), pz, pgz
+    jm = den_power(mobius_den(g.alpha, g.beta, z), 2 * m)
+    return abs(pgz.value * jm - pz.value), pz, pgz
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +364,11 @@ def lemma22_check(group, f, m, radius):
         absf, absden, t, p = (w[:len(block)] for w in work)
         block.terms(nodes, out=(gz, den))
         np.abs(den, out=absden)
-        # f(gz) goes into den's buffer, which is no longer needed
-        np.abs(f.eval_into(gz, den), out=absf)
+        # f(gz) goes into den's buffer, which is no longer needed; t and p
+        # are free until after it, and their two real rows hold the one
+        # complex block a rational seed needs as scratch
+        scratch = work[2:].reshape(-1).view(complex)[:gz.size]
+        np.abs(f.eval_into(gz, den, scratch.reshape(gz.shape)), out=absf)
         # in place, but the steps of wts * absf * absden ** (-2 * m) * kfac
         np.multiply(wts, absf, out=t)
         t *= np.power(absden, -2 * m, out=p)

@@ -213,3 +213,102 @@ def test_only_enumerate_ball_touches_the_ball_slot():
                      if isinstance(fn, ast.FunctionDef)
                      and fn.name == "enumerate_ball")
     assert uses == owned > 0
+
+
+# Parameters that hold disc points or denominators, calls whose value is
+# complex, and calls and attributes whose value is real whatever their
+# operand.
+_COMPLEX_PARAMS = {"z", "w", "zs", "x", "y", "den", "alpha", "beta"}
+_COMPLEX_CALLS = {"conj", "terms", "apply", "jac", "mobius_den", "den_power",
+                  "weighted_kernel"}
+_REAL_CALLS = {"abs", "absolute", "len", "float", "int"}
+_REAL_ATTRS = {"real", "imag", "shape", "size", "ndim"}
+_POWER_CALLS = {"power", "float_power", "pow"}
+
+
+def _callee(call):
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def _may_be_complex(node, names):
+    """Whether an expression may be complex: it holds a complex literal,
+    `complex`, a complex-valued call or one of names, outside abs() and
+    .real/.imag."""
+    if isinstance(node, ast.Call) and _callee(node) in _REAL_CALLS \
+            or isinstance(node, ast.Attribute) and node.attr in _REAL_ATTRS:
+        return False
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, complex)
+    if isinstance(node, ast.Name):
+        return node.id in names or node.id == "complex"
+    if isinstance(node, ast.Call) and _callee(node) in _COMPLEX_CALLS:
+        return True
+    if isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
+        inner = set(names)      # the loop names are local to the expression
+        for gen in node.generators:
+            bound = {t.id for t in ast.walk(gen.target)
+                     if isinstance(t, ast.Name)}
+            complex_ = _may_be_complex(gen.iter, inner)
+            inner = inner | bound if complex_ else inner - bound
+        return _may_be_complex(node.elt, inner)
+    return any(_may_be_complex(c, names)
+               for c in ast.iter_child_nodes(node))
+
+
+def _complex_powers(fn):
+    """Powers of complex operands in a function and the functions it
+    defines.  A parameter named like a point counts as complex, and so
+    does every name bound to an expression that may be complex."""
+    names = {a.arg for f in ast.walk(fn) if isinstance(f, ast.FunctionDef)
+             for a in f.args.posonlyargs + f.args.args + f.args.kwonlyargs
+             if a.arg in _COMPLEX_PARAMS}
+    binds = [(t, n.value) for n in ast.walk(fn) if isinstance(n, ast.Assign)
+             for t in n.targets]
+    binds += [(n.target, n.value) for n in ast.walk(fn)
+              if isinstance(n, (ast.AugAssign, ast.AnnAssign)) and n.value]
+    binds += [(n.target, n.iter) for n in ast.walk(fn)
+              if isinstance(n, ast.For)]
+    while True:
+        grown = {t.id for target, value in binds
+                 if _may_be_complex(value, names)
+                 for t in ast.walk(target) if isinstance(t, ast.Name)}
+        if grown <= names:
+            break
+        names |= grown
+    bases = [n.left for n in ast.walk(fn)
+             if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)]
+    bases += [n.target for n in ast.walk(fn)
+              if isinstance(n, ast.AugAssign) and isinstance(n.op, ast.Pow)]
+    bases += [n.args[0] for n in ast.walk(fn) if isinstance(n, ast.Call)
+              and _callee(n) in _POWER_CALLS and n.args]
+    return sorted(f"{fn.name}:{b.lineno}" for b in bases
+                  if _may_be_complex(b, names))
+
+
+def test_complex_powers_go_through_den_power():
+    # NumPy's complex ** runs a scalar npy_cpow per element; den_power
+    # takes the same power by array multiplies, and moduli take real
+    # powers of |den|^2
+    found = []
+    for name in ("series", "embedding", "kernels", "geometry"):
+        tree = ast.parse((ROOT / "src" / "discforms" / f"{name}.py")
+                         .read_text())
+        found += [f"{name}.{site}" for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef)
+                  for site in _complex_powers(fn)]
+    assert found == []
+    # not vacuous: the scan sees complex bases through names, tuples,
+    # loops and parameters, and lets moduli and real parts through
+    snippet = ast.parse(
+        "def f(ball, z, m, w, n):\n"
+        "    gz, den = ball.terms(z)\n"
+        "    a = den ** (-2 * m)\n"
+        "    b = np.power(gz, 2)\n"
+        "    for d in zip(den):\n"
+        "        d **= 2\n"
+        "    e = np.abs(den) ** 2 + den.real ** 2 + np.pi ** m + n ** 2\n"
+        "    t, u = (np.max(v) for v in (np.abs(z), len(gz)))\n"
+        "    c = [v for v in (gz, den)]\n"
+        "    return w ** 2 + (1.0 - t) ** m + u ** 2 + c ** 2 + a * b * e\n"
+    ).body[0]
+    assert _complex_powers(snippet) == ["f:10", "f:10", "f:3", "f:4", "f:6"]

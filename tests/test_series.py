@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from discforms.series import (
     SeedFunction, exact_sum, lemma22_check, norm_pl, poincare_eval,
     polynomial_approx, weight_sum,
 )
+from discforms.geometry import den_power
 from discforms.group import enumerate_ball
 
 from conftest import random_disc_points
@@ -257,19 +259,49 @@ def test_automorphy_check_samples_the_seed_sup_once(monkeypatch):
 def test_poincare_values_bits_and_one_workspace(octagon, f):
     # the block loop writes into one workspace per call; its bits are the
     # column sums of f(gz) den^-2m built fresh per block, as before.  At
-    # R = 10 blocks hold 12 points, so 64 points end in a block of 16.
+    # R = 10 the call splits 64 points 13 + 13 + 13 + 13 + 12; no bit
+    # depends on the split.
+    # m = 3 takes a multiply by den between squarings; 2 and 4 do not.
     ball = enumerate_ball(octagon, 0.0j, 10.0)
     zs = random_disc_points(np.random.default_rng(7), 64, 0.5)
-    for m in (2, 4):
+    for m in (2, 3, 4):
         got = series.poincare_values(octagon, f, m, zs, 10.0)
         want = np.concatenate([
-            np.sum(f(gz) * den ** (-2 * m), axis=0) for gz, den in
+            np.sum(f(gz) * den_power(den, 2 * m), axis=0) for gz, den in
             map(ball.terms, np.split(zs, [12, 24, 36, 48]))])
         assert got.tobytes() == want.tobytes()
     gz = ball.terms(zs[:5])[0]
-    out = np.empty_like(gz)
-    assert f.eval_into(gz, out) is out
+    out, scratch = np.empty_like(gz), np.empty_like(gz)
+    assert f.eval_into(gz, out, scratch) is out
     assert out.tobytes() == f(gz).tobytes()
+
+
+def test_rational_seed_takes_its_scratch_from_the_workspace(octagon,
+                                                            monkeypatch):
+    # poincare_values and lemma22_check hand the seed a spent block of
+    # their workspace, so evaluating a rational seed allocates no block
+    f = SeedFunction.rational([1.0], [2.0, -1.0])
+    real, peaks = SeedFunction.eval_into, []
+
+    def traced(self, *args):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = real(self, *args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return out
+    monkeypatch.setattr(SeedFunction, "eval_into", traced)
+    zs = random_disc_points(np.random.default_rng(3), 64, 0.5)
+    tracemalloc.start()
+    try:
+        got = series.poincare_values(octagon, f, 4, zs, 8.0)
+        rep = lemma22_check(octagon, f, 4, 4.0)
+    finally:
+        tracemalloc.stop()
+    # each block here takes 250 KB to 2 MB
+    assert len(peaks) > 2 and max(peaks) < 4096
+    gz, den = enumerate_ball(octagon, 0.0j, 8.0).terms(zs)
+    assert got.tobytes() == np.sum(f(gz) * den_power(den, 8), axis=0).tobytes()
+    assert rep.holds
 
 
 def _quadratures(group, radii):
