@@ -120,9 +120,9 @@ def den_power(den, n, out=None):
     den^n by binary squaring, then one reciprocal: the power first and the
     reciprocal last, as NumPy's den ** -n does for n < 100, so accuracy and
     overflow are alike, but by whole-array multiplies, not a scalar
-    npy_cpow per element, about twice as fast.  The bits are the array multiply's, which rounds unlike
-    npy_cpow and unlike scalar products; no element's bits depend on its
-    position or the array's shape.
+    npy_cpow per element.  The bits are the array multiply's, which rounds
+    unlike npy_cpow and unlike scalar products; no element's bits depend
+    on its position or the array's shape.
     """
     if n < 1:
         raise ValueError(f"den_power needs n >= 1, got {n}")

@@ -38,20 +38,24 @@ SERIES_DEGREE = 200
 CM_PROBES = (0.0, 0.2, 0.4j, -0.3 + 0.3j, 0.5)
 
 
-def weighted_kernel(m, z, w):
-    """Closed-form weight-m Bergman kernel K_m(z, w)."""
+def _kernel_constant(m):
+    """(2m-1)/pi^m, so that K_m(z, w) = (2m-1)/pi^m (1 - z conj(w))^-2m."""
     if m < 2:
         raise ValueError("weight m must be >= 2")
+    return (2 * m - 1) / np.pi ** m
+
+
+def weighted_kernel(m, z, w):
+    """Closed-form weight-m Bergman kernel K_m(z, w)."""
+    c = _kernel_constant(m)
     z = check_disc_point(np.asarray(z, dtype=complex))
     w = check_disc_point(np.asarray(w, dtype=complex))
-    return (2 * m - 1) / np.pi ** m * den_power(1.0 - z * np.conj(w), 2 * m)
+    return c * den_power(1.0 - z * np.conj(w), 2 * m)
 
 
 def _kernel_coefficients(m):
     """a_0, a_1, ...: a_0 = (2m-1)/pi^m and a_k = a_{k-1} (2m-1+k)/k."""
-    if m < 2:
-        raise ValueError("weight m must be >= 2")
-    c, k = (2 * m - 1) / np.pi ** m, 0
+    c, k = _kernel_constant(m), 0
     while True:
         yield c
         c, k = c * (2 * m + k) / (k + 1), k + 1
@@ -133,9 +137,7 @@ def cm_constant(m):
     Mobius invariance makes A constant; at w=0 the integrand is radial and
     A(0) = (2m-1)/(m-1) in closed form.
     """
-    if m < 2:
-        raise ValueError("weight m must be >= 2")
-    c = (2 * m - 1) / np.pi ** m
+    c = _kernel_constant(m)
 
     def integrand(z, wt, w):
         kz = (np.pi * (1.0 - np.abs(z) ** 2) ** 2) ** (m / 2.0 - 1.0)

@@ -81,7 +81,8 @@ class SeedFunction:
 
         Bit for bit the array f(z): the same steps, in place.  A rational
         seed evaluates its denominator in scratch (complex, shaped like z,
-        sharing memory with neither z nor out), so no call allocates.
+        sharing memory with neither z nor out), so no call allocates; a
+        polynomial seed does not read scratch.
         """
         _horner(self.coeffs, z, out)
         if self.kind == "rational":
@@ -212,23 +213,27 @@ def poincare_values(group, f, m, zs, radius, ball=None):
     zs = check_disc_point(np.atleast_1d(zs).astype(complex))
     if ball is None:
         ball = enumerate_ball(group, 0.0j, radius)
-    # ~2^16-term blocks keep temporaries near 1 MB; two or more points per
-    # block keep each column's in-order sum, so no bit moves.  Blocks are
-    # even, as the largest one sizes every workspace row
+    # Blocks of at most step points keep each workspace row near 2^16 terms
+    # (1 MB); two or more points per block keep each column's in-order sum,
+    # so no bit moves
     step = max(2, 2 ** 16 // len(ball))
-    blocks = np.array_split(zs, max(1, zs.size // step))
+    blocks = np.array_split(zs, max(1, min(-(-zs.size // step),
+                                           zs.size // 2)))
     # One workspace per call, reused by every block: fresh arrays per block
     # go back to the system and are faulted in again, 1,581 page faults per
-    # 64-point call at R = 10, unless earlier work raised glibc's thresholds
+    # 64-point call at R = 10, unless earlier work raised glibc's thresholds.
+    # den is spent once den_power has run, so f(gamma z) takes its row; only
+    # a rational seed gets a fourth row, for its denominator
     n = len(ball)
-    work = np.empty((4, n * max(map(len, blocks))), dtype=complex)
+    rows = 3 if f.kind == "poly" else 4
+    work = np.empty((rows, n * max(map(len, blocks))), dtype=complex)
     sums = []
     for block in blocks:
-        gz, den, jm, val = (w[:n * len(block)].reshape(n, -1) for w in work)
+        gz, den, jm, *spare = (w[:n * len(block)].reshape(n, -1)
+                               for w in work)
         ball.terms(block, out=(gz, den))
         den_power(den, 2 * m, out=jm)
-        # den is spent: its row is a rational seed's scratch
-        f.eval_into(gz, val, den)
+        val = f.eval_into(gz, den, spare[0] if spare else None)
         val *= jm
         sums.append(np.sum(val, axis=0))
     return np.concatenate(sums)

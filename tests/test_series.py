@@ -259,7 +259,7 @@ def test_automorphy_check_samples_the_seed_sup_once(monkeypatch):
 def test_poincare_values_bits_and_one_workspace(octagon, f):
     # the block loop writes into one workspace per call; its bits are the
     # column sums of f(gz) den^-2m built fresh per block, as before.  At
-    # R = 10 the call splits 64 points 13 + 13 + 13 + 13 + 12; no bit
+    # R = 10 the call splits 64 points into 4 x 11 + 2 x 10; no bit
     # depends on the split.
     # m = 3 takes a multiply by den between squarings; 2 and 4 do not.
     ball = enumerate_ball(octagon, 0.0j, 10.0)
@@ -276,10 +276,29 @@ def test_poincare_values_bits_and_one_workspace(octagon, f):
     assert out.tobytes() == f(gz).tobytes()
 
 
+@pytest.mark.parametrize("radius", [8.0, 10.0])
+def test_poincare_values_workspace_stays_near_2_16_terms(octagon, radius):
+    # three rows of at most 2^16 complex terms for a polynomial seed: den's
+    # row takes f(gz) once den_power has read it, and no block is wider
+    # than step points.  Four rows, or a block of up to 2 step - 1 points,
+    # would take 4.5 MB at R = 10, past the 4 MiB at which NumPy asks for
+    # huge pages.  terms() adds a few ball-length temporaries
+    f = SeedFunction.poly([0.0, 1.0])
+    zs = random_disc_points(np.random.default_rng(5), 64, 0.5)
+    ball = enumerate_ball(octagon, 0.0j, radius)
+    tracemalloc.start()
+    try:
+        series.poincare_values(None, f, 3, zs, radius, ball=ball)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 16 * 16 + 4 * 16 * len(ball)
+
+
 def test_rational_seed_takes_its_scratch_from_the_workspace(octagon,
                                                             monkeypatch):
-    # poincare_values and lemma22_check hand the seed a spent block of
-    # their workspace, so evaluating a rational seed allocates no block
+    # poincare_values and lemma22_check hand the seed a block of their
+    # workspace, so evaluating a rational seed allocates no block
     f = SeedFunction.rational([1.0], [2.0, -1.0])
     real, peaks = SeedFunction.eval_into, []
 
