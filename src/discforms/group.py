@@ -10,8 +10,10 @@ breadth-first search over freely reduced words, pruning a branch once its
 displacement exceeds the target radius plus a margin; when D_0 is the
 Dirichlet polygon about 0 and the alphabet pairs its sides, the descent
 lemma makes the margin a rounding slack alone and the search tree is the
-ball.  At other base points x the ball is cut from the ball at 0 of radius
-R + 2 rho(0, x) (see enumerate_ball).  Products are re-normalized to
+ball.  Each child is tested on |beta|^2 before it is built, so only the
+children that can come within reach are multiplied, measured and
+deduplicated.  At other base points x the ball is cut from the ball at 0 of
+radius R + 2 rho(0, x) (see enumerate_ball).  Products are re-normalized to
 SU(1,1) after every multiplication to control drift, and deduplicated on
 a rounded, sign-invariant key.  An element's bits follow from its BFS path
 alone, not from the build radius.
@@ -348,12 +350,12 @@ def _dedup_keys(alphas, betas, probes):
 
 
 def _first_rows(keys, rows):
-    """For ascending rows: the first row of each distinct key, in order."""
+    """For ascending rows: the first row of each distinct key, in key order."""
     order = rows[np.lexsort((keys[rows, 1], keys[rows, 0]))]
     sk = keys[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = np.any(sk[1:] != sk[:-1], axis=1)
-    return np.sort(order[first])
+    return order[first]
 
 
 class _SeenKeys:
@@ -361,7 +363,9 @@ class _SeenKeys:
 
     A query binary-searches the first column, then compares the second
     column of each tie.  Ties (distinct elements with the same rounded
-    image of the base point) are rare, so the loop over them is short.
+    image of the base point) are rare, so the loop over them is short and
+    runs over the tied queries only.  Queries and additions in key order
+    run fastest.
     """
 
     def __init__(self, keys):
@@ -373,10 +377,12 @@ class _SeenKeys:
         lo = np.searchsorted(self.first, keys[:, 0], "left")
         hi = np.searchsorted(self.first, keys[:, 0], "right")
         hit = np.zeros(len(keys), dtype=bool)
+        tied = np.flatnonzero(hi > lo)
+        lo, hi, second = lo[tied], hi[tied], keys[tied, 1]
         for k in range(int(np.max(hi - lo, initial=0))):
             j = lo + k
             live = j < hi
-            hit[live] |= self.second[j[live]] == keys[live, 1]
+            hit[tied[live]] |= self.second[j[live]] == second[live]
         return hit
 
     def add(self, keys):
@@ -392,14 +398,15 @@ def _accept(k1, k2, seen1, seen2):
     The rule: visit the rows in order, keep each row whose k1 and k2 are
     both unseen, and mark both seen.  Within a level only kept rows mark
     keys, so this is the first row of each k1, then those unseen on earlier
-    levels, then the first row of each k2 among the rest.
+    levels, then the first row of each k2 among the rest.  Queries and
+    additions go in key order, which _first_rows gives.
     """
     rows = _first_rows(k1, np.arange(len(k1)))
     rows = rows[~seen1.contains(k1[rows]) & ~seen2.contains(k2[rows])]
-    rows = _first_rows(k2, rows)
+    rows = _first_rows(k2, np.sort(rows))
     seen1.add(k1[rows])
     seen2.add(k2[rows])
-    return rows
+    return np.sort(rows)
 
 
 def enumerate_ball(group, x, radius):
@@ -466,16 +473,60 @@ def enumerate_ball(group, x, radius):
     return held.restrict(radius)
 
 
+def _within_reach(frontier_a, frontier_b, letter_terms, limit):
+    """(frontier x alphabet) mask of the children p g that can have
+    rho(0, p g 0) <= limit, tested on |beta|^2 before any is built.
+
+    letter_terms is (|ga|^2, |gb|^2, gb ga) per alphabet entry.  The child's
+    unnormalized beta is cb = pa gb + pb conj(ga), so |cb|^2 = mag +
+    2 Re((pa conj(pb)) (gb ga)) with mag = |pa|^2 |gb|^2 + |pb|^2 |ga|^2, and
+    |cb|^2 = sinh^2(rho/2) (|ca|^2 - |cb|^2), where |ca|^2 - |cb|^2 is
+    (|pa|^2 - |pb|^2)(|ga|^2 - |gb|^2) up to rounding.  The mask must pass
+    every child whose computed displacement passes, so it errs wide:
+    - that displacement is off by e = 2^-40 e^limit, as in orbit_pairs
+      (4096 ulps of its conditioning): the limit grows by 2 e;
+    - the parent's drift of |pa|^2 - |pb|^2 from 1 after renormalizing, and
+      the rounding of ca and cb, a few ulps of |ca| (|pa| |ga| + |pb| |gb|)
+      <= 2 e^limit |ga|, move |ca|^2 - |cb|^2 by under e |ga| relative;
+    - the outer product rounds by a few ulps of mag, which bounds the cross
+      term too.
+    The slack 1e-6 + e |ga| relative and 1e-6 mag absolute is 10^3 times
+    these or more; a wider slack costs only a few survivors.
+    tests/test_group.py::test_reach_mask_passes_every_kept_child measures
+    the true error against it.
+    """
+    ga2, gb2, gbga = letter_terms
+    e = 2.0 ** -40 * np.exp(limit)
+    reach = (np.sinh(limit / 2.0 + e) ** 2 * (ga2 - gb2)
+             * (1.0 + 1e-6 + e * np.sqrt(ga2)))
+    cross = frontier_a * np.conj(frontier_b)
+    mag = np.multiply.outer(np.abs(frontier_a) ** 2, gb2)
+    mag += np.multiply.outer(np.abs(frontier_b) ** 2, ga2)
+    cb2 = np.multiply.outer(cross.real, 2.0 * gbga.real)
+    cb2 -= np.multiply.outer(cross.imag, 2.0 * gbga.imag)
+    cb2 += mag
+    mag *= 1e-6
+    mag += reach
+    return cb2 <= mag
+
+
 def _bfs_ball(group, x, radius, margin):
     """BFS ball about x: no node past radius + margin is expanded, and
     enumerate_ball proves its margin at 0; off 0 with a wide margin, it is
-    the tests' reference.  The tree is kept whole, in BFS order."""
+    the tests' reference.  Each child is tested on |beta|^2 before it is
+    built (_within_reach), so products, displacements and dedup run only
+    for children that can land within reach.  The tree is kept whole, in
+    BFS order."""
     letters, gen_a, gen_b, inv_index = group.alphabet
     expand_limit = radius + margin
     if expand_limit > DEDUP_MAX_RADIUS:
         raise BudgetExceeded(
             f"radius + margin = {expand_limit:.6g} exceeds "
             f"{DEDUP_MAX_RADIUS:g}, the limit of the {DEDUP_TOL:g} dedup key")
+    # a child with rho(x, gamma x) <= expand_limit has rho(0, gamma 0) <=
+    # expand_limit + 2 rho(0, x)
+    reach0 = expand_limit + 2.0 * float(distance(0.0j, x))
+    letter_terms = (np.abs(gen_a) ** 2, np.abs(gen_b) ** 2, gen_b * gen_a)
 
     # Growing global store; parent/letter pairs spell the words on demand.
     all_a = [np.array([1.0 + 0j])]
@@ -493,17 +544,15 @@ def _bfs_ball(group, x, radius, margin):
     frontier_a = all_a[0]
     frontier_b = all_b[0]
     frontier_letter = all_letter[0]
-    n_alpha = len(letters)
 
     while len(frontier_idx) > 0:
-        # All reduced one-letter extensions of the frontier, vectorized.
-        par = np.repeat(frontier_idx, n_alpha)
-        pa = np.repeat(frontier_a, n_alpha)
-        pb = np.repeat(frontier_b, n_alpha)
-        plast = np.repeat(frontier_letter, n_alpha)
-        lidx = np.tile(np.arange(n_alpha), len(frontier_idx))
-        ok = (plast < 0) | (inv_index[np.clip(plast, 0, None)] != lidx)
-        par, pa, pb, lidx = par[ok], pa[ok], pb[ok], lidx[ok]
+        # The reduced one-letter extensions of the frontier that can come
+        # within reach, in (parent, letter) order.
+        ok = _within_reach(frontier_a, frontier_b, letter_terms, reach0)
+        back = np.flatnonzero(frontier_letter >= 0)
+        ok[back, inv_index[frontier_letter[back]]] = False
+        rows, lidx = np.nonzero(ok)
+        par, pa, pb = frontier_idx[rows], frontier_a[rows], frontier_b[rows]
 
         # Named operands: NumPy computes a product with a temporary of 16,384
         # or more elements on its right in place, operands swapped, which

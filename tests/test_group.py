@@ -16,8 +16,8 @@ from discforms.geometry import distance, in_convex_polygon, mobius
 from discforms.group import (
     DEDUP_MAX_RADIUS, DEDUP_TOL, FuchsianGroup, GroupElement, OrbitBall,
     _OCTAGON_RELATOR,
-    _accept, _bfs_ball, _probe_points, _reduce_word, _SeenKeys,
-    enumerate_ball,
+    _accept, _bfs_ball, _dedup_keys, _probe_points, _reduce_word,
+    _SeenKeys, _within_reach, enumerate_ball,
     from_config_text, load_group, orbit_counts, preset_genus2_octagon,
     to_config_text,
 )
@@ -299,6 +299,133 @@ def test_margin_0_ball_equals_walk_margin_ball(radius):
                  (ball.displacements, ref.displacements)]:
         assert np.array_equal(a, b)
     assert ball.words == ref.words
+
+
+def _reference_bfs(g, x, radius, margin):
+    """_bfs_ball without the reach mask: every reduced child of every
+    frontier node is built, measured and deduplicated, as before the mask."""
+    letters, gen_a, gen_b, inv_index = g.alphabet
+    probes = _probe_points(x)
+    tree = [[np.array([1.0 + 0j])], [np.array([0.0j])], [np.zeros(1)],
+            [np.array([-1])], [np.array([-1])]]
+    seen1, seen2 = (_SeenKeys(k) for k in _dedup_keys(tree[0][0],
+                                                      tree[1][0], probes))
+    front = np.array([0])
+    while len(front):
+        fa, fb, fl = tree[0][-1], tree[1][-1], tree[4][-1]
+        n = len(letters)
+        par, pa, pb, plast = (np.repeat(c, n) for c in (front, fa, fb, fl))
+        lidx = np.tile(np.arange(n), len(front))
+        ok = (plast < 0) | (inv_index[np.clip(plast, 0, None)] != lidx)
+        par, pa, pb, lidx = par[ok], pa[ok], pb[ok], lidx[ok]
+        ga, gb = gen_a[lidx], gen_b[lidx]
+        gac, gbc = np.conj(ga), np.conj(gb)
+        ca = pa * ga + pb * gbc
+        cb = pa * gb + pb * gac
+        norm = np.sqrt(np.abs(ca) ** 2 - np.abs(cb) ** 2)
+        ca /= norm
+        cb /= norm
+        disp = distance(x, mobius(ca, cb, x))
+        keep = disp <= radius + margin
+        level = [c[keep] for c in (ca, cb, disp, par, lidx)]
+        new = _accept(*_dedup_keys(level[0], level[1], probes), seen1, seen2)
+        front = sum(len(c) for c in tree[0]) + np.arange(len(new))
+        for col, c in zip(tree, level):
+            col.append(c[new])
+    a, b, d, parents, lidx = (np.concatenate(c) for c in tree)
+    kept = np.flatnonzero(d <= radius)
+    order = kept[np.argsort(d[kept], kind="stable")]
+    signed = np.append(np.array(letters, dtype=np.int64), 0)
+    return OrbitBall(x, radius, a[order], b[order], d[order], order,
+                     parents, signed[lidx])
+
+
+def _assert_same_ball(ball, ref):
+    for name in ("alphas", "betas", "displacements", "nodes", "parents",
+                 "letters"):
+        assert np.array_equal(getattr(ball, name), getattr(ref, name)), name
+    assert ball.words == ref.words
+
+
+@pytest.mark.parametrize("radius", [6.0, 8.0, 10.0, 12.0])
+def test_ball_at_0_equals_unmasked_bfs(radius):
+    # an oracle outside _bfs_ball: the ball at 0, bit for bit and word for
+    # word, is the BFS that builds every child before it measures it
+    ball = enumerate_ball(preset_genus2_octagon(), 0.0j, radius)
+    margin = 2.0 ** -39 * np.exp(radius)
+    _assert_same_ball(ball, _reference_bfs(preset_genus2_octagon(), 0.0j,
+                                           radius, margin))
+
+
+@pytest.mark.parametrize("x", [0.35 + 0.1j, 0.8 + 0.0j])
+def test_wide_margin_bfs_equals_unmasked_bfs(x):
+    # off 0 the mask reaches rho(0, gamma 0) <= R + margin + 2 rho(0, x)
+    g = preset_genus2_octagon()
+    margin = g.max_generator_displacement(x) + 1.0
+    _assert_same_ball(_bfs_ball(g, x, 7.0, margin),
+                      _reference_bfs(g, x, 7.0, margin))
+
+
+def test_trivial_ball_equals_unmasked_bfs(trivial):
+    for x in (0.0j, 0.3j):
+        _assert_same_ball(enumerate_ball(trivial, x, 5.0),
+                          _reference_bfs(trivial, x, 5.0, 0.0))
+
+
+@pytest.mark.parametrize("x, radius", [(0.0j, 12.0), (0.8 + 0.0j, 7.0)])
+def test_reach_mask_passes_every_kept_child(monkeypatch, x, radius):
+    # every (node, letter) child of the tree that the exact displacement
+    # test keeps passes _within_reach.  Its slack is checked against the
+    # true error: put each kept child at the limit, limit = d its computed
+    # rho(0, gamma 0), bound = sinh^2(d/2)(|ga|^2 - |gb|^2); the least
+    # (bound + slack - |cb|^2)/slack over 88,976 children at 0 and 287,400
+    # at 0.8 reads 1 - 1.6e-5 and 1 - 1.1e-4, so a slack below twice the
+    # true error fails.
+    calls = []
+    real = group_module._within_reach
+    monkeypatch.setattr(group_module, "_within_reach",
+                        lambda *a: calls.append((a, real(*a))) or
+                        calls[-1][1].copy())
+    g = preset_genus2_octagon()
+    margin = (2.0 ** -39 * np.exp(radius) if x == 0
+              else g.max_generator_displacement(x) + 1.0)
+    _bfs_ball(g, x, radius, margin)
+    _, gen_a, gen_b, _ = g.alphabet
+    ratios = []
+    for (fa, fb, (ga2, gb2, _), _), mask in calls:
+        pa, pb = fa[:, None], fb[:, None]
+        ca = pa * gen_a + pb * np.conj(gen_b)
+        cb = pa * gen_b + pb * np.conj(gen_a)
+        norm = np.sqrt(np.abs(ca) ** 2 - np.abs(cb) ** 2)
+        a, b = ca / norm, cb / norm
+        kept = distance(x, mobius(a, b, x)) <= radius + margin
+        assert np.all(mask[kept])
+        d = distance(0.0j, mobius(a, b, 0.0j))[kept]
+        mag = (np.abs(pa) ** 2 * gb2 + np.abs(pb) ** 2 * ga2)[kept]
+        ga2, gb2 = (np.broadcast_to(c, kept.shape)[kept] for c in (ga2, gb2))
+        e = 2.0 ** -40 * np.exp(d)
+        bound = np.sinh(d / 2.0) ** 2 * (ga2 - gb2)
+        reach = (np.sinh(d / 2.0 + e) ** 2 * (ga2 - gb2)
+                 * (1.0 + 1e-6 + e * np.sqrt(ga2)))
+        slack = reach - bound + 1e-6 * mag
+        ratios.append((bound + slack - np.abs(cb[kept]) ** 2) / slack)
+    ratios = np.concatenate(ratios)
+    assert len(ratios) > (2 * 40905 if x == 0 else 5000)
+    assert np.min(ratios) > 0.5
+
+
+@pytest.mark.parametrize("radius, kept", [(10.0, 5433), (12.0, 40905)])
+def test_ball_at_0_measures_few_children(monkeypatch, radius, kept):
+    # children are tested on |beta|^2 before they are built, so a build
+    # measures 6,425 elements at R = 10 and 48,073 at R = 12 (the base
+    # point's own rho(0, x) is one of them); building every child measured
+    # 38,032 and 286,336, 7.0 times the kept count
+    measured = []
+    real = group_module.distance
+    monkeypatch.setattr(group_module, "distance",
+                        lambda z, w: measured.append(np.size(w)) or real(z, w))
+    assert len(enumerate_ball(preset_genus2_octagon(), 0.0j, radius)) == kept
+    assert sum(measured) <= 1.25 * kept
 
 
 def test_margin_0_needs_the_dirichlet_polygon(octagon):
