@@ -17,7 +17,7 @@ from discforms.group import (
     DEDUP_MAX_RADIUS, DEDUP_TOL, FuchsianGroup, GroupElement, OrbitBall,
     _OCTAGON_RELATOR,
     _accept, _bfs_ball, _dedup_keys, _probe_points, _reduce_word,
-    _SeenKeys, _within_reach, enumerate_ball,
+    _SeenKeys, enumerate_ball,
     from_config_text, load_group, orbit_counts, preset_genus2_octagon,
     to_config_text,
 )
