@@ -8,10 +8,7 @@ from .errors import (
     InsufficientBall, UnboundedSeed, QuadratureDiverged, TargetNotReached,
     DegenerateBasis, EquivalentPoints, ConfigError,
 )
-from .geometry import (
-    bergman_kernel, bergman_metric, distance, mobius, mobius_jacobian,
-    dbar_log_kernel_norm_sq, df_constant,
-)
+from .geometry import bergman_metric, distance, mobius, mobius_jacobian
 from .group import (
     GroupElement, FuchsianGroup, OrbitBall, enumerate_ball, orbit_counts,
     preset_genus2_octagon, load_group,

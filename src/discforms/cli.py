@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -360,6 +361,13 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """The parser, built on first use and kept for the process: no cmd_*
+    writes to args, so its defaults are shared safely."""
+    return build_parser()
+
+
 def _expand_config(parser, argv):
     """argv with the --config file's lines spliced in right after the command.
 
@@ -395,7 +403,7 @@ def _expand_config(parser, argv):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        parser = build_parser()
+        parser = _parser()
         args = parser.parse_args(_expand_config(parser, argv))
         payload, passed = args.func(args)
         _write_report(args, payload)
@@ -404,6 +412,10 @@ def main(argv=None):
         return exc.code
     except (DiscformsError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except MemoryError as exc:
+        # NumPy names the size it could not allocate; say what ran out
+        sys.stderr.write(f"error: out of memory: {exc}\n")
         return 1
 
 

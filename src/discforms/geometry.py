@@ -136,12 +136,6 @@ def den_power(den, n, out=None):
     return np.divide(1.0, p, out=out)
 
 
-def bergman_kernel(z, w):
-    """Bergman kernel of the disc, K(z, w) = 1/(pi (1 - z conj(w))^2)."""
-    d = 1.0 - check_disc_point(z) * np.conj(check_disc_point(w))
-    return 1.0 / (np.pi * d * d)
-
-
 def bergman_metric(z):
     """Metric density g(z) = 2/(1-|z|^2)^2, so that ds^2 = 2 g |dz|^2."""
     return 2.0 / (1.0 - np.abs(check_disc_point(z)) ** 2) ** 2
@@ -154,24 +148,3 @@ def distance(z, w):
     t = np.abs((z - w) / (1.0 - np.conj(z) * w))
     # 2 artanh t = log((1+t)/(1-t)); t < 1 strictly for interior points.
     return np.log1p(t) - np.log1p(-t)
-
-
-def dbar_log_kernel_norm_sq(z):
-    """|d-bar log K|^2_omega at z; equals 2|z|^2 on the disc."""
-    z = check_disc_point(z)
-    # d(log K)/d z-bar = 2 z / (1 - |z|^2); divide |.|^2 by g.
-    r2 = np.abs(z) ** 2
-    num = 4.0 * r2 / (1.0 - r2) ** 2
-    return num / bergman_metric(z)
-
-
-def df_constant():
-    """Donnelly-Fefferman constant C(disc) = sup |d-bar log K|^2_omega.
-
-    Returns (grid_sup, analytic_sup).  The supremum 2|z|^2 -> 2 is not
-    attained, so the grid value approaches 2 from below.  The analytic value
-    saturates the Siegel-domain bound p + 2q = 2 for (p, q) = (0, 1).
-    """
-    r = np.linspace(0.0, 1.0 - 1e-8, 4096)
-    # the analytic value is the Siegel-domain bound p + 2q at (0, 1)
-    return float(np.max(dbar_log_kernel_norm_sq(r))), 2.0

@@ -66,52 +66,40 @@ class GroupElement:
         # by the enumeration tests.
         check_su11(self.alpha, self.beta, tol=1e-5)
 
-    @staticmethod
-    def identity():
-        return GroupElement(1.0 + 0.0j, 0.0j, ())
-
     def apply(self, z):
         return mobius(self.alpha, self.beta, z)
 
     def jac(self, z):
         return mobius_jacobian(self.alpha, self.beta, z)
 
-    def compose(self, other):
-        """Matrix product self @ other (apply other first), renormalized."""
-        a = self.alpha * other.alpha + self.beta * np.conj(other.beta)
-        b = self.alpha * other.beta + self.beta * np.conj(other.alpha)
-        s = abs(a) ** 2 - abs(b) ** 2
-        rs = 1.0 / np.sqrt(s)
-        return GroupElement(a * rs, b * rs, _reduce_word(self.word + other.word))
-
     def inverse(self):
         return GroupElement(np.conj(self.alpha), -self.beta,
                             tuple(-l for l in reversed(self.word)))
 
-    def psu_close(self, other):
-        """PSU(1,1) comparison: equal up to a global sign of the pair."""
-        return _psu_gap(self, other) <= DEDUP_TOL
 
-    def displacement(self, x=0.0j):
-        return float(distance(x, self.apply(x)))
+def _product(pa, pb, ga, gb):
+    """The products p g of SU(1,1) pairs (pa, pb) and (ga, gb), elementwise
+    (apply g first), renormalized to SU(1,1)."""
+    # Named operands (parameters are names too): NumPy computes a product
+    # with a temporary of 16,384 or more elements on its right in place,
+    # operands swapped, which moves last bits; the level's size, so the
+    # radius, would set them.
+    gac, gbc = np.conj(ga), np.conj(gb)
+    ca = pa * ga + pb * gbc
+    cb = pa * gb + pb * gac
+    norm = np.sqrt(np.abs(ca) ** 2 - np.abs(cb) ** 2)
+    ca /= norm
+    cb /= norm
+    return ca, cb
 
 
-def _psu_gap(g, h):
-    """Max-norm distance of g's pair from h's, up to a global sign."""
-    same = max(abs(g.alpha - h.alpha), abs(g.beta - h.beta))
-    flip = max(abs(g.alpha + h.alpha), abs(g.beta + h.beta))
-    return min(same, flip)
-
-
-def _reduce_word(word):
-    """Freely reduce a word of signed generator letters."""
-    out = []
-    for l in word:
-        if out and out[-1] == -l:
-            out.pop()
-        else:
-            out.append(l)
-    return tuple(out)
+def _psu_gap(a1, b1, a2, b2):
+    """Max-norm distance of each pair (a1, b1) from each pair (a2, b2), up
+    to a global sign: shape (len(a1), len(a2))."""
+    a1, b1 = a1[:, None], b1[:, None]
+    same = np.maximum(np.abs(a1 - a2), np.abs(b1 - b2))
+    flip = np.maximum(np.abs(a1 + a2), np.abs(b1 + b2))
+    return np.minimum(same, flip)
 
 
 @dataclass
@@ -131,20 +119,10 @@ class FuchsianGroup:
     def is_trivial(self):
         return len(self.generators) == 0
 
-    def element_from_word(self, word):
-        g = GroupElement.identity()
-        for l in word:
-            if not (isinstance(l, (int, np.integer)) and l != 0
-                    and abs(l) <= len(self.generators)):
-                raise ConfigError(f"invalid generator letter {l!r}")
-            h = self.generators[abs(l) - 1]
-            g = g.compose(h if l > 0 else h.inverse())
-        return GroupElement(g.alpha, g.beta, _reduce_word(tuple(word)))
-
-    def relator_residuals(self):
-        """Max-norm distance of each relator product from +-identity."""
-        return [_psu_gap(self.element_from_word(w), GroupElement.identity())
-                for w in self.relators]
+    def _generator_pairs(self):
+        """The generators' alphas and betas, as two complex arrays."""
+        return (np.array([g.alpha for g in self.generators], dtype=complex),
+                np.array([g.beta for g in self.generators], dtype=complex))
 
     @cached_property
     def alphabet(self):
@@ -152,29 +130,28 @@ class FuchsianGroup:
 
         (letters, alphas, betas, inv_index) where letters[i] is the signed
         1-based word letter of alphabet entry i and inv_index[i] the
-        alphabet index of its inverse.  Built on first use; an ambiguous
-        alphabet raises ConfigError then, and again at every later use.
+        alphabet index of its inverse.  The inverse (conj(a), -b) of each
+        generator joins, in generator order, unless an entry is within
+        DEDUP_TOL of it.  Built on first use; an ambiguous alphabet raises
+        ConfigError then, and again at every later use.
         """
-        entries = []
-        for k, g in enumerate(self.generators):
-            entries.append((k + 1, g.alpha, g.beta))
-        for k, g in enumerate(self.generators):
-            gi = g.inverse()
-            if not any(GroupElement(a, b).psu_close(gi)
-                       for (_, a, b) in entries):
-                entries.append((-(k + 1), gi.alpha, gi.beta))
-        letters = tuple(e[0] for e in entries)
-        alphas = np.array([e[1] for e in entries], dtype=complex)
-        betas = np.array([e[2] for e in entries], dtype=complex)
-        inv_index = np.empty(len(entries), dtype=np.int64)
-        for i, (_, a, b) in enumerate(entries):
-            gi = GroupElement(a, b).inverse()
-            matches = [j for j, (_, aj, bj) in enumerate(entries)
-                       if GroupElement(aj, bj).psu_close(gi)]
-            if len(matches) != 1:
-                raise ConfigError("alphabet is not inverse-closed without "
-                                  "ambiguity; generators too close together")
-            inv_index[i] = matches[0]
+        gen_a, gen_b = self._generator_pairs()
+        n = len(gen_a)
+        cand_a = np.concatenate([gen_a, np.conj(gen_a)])
+        cand_b = np.concatenate([gen_b, -gen_b])
+        close = _psu_gap(cand_a, cand_b, cand_a, cand_b) <= DEDUP_TOL
+        keep = list(range(n))
+        for k in range(n, 2 * n):
+            if not close[k, keep].any():
+                keep.append(k)
+        letters = tuple(k + 1 if k < n else n - k - 1 for k in keep)
+        alphas, betas = cand_a[keep], cand_b[keep]
+        match = _psu_gap(np.conj(alphas), -betas, alphas, betas) <= DEDUP_TOL
+        if np.any(np.count_nonzero(match, axis=1) != 1):
+            raise ConfigError("alphabet is not inverse-closed without "
+                              "ambiguity; generators too close together")
+        # one match per row, so the column indices come in row order
+        inv_index = np.nonzero(match)[1]
         # every caller shares these, so none may write
         for arr in (alphas, betas, inv_index):
             arr.flags.writeable = False
@@ -200,11 +177,16 @@ class FuchsianGroup:
         return bool(np.all(np.min(miss, axis=1, initial=np.inf)
                            <= _SIDE_TOL))
 
+    def _generator_displacements(self, x):
+        a, b = self._generator_pairs()
+        return distance(x, mobius(a, b, x))
+
     def min_generator_displacement(self, x=0.0j):
-        return min((g.displacement(x) for g in self.generators), default=0.0)
+        d = self._generator_displacements(x)
+        return float(np.min(d)) if len(d) else 0.0
 
     def max_generator_displacement(self, x):
-        return max((g.displacement(x) for g in self.generators), default=0.0)
+        return float(np.max(self._generator_displacements(x), initial=0.0))
 
     def reduce_points(self, zs):
         """Orbit representatives of zs: apply the letter that lowers
@@ -265,11 +247,6 @@ class OrbitBall:
         # its start; reversed and stripped of zeros, a row is the word
         rows = np.stack(steps[::-1], axis=1).tolist()
         return [tuple(filter(None, row)) for row in rows]
-
-    @property
-    def elements(self):
-        return [(GroupElement(a, b, w), d) for a, b, w, d in
-                zip(self.alphas, self.betas, self.words, self.displacements)]
 
     def terms(self, z, out=None):
         """(gamma z, den) per element, den = conj(beta) z + conj(alpha).
@@ -554,16 +531,7 @@ def _bfs_ball(group, x, radius, margin):
         rows, lidx = np.nonzero(ok)
         par, pa, pb = frontier_idx[rows], frontier_a[rows], frontier_b[rows]
 
-        # Named operands: NumPy computes a product with a temporary of 16,384
-        # or more elements on its right in place, operands swapped, which
-        # moves last bits; the level's size, so the radius, would set them.
-        ga, gb = gen_a[lidx], gen_b[lidx]
-        gac, gbc = np.conj(ga), np.conj(gb)
-        ca = pa * ga + pb * gbc
-        cb = pa * gb + pb * gac
-        norm = np.sqrt(np.abs(ca) ** 2 - np.abs(cb) ** 2)
-        ca /= norm
-        cb /= norm
+        ca, cb = _product(pa, pb, gen_a[lidx], gen_b[lidx])
         disp = distance(x, mobius(ca, cb, x))
         keep = disp <= expand_limit
         par, ca, cb, lidx, disp = (par[keep], ca[keep], cb[keep],
@@ -685,19 +653,8 @@ def preset_genus2_octagon():
 
 # Length-8 relator of the octagon side pairing, in commutator form; found by
 # searching short products of the generators for the identity and frozen
-# here.  Verified by FuchsianGroup.relator_residuals in the tests.
+# here.  Verified in the tests by their word product, a fold of _product.
 _OCTAGON_RELATOR = (1, 4, 7, 2, 5, 8, 3, 6)
-
-
-def to_config_text(group):
-    lines = [f"name = {group.name}"]
-    for k, g in enumerate(group.generators):
-        lines.append(f"generator.{k} = {float(g.alpha.real)!r} "
-                     f"{float(g.alpha.imag)!r} {float(g.beta.real)!r} "
-                     f"{float(g.beta.imag)!r}")
-    for w in group.relators:
-        lines.append("relator = " + " ".join(str(l) for l in w))
-    return "\n".join(lines) + "\n"
 
 
 def from_config_text(text):

@@ -1,4 +1,11 @@
-"""Every option of the library is used, and every default is relied on.
+"""Every function and option of the library is used, and every default is
+relied on.
+
+An AST scan lists every function, method and property defined in `src/`.
+Each must be named, by a call, a reference or an attribute read, somewhere
+in `src/` or `perfbench/` outside its own body.  Re-exports in
+`__init__.py` and tests do not count: a function that only tests call is
+test code.  Python calls the dunder methods itself.
 
 An AST scan lists the defaulted parameters of every function in `src/`.  A
 parameter counts as set when some call in `src/` or `perfbench/` to a
@@ -129,6 +136,97 @@ def test_every_default_is_relied_on_by_a_caller():
     overridden = [f"{where} {fn}({p}=...)" for fn, p, k, where in params
                   if not _relies(k, p, calls.get(fn, []))]
     assert overridden == []
+
+
+def _definitions(tree):
+    """(qualified name, node) of every function, method and property in
+    tree, nested ones included."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.append((prefix + child.name, child))
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+    visit(tree, "")
+    return out
+
+
+def _references(tree):
+    """(name, ids of the functions whose body holds it) for every name
+    loaded and every attribute read in tree; a function's decorators and
+    defaults lie outside its body."""
+    out = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for part in (node.decorator_list + node.args.defaults
+                         + [d for d in node.args.kw_defaults if d]):
+                visit(part, inside)
+            for stmt in node.body:
+                visit(stmt, inside | {id(node)})
+            return
+        if isinstance(node, (ast.Name, ast.Attribute)) \
+                and isinstance(node.ctx, ast.Load):
+            out.append((getattr(node, "id", None) or node.attr, inside))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+    visit(tree, frozenset())
+    return out
+
+
+def _uncalled(defined, used):
+    """module.qualname of each function in the (module, tree) pairs defined
+    that no reference in the trees used names outside its own body."""
+    seen = {}
+    for tree in used:
+        for name, inside in _references(tree):
+            seen.setdefault(name, []).append(inside)
+    return [f"{module}.{qual}" for module, tree in defined
+            for qual, fn in _definitions(tree)
+            if not (fn.name.startswith("__") and fn.name.endswith("__"))
+            and all(id(fn) in inside for inside in seen.get(fn.name, []))]
+
+
+# Functions that nothing in src/ or perfbench/ names, each with its reason.
+_CALLED_ELSEWHERE = {
+    "cli._Parser.error": "argparse calls it on a bad command line",
+    "seshadri.psi_values": "the README's array form of psi^x, and the "
+                           "reference the quasi-psh stencil is tested "
+                           "against",
+}
+
+
+def test_every_function_is_named_by_a_caller():
+    trees = list(_trees("src", "perfbench"))
+    src = [(path.stem, tree) for path, tree in trees
+           if path.relative_to(ROOT).parts[0] == "src"]
+    uncalled = _uncalled(src, [tree for _, tree in trees])
+    assert sorted(uncalled) == sorted(_CALLED_ELSEWHERE)
+    # not vacuous: an uncalled function, method or nested function is
+    # flagged, also when it calls itself
+    snippet = ast.parse(
+        "def used(n=0):\n"
+        "    return used(n - 1) if n else Box().size\n"
+        "def lonely(n):\n"
+        "    return lonely(n - 1)\n"
+        "class Box:\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        def inner():\n"
+        "            return 1\n"
+        "        return 2\n"
+        "    def spare(self):\n"
+        "        return self.spare\n"
+        "print(used())\n")
+    assert _uncalled([("m", snippet)], [snippet]) \
+        == ["m.lonely", "m.Box.size.inner", "m.Box.spare"]
 
 
 def test_orbit_queries_size_their_own_ball():

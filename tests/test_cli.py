@@ -1,6 +1,8 @@
 """CLI wiring: parsing, reports, exit codes, determinism."""
 
+import argparse
 import cmath
+import copy
 import dataclasses
 import json
 import shlex
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from discforms import cli
+from discforms import cli, domain
 from discforms.series import SeedFunction
 
 
@@ -482,3 +484,67 @@ def test_automorphy_check_needs_generators(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: argument --group: trivial has no generators, so "
                    "there is nothing to check"]
+
+
+def test_parser_built_once_per_process(tmp_path, monkeypatch, capsys):
+    # main builds its parser on first use and keeps it: runs with --config,
+    # with bad input (exit 1) and plain give what fresh parsers give
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("radius = 4\nz = 0.1+0j\n")
+    runs = [["weight-sum", "--config", str(cfg)],
+            ["enumerate", "--radius", "nan"],
+            ["thresholds", "--epsilon", "2", "--n", "1"]]
+
+    def outputs():
+        return [(cli.main(argv), *capsys.readouterr()) for argv in runs]
+    fresh = []
+    for argv in runs:
+        cli._parser.cache_clear()
+        fresh.append((cli.main(argv), *capsys.readouterr()))
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: builds.append(1) or real())
+    cli._parser.cache_clear()
+    assert outputs() == fresh
+    assert len(builds) == 1
+    assert [code for code, _, _ in fresh] == [0, 1, 0]
+
+
+def _parser_defaults(parser):
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return {(name, act.dest): copy.deepcopy(act.default)
+            for name, sub in subs.choices.items() for act in sub._actions}
+
+
+def test_commands_leave_the_parser_defaults_alone(tmp_path):
+    # the parser outlives a run, so no command may write to a default it
+    # was handed, such as quasi-psh-check's r_factors list
+    before = _parser_defaults(cli._parser())
+    assert before["quasi-psh-check", "r_factors"] == [1.0, 1.5, 2.0]
+    for command, extra in CHEAP.items():
+        if command == "quasi-psh-check":     # at its default r_factors
+            extra = ["--group", "trivial", "--spacing", "0.05"]
+        assert run(tmp_path, command, *extra)[0] in (0, 2)
+    assert _parser_defaults(cli._parser()) == before
+
+
+@pytest.mark.parametrize("command", ["fundamental-domain", "roundtrip",
+                                     "quasi-psh-check"])
+def test_out_of_memory_exits_1(tmp_path, monkeypatch, capsys, command):
+    # `--spacing 1e-6` asks the quadrature grid for 17.6 TiB.  The refusal
+    # is faked: where the kernel overcommits, the real allocation can
+    # succeed and the process is then killed.
+    message = ("Unable to allocate 17.6 TiB for an array with shape "
+               "(1553776, 1553776) and data type float64")
+    real = domain._clipped_grid
+
+    def grid(verts, h):
+        if h < 1e-4:
+            raise MemoryError(message)
+        return real(verts, h)
+    monkeypatch.setattr(domain, "_clipped_grid", grid)
+    code, data = run(tmp_path, command, "--spacing", "1e-6")
+    assert code == 1 and data is None
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"

@@ -1,4 +1,4 @@
-"""Disc model: Mobius action, kernel, metric, distance, the D-F constant."""
+"""Disc model: Mobius action, the BFS product, kernel, metric, distance."""
 
 import cmath
 import math
@@ -11,13 +11,12 @@ from scipy.integrate import quad
 
 from discforms.errors import BoundaryPoint, NonUnitary
 from discforms.geometry import (
-    bergman_kernel, bergman_metric, check_su11, dbar_log_kernel_norm_sq,
-    check_disc_point, den_power, df_constant, distance, mobius,
-    mobius_jacobian,
+    bergman_metric, check_su11, check_disc_point, den_power, distance,
+    mobius, mobius_jacobian,
 )
-from discforms.group import GroupElement, enumerate_ball
+from discforms.group import GroupElement, _product, enumerate_ball
 
-from conftest import random_disc_points
+from conftest import bergman_kernel_diag, random_disc_points
 
 
 def random_elements(rng, n):
@@ -29,8 +28,16 @@ def random_elements(rng, n):
     return out
 
 
+def _compose(g1, g2):
+    """g1 g2 (apply g2 first) by _product, the product every ball is
+    built with."""
+    a, b = _product(*(np.array([v]) for v in (g1.alpha, g1.beta,
+                                               g2.alpha, g2.beta)))
+    return GroupElement(a[0], b[0])
+
+
 def test_identity_action():
-    g = GroupElement.identity()
+    g = GroupElement(1.0 + 0.0j, 0.0j)
     z = 0.3 + 0.1j
     assert g.apply(z) == z
     assert g.jac(z) == 1.0
@@ -45,7 +52,9 @@ def test_boundary_guard():
     with pytest.raises(BoundaryPoint):
         check_disc_point(1.0 - 1e-13)
     with pytest.raises(BoundaryPoint):
-        bergman_kernel(1.0 + 0j, 0.0)
+        bergman_metric(1.0 + 0j)
+    with pytest.raises(BoundaryPoint):
+        distance(0.0, 1.0 - 1e-13)
 
 
 def test_non_unitary_rejected():
@@ -56,7 +65,7 @@ def test_non_unitary_rejected():
 def test_composition(rng):
     zs = random_disc_points(rng, 100)
     for g1, g2 in zip(random_elements(rng, 10), random_elements(rng, 10)):
-        both = g1.compose(g2)
+        both = _compose(g1, g2)
         direct = both.apply(zs)
         chained = g1.apply(g2.apply(zs))
         assert np.max(np.abs(direct - chained)) < 1e-12
@@ -66,7 +75,7 @@ def test_jacobian_cocycle(rng):
     zs = random_disc_points(rng, 100)
     gs = random_elements(rng, 10)
     for g1, g2 in zip(gs, reversed(gs)):
-        lhs = g1.compose(g2).jac(zs)
+        lhs = _compose(g1, g2).jac(zs)
         rhs = g1.jac(g2.apply(zs)) * g2.jac(zs)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -94,11 +103,11 @@ def test_mobius_jacobian_cocycle_property(g1, g2, z):
 @settings(deadline=None, max_examples=200)
 @given(_su11, _su11, _points)
 def test_compose_is_applying_in_turn_property(g1, g2, z):
-    # g1.compose(g2) applies g2 first.  Renormalizing by a real factor does
-    # not change the action; at |z| <= 0.9 and cosh t <= cosh 3 the two
-    # images differed by at most 123 ulps over 1e5 random draws
+    # _product(g1, g2) applies g2 first.  Renormalizing by a real factor
+    # does not change the action; at |z| <= 0.9 and cosh t <= cosh 3 the
+    # two images differed by at most 123 ulps over 1e5 random draws
     e1, e2 = GroupElement(*g1), GroupElement(*g2)
-    assert abs(e1.compose(e2).apply(z) - e1.apply(e2.apply(z))) <= 1e-12
+    assert abs(_compose(e1, e2).apply(z) - e1.apply(e2.apply(z))) <= 1e-12
 
 
 def test_jacobian_conformal_identity(rng):
@@ -110,51 +119,12 @@ def test_jacobian_conformal_identity(rng):
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-def test_kernel_center_value_and_mass():
-    assert bergman_kernel(0.0, 0.0) == pytest.approx(1.0 / math.pi)
-    # reproducing check for f = 1: Int K(0, w) d(lambda)(w) = 1
-    val, _ = quad(lambda r: 2.0 * math.pi * r / math.pi, 0.0, 1.0)
-    assert val == pytest.approx(1.0, abs=1e-12)
-
-
 def test_kernel_transformation(rng):
     zs = random_disc_points(rng, 100)
     for g in random_elements(rng, 10):
-        lhs = bergman_kernel(g.apply(zs), g.apply(zs)) \
-            * np.abs(g.jac(zs)) ** 2
-        rhs = bergman_kernel(zs, zs)
+        lhs = bergman_kernel_diag(g.apply(zs)) * np.abs(g.jac(zs)) ** 2
+        rhs = bergman_kernel_diag(zs)
         assert np.max(np.abs(lhs - rhs) / np.abs(rhs)) < 1e-12
-
-
-# Draws on which a fixed 1e-14 bound failed: the array and the scalar
-# kernel at z differed by 1.6e-14 and 2.3e-14 on values near 12 and 14.
-_ILL_CONDITIONED = [-0.7267444405105832 + 0.5549381231316632j,
-                    -0.5534917519069297 - 0.7374900424856929j]
-
-
-def _kernel_rounding_bound(z):
-    """Bound on the rounding error of a computed K(z, z).
-
-    1 - z conj(z) loses relative 2u |z|^2/(1-|z|^2) (u the unit roundoff),
-    and rounding z itself (as t*z) moves 1-|z|^2 by as much again; K is
-    1/(pi d d), so twice that plus 6u for the products and the division.
-    """
-    u = np.finfo(float).eps / 2
-    r2 = np.abs(z) ** 2
-    return np.real(bergman_kernel(z, z)) * u * (6 + 8 * r2 / (1.0 - r2))
-
-
-def test_kernel_radial_monotonicity(rng):
-    zs = np.append(random_disc_points(rng, 50, r_max=0.95), _ILL_CONDITIONED)
-    ts = np.linspace(0.02, 1.0, 40)
-    for z in zs:
-        vals = np.real(bergman_kernel(ts * z, ts * z))
-        err = _kernel_rounding_bound(ts * z)
-        tol = err[:-1] + err[1:]
-        assert np.all(np.diff(vals) >= -tol)
-        assert vals[-1] <= np.real(bergman_kernel(z, z)) + 2 * err[-1]
-        # not vacuous: a decrease of a millionth of any step would fail
-        assert np.all(tol < 1e-6 * np.diff(vals))
 
 
 def test_metric_invariance(rng):
@@ -171,7 +141,7 @@ def test_metric_is_laplacian_of_log_kernel(rng):
     h = 1e-4
 
     def logk(z):
-        return np.log(np.real(bergman_kernel(z, z)))
+        return np.log(bergman_kernel_diag(z))
 
     lap = (logk(zs + h) + logk(zs - h) + logk(zs + 1j * h)
            + logk(zs - 1j * h) - 4.0 * logk(zs)) / h ** 2
@@ -195,14 +165,6 @@ def test_distance_invariance_and_triangle(rng):
         assert np.max(np.abs(lhs - distance(zs, ws))) < 1e-10
     assert np.all(distance(zs, ws) <= distance(zs, us) + distance(us, ws)
                   + 1e-10)
-
-
-def test_df_constant():
-    assert dbar_log_kernel_norm_sq(0.0) == 0.0
-    grid_sup, analytic = df_constant()
-    assert analytic == 2.0
-    assert grid_sup < 2.0
-    assert grid_sup == pytest.approx(2.0, abs=1e-6)
 
 
 def _ball_dens(octagon):

@@ -16,10 +16,9 @@ from discforms.geometry import distance, in_convex_polygon, mobius
 from discforms.group import (
     DEDUP_MAX_RADIUS, DEDUP_TOL, FuchsianGroup, GroupElement, OrbitBall,
     _OCTAGON_RELATOR,
-    _accept, _bfs_ball, _dedup_keys, _probe_points, _reduce_word,
+    _accept, _bfs_ball, _dedup_keys, _probe_points, _product, _psu_gap,
     _SeenKeys, enumerate_ball,
     from_config_text, load_group, orbit_counts, preset_genus2_octagon,
-    to_config_text,
 )
 from discforms.kernels import roundtrip_check
 from discforms.series import SeedFunction, weight_sum
@@ -27,7 +26,8 @@ from discforms.seshadri import (
     injectivity_radius, quasi_psh_check, seshadri_lower_bound,
 )
 
-from conftest import random_disc_points
+from conftest import (config_text, gap_to_identity, random_disc_points,
+                      word_product)
 
 D0 = 2.0 * math.acosh(1.0 + math.sqrt(2.0))   # preset generator displacement
 # c(0): distance from 0 to the vertices of the preset's polygon D_0, the
@@ -36,24 +36,30 @@ C_WALK = math.acosh((1.0 + math.sqrt(2.0)) ** 2)
 
 
 def test_preset_relator(octagon):
-    assert max(octagon.relator_residuals()) < 1e-8
+    assert octagon.relators == [_OCTAGON_RELATOR]
+    assert gap_to_identity(*word_product(octagon, _OCTAGON_RELATOR)) < 1e-8
 
 
-def test_relator_residual_is_the_psu_gap_to_identity(octagon):
-    # bit for bit the max-norm distance from +-identity
-    g = octagon.element_from_word(_OCTAGON_RELATOR)
-    want = min(max(abs(g.alpha - 1), abs(g.beta)),
-               max(abs(g.alpha + 1), abs(g.beta)))
-    assert octagon.relator_residuals() == [want]
-    one = GroupElement.identity()
-    assert g.psu_close(one) and not octagon.generators[0].psu_close(one)
+def test_relator_residual_is_the_psugap_to_identity(octagon):
+    # the gap table holds, bit for bit, the max-norm distance up to sign
+    a, b = word_product(octagon, _OCTAGON_RELATOR)
+    want = min(max(abs(a - 1), abs(b)), max(abs(a + 1), abs(b)))
+    assert gap_to_identity(a, b) == want <= DEDUP_TOL
+    g = octagon.generators[0]
+    assert gap_to_identity(g.alpha, g.beta) > 1.0
+    # the sign of a pair is not seen, and the table is (rows, columns)
+    pa = np.array([g.alpha, -g.alpha, 1.0])
+    pb = np.array([g.beta, -g.beta, 0.0])
+    gap = _psu_gap(pa, pb, pa[:2], pb[:2])
+    assert gap.shape == (3, 2) and np.all(gap[:2] == 0.0)
+    assert np.all(gap[2] == gap_to_identity(g.alpha, g.beta))
 
 
 def test_preset_generators_symmetric(octagon):
-    disps = [g.displacement() for g in octagon.generators]
-    assert len(disps) == 8
-    assert max(disps) - min(disps) < 1e-10
-    assert disps[0] == pytest.approx(D0, abs=1e-12)
+    lo = octagon.min_generator_displacement()
+    hi = octagon.max_generator_displacement(0.0j)
+    assert hi - lo < 1e-10
+    assert lo == pytest.approx(D0, abs=1e-12)
     # orbit of 0: eight points at equal angles k pi/4
     pts = np.array([g.apply(0.0j) for g in octagon.generators])
     ang = np.sort(np.angle(pts))
@@ -61,24 +67,21 @@ def test_preset_generators_symmetric(octagon):
 
 
 def test_word_reduction_and_inverse(octagon):
-    g = octagon.element_from_word((1, 2, -2, 3))
-    assert g.word == (1, 3)
+    # a letter next to its inverse cancels in the product, and a word
+    # followed by its inverse word is the identity
+    a, b = word_product(octagon, (1, 2, -2, 3))
+    a13, b13 = word_product(octagon, (1, 3))
+    assert max(abs(a - a13), abs(b - b13)) < 1e-12
+    assert gap_to_identity(*word_product(octagon, (1, 3, -3, -1))) < 1e-12
+    g = GroupElement(a13, b13, (1, 3))
     gi = g.inverse()
-    assert g.compose(gi).psu_close(GroupElement.identity())
     assert gi.word == (-3, -1)
-
-
-_words = st.lists(st.sampled_from([1, 2, 3, 4, -1, -2, -3, -4]),
-                  max_size=30)
-
-
-@given(_words)
-def test_reduce_word_property(word):
-    reduced = _reduce_word(word)
-    assert _reduce_word(reduced) == reduced
-    assert all(a != -b for a, b in zip(reduced, reduced[1:]))
-    inverse = tuple(-l for l in reversed(word))
-    assert _reduce_word(tuple(word) + inverse) == ()
+    assert abs(gi.apply(g.apply(0.3j)) - 0.3j) < 1e-12
+    # every word the BFS spells is freely reduced: no letter next to its
+    # inverse, the identity's word empty
+    words = enumerate_ball(octagon, 0.0j, 10.0).words
+    assert len(words) == 5433 and words[0] == ()
+    assert all(l != -m for w in words for l, m in zip(w, w[1:]))
 
 
 def test_ball_small_radius_identity_only(octagon):
@@ -107,9 +110,8 @@ def test_ball_word_rebuild(octagon):
     assert len(restricted) == len(ball)
     for sub in (ball, restricted):
         for w, a, b in zip(sub.words, sub.alphas, sub.betas):
-            g = octagon.element_from_word(w)
-            res = min(abs(g.alpha - a) + abs(g.beta - b),
-                      abs(g.alpha + a) + abs(g.beta + b))
+            ga, gb = word_product(octagon, w)
+            res = min(abs(ga - a) + abs(gb - b), abs(ga + a) + abs(gb + b))
             assert res < 1e-9
 
 
@@ -216,9 +218,9 @@ def test_ball_outside_d0_against_wider_margin(x):
         assert _same_elements(ball, wide)
     assert np.all(ball.displacements <= radius)
     for w, a, b in zip(ball.words, ball.alphas, ball.betas):
-        h = g.element_from_word(w)
-        assert min(abs(h.alpha - a) + abs(h.beta - b),
-                   abs(h.alpha + a) + abs(h.beta + b)) < 1e-10 * abs(a)
+        ha, hb = word_product(g, w)
+        assert min(abs(ha - a) + abs(hb - b),
+                   abs(ha + a) + abs(hb + b)) < 1e-10 * abs(a)
 
 
 def test_ball_cold_pool_counts(monkeypatch):
@@ -434,7 +436,7 @@ def test_margin_0_needs_the_dirichlet_polygon(octagon):
     # at 0 takes the empirical margin, the largest generator displacement
     assert octagon.dirichlet_at_0
     assert not load_group("trivial").dirichlet_at_0
-    assert not from_config_text(to_config_text(octagon)).dirichlet_at_0
+    assert not from_config_text(config_text(octagon)).dirichlet_at_0
     rotated = FuchsianGroup(
         octagon.generators, octagon.relators,
         domain_vertices=tuple(np.array(octagon.domain_vertices)
@@ -518,7 +520,7 @@ def test_group_equality_ignores_its_caches():
         dirichlet_domain(g, spacing=0.05)
     assert g1 == g2 and g1._ball_at_0 is not g2._ball_at_0
     assert g1 != load_group("trivial")
-    assert g1 != from_config_text(to_config_text(g1))   # no D_0
+    assert g1 != from_config_text(config_text(g1))   # no D_0
 
 
 def test_group_keeps_only_the_ball_at_0():
@@ -744,8 +746,8 @@ def test_ball_budget(monkeypatch):
 def test_fixed_point_free(octagon, rng):
     ball = enumerate_ball(octagon, 0.0j, 6.0)
     zs = random_disc_points(rng, 100, r_max=0.7)
-    for g, _ in ball.elements[1:]:
-        assert np.min(distance(g.apply(zs), zs)) > 1e-6
+    for a, b in zip(ball.alphas[1:], ball.betas[1:]):
+        assert np.min(distance(mobius(a, b, zs), zs)) > 1e-6
 
 
 def test_orbit_count(octagon):
@@ -763,7 +765,8 @@ def test_ball_terms_match_elements(octagon):
     zs = random_disc_points(np.random.default_rng(3), 5)
     gz, den = ball.terms(zs)
     assert gz.shape == den.shape == (len(ball), 5)
-    for i, (g, _) in enumerate(ball.elements):
+    for i, (a, b) in enumerate(zip(ball.alphas, ball.betas)):
+        g = GroupElement(a, b)
         assert np.array_equal(gz[i], g.apply(zs))
         np.testing.assert_allclose(den[i] ** -2, g.jac(zs), rtol=1e-14)
     gz0, den0 = ball.terms(zs[0])
@@ -771,7 +774,7 @@ def test_ball_terms_match_elements(octagon):
 
 
 def test_config_roundtrip(octagon, tmp_path):
-    text = to_config_text(octagon)
+    text = config_text(octagon)
     back = from_config_text(text)
     assert back.name == octagon.name
     for g, h in zip(back.generators, octagon.generators):
@@ -796,7 +799,7 @@ _letters = st.integers(-5, 5).filter(bool)
        st.text("abcxyz0189-_. ", max_size=12).map(str.strip))
 def test_config_text_roundtrip_property(gens, relators, name):
     group = FuchsianGroup(gens, [tuple(w) for w in relators], name=name)
-    back = from_config_text(to_config_text(group))
+    back = from_config_text(config_text(group))
     assert (back.name, back.relators) == (name, group.relators)
     assert [(g.alpha, g.beta) for g in back.generators] \
         == [(g.alpha, g.beta) for g in gens]
@@ -833,6 +836,82 @@ def test_alphabet_built_once_and_checked_at_each_use():
             use()
 
 
+def _close(a1, b1, a2, b2):
+    return min(max(abs(a1 - a2), abs(b1 - b2)),
+               max(abs(a1 + a2), abs(b1 + b2))) <= DEDUP_TOL
+
+
+def _reference_alphabet(group):
+    """FuchsianGroup.alphabet as a loop over scalar pairs: each generator,
+    then each inverse unless an entry is close to it, then a scan of the
+    entries for each entry's inverse."""
+    entries = [(k + 1, g.alpha, g.beta)
+               for k, g in enumerate(group.generators)]
+    for k, g in enumerate(group.generators):
+        ia, ib = np.conj(g.alpha), -g.beta
+        if not any(_close(a, b, ia, ib) for _, a, b in entries):
+            entries.append((-(k + 1), ia, ib))
+    inv_index = np.empty(len(entries), dtype=np.int64)
+    for i, (_, a, b) in enumerate(entries):
+        matches = [j for j, (_, aj, bj) in enumerate(entries)
+                   if _close(aj, bj, np.conj(a), -b)]
+        if len(matches) != 1:
+            raise ConfigError("alphabet is not inverse-closed")
+        inv_index[i] = matches[0]
+    return (tuple(e[0] for e in entries),
+            np.array([e[1] for e in entries], dtype=complex),
+            np.array([e[2] for e in entries], dtype=complex), inv_index)
+
+
+def test_alphabet_matches_the_reference_loop(octagon):
+    gens = octagon.generators
+    g1g2 = _product(*(np.array([v]) for v in (gens[0].alpha, gens[0].beta,
+                                               gens[1].alpha, gens[1].beta)))
+    groups = {
+        "preset": (preset_genus2_octagon(), tuple(range(1, 9))),
+        "trivial": (load_group("trivial"), ()),
+        "file copy": (from_config_text(config_text(octagon)),
+                      tuple(range(1, 9))),
+        # no generator is another's inverse, so all four inverses join
+        "four": (FuchsianGroup(gens[:4]), (1, 2, 3, 4, -1, -2, -3, -4)),
+        # (g1 g2)^-1 = g6 g5 is no letter, so it joins as -9
+        "redundant": (FuchsianGroup(gens + [GroupElement(g1g2[0][0],
+                                                         g1g2[1][0])]),
+                      tuple(range(1, 10)) + (-9,)),
+        # a half turn is its own inverse, up to sign
+        "involution": (FuchsianGroup([GroupElement(1j, 0j)]), (1,)),
+    }
+    for name, (g, letters) in groups.items():
+        want = _reference_alphabet(g)
+        got = g.alphabet
+        assert got[0] == want[0] == letters, name
+        for a, b in zip(got[1:], want[1:]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    # an inverse within 1e-10 of two entries: both builds refuse, at each use
+    near = FuchsianGroup([gens[0], GroupElement(gens[0].alpha + 1e-10,
+                                                gens[0].beta)])
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="not inverse-closed"):
+            _reference_alphabet(near)
+        with pytest.raises(ConfigError, match="not inverse-closed"):
+            near.alphabet
+
+
+def test_fresh_group_builds_no_element(monkeypatch):
+    # a fresh group's alphabet and D_0 check run on arrays; the scalar
+    # loops they replace built 124 GroupElements, each checking SU(1,1)
+    built = []
+    real = GroupElement.__post_init__
+    monkeypatch.setattr(GroupElement, "__post_init__",
+                        lambda self: built.append(self) or real(self))
+    g = load_group("genus2-octagon")
+    # not vacuous: loading builds the eight generators
+    assert len(built) == 8
+    built.clear()
+    assert g.dirichlet_at_0 and len(g.alphabet[0]) == 8
+    assert built == []
+
+
 def test_load_presets(trivial):
     assert load_group("genus2-octagon").name == "genus2-octagon"
     assert load_group("trivial").is_trivial
@@ -844,8 +923,8 @@ def test_load_presets(trivial):
     for radius in (5.0, 3.0):
         ball = enumerate_ball(g, 0.2j, radius)
         assert ball.radius == radius
-        assert [(e.alpha, e.beta, e.word, d) for e, d in ball.elements] \
-            == [(1.0, 0.0, (), 0.0)]
+        assert list(zip(ball.alphas, ball.betas, ball.words,
+                        ball.displacements)) == [(1.0, 0.0, (), 0.0)]
 
 
 # rotation by pi/2 about 0: a finite group of order 4 in PSU(1,1)

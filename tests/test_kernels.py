@@ -91,7 +91,7 @@ def test_transformation_law(octagon):
 
 def test_transformation_identity():
     from discforms.group import FuchsianGroup, GroupElement
-    g = FuchsianGroup([GroupElement.identity()], [], name="id")
+    g = FuchsianGroup([GroupElement(1.0 + 0.0j, 0.0j)], [], name="id")
     rep = kernel_transformation_check(g, 3, n_samples=10)
     assert rep.max_residual < 1e-14
 
