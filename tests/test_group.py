@@ -40,7 +40,7 @@ def test_preset_relator(octagon):
     assert gap_to_identity(*word_product(octagon, _OCTAGON_RELATOR)) < 1e-8
 
 
-def test_relator_residual_is_the_psugap_to_identity(octagon):
+def test_relator_residual_is_the_psu_gap_to_identity(octagon):
     # the gap table holds, bit for bit, the max-norm distance up to sign
     a, b = word_product(octagon, _OCTAGON_RELATOR)
     want = min(max(abs(a - 1), abs(b)), max(abs(a + 1), abs(b)))
