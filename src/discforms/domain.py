@@ -24,8 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientBall
-from .geometry import distance, in_convex_polygon, klein_to_poincare
+from .geometry import (distance, in_convex_polygon, klein_sides,
+                       klein_to_poincare, poincare_to_klein, side_values)
 from .group import enumerate_ball
+
+# Bound on the derivative norm of the Klein map z -> 2z/(1+|z|^2)
+KLEIN_LIPSCHITZ = 2.0
 
 
 def _clip_polygon(poly, n, c):
@@ -35,8 +39,7 @@ def _clip_polygon(poly, n, c):
     m = len(poly)
     for i in range(m):
         a, b = poly[i], poly[(i + 1) % m]
-        fa = (np.conj(n) * a).real - c
-        fb = (np.conj(n) * b).real - c
+        fa, fb = side_values(n, c, a), side_values(n, c, b)
         if fa <= 0:
             out.append(a)
             if fb > 0:
@@ -113,8 +116,15 @@ def _clipped_grid(verts, h):
     """Cartesian midpoint grid clipped to the polygon with these vertices.
 
     Cells with all four corners inside get weight h^2; cells meeting the
-    boundary are subsampled on a 16 x 16 grid to a fractional weight.
-    Returns (nodes, weights).
+    boundary are subsampled on a 16 x 16 grid to a fractional weight, at
+    the inside subsamples' centroid.  Returns (nodes, weights).  The Klein
+    map stretches by 2|1-|z|^2|/(1+|z|^2)^2 radially and 2/(1+|z|^2)
+    tangentially, at most KLEIN_LIPSCHITZ = 2, and a subsample lies within
+    h/sqrt(2) of its cell's centre: a side value f_i (geometry.side_values)
+    moves by at most sqrt(2) h across a cell.  So a side below -band at the
+    centre, band = sqrt(2) h (1 + 1e-9) + 1e-12 (margins for rounding),
+    passes every subsample; only the other sides are tested there, as
+    in_convex_polygon tests them, to the bit.
     """
     xmin = min(v.real for v in verts) - h
     xmax = max(v.real for v in verts) + h
@@ -138,25 +148,40 @@ def _clipped_grid(verts, h):
     partial = (n_in > 0) & ~full
     # convex domain: a cell with no corner inside can still clip a sliver,
     # but only near a vertex; pick those up via the cell centers too
-    partial |= (n_in == 0) & in_convex_polygon(verts, centers, 0.0)
+    empty = np.flatnonzero(n_in == 0)
+    partial[empty] = in_convex_polygon(verts, centers[empty], 0.0)
 
     nodes = [centers[full]]
     weights = [np.full(np.sum(full), h * h)]
     pidx = np.nonzero(partial)[0]
-    if len(pidx):
-        u = (np.arange(16) + 0.5) / 16 - 0.5
-        sx, sy = np.meshgrid(u, u, indexing="ij")
-        offsets = (sx + 1j * sy).ravel() * h
-        sub = centers[pidx][:, None] + offsets[None, :]
-        sub_in = in_convex_polygon(verts, sub.ravel(), 0.0).reshape(sub.shape)
-        frac = sub_in.mean(axis=1)
-        keep = frac > 0
-        # cell centers of boundary cells can sit outside the domain; use
-        # the centroid of the inside subsamples as the node instead
-        cent = np.array([row[ok].mean() for row, ok in
-                         zip(sub[keep], sub_in[keep])])
-        nodes.append(cent)
-        weights.append(frac[keep] * h * h)
+    u = (np.arange(16) + 0.5) / 16 - 0.5
+    sx, sy = np.meshgrid(u, u, indexing="ij")
+    offsets = (sx + 1j * sy).ravel() * h
+    n, c = klein_sides(verts)
+    f = side_values(n[:, None], c[:, None], poincare_to_klein(centers[pidx]))
+    band = KLEIN_LIPSCHITZ * h / np.sqrt(2.0) * (1.0 + 1e-9) + 1e-12
+    cell, side = np.nonzero(f.T >= -band)    # (cell, side) pairs, by cell
+    # blocks of cells with at most 128 pairs: 2^15 subsample tests
+    step = max(1, 128 // np.max(np.bincount(cell), initial=1))
+    for a in range(0, len(pidx), step):
+        sub = centers[pidx[a:a + step], None] + offsets
+        ok = np.abs(sub) < 1.0
+        lo, hi = np.searchsorted(cell, [a, a + step])
+        ci, si = cell[lo:hi] - a, side[lo:hi]
+        test = side_values(n[si, None], c[si, None],
+                           poincare_to_klein(sub)[ci]) <= 0.0
+        # AND each cell's rows, 256 booleans as 32 words
+        first = np.flatnonzero(np.diff(ci, prepend=-1))
+        ok[ci[first]] &= np.bitwise_and.reduceat(
+            test.view(np.uint64), first).view(bool)
+        # centroid nodes (a centre can sit outside), each sum from 0 as
+        # np.mean's, so with the bits of sub[k][ok[k]].mean()
+        count = np.count_nonzero(ok, axis=1)
+        count = count[count > 0]
+        starts = np.cumsum(count) - count
+        nodes.append(np.add.reduceat(np.insert(sub[ok], starts, 0.0),
+                                     starts + np.arange(len(count))) / count)
+        weights.append(count / 256 * h * h)
     return np.concatenate(nodes), np.concatenate(weights)
 
 
@@ -207,13 +232,16 @@ def _cut_polygon(ball):
     # start from a big square around the Klein disc; clipping a CCW
     # polygon keeps it CCW
     poly = [complex(-2, -2), complex(2, -2), complex(2, 2), complex(-2, 2)]
-    for p in pts:
-        n, c = p / abs(p), abs(p)
-        # skip redundant cuts (polygon already inside the half-plane)
-        vals = [(np.conj(n) * v).real - c for v in poly]
-        if max(vals) <= 1e-15:
-            continue
-        poly = _clip_polygon(poly, n, c)
+    # skip redundant cuts (polygon already inside the half-plane), testing
+    # every point after the last cut against the polygon at once
+    normal, dist, k = pts / np.abs(pts), np.abs(pts), 0
+    while True:
+        f = side_values(normal[k:, None], dist[k:, None], np.array(poly))
+        cuts = np.flatnonzero(np.max(f, axis=1) > 1e-15)
+        if not len(cuts):
+            break
+        p, k = pts[k + cuts[0]], k + cuts[0] + 1
+        poly = _clip_polygon(poly, p / abs(p), abs(p))
     # rotate so the vertex with the smallest angle about 0 is first
     start = int(np.argmin(np.angle(poly)))
     return klein_to_poincare(np.array(poly[start:] + poly[:start]))

@@ -78,9 +78,14 @@ def in_convex_polygon(vertices, z, slack):
     step = max(1, 2 ** 15 // max(1, len(n)))
     for s in range(0, len(za), step):
         zb = za[s:s + step]
-        f = (np.conj(n)[:, None] * poincare_to_klein(zb)).real - c[:, None]
+        f = side_values(n[:, None], c[:, None], poincare_to_klein(zb))
         inside[s:s + step] = np.all(f <= slack, axis=0) & (np.abs(zb) < 1.0)
     return inside if np.ndim(z) else bool(inside[0])
+
+
+def side_values(n, c, k):
+    """Re(conj(n) k) - c: <= 0 where Klein point k is inside side (n, c)."""
+    return (np.conj(n) * k).real - c
 
 
 def disc_points(rng, n, r_max):
@@ -120,14 +125,14 @@ def den_power(den, n, out=None):
     den^n by binary squaring, then one reciprocal: the power first and the
     reciprocal last, as NumPy's den ** -n does for n < 100, so accuracy and
     overflow are alike, but by whole-array multiplies, not a scalar
-    npy_cpow per element.  The bits are the array multiply's, which rounds
-    unlike npy_cpow and unlike scalar products; no element's bits depend
-    on its position or the array's shape.
+    npy_cpow (or pow, for real den) per element.  The bits are the array
+    multiply's, which rounds unlike npy_cpow and unlike scalar products; no
+    element's bits depend on its position or the array's shape.
     """
     if n < 1:
         raise ValueError(f"den_power needs n >= 1, got {n}")
     if out is None and np.ndim(den):
-        out = np.empty(np.shape(den), complex)
+        out = np.empty(np.shape(den), np.result_type(den, 1.0))
     p = den
     for bit in bin(n)[3:]:
         p = np.multiply(p, p, out=out)
@@ -141,10 +146,16 @@ def bergman_metric(z):
     return 2.0 / (1.0 - np.abs(check_disc_point(z)) ** 2) ** 2
 
 
+def disc_ratio(z, w):
+    """t = |(z - w)/(1 - conj(z) w)| = tanh(rho(z, w)/2); no validation."""
+    return np.abs((z - w) / (1.0 - np.conj(z) * w))
+
+
+def ratio_distance(t):
+    """rho = 2 artanh t = log((1+t)/(1-t)) from t = disc_ratio(z, w) < 1."""
+    return np.log1p(t) - np.log1p(-t)
+
+
 def distance(z, w):
     """Geodesic distance rho(z, w) = 2 artanh |(z - w)/(1 - conj(z) w)|."""
-    z = check_disc_point(z)
-    w = check_disc_point(w)
-    t = np.abs((z - w) / (1.0 - np.conj(z) * w))
-    # 2 artanh t = log((1+t)/(1-t)); t < 1 strictly for interior points.
-    return np.log1p(t) - np.log1p(-t)
+    return ratio_distance(disc_ratio(check_disc_point(z), check_disc_point(w)))

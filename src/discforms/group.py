@@ -27,8 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceeded, ConfigError, NonUnitary
-from .geometry import (check_disc_point, check_su11, distance, klein_sides,
-                       mobius, mobius_jacobian)
+from .geometry import (check_disc_point, check_su11, disc_ratio, distance,
+                       klein_sides, mobius, mobius_jacobian)
 
 # Deduplication tolerance in max-norm on (alpha, beta) up to sign.  Generator
 # entries are algebraic numbers evaluated in double precision; renormalized
@@ -610,7 +610,7 @@ def orbit_pairs(group, x, zs, r):
         w0, w1 = w_lo[n - 1], w_hi[n - 1]
         pts_w = pts[w0:w1]
         z = zs[order[s:s + n], None]
-        t = np.abs((pts_w - z) / (1.0 - np.conj(pts_w) * z))
+        t = disc_ratio(pts_w, z)
         rows, cols = np.nonzero(t < t_max)
         iz.append(order[s + rows])
         ib.append(w0 + cols)

@@ -61,6 +61,22 @@ def _kernel_coefficients(m):
         c, k = c * (2 * m + k) / (k + 1), k + 1
 
 
+def series_rounding_bound(m, z, w, cf):
+    """Bound on |cf - weighted_kernel_series(m, z, w)| from rounding, for
+    cf = weighted_kernel(m, z, w), unit roundoff u and q = |z conj(w)|.
+    Series term k is within (5k + 4) u (k multiply-divide steps for its
+    coefficient, k complex products for the power) and the recursive sum
+    adds SERIES_DEGREE u S, S = sum|terms| = (2m-1)/pi^m (1-q)^(-2m): both
+    within 6 (SERIES_DEGREE + 1) u S.  The closed form rounds 1 - z conj(w)
+    to relative 2u q/(1-q), raised to the power 2m, plus about 20 u.  The
+    cut at degree 200 is below 1e-20 relative for |z|, |w| <= 0.8."""
+    u = np.finfo(float).eps / 2
+    q = np.abs(z * np.conj(w))
+    total = _kernel_constant(m) * (1.0 - q) ** (-2 * m)
+    return u * (6 * (SERIES_DEGREE + 1) * total
+                + (4 * m / (1.0 - q) + 20) * np.abs(cf))
+
+
 def weighted_kernel_series(m, z, w):
     """Truncated orthonormal expansion of K_m; oracle for the closed form."""
     z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
@@ -111,9 +127,11 @@ def reproducing_check(m, h, w):
     w = check_disc_point(complex(w))
     expected = np.conj(h(w))
 
-    def dens(z, wt):
-        return (weighted_kernel(m, z, w) * np.conj(h(z))
-                * (np.pi * (1.0 - np.abs(z) ** 2) ** 2) ** (m - 1) * wt)
+    def dens(z, wt, r):
+        # K_m(z, w) conj(h(z)) K(z,z)^(1-m), c K(z,z)^(1-m) once per radius
+        return (den_power(1.0 - z * np.conj(w), 2 * m) * np.conj(h(z))
+                * (_kernel_constant(m) * (np.pi * (1.0 - r ** 2) ** 2)
+                   ** (m - 1) * wt))
 
     full = complex(_polar_sum(800, 512, dens, complex))
     half = complex(_polar_sum(400, 256, dens, complex))
@@ -139,18 +157,18 @@ def cm_constant(m):
     """
     c = _kernel_constant(m)
 
-    def integrand(z, wt, w):
-        kz = (np.pi * (1.0 - np.abs(z) ** 2) ** 2) ** (m / 2.0 - 1.0)
-        # |K_m(z, w)| = c (|1 - z conj(w)|^2)^-m, a real power
+    def integrand(z, wt, r, w):
+        # K(z,z)^(m/2-1) once per radius; |K_m| = c (|1 - z conj(w)|^2)^-m
+        kz = c * (np.pi * (1.0 - r ** 2) ** 2) ** (m / 2.0 - 1.0) * wt
         d = 1.0 - z * np.conj(w)
-        return c * (d.real ** 2 + d.imag ** 2) ** -m * kz * wt
+        return den_power(d.real ** 2 + d.imag ** 2, m) * kz
 
     vals = []
     for w in CM_PROBES:
         w = check_disc_point(complex(w))
         pref = (np.pi * (1.0 - abs(w) ** 2) ** 2) ** (m / 2.0)
         integ = float(_polar_sum(
-            1600, 512, lambda z, wt: integrand(z, wt, w), float))
+            1600, 512, lambda z, wt, r: integrand(z, wt, r, w), float))
         vals.append(pref * integ)
     analytic = (2 * m - 1) / (m - 1)
     return CmReport(m, vals, [complex(p) for p in CM_PROBES], analytic,

@@ -263,14 +263,14 @@ _BALL_ROWS = 8
 
 
 def _polar_sum(n_r, n_theta, integrand, dtype):
-    """np.sum of integrand(z, w) over a midpoint polar grid.
+    """np.sum of integrand(z, w, r) over a midpoint polar grid.
 
     The grid clusters radially, r = 1 - (1-u)^3 for midpoints u, and the
     node weight is w = r dr/du du dtheta.  integrand maps a block of whole
-    radial rows, z of shape (rows, n_theta) and w of shape (rows, 1),
-    elementwise to values of dtype.  The blocks fill one output of n_r
-    n_theta values, summed once, so the result is the whole grid's sum to
-    the bit.
+    radial rows, nodes z (rows, n_theta) and their weights w and radii r
+    (rows, 1), so that radial factors are taken once per radius, to values
+    of dtype.  The blocks fill one output of n_r n_theta values, summed
+    once, so the result is the whole grid's sum to the bit.
     """
     du = 1.0 / n_r
     u = (np.arange(n_r) + 0.5) * du
@@ -285,17 +285,17 @@ def _polar_sum(n_r, n_theta, integrand, dtype):
     rows = max(1, _POLAR_BLOCK // n_theta)
     for i in range(0, n_r, rows):
         block = slice(i, i + rows)
-        grid[block] = integrand(r[block, None] * phase, w[block, None])
+        rb = r[block, None]
+        grid[block] = integrand(rb * phase, w[block, None], rb)
     return np.sum(out)
 
 
 def _norm_once(f, p, l, n_r, n_theta):
-    def integrand(z, w):
-        vals = np.abs(f(z)) ** p
+    def integrand(z, w, r):
         if l != 0.0:
-            # K^{-l} = (pi (1-|z|^2)^2)^l
-            vals = vals * (np.pi * (1.0 - np.abs(z) ** 2) ** 2) ** l
-        return vals * w
+            # K^{-l} = (pi (1-|z|^2)^2)^l, once per radius
+            w = w * (np.pi * (1.0 - r ** 2) ** 2) ** l
+        return np.abs(f(z)) ** p * w
     return float(_polar_sum(n_r, n_theta, integrand, float))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import check_spacing, dirichlet_domain
-from .geometry import bergman_metric, distance
+from .geometry import bergman_metric, disc_ratio, distance, ratio_distance
 from .group import enumerate_ball, orbit_counts, orbit_pairs
 
 
@@ -104,15 +104,14 @@ def psi_values(group, x, r, zs):
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     # querying at SINGULAR_TOL at least keeps the -inf marker for tiny r
     iz, p = orbit_pairs(group, x, zs, max(r, SINGULAR_TOL))
-    return _cutoff_sum(iz, p, zs[iz], r, len(zs))
+    return _cutoff_sum(iz, distance(p, zs[iz]), r, len(zs))
 
 
-def _cutoff_sum(iz, p, z, r, n):
-    """psi^x at n points zs from their orbit pairs (iz, p), z = zs[iz].
+def _cutoff_sum(iz, d, r, n):
+    """psi^x at n points zs from their pairs' iz and d = rho(p, zs[iz]).
 
     bincount adds each point's terms in the order of its pairs, ball order.
     """
-    d = distance(p, z)
     with np.errstate(divide="ignore"):
         t = 2.0 * np.log(np.maximum(d, 1e-300) / r)
     val, _ = cutoff_a(t)
@@ -133,10 +132,12 @@ def _stencil_psi(group, x, r, zs, offsets):
     One candidate query per block, at q + reach with q psi_values' radius
     and reach >= rho(z, z + o) for all nodes and offsets.  Each point keeps
     the candidates that pass orbit_pairs' own test at q: psi_values' pairs
-    in its order, so every value is the same to the bit.
+    in its order, so every value is the same to the bit; that test's ratio
+    gives the distance, and a repeated offset is evaluated once.
     """
     q = max(r, SINGULAR_TOL)
     dz = distance(0.0j, zs)
+    offsets, rows = np.unique(offsets, return_inverse=True)
     reach = max(float(np.max(distance(zs, zs + o))) for o in offsets)
     # Rounding slack: psi_values' test of rho(p, z + o) < q, this reach and
     # the candidate test of rho(p, z) each err by a few ulps times
@@ -152,10 +153,11 @@ def _stencil_psi(group, x, r, zs, offsets):
         zc = zs[blk][iz]
         psi = np.empty((len(offsets), len(blk)))
         for k, o in enumerate(offsets):
-            z = zc + o
-            near = np.abs((p - z) / (1.0 - np.conj(p) * z)) < t_max
-            psi[k] = _cutoff_sum(iz[near], p[near], z[near], r, len(blk))
-        yield blk, psi
+            t = disc_ratio(p, zc + o)
+            near = t < t_max
+            psi[k] = _cutoff_sum(iz[near], ratio_distance(t[near]), r,
+                                 len(blk))
+        yield blk, psi[rows]
 
 
 @dataclass

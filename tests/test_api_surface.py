@@ -410,3 +410,30 @@ def test_complex_powers_go_through_den_power():
         "    return w ** 2 + (1.0 - t) ** m + u ** 2 + c ** 2 + a * b * e\n"
     ).body[0]
     assert _complex_powers(snippet) == ["f:10", "f:10", "f:3", "f:4", "f:6"]
+
+
+_BLAS_CALLS = {"dot", "matmul", "einsum", "tensordot"}
+
+
+def _blas_sites(tree):
+    """Lines of the matrix products in tree: `@`, `@=` and calls named
+    dot, matmul, einsum or tensordot."""
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, (ast.BinOp, ast.AugAssign))
+                  and isinstance(n.op, ast.MatMult)
+                  or isinstance(n, ast.Call) and _callee(n) in _BLAS_CALLS)
+
+
+def test_src_makes_no_blas_call():
+    # OpenBLAS starts threads of its own, which put determinism and the
+    # timings of a 2-core host at risk; the library works elementwise
+    # (embedding's np.linalg.svd of 2 x 7 matrices is the one exception)
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path, tree in _trees("src") for line in _blas_sites(tree)]
+    assert found == []
+    # not vacuous: every spelling is seen, and the svd is let through
+    snippet = ast.parse("a = x @ y\nb @= a\nc = np.dot(a, b)\nd = a.dot(b)\n"
+                        "e = np.matmul(a, b) + np.einsum('i,i', a, b)\n"
+                        "f = np.tensordot(a, b, 1)\n"
+                        "g = np.linalg.svd(a, compute_uv=False)\n")
+    assert _blas_sites(snippet) == [1, 2, 3, 4, 5, 5, 6]

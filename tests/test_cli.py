@@ -308,6 +308,26 @@ def test_kernel_check_command(capsys):
     assert data["report"]["passed"] is True
 
 
+@pytest.mark.parametrize("m", range(2, 9))
+def test_kernel_check_passes_at_every_weight(capsys, m):
+    # the series gate is kernels.series_rounding_bound; a fixed 1e-10
+    # relative bound failed m = 6, 7 and 8 on a correct closed form
+    assert cli.main(["kernel-check", "--m", str(m), "--samples", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["passed"] is True
+
+
+def test_kernel_check_series_gate_is_not_vacuous(monkeypatch, capsys):
+    # a closed form off by a relative 1e-8 fails the series gate alone:
+    # the transformation and reproducing checks still pass
+    real = cli.kernels.weighted_kernel
+    monkeypatch.setattr(cli.kernels, "weighted_kernel",
+                        lambda m, z, w: real(m, z, w) * (1.0 + 1e-8))
+    assert cli.main(["kernel-check", "--samples", "5"]) == 2
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["transformation"]["max_residual"] < 1e-10
+    assert report["reproducing"]["rel_error"] < 5e-3
+
+
 def test_enumerate_nonfinite_radius(capsys):
     for r in ("nan", "inf"):
         assert cli.main(["enumerate", "--radius", r]) == 1

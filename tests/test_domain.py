@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from discforms.domain import dirichlet_domain, disc_domain
+from discforms import domain as domain_module
+from discforms.domain import _clipped_grid, dirichlet_domain, disc_domain
 from discforms.geometry import (
     distance, in_convex_polygon, klein_to_poincare, poincare_to_klein,
 )
-from discforms.group import enumerate_ball
+from discforms.group import enumerate_ball, preset_genus2_octagon
 
 from conftest import random_disc_points
 
@@ -138,3 +139,69 @@ def test_disc_domain_memory():
     finally:
         tracemalloc.stop()
     assert peak < 50e6
+
+
+def _reference_grid(verts, h):
+    """The clipped grid by brute force: every subsample of every boundary
+    cell is tested with in_convex_polygon, and each node is the mean of
+    its cell's inside subsamples, one cell at a time."""
+    xmin = min(v.real for v in verts) - h
+    ymin = min(v.imag for v in verts) - h
+    nx = int(np.ceil((max(v.real for v in verts) + h - xmin) / h))
+    ny = int(np.ceil((max(v.imag for v in verts) + h - ymin) / h))
+    cx, cy = np.meshgrid(xmin + (np.arange(nx) + 0.5) * h,
+                         ymin + (np.arange(ny) + 0.5) * h, indexing="ij")
+    centers = (cx + 1j * cy).ravel()
+    lx, ly = np.meshgrid(xmin + np.arange(nx + 1) * h,
+                         ymin + np.arange(ny + 1) * h, indexing="ij")
+    inside = in_convex_polygon(verts, (lx + 1j * ly).ravel(), 0.0)
+    inside = inside.reshape(nx + 1, ny + 1).astype(np.int64)
+    n_in = (inside[:-1, :-1] + inside[1:, :-1] + inside[:-1, 1:]
+            + inside[1:, 1:]).ravel()
+    full = n_in == 4
+    partial = ((n_in > 0) & ~full
+               | (n_in == 0) & in_convex_polygon(verts, centers, 0.0))
+    u = (np.arange(16) + 0.5) / 16 - 0.5
+    sx, sy = np.meshgrid(u, u, indexing="ij")
+    sub = centers[partial][:, None] + ((sx + 1j * sy).ravel() * h)[None, :]
+    sub_in = in_convex_polygon(verts, sub.ravel(), 0.0).reshape(sub.shape)
+    frac = sub_in.mean(axis=1)
+    keep = frac > 0
+    cent = [row[ok].mean() for row, ok in zip(sub[keep], sub_in[keep])]
+    return (np.concatenate([centers[full], cent]),
+            np.concatenate([np.full(np.sum(full), h * h),
+                            frac[keep] * h * h]))
+
+
+_D0 = np.array(preset_genus2_octagon().domain_vertices)
+# a small triangle about 0, where the Klein map stretches by nearly 2: the
+# octagon and the 1,024-gon stretch less, and pass with half the band too
+_SMALL = 0.1 * np.exp(1j * (2 * np.pi * np.arange(3) / 3 + 0.1))
+_GRID_CASES = {
+    **{f"octagon-{h}": (_D0, h) for h in (0.01, 0.0125, 0.02, 0.05)},
+    "1024-gon-0.05": (disc_domain(0.05).vertices, 0.05),
+    "octagon-rotated-0.0125": (_D0 * np.exp(0.01j), 0.0125),
+    "small-triangle-0.02": (_SMALL, 0.02),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GRID_CASES))
+def test_clipped_grid_matches_brute_force(name):
+    # subsamples are tested only against the sides within the derived band
+    # of their cell's centre, and the centroids are summed in one pass:
+    # weights and nodes are the brute-force ones to the bit
+    verts, h = _GRID_CASES[name]
+    nodes, weights = _clipped_grid(verts, h)
+    ref_nodes, ref_weights = _reference_grid(verts, h)
+    assert np.array_equal(weights, ref_weights)
+    assert np.array_equal(nodes, ref_nodes)
+
+
+def test_half_the_grid_band_changes_a_weight(monkeypatch):
+    # half the derived band misclassifies some subsample
+    monkeypatch.setattr(domain_module, "KLEIN_LIPSCHITZ", 1.0)
+    verts, h = _GRID_CASES["small-triangle-0.02"]
+    _, weights = _clipped_grid(verts, h)
+    _, ref_weights = _reference_grid(verts, h)
+    assert not (len(weights) == len(ref_weights)
+                and np.array_equal(weights, ref_weights))

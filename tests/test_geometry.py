@@ -209,3 +209,14 @@ def test_den_power_bits(octagon):
     assert den_power(den, 1).tobytes() == (1.0 / den).tobytes()
     with pytest.raises(ValueError, match="n >= 1"):
         den_power(den, 0)
+
+
+def test_den_power_of_real_arrays(rng):
+    # cm_constant takes |K_m| = c (|1 - z conj(w)|^2)^-m by den_power on
+    # real squared moduli: a real result, within n ulps of NumPy's pow
+    # (binary squaring doubles the relative error at each step)
+    x = rng.uniform(0.25, 4.0, 1000)
+    for n in range(1, 17):
+        got, want = den_power(x, n), np.power(x, -float(n))
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - want) / want) <= n * np.finfo(float).eps

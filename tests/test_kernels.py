@@ -14,10 +14,10 @@ from discforms.geometry import den_power, disc_points
 from discforms.group import enumerate_ball, preset_genus2_octagon
 from discforms.kernels import (
     cm_constant, kernel_transformation_check, relative_poincare,
-    reproducing_check, roundtrip_check, weighted_kernel,
-    weighted_kernel_series,
+    reproducing_check, roundtrip_check, series_rounding_bound,
+    weighted_kernel, weighted_kernel_series,
 )
-from discforms.series import SeedFunction, poincare_values
+from discforms.series import SeedFunction, _polar_sum, poincare_values
 
 from conftest import random_disc_points
 
@@ -37,33 +37,13 @@ _CANCELLING_PAIR = (-0.18139475501010804 - 0.7555554102308588j,
                     0.5431171053775666 + 0.5340929268899366j)
 
 
-def _series_rounding_bound(m, zs, ws, cf, degree):
-    """Bound on |closed form - series| from rounding alone.
-
-    With u the unit roundoff and q = |z conj(w)|, term k of the series is
-    c_k (z conj(w))^k with c_k after k multiply-divide steps and the power
-    after k complex products, so its relative error is at most (5k + 4) u;
-    recursive summation of degree + 1 terms adds at most degree u
-    sum|terms|.  Both are at most 6 (degree + 1) u S with
-    S = sum|terms| = (2m-1)/pi^m (1-q)^(-2m).  The closed form rounds
-    1 - z conj(w) to relative 2u q/(1-q), raised to the power 2m, plus
-    about 20 u for the power and the prefactor.  Truncation at degree 200
-    is below 1e-20 relative for |z|, |w| <= 0.8.
-    """
-    u = np.finfo(float).eps / 2
-    q = np.abs(zs * np.conj(ws))
-    total = (2 * m - 1) / math.pi ** m * (1.0 - q) ** (-2 * m)
-    return u * (6 * (degree + 1) * total
-                + (4 * m / (1.0 - q) + 20) * np.abs(cf))
-
-
 def test_closed_form_vs_series(rng):
     zs = np.append(random_disc_points(rng, 50), _CANCELLING_PAIR[0])
     ws = np.append(random_disc_points(rng, 50), _CANCELLING_PAIR[1])
     for m in (2, 3, 4, 6):
         cf = weighted_kernel(m, zs, ws)
         se = weighted_kernel_series(m, zs, ws)
-        tol = _series_rounding_bound(m, zs, ws, cf, kernels.SERIES_DEGREE)
+        tol = series_rounding_bound(m, zs, ws, cf)
         assert np.all(np.abs(cf - se) <= tol)
         # not vacuous: still 5 digits where the series cancels worst, and
         # 11 at the typical point
@@ -104,6 +84,35 @@ def test_reproducing():
     assert rep.expected == pytest.approx(0.09)
     assert rep.rel_error < 5e-3
     assert rep.rel_error < rep.rel_error_half_grid
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_reproducing_radial_factor_per_radius(m):
+    # K(z,z)^(1-m) is taken once per radius; per node, from |z|, the
+    # integral agrees to rounding
+    h, w = SeedFunction.poly([0.0, 0.0, 1.0]), 0.3
+
+    def per_node(z, wt, r):
+        return (weighted_kernel(m, z, w) * np.conj(h(z))
+                * (np.pi * (1.0 - np.abs(z) ** 2) ** 2) ** (m - 1) * wt)
+    want = complex(_polar_sum(800, 512, per_node, complex))
+    assert abs(reproducing_check(m, h, w).value - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_cm_constant_radial_factor_per_radius(m):
+    # K(z,z)^(m/2-1) once per radius and |K_m| through den_power; per
+    # node, from |z| and a real power, A(w) agrees to rounding
+    c = (2 * m - 1) / math.pi ** m
+    for w, got in zip(kernels.CM_PROBES, cm_constant(m).values):
+        def per_node(z, wt, r):
+            d = 1.0 - z * np.conj(w)
+            return (c * (d.real ** 2 + d.imag ** 2) ** -m
+                    * (np.pi * (1.0 - np.abs(z) ** 2) ** 2) ** (m / 2 - 1)
+                    * wt)
+        want = ((math.pi * (1.0 - abs(w) ** 2) ** 2) ** (m / 2)
+                * _polar_sum(1600, 512, per_node, float))
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_cm_constant_radial_oracle(monkeypatch):
@@ -199,7 +208,7 @@ def _moment_rounding_bound(m, n_order, n_nodes, zs, wmax, s_abs):
     t = |z| max|w|, B = S (2m-1)/pi^m (1-t)^(-2m) bounds both
     sum_w |dens_w K_m(z, w)| and sum_k a_k |M_k| |z|^k.  Direct sum: the
     closed form is within (4m t/(1-t) + 20) U of K_m (see
-    _series_rounding_bound), the product with dens adds 3 U and the
+    kernels.series_rounding_bound), the product with dens adds 3 U and the
     pairwise sum (log2 n + 1) U.  Moments: conj(w)^k after k complex
     products is within 3k U, the pairwise sum adds log2 n + 1, a_k after
     2k + 3 roundings and b_k = a_k M_k one more, so b_k is within

@@ -47,6 +47,19 @@ def test_norm_oracles():
         assert norm_pl(f, 2, l)[0] == pytest.approx(oracle, rel=1e-6)
 
 
+@pytest.mark.parametrize("l", [0.0, 1.0, 2.5])
+def test_norm_radial_factor_per_radius(l):
+    # K^-l is taken once per radius; per node, from |z|, the integral
+    # agrees to rounding
+    f = SeedFunction.rational([1.0], [2.0, -1.0])
+
+    def per_node(z, w, r):
+        return (np.abs(f(z)) * (np.pi * (1.0 - np.abs(z) ** 2) ** 2) ** l
+                * w)
+    want = series._polar_sum(800, 512, per_node, float)
+    assert norm_pl(f, 1, l)[0] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 def test_norm_homogeneity_and_validation():
     f = SeedFunction.poly([0.0, 3.0])
     assert norm_pl(f, 1, 0.5)[0] == pytest.approx(
