@@ -31,7 +31,7 @@ import numpy as np
 from .geometry import check_disc_point, den_power, disc_points, mobius_den
 from .domain import dirichlet_domain
 from .group import enumerate_ball
-from .series import poincare_values, _polar_sum
+from .series import _horner, _polar_sum, poincare_values
 
 # Terms kept by weighted_kernel_series; the points w of cm_constant's A(w).
 SERIES_DEGREE = 200
@@ -197,10 +197,8 @@ def relative_poincare(domain, h_values, m, z):
             break
         b.append(c * np.sum(power))
         power = power * wbar
-    out = np.full(z.shape, b[-1])
-    for bk in b[-2::-1]:
-        out = out * z + bk
-    return out, float(tail * np.sum(np.abs(dens)))
+    return (_horner(b, z, np.empty_like(z)),
+            float(tail * np.sum(np.abs(dens))))
 
 
 @dataclass

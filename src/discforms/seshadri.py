@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import check_spacing, dirichlet_domain
-from .geometry import bergman_metric, disc_ratio, distance, ratio_distance
+from .geometry import (
+    bergman_metric, check_disc_point, disc_ratio, distance, ratio_distance,
+)
 from .group import enumerate_ball, orbit_counts, orbit_pairs
 
 
@@ -126,38 +128,46 @@ def _cutoff_sum(iz, d, r, n):
 _STENCIL_BLOCK = 1024
 
 
-def _stencil_psi(group, x, r, zs, offsets):
+def _stencil_psi(group, x, r, zs, offsets, skip):
     """Blocks (blk, psi): psi[k] is psi^x at zs[blk] + offsets[k].
 
-    One candidate query per block, at q + reach with q psi_values' radius
-    and reach >= rho(z, z + o) for all nodes and offsets.  Each point keeps
-    the candidates that pass orbit_pairs' own test at q: psi_values' pairs
-    in its order, so every value is the same to the bit; that test's ratio
-    gives the distance, and a repeated offset is evaluated once.
+    The only orbit queries over zs: one per block, at q + reach with q
+    psi_values' radius and reach >= rho(z, z + o) for all nodes and
+    offsets.  Each point keeps the candidates that pass orbit_pairs' test
+    at q: psi_values' pairs in its order, so every value is the same to
+    the bit.  blk omits the nodes within Euclidean distance skip of a
+    candidate that passes the test at r, so none of their -inf is yielded.
     """
     q = max(r, SINGULAR_TOL)
     dz = distance(0.0j, zs)
     offsets, rows = np.unique(offsets, return_inverse=True)
-    reach = max(float(np.max(distance(zs, zs + o))) for o in offsets)
+    zmax, omax = float(np.max(np.abs(zs))), float(np.max(np.abs(offsets)))
+    # |z + o| <= zmax + omax < 1 and |1 - conj(z)(z + o)| >= 1 - zmax^2 -
+    # zmax omax > 0, so a stencil point that may leave the disc raises
+    check_disc_point(zmax + omax)
+    reach = float(ratio_distance(omax / (1.0 - zmax * (zmax + omax))))
     # Rounding slack: psi_values' test of rho(p, z + o) < q, this reach and
     # the candidate test of rho(p, z) each err by a few ulps times
     # e^(rho(0, a) + rho(a, b)), a = z + o or z (see orbit_pairs); each
     # exponent stays below max rho(0, z) + q + reach: 2^-40 e^that covers.
     reach += 2.0 ** -40 * math.exp(float(np.max(dz)) + q + reach)
-    t_max = np.tanh(q / 2.0)
+    t_max, t_r = np.tanh(q / 2.0), np.tanh(r / 2.0)
     # farthest nodes first: the first query sizes the ball for the rest
     order = np.argsort(-dz, kind="stable")
     for s in range(0, len(zs), _STENCIL_BLOCK):
         blk = order[s:s + _STENCIL_BLOCK]
         iz, p = orbit_pairs(group, x, zs[blk], q + reach)
         zc = zs[blk][iz]
+        keep = np.ones(len(blk), dtype=bool)
+        t0 = disc_ratio(p, zc)      # the zero offset's ratios
+        keep[iz[(t0 < t_r) & (np.abs(zc - p) <= skip)]] = False
         psi = np.empty((len(offsets), len(blk)))
         for k, o in enumerate(offsets):
-            t = disc_ratio(p, zc + o)
+            t = disc_ratio(p, zc + o) if o else t0
             near = t < t_max
             psi[k] = _cutoff_sum(iz[near], ratio_distance(t[near]), r,
                                  len(blk))
-        yield blk, psi[rows]
+        yield blk[keep], psi[rows][:, keep]
 
 
 @dataclass
@@ -192,18 +202,19 @@ def quasi_psh_check(group, x, r, spacing=0.0125):
         zs = zs[np.abs(zs) < 0.9]
     else:
         zs = dirichlet_domain(group, spacing=spacing).nodes
-    iz, p = orbit_pairs(group, x, zs, r)
-    zs = np.delete(zs, iz[np.abs(zs[iz] - p) <= 10.0 * h])
     # 9-point Laplacians (4*edges + corners - 20*center) / (6 h^2) at h
     # and h/2, each summed in the order of its stencil points
     steps = (h, h / 2.0)
     unit = np.array([1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j, 0])
-    l1, l2 = laps = np.zeros((2, len(zs)))
+    checked = np.zeros(len(zs), dtype=bool)
+    laps = np.zeros((2, len(zs)))
     for blk, psi in _stencil_psi(group, x, r, zs,
-                                 np.outer(steps, unit).ravel()):
+                                 np.outer(steps, unit).ravel(), 10.0 * h):
+        checked[blk] = True
         for lap, hh, rows in zip(laps, steps, psi.reshape(2, 9, -1)):
             wts = np.array([4.0, 4, 4, 4, 1, 1, 1, 1, -20.0]) / (6.0 * hh * hh)
             lap[blk] = sum(wgt * row for wgt, row in zip(wts, rows))
+    zs, (l1, l2) = zs[checked], laps[:, checked]
     tau = 2.0 * float(np.max(np.abs(l1 - l2))) + 1e-9
     margin = 0.25 * l2 + 2.0 * dvalue * bergman_metric(zs)
     bad = margin < -tau

@@ -231,8 +231,9 @@ def test_every_function_is_named_by_a_caller():
 
 def test_orbit_queries_size_their_own_ball():
     # orbit_pairs fetches the ball that covers its query, so no function
-    # that calls it also sizes a ball of its own
-    callers = []
+    # that calls it also sizes a ball of its own; quasi_psh_check leaves
+    # every orbit query and distance over its grid to _stencil_psi's blocks
+    callers, qpsh = [], None
     for path, tree in _trees("src"):
         for fn in ast.walk(tree):
             if not isinstance(fn, ast.FunctionDef):
@@ -242,9 +243,13 @@ def test_orbit_queries_size_their_own_ball():
                      for c in ast.walk(fn) if isinstance(c, ast.Call)}
             if "orbit_pairs" in names:
                 callers.append((fn.name, "enumerate_ball" in names))
-    assert {"orbit_counts", "psi_values", "quasi_psh_check"} \
+            if fn.name == "quasi_psh_check":
+                qpsh = names
+    assert {"orbit_counts", "psi_values", "_stencil_psi"} \
         <= {f for f, _ in callers}
     assert [f for f, sized in callers if sized] == []
+    assert "_stencil_psi" in qpsh
+    assert not {"orbit_pairs", "psi_values", "distance"} & qpsh
 
 
 def _cli_functions():
@@ -437,3 +442,23 @@ def test_src_makes_no_blas_call():
                         "f = np.tensordot(a, b, 1)\n"
                         "g = np.linalg.svd(a, compute_uv=False)\n")
     assert _blas_sites(snippet) == [1, 2, 3, 4, 5, 5, 6]
+
+
+def _polyval_sites(tree):
+    """Lines that name polyval: a name, an attribute or an import."""
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Name) and n.id == "polyval"
+                  or isinstance(n, ast.Attribute) and n.attr == "polyval"
+                  or isinstance(n, ast.alias) and n.name == "polyval")
+
+
+def test_polynomials_evaluate_by_one_horner():
+    # series._horner is the library's one polynomial evaluator; np.polyval
+    # allocates two fresh arrays per step
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path, tree in _trees("src") for line in _polyval_sites(tree)]
+    assert found == []
+    # not vacuous: every spelling is seen
+    snippet = ast.parse("a = np.polyval(c, z)\nfrom numpy import polyval\n"
+                        "b = polyval(c, z)\n")
+    assert _polyval_sites(snippet) == [1, 2, 3]

@@ -167,6 +167,16 @@ def test_polynomial_seed_takes_no_dilation(tmp_path, capsys):
     assert code == 0 and data["report"]["dilation"] == 0.999
 
 
+@pytest.mark.parametrize("dilation", ["0.99", "0.98"])
+def test_dilated_approximation_reaches_delta(tmp_path, dilation):
+    # the halving error of ||f - h|| grows 4x from the quarter grid to the
+    # full one at degree 4 here, but stays below 1e-5 of the norm, which
+    # is what norm_pl judges; the degree is taken once norm + error < delta
+    code, data = run(tmp_path, "approx-poly", "--f", "rational 1 / 2 -1",
+                     "--delta", "0.01", "--dilation", dilation)
+    assert code == 0 and data["report"]["achieved_norm"] < 0.01
+
+
 def _readme_commands():
     text = (Path(__file__).parents[1] / "README.md").read_text()
     block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]

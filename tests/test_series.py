@@ -11,7 +11,10 @@ from scipy.special import beta as beta_fn
 from hypothesis import example, given, settings, strategies as st
 
 from discforms import cli, kernels, series
-from discforms.errors import UnboundedSeed, TargetNotReached
+from discforms.domain import dirichlet_domain
+from discforms.errors import (
+    QuadratureDiverged, TargetNotReached, UnboundedSeed,
+)
 from discforms.series import (
     SeedFunction, exact_sum, lemma22_check, norm_pl, poincare_eval,
     polynomial_approx, weight_sum,
@@ -34,6 +37,38 @@ def test_seed_kinds():
     for den in ([], [0.0], [0.0, 0.0]):               # no denominator
         with pytest.raises(UnboundedSeed, match="non-zero coefficient"):
             SeedFunction.rational([1.0], den)
+
+
+def test_seed_call_is_eval_into():
+    # f(z) fills a fresh array through eval_into, so it has eval_into's
+    # bits and is that array itself, not a view; 0-d input gives a scalar.
+    # np.polyval takes other steps and agrees to rounding.
+    zs = random_disc_points(np.random.default_rng(11), 200, 0.9)
+    for f in (Z, SeedFunction.poly([1.0, -0.5j, 0.25]),
+              SeedFunction.rational([1.0, 0.3], [2.0, -1.0])):
+        got = f(zs)
+        out, scratch = np.empty_like(zs), np.empty_like(zs)
+        assert got.tobytes() == f.eval_into(zs, out, scratch).tobytes()
+        assert got.base is None
+        want = np.polyval(f.coeffs[::-1], zs)
+        if f.kind == "rational":
+            want /= np.polyval(f.den_coeffs[::-1], zs)
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+        one = f(complex(zs[0]))
+        assert np.ndim(one) == 0 and not isinstance(one, np.ndarray)
+        assert one == pytest.approx(got[0], rel=1e-15)
+
+
+def test_norm_pl_judges_the_halving_error_against_the_value():
+    # 1/(1.0001 - z)^2 peaks within 1e-4 of the circle, finer than the
+    # grid: at l = 0 the halving error is 12% of the value, and the weight
+    # K^-1 damps the peak to 1.4e-4 of it
+    def f(z):
+        return 1.0 / (1.0001 - z) ** 2
+    with pytest.raises(QuadratureDiverged, match="exceeds 1% of the value"):
+        norm_pl(f, 1, 0.0)
+    value, err = norm_pl(f, 1, 1.0)
+    assert 0.0 < err < 1e-3 * value
 
 
 def test_norm_oracles():
@@ -135,6 +170,24 @@ def test_lemma22(octagon):
     assert rep.lhs > 0 and rep.rhs > 0
 
 
+def test_unfolding_is_an_identity(octagon):
+    # 1 - |gamma z|^2 = (1 - |z|^2)|den|^-2 for an SU(1,1) pair, so
+    # unfolding lemma22's left side onto the tiles gamma(F) gives its own
+    # integrand term by term: unfolded is lhs and unfolding_rel_gap 0.0.
+    # The stored pairs are products of generators, whose |alpha|^2 -
+    # |beta|^2 misses 1 by a few ulps of |alpha|^2: that bounds the gap
+    # (1.2 ulps of |alpha|^2 at most here)
+    nodes = dirichlet_domain(octagon, spacing=0.01).nodes
+    ball = enumerate_ball(octagon, 0.0j, 6.0)
+    gz, den = ball.terms(nodes)
+    got = 1.0 - np.abs(gz) ** 2
+    want = (1.0 - np.abs(nodes) ** 2) / np.abs(den) ** 2
+    scale = np.finfo(float).eps * np.abs(ball.alphas[:, None]) ** 2
+    assert len(ball) > 50 and np.max(np.abs(got - want) / scale) <= 4.0
+    rep = lemma22_check(octagon, Z, 4, 6.0)
+    assert rep.unfolded == rep.lhs and rep.unfolding_rel_gap == 0.0
+
+
 def test_polynomial_approx(monkeypatch):
     res = polynomial_approx(Z, 1.0, 1e-6)
     assert res.degree == 1 and res.achieved_norm == 0.0
@@ -148,6 +201,18 @@ def test_polynomial_approx(monkeypatch):
     monkeypatch.setattr(series, "APPROX_DEGREE_CAP", 4)
     with pytest.raises(TargetNotReached, match="degree cap 4 hit"):
         polynomial_approx(f, 1.0, 1e-12)
+
+
+def test_polynomial_approx_counts_the_quadrature_error(monkeypatch):
+    # a degree is taken once norm + halving error < delta: reported as
+    # large as the norm, the error moves 1/(2 - z) at delta 0.005 from
+    # degree 4 (norm 0.0037) to 8
+    f = SeedFunction.rational([1.0], [2.0, -1.0])
+    assert polynomial_approx(f, 1.0, 0.005).degree == 4
+    real = series.norm_pl
+    monkeypatch.setattr(series, "norm_pl",
+                        lambda *a, **k: (real(*a, **k)[0],) * 2)
+    assert polynomial_approx(f, 1.0, 0.005).degree == 8
 
 
 def test_polynomial_approx_downstream(octagon, rng):

@@ -9,6 +9,7 @@ import pytest
 from discforms import cli, domain as domain_module, group as group_module
 from discforms import seshadri
 from discforms.domain import dirichlet_domain
+from discforms.errors import BoundaryPoint
 from discforms.geometry import distance
 from discforms.group import (
     enumerate_ball, orbit_counts, orbit_pairs, preset_genus2_octagon,
@@ -155,6 +156,13 @@ _UNIT = np.array([1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j, 0])
 _OFFSETS = np.concatenate([1e-3 * _UNIT, 1e-3 / 2.0 * _UNIT])
 
 
+def _two_pass_excluded(g, x, r, zs, skip):
+    """Reference exclusion: orbit_pairs at r, then the nodes within
+    Euclidean distance skip of a pair's orbit point."""
+    iz, p = orbit_pairs(g, x, zs, r)
+    return np.unique(iz[np.abs(zs[iz] - p) <= skip])
+
+
 # r = rho_x and 4 rho_x, and r below 10h = 0.01; the octagon's nodes reach
 # its vertices, where rho(z, z + o) is about 7 times the Euclidean |o|
 @pytest.mark.parametrize("name, x, factor, r", [
@@ -164,7 +172,9 @@ _OFFSETS = np.concatenate([1e-3 * _UNIT, 1e-3 / 2.0 * _UNIT])
     ("trivial", 0.005 + 0j, None, 0.0125), ("trivial", 0.0j, None, 1.0)])
 def test_stencil_psi_matches_psi_values(octagon, trivial, monkeypatch, name,
                                         x, factor, r):
-    # every stencil value is psi_values' at the same point, to the bit;
+    # every stencil value is psi_values' at the same point, to the bit, and
+    # the blocks hold the nodes the two-pass reference keeps: skip 0 keeps
+    # nodes beside the orbit (-inf markers), 10h = 0.01 is the check's own;
     # small blocks make several candidate queries
     monkeypatch.setattr(seshadri, "_STENCIL_BLOCK", 256)
     g = octagon if name == "octagon" else trivial
@@ -175,15 +185,60 @@ def test_stencil_psi_matches_psi_values(octagon, trivial, monkeypatch, name,
     # points on and near the orbit of x: -inf markers and small-r terms
     orbit = [x] + [h.apply(x) for h in g.generators[:1]]
     zs = np.append(zs, [p + d for p in orbit for d in (0, 0.002, 0.003j)])
-    blocks, n_terms = [], 0
-    for blk, psi in seshadri._stencil_psi(g, x, r, zs, _OFFSETS):
-        blocks.append(blk)
-        for o, row in zip(_OFFSETS, psi):
-            assert np.array_equal(row, psi_values(g, x, r, zs[blk] + o))
-            n_terms += np.count_nonzero(row)
-    assert len(blocks) > 1 and n_terms > 0
-    assert np.array_equal(np.sort(np.concatenate(blocks)),
-                          np.arange(len(zs)))
+    n_terms = 0
+    for skip in (0.0, 0.01):
+        blocks = []
+        for blk, psi in seshadri._stencil_psi(g, x, r, zs, _OFFSETS, skip):
+            blocks.append(blk)
+            for o, row in zip(_OFFSETS, psi):
+                assert np.array_equal(row, psi_values(g, x, r, zs[blk] + o))
+                n_terms += np.count_nonzero(row)
+        assert len(blocks) > 1
+        excluded = _two_pass_excluded(g, x, r, zs, skip)
+        assert len(excluded) > 0
+        assert np.array_equal(np.sort(np.concatenate(blocks)),
+                              np.setdiff1d(np.arange(len(zs)), excluded))
+    assert n_terms > 0
+
+
+@pytest.mark.parametrize("name", ["octagon", "trivial"])
+def test_stencil_reach_covers_every_offset(octagon, trivial, monkeypatch,
+                                           name):
+    # the candidate queries ask for r plus a reach bound no smaller than
+    # the largest rho(z, z + o) a scan finds; the octagon's nodes reach its
+    # vertices, the trivial grid |z| = 0.9
+    g = octagon if name == "octagon" else trivial
+    span = np.arange(-0.7, 0.7001, 0.0125)
+    zs = (dirichlet_domain(g, spacing=0.0125).nodes if name == "octagon"
+          else (span[:, None] + 1j * span[None, :]).ravel())
+    zs = zs[np.abs(zs) < 0.9]
+    radii = []
+    real_pairs = seshadri.orbit_pairs
+    monkeypatch.setattr(seshadri, "orbit_pairs",
+                        lambda *a: radii.append(a[3]) or real_pairs(*a))
+    r = 0.5
+    for _ in seshadri._stencil_psi(g, 0.0j, r, zs, _OFFSETS, 0.01):
+        pass
+    scanned = max(float(np.max(distance(zs, zs + o))) for o in _OFFSETS)
+    assert len(set(radii)) == 1 and radii[0] - r >= scanned
+    # a node within |o| of the unit circle puts a stencil point outside
+    edge = np.append(zs, 0.9995 + 0j)
+    with pytest.raises(BoundaryPoint):
+        next(seshadri._stencil_psi(g, 0.0j, r, edge, _OFFSETS, 0.01))
+
+
+def test_quasi_psh_queries_each_node_once(octagon, rho0, monkeypatch):
+    # per r the stencil's block queries are the check's only orbit queries
+    # on its grid: one per _STENCIL_BLOCK nodes, each node in exactly one
+    monkeypatch.setattr(seshadri, "_STENCIL_BLOCK", 256)
+    queried = []
+    real_pairs = seshadri.orbit_pairs
+    monkeypatch.setattr(seshadri, "orbit_pairs",
+                        lambda *a: queried.append(a[2]) or real_pairs(*a))
+    quasi_psh_check(octagon, 0.0j, rho0, spacing=0.03)
+    nodes = dirichlet_domain(octagon, spacing=0.03).nodes
+    assert len(queried) == -(-len(nodes) // 256) > 1
+    assert np.array_equal(np.sort(np.concatenate(queried)), np.sort(nodes))
 
 
 def test_quasi_psh_builds_each_ball_once(monkeypatch, capsys):
@@ -225,13 +280,17 @@ def test_quasi_psh_skips_only_nodes_near_the_singular_orbit(trivial,
     # node 0.0125, where psi is smooth, is checked.
     x, r = 0.005 + 0j, 0.0125
     assert distance(x, 0.0) < r < distance(x, 0.0125)
-    calls = []
-    real_pairs = seshadri.orbit_pairs
-    monkeypatch.setattr(seshadri, "orbit_pairs",
-                        lambda *a: calls.append(a[2:]) or real_pairs(*a))
+    blocks = []
+    real_stencil = seshadri._stencil_psi
+
+    def stencil(group, x, r, zs, offsets, skip):
+        for blk, psi in real_stencil(group, x, r, zs, offsets, skip):
+            blocks.append(zs[blk])
+            yield blk, psi
+    monkeypatch.setattr(seshadri, "_stencil_psi", stencil)
     rep = quasi_psh_check(trivial, x, r)
-    # the stencil's candidate queries, past r, take the checked nodes
-    checked = np.concatenate([zs for zs, q in calls if q > r])
+    # the stencil's blocks hold the checked nodes
+    checked = np.concatenate(blocks)
     assert len(checked) == rep.n_checked
     assert np.min(np.abs(checked - 0.0125)) < 1e-9
     assert np.min(np.abs(checked - 0.0)) > 0.01
