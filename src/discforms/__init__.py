@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .errors import (
     DiscformsError, BoundaryPoint, NonUnitary, BudgetExceeded,
     InsufficientBall, UnboundedSeed, QuadratureDiverged, TargetNotReached,
-    DegenerateBasis, EquivalentPoints, ConfigError,
+    DegenerateBasis, ConfigError,
 )
 from .geometry import bergman_metric, distance, mobius, mobius_jacobian
 from .group import (
@@ -27,7 +27,4 @@ from .seshadri import (
     quasi_psh_check, seshadri_lower_bound, SeshadriReport,
     ampleness_thresholds,
 )
-from .embedding import (
-    eval_sections, jet_separation_test, point_separation_test,
-    very_ampleness_scan,
-)
+from .embedding import eval_sections, very_ampleness_scan

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import dirichlet_domain
-from .errors import DegenerateBasis, EquivalentPoints
+from .errors import DegenerateBasis
 from .geometry import den_power, disc_points
 from .group import enumerate_ball, orbit_counts
 
@@ -30,65 +30,33 @@ EQUIV_TOL = 1e-6
 def eval_sections(group, m, d, z, radius):
     """Values and dz-derivatives of P_m(z^k), k = 0..d, truncated at radius.
 
-    Returns two arrays of shape (d+1, len(z)).
+    Returns two arrays of shape (d+1, len(z)); the points are taken in the
+    ball's point blocks.
     """
     if m < 2 or d < 1:
         raise ValueError("need m >= 2 and d >= 1")
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     ball = enumerate_ball(group, 0.0j, radius)
-    gz, den = ball.terms(z)
-    j = den_power(den, 2)
-    jm = den_power(den, 2 * m)
-    dfac = -2.0 * m * np.conj(ball.betas[:, None]) * (jm / den)
-    vals = np.empty((d + 1, len(z)), dtype=complex)
-    ders = np.empty((d + 1, len(z)), dtype=complex)
-    gzk = np.ones_like(gz)          # (gamma z)^k
-    gzk_prev = None
-    for k in range(d + 1):
-        vals[k] = np.sum(gzk * jm, axis=0)
-        if k == 0:
-            ders[k] = np.sum(gzk * dfac, axis=0)
-        else:
-            ders[k] = np.sum(k * gzk_prev * j * jm + gzk * dfac, axis=0)
-        gzk_prev = gzk
-        gzk = gzk * gz
-    return vals, ders
-
-
-@dataclass
-class SeparationResult:
-    passed: bool
-    singular_ratio: float   # smallest / largest singular value
-    singular_values: tuple
-
-
-def _rank2_test(matrix):
-    s = np.linalg.svd(matrix, compute_uv=False)
-    ratio = float(s[-1] / s[0]) if s[0] > 0 else 0.0
-    return SeparationResult(ratio > RANK_TOL, ratio,
-                            tuple(float(v) for v in s))
-
-
-def jet_separation_test(group, m, d, radius, x):
-    """Rank-2 test on values and first derivatives at x.
-
-    Full rank means some section is nonzero at x and the derivative row is
-    not proportional to the value row: the sections separate first-order
-    jets at x.
-    """
-    vals, ders = eval_sections(group, m, d, complex(x), radius)
-    if np.max(np.abs(vals)) < 1e-12:
-        raise DegenerateBasis(f"all sections vanish at {x}")
-    return _rank2_test(np.vstack([vals[:, 0], ders[:, 0]]))
-
-
-def point_separation_test(group, m, d, radius, x, y):
-    """Rank-2 test on section values at two inequivalent points."""
-    x, y = complex(x), complex(y)
-    if int(orbit_counts(group, x, y, EQUIV_TOL)[0]) > 0:
-        raise EquivalentPoints(f"{y} lies on the orbit of {x}")
-    vals, _ = eval_sections(group, m, d, np.array([x, y]), radius)
-    return _rank2_test(vals.T)
+    tables = []
+    for block in ball.point_blocks(z):
+        gz, den = ball.terms(block)
+        j = den_power(den, 2)
+        jm = den_power(den, 2 * m)
+        dfac = -2.0 * m * np.conj(ball.betas[:, None]) * (jm / den)
+        vals = np.empty((d + 1, len(block)), dtype=complex)
+        ders = np.empty((d + 1, len(block)), dtype=complex)
+        gzk = np.ones_like(gz)          # (gamma z)^k
+        gzk_prev = None
+        for k in range(d + 1):
+            vals[k] = np.sum(gzk * jm, axis=0)
+            if k == 0:
+                ders[k] = np.sum(gzk * dfac, axis=0)
+            else:
+                ders[k] = np.sum(k * gzk_prev * j * jm + gzk * dfac, axis=0)
+            gzk_prev = gzk
+            gzk = gzk * gz
+        tables.append((vals, ders))
+    return tuple(np.concatenate(t, axis=1) for t in zip(*tables))
 
 
 @dataclass
@@ -123,24 +91,36 @@ def sample_fundamental_domain(group, n, seed):
 
 
 def very_ampleness_scan(group, m, n_samples, d=6, radius=8.0, seed=0):
-    """Jet tests at n_samples points and point tests at n_samples pairs."""
+    """Jet tests at n_samples points and point tests at n_samples pairs.
+
+    One table of sections over all 3 n_samples samples: columns 0..n-1 are
+    the jet points, and pair i is columns n+i and 2n+i.  Pairs on one orbit
+    are skipped, since their value columns are proportional.
+    """
     # the sections' ball first, so that the sampler's domain ball is a slice
     enumerate_ball(group, 0.0j, radius)
     pts = sample_fundamental_domain(group, 3 * n_samples, seed=seed)
-    jets = [jet_separation_test(group, m, d, radius, z)
-            for z in pts[:n_samples]]
-    jet_ratios = [res.singular_ratio for res in jets]
-    jet_fail = [complex(z) for z, res in zip(pts, jets) if not res.passed]
-    pt_ratios = []
-    pt_fail = []
-    for x, y in zip(pts[n_samples:2 * n_samples], pts[2 * n_samples:]):
-        try:
-            res = point_separation_test(group, m, d, radius, x, y)
-        except EquivalentPoints:
-            continue
-        pt_ratios.append(res.singular_ratio)
-        if not res.passed:
-            pt_fail.append((complex(x), complex(y)))
+    vals, ders = eval_sections(group, m, d, pts, radius)
+    n = n_samples
+    dead = np.max(np.abs(vals[:, :n]), axis=0) < 1e-12
+    if np.any(dead):
+        raise DegenerateBasis(f"all sections vanish at {pts[np.argmax(dead)]}")
+    xs, ys = pts[n:2 * n], pts[2 * n:]
+    keep = np.array([int(orbit_counts(group, x, y, EQUIV_TOL)[0]) == 0
+                     for x, y in zip(xs, ys)], dtype=bool)
+    # rank-2 tests on stacked 2 x (d+1) matrices: (values, derivatives) at
+    # each jet point, the two value columns of each kept pair
+    jet_s = np.linalg.svd(np.stack([vals[:, :n].T, ders[:, :n].T], axis=1),
+                          compute_uv=False)
+    pair_s = np.linalg.svd(np.stack([vals[:, n:2 * n].T, vals[:, 2 * n:].T],
+                                    axis=1)[keep], compute_uv=False)
+    jet_ratios, pt_ratios = (
+        np.divide(s[:, -1], s[:, 0], out=np.zeros(len(s)), where=s[:, 0] > 0)
+        for s in (jet_s, pair_s))
+    jet_fail = [complex(z) for z in pts[:n][~(jet_ratios > RANK_TOL)]]
+    bad = ~(pt_ratios > RANK_TOL)
+    pt_fail = [(complex(x), complex(y))
+               for x, y in zip(xs[keep][bad], ys[keep][bad])]
     return ScanReport(
         m=m, degree=d, radius=radius, n_samples=n_samples,
         jet_pass_rate=1.0 - len(jet_fail) / max(len(jet_ratios), 1),

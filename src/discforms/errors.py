@@ -37,9 +37,5 @@ class DegenerateBasis(DiscformsError):
     """All candidate sections vanish at the test point."""
 
 
-class EquivalentPoints(DiscformsError):
-    """The two points are in the same group orbit; separation is vacuous."""
-
-
 class ConfigError(DiscformsError):
     """Malformed configuration file or inconsistent option values."""

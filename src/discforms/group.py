@@ -271,6 +271,17 @@ class OrbitBall:
         gz /= den
         return gz, den
 
+    def point_blocks(self, zs):
+        """zs split into blocks of about 2^16 ball x point terms (1 MB per
+        complex workspace row), with two or more points per block when zs
+        has two.  Summed over the ball, such a block adds each column's
+        terms in ball order, so no bit depends on the split; NumPy sums a
+        lone column pairwise.
+        """
+        step = max(2, 2 ** 16 // len(self))
+        return np.array_split(zs, max(1, min(-(-zs.size // step),
+                                             zs.size // 2)))
+
     def rows(self, rows):
         """The elements in the slice ``rows`` of ball order, as a view.
 

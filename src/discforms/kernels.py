@@ -14,12 +14,13 @@ by the binomial series.  The closed form is frozen here; the truncated
 orthonormal series stays available as its permanent oracle.
 
 Against a density on nodes w, sum_w dens_w K_m(z, w) = sum_k a_k M_k z^k
-with moments M_k = sum_w dens_w conj(w)^k.  For t = max|z| max|w| and
-S = sum|dens_w| the term ratio a_{k+1} t / a_k = t (2m+k)/(k+1) falls with
-k, so the terms after order N sum to at most S a_{N+1} t^(N+1) /
-(1 - t (2m+N+1)/(N+2)).  N is the least order making that at most one unit
-roundoff 2^-53 of S (2m-1)/pi^m (1-t)^(-2m), the termwise-absolute sum
-that bounds the direct sum's own rounding.
+with moments M_k = sum_w dens_w conj(w)^k.  For t = max|w|, which bounds
+|z| max|w| on the whole disc, and S = sum|dens_w| the term ratio
+a_{k+1} t / a_k = t (2m+k)/(k+1) falls with k, so the terms after order N
+sum to at most S a_{N+1} t^(N+1) / (1 - t (2m+N+1)/(N+2)) at every |z| < 1.
+N is the least order making that at most one unit roundoff 2^-53 of
+S (2m-1)/pi^m (1-t)^(-2m), the termwise-absolute sum that bounds the
+direct sum's own rounding.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .geometry import check_disc_point, den_power, disc_points, mobius_den
 from .domain import dirichlet_domain
 from .group import enumerate_ball
-from .series import _horner, _polar_sum, poincare_values
+from .series import SeedFunction, _polar_sum, poincare_values
 
 # Terms kept by weighted_kernel_series; the points w of cm_constant's A(w).
 SERIES_DEGREE = 200
@@ -175,19 +176,19 @@ def cm_constant(m):
                     (max(vals) - min(vals)) / analytic)
 
 
-def relative_poincare(domain, h_values, m, z):
+def relative_poincare(domain, h_values, m):
     """(f, tail_bound): f(z) = Int_F h(w) K_m(z,w) K(w,w)^(1-m) d(lambda)(w).
 
-    h is given by its values on the domain quadrature nodes; z may be an
-    array.  The result is holomorphic in z and P_m(f) recovers the
-    automorphic h.  f is the module docstring's moment series, cut at its
-    least certified order N by Horner's rule; tail_bound bounds the cut.
+    h is given by its values on the domain quadrature nodes.  f is
+    holomorphic on the disc and P_m(f) recovers the automorphic h.  f is
+    the module docstring's moment series as a polynomial seed, cut at its
+    least order N certified on the whole disc; tail_bound bounds the cut
+    at every |z| < 1.
     """
-    z = check_disc_point(np.asarray(z, dtype=complex))
     nodes = check_disc_point(domain.nodes)
     dens = (h_values * domain.weights
             * (np.pi * (1.0 - np.abs(nodes) ** 2) ** 2) ** (m - 1))
-    t = np.max(np.abs(z), initial=0.0) * np.max(np.abs(nodes), initial=0.0)
+    t = np.max(np.abs(nodes), initial=0.0)
     goal = 2.0 ** -53 * (2 * m - 1) / np.pi ** m * (1.0 - t) ** (-2 * m)
     b, power, wbar = [], dens, np.conj(nodes)     # b_k = a_k M_k
     for k, c in enumerate(_kernel_coefficients(m)):
@@ -197,8 +198,13 @@ def relative_poincare(domain, h_values, m, z):
             break
         b.append(c * np.sum(power))
         power = power * wbar
-    return (_horner(b, z, np.empty_like(z)),
-            float(tail * np.sum(np.abs(dens))))
+        if k % 16 == 15:
+            # an underflowing power sticks at the least subnormals (x |w|
+            # rounds back to x), each product of which is slow; flushed,
+            # a moment moves by at most len(nodes) 2^-1022
+            parts = power.view(float)
+            parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
+    return SeedFunction.poly(b), float(tail * np.sum(np.abs(dens)))
 
 
 @dataclass
@@ -211,27 +217,21 @@ class RoundTripReport:
 
 
 def roundtrip_check(group, f0, m, sample_points, spacing, radius=8.0):
-    """Build h = P_m(f0) on F, apply relative_poincare, re-sum, compare.
+    """Build h = P_m(f0) on F, apply relative_poincare, re-sum P_m(f) with
+    poincare_values, compare.
 
     The exact chain h -> f -> P_m(f) is the identity; the report measures
     the truncation plus quadrature error at interior sample points.
     """
     samples = np.asarray(sample_points, dtype=complex)
     # the series ball first: the domain's smaller one is then a slice of it
-    ball = enumerate_ball(group, 0.0j, radius)
+    enumerate_ball(group, 0.0j, radius)
     domain = dirichlet_domain(group, spacing=spacing)
     h_nodes = poincare_values(group, f0, m, domain.nodes, radius)
     h_samples = poincare_values(group, f0, m, samples, radius)
-
-    # one moment build for all samples; row s is sample s's orbit
-    orbit, den = (np.ascontiguousarray(a.T) for a in ball.terms(samples))
-    f, _ = relative_poincare(domain, h_nodes, m, orbit)
-    rel = []
-    for f_orbit, den_s, hz in zip(f, den, h_samples):
-        # named: NumPy would compute f_orbit * (a temporary of 16,384 or
-        # more elements) in place with the operands swapped, which moves
-        # last bits of a complex product
-        jm = den_power(den_s, 2 * m)
-        resummed = complex(np.sum(f_orbit * jm))
-        rel.append(abs(resummed - hz) / max(abs(hz), 1e-300))
-    return RoundTripReport(max(rel), rel, list(samples), spacing, radius)
+    f, _ = relative_poincare(domain, h_nodes, m)
+    resummed = poincare_values(group, f, m, samples, radius)
+    rel = np.abs(resummed - h_samples) / np.maximum(np.abs(h_samples),
+                                                    1e-300)
+    return RoundTripReport(float(np.max(rel)), rel.tolist(), list(samples),
+                           spacing, radius)

@@ -41,6 +41,15 @@ def _horner(coeffs, z, y):
     return y
 
 
+def _finite(name, coeffs):
+    """coeffs as a complex array; a NaN or infinite one is a ValueError."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError(f"{name} {coeffs.tolist()} has a non-finite "
+                         f"coefficient")
+    return coeffs
+
+
 @dataclass
 class SeedFunction:
     """Seed f for a Poincare series: polynomial or rational.
@@ -55,11 +64,12 @@ class SeedFunction:
 
     @staticmethod
     def poly(coeffs):
-        return SeedFunction("poly", coeffs=np.asarray(coeffs, dtype=complex))
+        return SeedFunction("poly", coeffs=_finite("polynomial seed", coeffs))
 
     @staticmethod
     def rational(num, den):
-        den = np.asarray(den, dtype=complex)
+        num = _finite("rational seed numerator", num)
+        den = _finite("rational seed denominator", den)
         if not np.any(den):
             raise UnboundedSeed(f"rational seed denominator {den.tolist()} "
                                 f"has no non-zero coefficient")
@@ -68,8 +78,7 @@ class SeedFunction:
             raise UnboundedSeed(
                 f"rational seed has a pole at modulus "
                 f"{np.min(np.abs(roots)):.4f} < {MIN_POLE_MODULUS}")
-        return SeedFunction("rational", coeffs=np.asarray(num, dtype=complex),
-                            den_coeffs=den)
+        return SeedFunction("rational", coeffs=num, den_coeffs=den)
 
     def __call__(self, z):
         """f(z): a fresh complex array for an array z, a scalar for 0-d."""
@@ -215,12 +224,7 @@ def poincare_values(group, f, m, zs, radius, ball=None):
     zs = check_disc_point(np.atleast_1d(zs).astype(complex))
     if ball is None:
         ball = enumerate_ball(group, 0.0j, radius)
-    # Blocks of at most step points keep each workspace row near 2^16 terms
-    # (1 MB); two or more points per block keep each column's in-order sum,
-    # so no bit moves
-    step = max(2, 2 ** 16 // len(ball))
-    blocks = np.array_split(zs, max(1, min(-(-zs.size // step),
-                                           zs.size // 2)))
+    blocks = ball.point_blocks(zs)
     # One workspace per call, reused by every block: fresh arrays per block
     # go back to the system and are faulted in again, 1,581 page faults per
     # 64-point call at R = 10, unless earlier work raised glibc's thresholds.

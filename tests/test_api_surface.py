@@ -252,6 +252,52 @@ def test_orbit_queries_size_their_own_ball():
     assert not {"orbit_pairs", "psi_values", "distance"} & qpsh
 
 
+def _function(module, name):
+    tree = ast.parse((ROOT / "src" / "discforms" / f"{module}.py")
+                     .read_text())
+    fn, = [f for f in ast.walk(tree)
+           if isinstance(f, ast.FunctionDef) and f.name == name]
+    return fn
+
+
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+          ast.GeneratorExp)
+
+
+def _calls_by_loop(fn):
+    """callee name -> [whether the call sits in a loop or comprehension]
+    for every call in fn."""
+    out = {}
+
+    def visit(node, looped):
+        if isinstance(node, ast.Call):
+            out.setdefault(_callee(node), []).append(looped)
+        for child in ast.iter_child_nodes(node):
+            visit(child, looped or isinstance(node, _LOOPS))
+    visit(fn, False)
+    return out
+
+
+def test_separation_scan_evaluates_one_table():
+    # one eval_sections call over all samples, and one stacked SVD each
+    # for the jets and the pairs, none of them per sample
+    calls = _calls_by_loop(_function("embedding", "very_ampleness_scan"))
+    assert calls["eval_sections"] == [False]
+    assert calls["svd"] == [False, False]
+    # not vacuous: a call in a loop or a comprehension is seen as looped
+    snippet = ast.parse("def f(p):\n    a = [svd(x) for x in p]\n"
+                        "    for x in p:\n        svd(x)\n    svd(p)\n")
+    assert _calls_by_loop(snippet.body[0])["svd"] == [True, True, False]
+
+
+def test_roundtrip_resums_through_poincare_values():
+    # P_m(f) of the relative seed is poincare_values', so the round trip
+    # spells no orbit terms of its own
+    calls = _calls_by_loop(_function("kernels", "roundtrip_check"))
+    assert not {"terms", "den_power"} & set(calls)
+    assert len(calls["poincare_values"]) == 3
+
+
 def _cli_functions():
     tree = ast.parse((ROOT / "src" / "discforms" / "cli.py").read_text())
     return {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
@@ -432,7 +478,8 @@ def _blas_sites(tree):
 def test_src_makes_no_blas_call():
     # OpenBLAS starts threads of its own, which put determinism and the
     # timings of a 2-core host at risk; the library works elementwise
-    # (embedding's np.linalg.svd of 2 x 7 matrices is the one exception)
+    # (embedding's np.linalg.svd of stacked 2 x (d+1) matrices is the one
+    # exception)
     found = [f"{path.relative_to(ROOT)}:{line}"
              for path, tree in _trees("src") for line in _blas_sites(tree)]
     assert found == []

@@ -365,6 +365,21 @@ def test_zero_denominator(capsys, spec):
     assert err.count("\n") == 1 and "denominator" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["norm", "--f", "poly nan 1"],
+    ["approx-poly", "--f", "rational nan / 2 -1"],
+    ["poincare-eval", "--f", "poly inf"]])
+def test_nonfinite_seed_coefficient(capsys, argv):
+    # named when the seed is built, not by the report writer, the degree
+    # cap or fsum
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "non-finite coefficient" in err
+    assert "seed" in err and argv[2].split()[1] in err
+
+
 def test_group_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "typo.cfg"
     gen = "= 2.414213562373095 0.0 2.197368227230559 0.0\n"

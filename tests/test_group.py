@@ -609,8 +609,6 @@ def test_roundtrip_sums_the_moments_once(monkeypatch):
         rep = roundtrip_check(preset_genus2_octagon(), seed, 4, pts,
                               spacing=0.05)
         assert len(builds) == 1 and len(calls) == 1
-        # row s of the one call is sample s's orbit
-        assert calls[0][3].shape == (len(pts), 793)
         assert len(rep.rel_errors) == len(pts) and rep.max_rel_error < 0.05
 
 

@@ -144,16 +144,17 @@ def oct_domain(octagon):
 
 def test_relative_poincare_linear(octagon, oct_domain):
     h0 = np.zeros(len(oct_domain.nodes), dtype=complex)
-    assert relative_poincare(oct_domain, h0, 4, 0.1 + 0.1j) == (0.0, 0.0)
-    f0, tail0 = relative_poincare(oct_domain, h0, 6, np.array([0.0, 0.99j]))
-    assert tail0 == 0.0 and np.all(f0 == 0.0)
+    f0, tail0 = relative_poincare(oct_domain, h0, 4)
+    assert tail0 == 0.0 and f0(0.1 + 0.1j) == 0.0
+    f0, tail0 = relative_poincare(oct_domain, h0, 6)
+    assert tail0 == 0.0 and np.all(f0(np.array([0.0, 0.99j])) == 0.0)
     h1 = poincare_values(octagon, ONE, 4, oct_domain.nodes, 6.0)
     h2 = poincare_values(octagon, SeedFunction.poly([0, 1.0]), 4,
                          oct_domain.nodes, 6.0)
     za = np.array([0.1 + 0.1j, -0.2j])
-    lin, _ = relative_poincare(oct_domain, h1 + 2.0 * h2, 4, za)
-    sep = relative_poincare(oct_domain, h1, 4, za)[0] \
-        + 2.0 * relative_poincare(oct_domain, h2, 4, za)[0]
+    lin = relative_poincare(oct_domain, h1 + 2.0 * h2, 4)[0](za)
+    sep = relative_poincare(oct_domain, h1, 4)[0](za) \
+        + 2.0 * relative_poincare(oct_domain, h2, 4)[0](za)
     assert np.max(np.abs(lin - sep)) < 1e-12
 
 
@@ -222,16 +223,18 @@ def _moment_rounding_bound(m, n_order, n_nodes, zs, wmax, s_abs):
 
 
 def _check_against_direct(domain, h, m, zs):
-    f, tail = relative_poincare(domain, h, m, zs)
+    seed, tail = relative_poincare(domain, h, m)
+    f = seed(zs)
     direct, dens = _direct_relative_poincare(domain, h, m, zs)
     wmax = float(np.max(np.abs(domain.nodes)))
     s_abs = float(np.sum(np.abs(dens)))
-    t = float(np.max(np.abs(zs))) * wmax
-    n_order = _order_of(m, t, tail / s_abs)
+    # the cut is certified on the whole disc: t = max|w| bounds |z| max|w|
+    n_order = _order_of(m, wmax, tail / s_abs)
+    assert len(seed.coeffs) == n_order + 1
     # N is the least certified order: the bound one order lower misses
-    goal = U * (2 * m - 1) / math.pi ** m * (1.0 - t) ** (-2 * m)
-    assert _tail_after(m, t, n_order) <= goal
-    assert n_order == 0 or _tail_after(m, t, n_order - 1) > goal
+    goal = U * (2 * m - 1) / math.pi ** m * (1.0 - wmax) ** (-2 * m)
+    assert _tail_after(m, wmax, n_order) <= goal
+    assert n_order == 0 or _tail_after(m, wmax, n_order - 1) > goal
     rounding = _moment_rounding_bound(m, n_order, len(domain.nodes), zs,
                                       wmax, s_abs)
     assert np.all(np.abs(f - direct) <= tail + rounding)
@@ -252,15 +255,15 @@ def test_moment_series_matches_direct_sum_on_orbits(octagon, radius):
 
 
 def test_moment_series_matches_direct_sum_on_the_whole_disc(trivial):
-    # the trivial group's nodes reach |w| = 1 - 1e-4, but its orbits are
-    # the samples alone, so t = max|z| max|w| stays below 0.3
+    # the trivial group's nodes reach |w| = 1 - 1e-4, so the disc-wide cut
+    # keeps tens of thousands of orders; its orbits are the samples alone
     dom = dirichlet_domain(trivial, spacing=0.04)
     assert np.max(np.abs(dom.nodes)) > 0.99
     zs = random_disc_points(np.random.default_rng(5), 10, 0.3)
     for m in (2, 4):
         h = poincare_values(trivial, SeedFunction.poly([1.0, 0.5j]), m,
                             dom.nodes, 2.0)
-        assert _check_against_direct(dom, h, m, zs) < 80
+        assert _check_against_direct(dom, h, m, zs) > 10_000
 
 
 def test_tail_bound_is_small_at_the_roundtrip_defaults(octagon, oct_domain):
@@ -269,19 +272,43 @@ def test_tail_bound_is_small_at_the_roundtrip_defaults(octagon, oct_domain):
     samples = disc_points(np.random.default_rng(0), 10, 0.3)
     h = poincare_values(octagon, ONE, 4, oct_domain.nodes, 8.0)
     orbit = enumerate_ball(octagon, 0.0j, 8.0).terms(samples)[0]
-    f, tail = relative_poincare(oct_domain, h, 4, orbit)
-    assert 0.0 < tail < 1e-10 * np.max(np.abs(f))
+    f, tail = relative_poincare(oct_domain, h, 4)
+    assert 0.0 < tail < 1e-10 * np.max(np.abs(f(orbit)))
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_tail_bound_dominates_later_orders_near_the_boundary(octagon,
+                                                             oct_domain, m):
+    # f_N + (orders N+1 .. N+40) at |z| = 0.999: the added orders, summed
+    # from exact binomials and moments by fsum, stay below tail_bound
+    h = poincare_values(octagon, SeedFunction.poly([1.0, 0.5j]), m,
+                        oct_domain.nodes, 6.0)
+    f, tail = relative_poincare(oct_domain, h, m)
+    nodes = oct_domain.nodes
+    dens = (h * oct_domain.weights
+            * (np.pi * (1.0 - np.abs(nodes) ** 2) ** 2) ** (m - 1))
+    z = 0.999 * np.exp(2j * np.pi * np.arange(16) / 16)
+    n = len(f.coeffs)
+    later = np.zeros(z.shape, dtype=complex)
+    for k in range(n, n + 40):
+        a_k = (2 * m - 1) / math.pi ** m * math.comb(2 * m - 1 + k, k)
+        moment = complex(math.fsum((dens * np.conj(nodes) ** k).real),
+                         math.fsum((dens * np.conj(nodes) ** k).imag))
+        later += a_k * moment * z ** k
+    assert np.all(np.abs(later) <= tail) and np.all(later != 0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, 1.0, 1.5j, complex(0.3, np.nan)])
-def test_relative_poincare_rejects_points_off_the_disc(oct_domain, bad):
-    h = np.ones(len(oct_domain.nodes))
+def test_relative_poincare_rejects_points_off_the_disc(octagon, oct_domain,
+                                                      bad):
+    # f is a seed, defined everywhere; the round trip's samples are checked
     with pytest.raises(BoundaryPoint):
-        relative_poincare(oct_domain, h, 4, np.array([0.1, bad]))
+        roundtrip_check(octagon, ONE, 4, [0.1, bad], spacing=0.02)
+    h = np.ones(len(oct_domain.nodes))
     nodes = oct_domain.nodes.copy()
     nodes[7] = bad
     with pytest.raises(BoundaryPoint):
-        relative_poincare(replace(oct_domain, nodes=nodes), h, 4, 0.1)
+        relative_poincare(replace(oct_domain, nodes=nodes), h, 4)
 
 
 def test_roundtrip_trivial(trivial):
@@ -299,10 +326,10 @@ def test_roundtrip_preset(octagon):
 
 
 def test_roundtrip_resum_multiplies_as_written(monkeypatch):
-    # at radius 11.5 each sample's orbit holds 16,384 or more terms, where
-    # NumPy computes a product with a temporary on its right in place,
-    # operands swapped, and a swapped complex product moves last bits; the
-    # re-sum must be f_orbit * jm as written
+    # the re-sum is poincare_values of the returned seed: f(gamma z) j^m
+    # multiplied as written, a swapped complex product would move last
+    # bits, and each column summed in ball order; at radius 11.5 the ball
+    # holds 16,384 or more terms
     seen = []
 
     def spy(*args):
@@ -317,8 +344,6 @@ def test_roundtrip_resum_multiplies_as_written(monkeypatch):
     assert len(ball) >= 16_384
     (f, _), = seen
     hz = poincare_values(g, ONE, 4, pts, 11.5)
-    for f_orbit, den_s, h, rel in zip(f, ball.terms(pts)[1].T, hz,
-                                      rep.rel_errors):
-        jm = den_power(den_s, 8)
-        want = complex(np.sum(np.multiply(f_orbit, jm)))
-        assert rel == abs(want - h) / abs(h)
+    gz, den = ball.terms(pts)
+    want = np.sum(np.multiply(f(gz), den_power(den, 8)), axis=0)
+    assert rep.rel_errors == (np.abs(want - hz) / np.abs(hz)).tolist()
