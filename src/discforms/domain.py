@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientBall
-from .geometry import (distance, in_convex_polygon, klein_sides,
-                       klein_to_poincare, poincare_to_klein, side_values)
+from .geometry import (check_disc_point, distance, in_convex_polygon,
+                       klein_sides, klein_to_poincare, poincare_to_klein,
+                       side_values)
 from .group import enumerate_ball
 
 # Bound on the derivative norm of the Klein map z -> 2z/(1+|z|^2)
@@ -214,7 +215,8 @@ def _dirichlet_domain(group, spacing):
     for _ in range(3):
         ball = enumerate_ball(group, 0.0j, reach)
         poly = _cut_polygon(ball)
-        vr = np.array([float(distance(0.0j, v)) for v in poly])
+        # a group that is not cocompact leaves clipped corners off the disc
+        vr = distance(0.0j, check_disc_point(poly))
         # any gamma with rho(0, gamma 0) > 2 * max vertex distance cannot
         # cut the polygon; if the ball does not reach that far, retry
         needed = 2.0 * float(np.max(vr)) + 1e-9

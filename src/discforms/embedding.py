@@ -20,7 +20,7 @@ import numpy as np
 
 from .domain import dirichlet_domain
 from .errors import DegenerateBasis
-from .geometry import den_power, disc_points
+from .geometry import check_disc_point, den_power, disc_points
 from .group import enumerate_ball, orbit_counts
 
 RANK_TOL = 1e-8
@@ -35,7 +35,7 @@ def eval_sections(group, m, d, z, radius):
     """
     if m < 2 or d < 1:
         raise ValueError("need m >= 2 and d >= 1")
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    z = check_disc_point(np.atleast_1d(z))
     ball = enumerate_ball(group, 0.0j, radius)
     tables = []
     for block in ball.point_blocks(z):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, ConfigError, NonUnitary
 from .geometry import (check_disc_point, check_su11, disc_ratio, distance,
-                       klein_sides, mobius, mobius_jacobian)
+                       klein_sides, mobius, mobius_jacobian, rho_error)
 
 # Deduplication tolerance in max-norm on (alpha, beta) up to sign.  Generator
 # entries are algebraic numbers evaluated in double precision; renormalized
@@ -428,14 +428,12 @@ def enumerate_ball(group, x, radius):
     """
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
-    x = complex(check_disc_point(x))
+    x = complex(x if x == 0 else check_disc_point(x))    # 0 needs none
     if x != 0:
         rho = float(distance(0.0j, x))
-        # Slack as in orbit_pairs: a kept element's computed rho(x, gamma x)
-        # <= radius is off by at most e = 2^-40 e^(radius + 2 rho) (4096
-        # ulps of its conditioning), and so is its computed rho(0, gamma 0)
-        # <= radius + 2 rho + e; two of them: 2^-39 e^(radius + 2 rho)
-        reach = radius + 2.0 * rho + 2.0 ** -39 * np.exp(radius + 2.0 * rho)
+        # two errors: a kept element's computed rho(x, gamma x) and its
+        # rho(0, gamma 0), each at most rho_error(radius + 2 rho)
+        reach = radius + 2.0 * rho + 2.0 * rho_error(radius + 2.0 * rho)
         if reach > DEDUP_MAX_RADIUS:
             raise BudgetExceeded(
                 f"radius + 2 rho(0, x) + slack = {reach:.6g} exceeds "
@@ -450,12 +448,10 @@ def enumerate_ball(group, x, radius):
                          at0.letters)
     held = group._ball_at_0
     if held is None or held.radius < radius:
-        # Slack as in orbit_pairs: a displacement below radius + margin is
-        # computed to e = 2^-40 e^radius (its 4096 ulps absorb e^margin <
-        # 1.001 below DEDUP_MAX_RADIUS).  A kept element is truly within
-        # radius + e; by the lemma so is every node on its descent path,
-        # whose computed displacement is then within radius + 2 e.
-        margin = (2.0 ** -39 * np.exp(radius) if group.dirichlet_at_0
+        # A kept element is truly within radius + e, e = rho_error(radius)
+        # (its 4096 ulps absorb e^margin < 1.001), and by the lemma so is
+        # every node on its descent path, computed within radius + 2 e.
+        margin = (2.0 * rho_error(radius) if group.dirichlet_at_0
                   else group.max_generator_displacement(0.0j))
         held = group._ball_at_0 = _bfs_ball(group, 0.0j, radius, margin)
     return held.restrict(radius)
@@ -471,8 +467,8 @@ def _within_reach(frontier_a, frontier_b, letter_terms, limit):
     |cb|^2 = sinh^2(rho/2) (|ca|^2 - |cb|^2), where |ca|^2 - |cb|^2 is
     (|pa|^2 - |pb|^2)(|ga|^2 - |gb|^2) up to rounding.  The mask must pass
     every child whose computed displacement passes, so it errs wide:
-    - that displacement is off by e = 2^-40 e^limit, as in orbit_pairs
-      (4096 ulps of its conditioning): the limit grows by 2 e;
+    - that displacement is off by e = rho_error(limit), so the limit
+      grows by 2 e;
     - the parent's drift of |pa|^2 - |pb|^2 from 1 after renormalizing, and
       the rounding of ca and cb, a few ulps of |ca| (|pa| |ga| + |pb| |gb|)
       <= 2 e^limit |ga|, move |ca|^2 - |cb|^2 by under e |ga| relative;
@@ -484,7 +480,7 @@ def _within_reach(frontier_a, frontier_b, letter_terms, limit):
     the true error against it.
     """
     ga2, gb2, gbga = letter_terms
-    e = 2.0 ** -40 * np.exp(limit)
+    e = rho_error(limit)
     reach = (np.sinh(limit / 2.0 + e) ** 2 * (ga2 - gb2)
              * (1.0 + 1e-6 + e * np.sqrt(ga2)))
     cross = frontier_a * np.conj(frontier_b)
@@ -594,17 +590,14 @@ def orbit_pairs(group, x, zs, r):
     point's pairs in ball order.
     """
     zs = check_disc_point(np.atleast_1d(np.asarray(zs, dtype=complex)))
-    w = r + float(distance(0.0j, x))
+    w = r + float(distance(0.0j, check_disc_point(x)))
     dz = distance(0.0j, zs)
     ball = enumerate_ball(group, 0.0j, float(np.max(dz)) + w)
-    pts = check_disc_point(ball.terms(x)[0])
+    pts = ball.terms(x)[0]
     t_max = np.tanh(r / 2.0)
-    # Rounding slack: a computed rho(a, b) = 2 artanh t is off by about
-    # |dt| (1 + cosh rho(a, b)), with |dt| a few ulps over
-    # |1 - conj(a) b| >= e^-rho(0, a).  rho(0, z), the displacements and
-    # the tested rho(p, z) all stay below rho(0, z) + w, so 2^-40 (4096
-    # ulps) times e^that covers all three errors.
-    slack = 2.0 ** -40 * np.exp(dz + w)
+    # rho(0, z), the displacements and the tested rho(p, z) all stay below
+    # rho(0, z) + w, so one slack covers all three errors
+    slack = rho_error(dz + w)
     lo = np.searchsorted(ball.displacements, dz - w - slack, "left")
     hi = np.searchsorted(ball.displacements, dz + w + slack, "right")
     order = np.argsort(dz, kind="stable")

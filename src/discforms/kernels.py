@@ -165,8 +165,7 @@ def cm_constant(m):
         return den_power(d.real ** 2 + d.imag ** 2, m) * kz
 
     vals = []
-    for w in CM_PROBES:
-        w = check_disc_point(complex(w))
+    for w in np.asarray(CM_PROBES, dtype=complex):
         pref = (np.pi * (1.0 - abs(w) ** 2) ** 2) ** (m / 2.0)
         integ = float(_polar_sum(
             1600, 512, lambda z, wt, r: integrand(z, wt, r, w), float))
@@ -200,10 +199,10 @@ def relative_poincare(domain, h_values, m):
         power = power * wbar
         if k % 16 == 15:
             # an underflowing power sticks at the least subnormals (x |w|
-            # rounds back to x), each product of which is slow; flushed,
-            # a moment moves by at most len(nodes) 2^-1022
-            parts = power.view(float)
-            parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
+            # rounds back to x), each product of which is slow; its node
+            # dropped, a moment moves by at most len(nodes) 2^-1022
+            live = np.abs(power) >= np.finfo(float).tiny
+            power, wbar = power[live], wbar[live]
     return SeedFunction.poly(b), float(tail * np.sum(np.abs(dens)))
 
 

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import check_spacing, dirichlet_domain
-from .geometry import (
-    bergman_metric, check_disc_point, disc_ratio, distance, ratio_distance,
-)
+from .geometry import (bergman_metric, check_disc_point, disc_ratio,
+                       distance, ratio_distance, rho_error)
 from .group import enumerate_ball, orbit_counts, orbit_pairs
 
 
@@ -146,11 +145,9 @@ def _stencil_psi(group, x, r, zs, offsets, skip):
     # zmax omax > 0, so a stencil point that may leave the disc raises
     check_disc_point(zmax + omax)
     reach = float(ratio_distance(omax / (1.0 - zmax * (zmax + omax))))
-    # Rounding slack: psi_values' test of rho(p, z + o) < q, this reach and
-    # the candidate test of rho(p, z) each err by a few ulps times
-    # e^(rho(0, a) + rho(a, b)), a = z + o or z (see orbit_pairs); each
-    # exponent stays below max rho(0, z) + q + reach: 2^-40 e^that covers.
-    reach += 2.0 ** -40 * math.exp(float(np.max(dz)) + q + reach)
+    # psi_values' test of rho(p, z + o) < q, this reach and the candidate
+    # test of rho(p, z) each err by rho_error(max rho(0, z) + q + reach)
+    reach += rho_error(float(np.max(dz)) + q + reach)
     t_max, t_r = np.tanh(q / 2.0), np.tanh(r / 2.0)
     # farthest nodes first: the first query sizes the ball for the rest
     order = np.argsort(-dz, kind="stable")

@@ -509,3 +509,59 @@ def test_polynomials_evaluate_by_one_horner():
     snippet = ast.parse("a = np.polyval(c, z)\nfrom numpy import polyval\n"
                         "b = polyval(c, z)\n")
     assert _polyval_sites(snippet) == [1, 2, 3]
+
+
+def _callers(name):
+    """module.function of every function in src/ whose body, nested
+    functions included, calls name."""
+    return sorted(f"{path.stem}.{fn.name}" for path, tree in _trees("src")
+                  for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                  and any(isinstance(c, ast.Call) and _callee(c) == name
+                          for c in ast.walk(fn)))
+
+
+def test_points_are_checked_where_they_enter():
+    # check_disc_point runs once on the caller's points, in the public
+    # function that takes them; nothing the library computes from checked
+    # points is checked again, so no geometry primitive calls it and no
+    # private function does, but for the two whose points can leave the
+    # disc: a stencil point past the guard, and a polygon corner that a
+    # group which is not cocompact leaves outside it
+    callers = _callers("check_disc_point")
+    assert [c for c in callers if c.startswith("geometry.")] == []
+    assert [c for c in callers if c.split(".")[1].startswith("_")] \
+        == ["domain._dirichlet_domain", "seshadri._stencil_psi"]
+    # not vacuous: the entry points are seen
+    assert {"group.enumerate_ball", "group.orbit_pairs", "group.reduce_points",
+            "embedding.eval_sections", "series.poincare_values",
+            "kernels.relative_poincare"} <= set(callers)
+
+
+def _slack_literals(tree):
+    """Lines of 2 ** -40 and 2 ** -39, integer or float base."""
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+                  and isinstance(n.left, ast.Constant) and n.left.value == 2
+                  and isinstance(n.right, ast.UnaryOp)
+                  and isinstance(n.right.op, ast.USub)
+                  and isinstance(n.right.operand, ast.Constant)
+                  and n.right.operand.value in (39, 40))
+
+
+def test_distance_rounding_slack_has_one_owner():
+    # geometry.rho_error spells 2^-40 e^L once, and each site that needs a
+    # distance's rounding slack calls it
+    found, owned = [], []
+    for path, tree in _trees("src"):
+        found += [(path.stem, line) for line in _slack_literals(tree)]
+        owned += [(path.stem, line) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef)
+                  and fn.name == "rho_error" for line in _slack_literals(fn)]
+    assert found == owned and [m for m, _ in owned] == ["geometry"]
+    assert _callers("rho_error") == [
+        "group._within_reach", "group.enumerate_ball", "group.orbit_pairs",
+        "seshadri._stencil_psi"]
+    # not vacuous: both exponents and both bases are seen, other powers not
+    snippet = ast.parse("a = 2.0 ** -40 * x\nb = 2 ** -39\nc = 2.0 ** -53\n"
+                        "d = 2.0 ** 40\n")
+    assert _slack_literals(snippet) == [1, 2]

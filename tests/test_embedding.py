@@ -7,6 +7,7 @@ from discforms import embedding
 from discforms.embedding import (
     RANK_TOL, eval_sections, sample_fundamental_domain, very_ampleness_scan,
 )
+from discforms.errors import BoundaryPoint
 from discforms.geometry import (den_power, distance, in_convex_polygon,
                                 mobius_den)
 from discforms.group import enumerate_ball
@@ -21,6 +22,15 @@ def _ratios(matrices):
         s = np.linalg.svd(mat, compute_uv=False)
         out.append(float(s[-1] / s[0]) if s[0] > 0 else 0.0)
     return out
+
+
+@pytest.mark.parametrize("bad", [1.5, np.nan])
+def test_eval_sections_rejects_points_off_the_disc(octagon, bad):
+    # checked on entry, as every series entry point checks its points
+    with pytest.raises(BoundaryPoint, match="is not inside"):
+        eval_sections(octagon, 4, 2, [bad], 6.0)
+    with pytest.raises(BoundaryPoint, match="is not inside"):
+        eval_sections(octagon, 4, 2, [0.1, bad], 6.0)
 
 
 def test_trivial_basis_is_monomials(trivial):

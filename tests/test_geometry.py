@@ -12,9 +12,11 @@ from scipy.integrate import quad
 from discforms.errors import BoundaryPoint, NonUnitary
 from discforms.geometry import (
     bergman_metric, check_su11, check_disc_point, den_power, distance,
-    mobius, mobius_jacobian,
+    mobius, mobius_jacobian, rho_error,
 )
-from discforms.group import GroupElement, _product, enumerate_ball
+from discforms.group import (DEDUP_TOL, GroupElement, _product, enumerate_ball,
+                             orbit_pairs)
+from discforms.series import SeedFunction, poincare_values
 
 from conftest import bergman_kernel_diag, random_disc_points
 
@@ -48,13 +50,21 @@ def test_forced_value_at_zero():
     assert g.apply(0.0) == pytest.approx(1.0 / math.sqrt(2))
 
 
-def test_boundary_guard():
-    with pytest.raises(BoundaryPoint):
-        check_disc_point(1.0 - 1e-13)
-    with pytest.raises(BoundaryPoint):
-        bergman_metric(1.0 + 0j)
-    with pytest.raises(BoundaryPoint):
-        distance(0.0, 1.0 - 1e-13)
+def test_boundary_guard(octagon):
+    # check_disc_point owns the guard: the entry points call it on the
+    # caller's points, and the primitives take points as given
+    for bad in (1.0 - 1e-13, 1.0 + 0j):
+        with pytest.raises(BoundaryPoint):
+            check_disc_point(bad)
+        with pytest.raises(BoundaryPoint):
+            enumerate_ball(octagon, bad, 1.0)
+        with pytest.raises(BoundaryPoint):
+            orbit_pairs(octagon, 0.0j, [0.1, bad], 1.0)
+        with pytest.raises(BoundaryPoint):
+            poincare_values(octagon, SeedFunction.poly([1.0]), 4, [bad], 4.0)
+    # 2 artanh(1 - 1e-13) and 2/(1e-13 (2 - 1e-13))^2, nearly
+    assert 30.6 < distance(0.0, 1.0 - 1e-13) < 30.7
+    assert 4.9e25 < bergman_metric(1.0 - 1e-13) < 5.1e25
 
 
 def test_non_unitary_rejected():
@@ -191,6 +201,42 @@ def test_den_power_against_high_precision(octagon):
                            for g, w in zip(got, want)) * 2.0 ** 53
             ours, numpy_ = err(den_power(den, n)), err(den ** -n)
             assert ours <= 1.5 * numpy_ and ours < 2 * n, (n, ours, numpy_)
+
+
+def _mp_generator(letter):
+    """The preset's generator |letter| in 60 digits, inverted when the
+    letter is negative: cosh(d0/2) = 1 + sqrt 2, rotated by (k - 1) pi/4."""
+    a = 1 + mpmath.sqrt(2)
+    b = mpmath.sqrt(2 + 2 * mpmath.sqrt(2)) * mpmath.expjpi(
+        mpmath.mpf(abs(letter) - 1) / 4)
+    return (a, b) if letter > 0 else (mpmath.conj(a), -b)
+
+
+def test_rho_error_against_60_digits(octagon):
+    # every displacement d of the R = 10 ball at 0, recomputed from its word
+    # (parent's product times last letter, as the BFS builds it) with the
+    # exact generators: the worst error, 7.5e-12, is 3.75e-4 of
+    # rho_error(10), and no error passes 4.3e-4 of its own rho_error(d);
+    # the pairs drift by 4.2e-12 relative, 4.2e-3 of DEDUP_TOL
+    ball = enumerate_ball(octagon, 0.0j, 10.0)
+    with mpmath.workdps(60):
+        pairs = [(mpmath.mpf(1), mpmath.mpf(0))]
+        for parent, letter in zip(ball.parents[1:], ball.letters[1:]):
+            pa, pb = pairs[parent]
+            ga, gb = _mp_generator(int(letter))
+            pairs.append((pa * ga + pb * mpmath.conj(gb),
+                          pa * gb + pb * mpmath.conj(ga)))
+        errors = np.array([float(abs(
+            2 * mpmath.atanh(abs(pairs[n][1]) / abs(pairs[n][0])) - d))
+            for n, d in zip(ball.nodes.tolist(), ball.displacements.tolist())])
+        drift = float(max(
+            max(abs(pairs[n][0] - a), abs(pairs[n][1] - b)) / abs(a)
+            for n, a, b in zip(ball.nodes.tolist(), ball.alphas.tolist(),
+                               ball.betas.tolist())))
+    assert len(ball) == 5433
+    assert 3e-4 < np.max(errors) / rho_error(10.0) < 4.5e-4
+    assert 3e-4 < np.max(errors / rho_error(ball.displacements)) < 6e-4
+    assert 3e-3 < drift / DEDUP_TOL < 6e-3
 
 
 def test_den_power_bits(octagon):

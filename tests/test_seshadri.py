@@ -227,6 +227,17 @@ def test_stencil_reach_covers_every_offset(octagon, trivial, monkeypatch,
         next(seshadri._stencil_psi(g, 0.0j, r, edge, _OFFSETS, 0.01))
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0, complex(np.nan, 0.0)])
+def test_orbit_queries_reject_a_base_point_off_the_disc(octagon, trivial,
+                                                        bad):
+    # orbit_pairs checks x on entry, and psi_values through it
+    for g in (octagon, trivial):
+        with pytest.raises(BoundaryPoint, match="is not inside"):
+            orbit_pairs(g, bad, [0.1], 0.5)
+        with pytest.raises(BoundaryPoint, match="is not inside"):
+            psi_values(g, bad, 0.5, [0.1, -0.2j])
+
+
 def test_quasi_psh_queries_each_node_once(octagon, rho0, monkeypatch):
     # per r the stencil's block queries are the check's only orbit queries
     # on its grid: one per _STENCIL_BLOCK nodes, each node in exactly one
