@@ -2,11 +2,7 @@
 
 The Dirichlet domain about 0 is the intersection of the half-spaces
 {z : rho(z, 0) <= rho(z, gamma 0)} over the non-identity elements of an
-orbit ball.  In the Klein model the bisector of 0 and p = gamma 0 is the
-chord perpendicular to the radius through the hyperbolic midpoint, whose
-Klein radius is tanh(rho(0, p)/2) = |p| (Beardon 1983, ch. 7); so each cut
-is the half-plane Re(conj(n) k) <= |p| with n = p/|p|, clipped in the Klein
-model and mapped back to the Poincare disc.  Sides of the resulting
+orbit ball, cut by geometry.dirichlet_polygon.  Sides of the resulting
 Poincare polygon are arcs of circles orthogonal to the unit circle.  A
 domain is its CCW vertex list; geometry.in_convex_polygon, the one
 membership test, works in the Klein model, where sides are linear.
@@ -23,31 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientBall
-from .geometry import (check_disc_point, distance, in_convex_polygon,
-                       klein_sides, klein_to_poincare, poincare_to_klein,
-                       side_values)
+from .errors import ConfigError, InsufficientBall
+from .geometry import (dirichlet_polygon, distance, in_convex_polygon,
+                       klein_sides, poincare_to_klein, side_values)
 from .group import enumerate_ball
 
 # Bound on the derivative norm of the Klein map z -> 2z/(1+|z|^2)
 KLEIN_LIPSCHITZ = 2.0
-
-
-def _clip_polygon(poly, n, c):
-    """Sutherland-Hodgman clip of polygon (complex vertices, CCW) against
-    the half-plane Re(conj(n) z) <= c."""
-    out = []
-    m = len(poly)
-    for i in range(m):
-        a, b = poly[i], poly[(i + 1) % m]
-        fa, fb = side_values(n, c, a), side_values(n, c, b)
-        if fa <= 0:
-            out.append(a)
-            if fb > 0:
-                out.append(a + (b - a) * fa / (fa - fb))
-        elif fb <= 0:
-            out.append(a + (b - a) * fa / (fa - fb))
-    return out
 
 
 @dataclass
@@ -70,47 +48,18 @@ class FundamentalDomain:
 
     @property
     def euclidean_area(self):
-        """Exact Euclidean area of the arc-sided Poincare polygon."""
-        return _arc_polygon_area(self.vertices)
-
-
-def _arc_side_params(a, b):
-    """Circle (center, radius, phi_a, phi_b) of the geodesic arc a -> b.
-
-    Returns None for (numerically) diametral sides, which are straight.
-    """
-    # circle orthogonal to the unit circle through a and b:
-    # |z|^2 - 2 Re(conj(c) z) + 1 = 0 for both endpoints
-    det = (np.conj(a) * b).imag
-    if abs(det) < 1e-13:
-        return None
-    wa = (1.0 + abs(a) ** 2) / 2.0
-    wb = (1.0 + abs(b) ** 2) / 2.0
-    # solve Re(conj(c) a) = wa, Re(conj(c) b) = wb
-    cx = (wa * b.imag - wb * a.imag) / det
-    cy = (wb * a.real - wa * b.real) / det
-    c = complex(cx, cy)
-    rad = np.sqrt(abs(c) ** 2 - 1.0)
-    return c, rad, np.angle(a - c), np.angle(b - c)
-
-
-def _arc_polygon_area(vertices):
-    """Green's-theorem area of a polygon whose sides are geodesic arcs."""
-    area = 0.0
-    n = len(vertices)
-    for i in range(n):
-        a, b = vertices[i], vertices[(i + 1) % n]
-        params = _arc_side_params(a, b)
-        if params is None:
-            area += 0.5 * (np.conj(a) * b).imag
-            continue
-        c, rad, pa, pb = params
-        dphi = np.angle(np.exp(1j * (pb - pa)))  # short way around
-        # 1/2 Int Im(conj(p) dp) over the arc p = c + rad e^{i phi}
-        area += 0.5 * (rad * rad * dphi
-                       + rad * (np.conj(c)
-                                * (np.exp(1j * pb) - np.exp(1j * pa))).imag)
-    return float(area)
+        """Exact Euclidean area of the arc-sided Poincare polygon: the
+        shoelace area less a segment R^2 (theta - sin theta)/2 per side
+        a -> b, R = L |1 - conj(a) b| / (2 |Im(conj(a) b)|) the radius of
+        its geodesic, L = |b - a| and theta = 2 arcsin(L/2R) (0 is inside,
+        so no side is a diameter)."""
+        a, b = self.vertices, np.roll(self.vertices, -1)
+        cross = (np.conj(a) * b).imag
+        chord = np.abs(b - a)
+        rad = chord * np.abs(1.0 - np.conj(a) * b) / (2.0 * np.abs(cross))
+        theta = 2.0 * np.arcsin(chord / (2.0 * rad))
+        return float(np.sum(cross) / 2.0
+                     - np.sum(rad ** 2 * (theta - np.sin(theta))) / 2.0)
 
 
 def _clipped_grid(verts, h):
@@ -210,43 +159,23 @@ def dirichlet_domain(group, spacing):
 
 
 def _dirichlet_domain(group, spacing):
-    d0 = group.min_generator_displacement()
-    reach = 2.0 * d0 + 1.0
+    reach = 2.0 * group.min_generator_displacement() + 1.0
     for _ in range(3):
         ball = enumerate_ball(group, 0.0j, reach)
-        poly = _cut_polygon(ball)
-        # a group that is not cocompact leaves clipped corners off the disc
-        vr = distance(0.0j, check_disc_point(poly))
+        keep = ball.displacements > 1e-12
+        poly = dirichlet_polygon(ball.terms(0.0j)[0][keep])
+        if poly is None:
+            raise ConfigError("the Dirichlet polygon about 0 is unbounded, "
+                              "so the group is not cocompact")
         # any gamma with rho(0, gamma 0) > 2 * max vertex distance cannot
         # cut the polygon; if the ball does not reach that far, retry
-        needed = 2.0 * float(np.max(vr)) + 1e-9
+        needed = 2.0 * float(np.max(distance(0.0j, poly))) + 1e-9
         if reach >= needed:
             return FundamentalDomain(poly, *_clipped_grid(poly, spacing),
                                      spacing)
         reach = needed + 1.0
     raise InsufficientBall("Dirichlet polygon kept growing past the "
                            "enumerated orbit ball")
-
-
-def _cut_polygon(ball):
-    keep = ball.displacements > 1e-12
-    pts = ball.terms(0.0j)[0][keep]
-    # start from a big square around the Klein disc; clipping a CCW
-    # polygon keeps it CCW
-    poly = [complex(-2, -2), complex(2, -2), complex(2, 2), complex(-2, 2)]
-    # skip redundant cuts (polygon already inside the half-plane), testing
-    # every point after the last cut against the polygon at once
-    normal, dist, k = pts / np.abs(pts), np.abs(pts), 0
-    while True:
-        f = side_values(normal[k:, None], dist[k:, None], np.array(poly))
-        cuts = np.flatnonzero(np.max(f, axis=1) > 1e-15)
-        if not len(cuts):
-            break
-        p, k = pts[k + cuts[0]], k + cuts[0] + 1
-        poly = _clip_polygon(poly, p / abs(p), abs(p))
-    # rotate so the vertex with the smallest angle about 0 is first
-    start = int(np.argmin(np.angle(poly)))
-    return klein_to_poincare(np.array(poly[start:] + poly[:start]))
 
 
 def disc_domain(spacing):

@@ -89,6 +89,42 @@ def side_values(n, c, k):
     return (np.conj(n) * k).real - c
 
 
+def _clip_polygon(poly, n, c):
+    """Sutherland-Hodgman clip of polygon (complex vertices, CCW) against
+    the half-plane Re(conj(n) z) <= c."""
+    out = []
+    for a, b in zip(poly, poly[1:] + poly[:1]):
+        fa, fb = side_values(n, c, a), side_values(n, c, b)
+        if fa <= 0:
+            out.append(a)
+            if fb > 0:
+                out.append(a + (b - a) * fa / (fa - fb))
+        elif fb <= 0:
+            out.append(a + (b - a) * fa / (fa - fb))
+    return out
+
+
+def dirichlet_polygon(pts):
+    """The polygon the bisectors of 0 and the points pts (none 0) cut: its
+    CCW Poincare vertices from the least angle, or None when it is not
+    bounded inside |z| < 1 - BOUNDARY_GUARD.  The bisector of 0 and p is
+    the Klein chord Re(conj(n) k) = |p|, n = p/|p| (Beardon 1983, ch. 7):
+    each cut clips a square around the Klein disc, which keeps it CCW, and
+    cuts that move no vertex past 1e-15 are skipped."""
+    poly = [complex(-2, -2), complex(2, -2), complex(2, 2), complex(-2, 2)]
+    normal, dist, k = pts / np.abs(pts), np.abs(pts), 0
+    while True:
+        f = side_values(normal[k:, None], dist[k:, None], np.array(poly))
+        cuts = np.flatnonzero(np.max(f, axis=1) > 1e-15)
+        if not len(cuts):
+            break
+        p, k = pts[k + cuts[0]], k + cuts[0] + 1
+        poly = _clip_polygon(poly, p / abs(p), abs(p))
+    start = int(np.argmin(np.angle(poly)))
+    v = klein_to_poincare(np.array(poly[start:] + poly[:start]))
+    return v if np.all(np.abs(v) < 1.0 - BOUNDARY_GUARD) else None
+
+
 def disc_points(rng, n, r_max):
     """n points uniform (by area) in |z| < r_max: radii drawn, then angles."""
     return r_max * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))

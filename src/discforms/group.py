@@ -27,8 +27,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceeded, ConfigError, NonUnitary
-from .geometry import (check_disc_point, check_su11, disc_ratio, distance,
-                       klein_sides, mobius, mobius_jacobian, rho_error)
+from .geometry import (check_disc_point, check_su11, dirichlet_polygon,
+                       disc_ratio, distance, klein_sides, mobius,
+                       mobius_jacobian, rho_error)
 
 # Deduplication tolerance in max-norm on (alpha, beta) up to sign.  Generator
 # entries are algebraic numbers evaluated in double precision; renormalized
@@ -41,10 +42,13 @@ DEDUP_MAX_RADIUS = 19.0
 # Most elements a BFS build may keep in its tree before BudgetExceeded.
 ELEMENT_CAP = 5_000_000
 
-# A side of D_0 is taken for the bisector of 0 and g 0 when they agree to
-# this: stored vertices and generator entries are good to ~1e-15 (4.6e-16
-# measured on the octagon), while a polygon rotated by 0.01 misses by 9e-3.
-_SIDE_TOL = 1e-12
+# _side_pairing takes a side of D_0 for the bisector of 0 and s 0, and s^-1
+# for its pairing, within _SIDE_TOL; a vertex cycle closes when k times its
+# angle sum, k = round(2 pi / sum), makes 2 pi within _ANGLE_TOL.  An angle
+# at v is good to a few ulps over 1 - |v|^2.  On the regular 4g-gons for
+# g = 2 to 5 sides miss by 6.5e-16, pairings by 8.8e-15 and the one cycle
+# of 4g angles by 1.7e-12, 1/580 of _ANGLE_TOL.
+_SIDE_TOL, _ANGLE_TOL = 1e-12, 1e-9
 
 # Pairs orbit_pairs handles at once: ~1 MB complex temporaries, which stay
 # in cache.  Chunks of 4M pairs ran slower and held about 300 MB at the CLI
@@ -104,12 +108,11 @@ def _psu_gap(a1, b1, a2, b2):
 
 @dataclass
 class FuchsianGroup:
-    """Generators, relators, side-paired polygon D_0, ball at 0, domains."""
+    """Generators, relators and a name; the ball at 0 and domains."""
 
     generators: list
     relators: list = field(default_factory=list)
     name: str = ""
-    domain_vertices: tuple = ()     # convex D_0, CCW; empty when unknown
     # caches, not part of the group's value: == compares the fields above
     _ball_at_0: OrbitBall = field(default=None, repr=False, compare=False)
     _domain_cache: dict = field(default_factory=dict, repr=False,
@@ -159,23 +162,9 @@ class FuchsianGroup:
 
     @cached_property
     def dirichlet_at_0(self):
-        """Whether D_0 is the Dirichlet polygon about 0, its sides paired
-        by alphabet elements: enumerate_ball's margin-0 precondition.
-
-        The bisector of 0 and p is the Klein chord at distance |p| from 0,
-        normal to p, so each Klein side Re(conj(n) k) <= c of D_0 must have
-        c n = g 0 = beta/conj(alpha) for some alphabet element g, within
-        _SIDE_TOL.  D_0 is then the intersection of those bisectors'
-        half-planes, which holds the Dirichlet polygon, a fundamental
-        domain of the same area as D_0; so the two are equal.
-        """
-        if not self.domain_vertices:
-            return False
-        _, a, b, _ = self.alphabet
-        n, c = klein_sides(self.domain_vertices)
-        miss = np.abs((c * n)[:, None] - (b / np.conj(a))[None, :])
-        return bool(np.all(np.min(miss, axis=1, initial=np.inf)
-                           <= _SIDE_TOL))
+        """Whether D_0 is the Dirichlet polygon about 0, its sides paired by
+        the alphabet (_side_pairing): enumerate_ball's margin-0 premise."""
+        return _side_pairing(self.alphabet) is not None
 
     def _generator_displacements(self, x):
         a, b = self._generator_pairs()
@@ -189,20 +178,69 @@ class FuchsianGroup:
         return float(np.max(self._generator_displacements(x), initial=0.0))
 
     def reduce_points(self, zs):
-        """Orbit representatives of zs: apply the letter that lowers
-        rho(0, z) most until none does, i.e. into D_0 when D_0 is the
-        Dirichlet polygon of 0 and the alphabet pairs its sides.  Points
-        off the disc are rejected, not carried into it."""
-        _, a, b, _ = self.alphabet
-        z = check_disc_point(np.array(zs, dtype=complex))
-        while len(a):
-            img = mobius(a[:, None], b[:, None], z)
-            w = img[np.argmin(np.abs(img), axis=0), np.arange(len(z))]
-            move = np.abs(w) < np.abs(z)
-            if not move.any():
-                break
-            z[move] = w[move]
-        return z
+        """Orbit representatives of zs, moved by _descend: into D_0 when
+        dirichlet_at_0.  Points off the disc are rejected, not carried."""
+        z = check_disc_point(np.array(zs, dtype=complex))[:, None]
+        return _descend(*self.alphabet[1:3], z)[:, 0]
+
+
+def _descend(a, b, z):
+    """The rows of z, each moved by the letter (a, b) that takes its first
+    point nearest 0, until no letter takes it nearer."""
+    while len(a):
+        img = mobius(a[:, None, None], b[:, None, None], z)
+        img = img[np.argmin(np.abs(img[..., 0]), axis=0), np.arange(len(z))]
+        move = np.abs(img[:, 0]) < np.abs(z[:, 0])
+        if not move.any():
+            break
+        z[move] = img[move]
+    return z
+
+
+def _side_pairing(alphabet):
+    """(vertices, interior angles) of the polygon P that the bisectors of 0
+    and s 0 cut over the letters s (geometry.dirichlet_polygon), or None
+    unless Poincare's polygon theorem (Beardon 1983, 9.8) makes P the
+    Dirichlet polygon about 0.  The checks: 1. P is bounded and no letter
+    fixes 0; 2. each side's Klein chord Re(conj(n) k) <= c has c n = s 0
+    for a letter s; 3. s^-1 maps side s onto side s^-1, end to start (2
+    and 3 within _SIDE_TOL); 4. each vertex cycle's angles sum to 2 pi/k,
+    k >= 1 an integer, within _ANGLE_TOL; 5. each letter that pairs no
+    side is a word in the pairings: _descend brings its images of 0 and of
+    a vertex back within DEDUP_TOL.  By 3 and 4, P is a fundamental domain
+    of the group the pairings generate, by 5 that is the whole group, and
+    the Dirichlet polygon lies in P with its area, so the two are equal."""
+    _, a, b, inv = alphabet
+    p = b / np.conj(a)                       # s 0 per letter
+    if np.any(np.abs(p) <= _SIDE_TOL) or (v := dirichlet_polygon(p)) is None:
+        return None
+    n, c = klein_sides(v)
+    miss = np.abs((c * n)[:, None] - p)
+    side = np.argmin(miss, axis=1)           # the letter of each side
+    partner = np.argmax(side == inv[side][:, None], axis=1)  # side of s^-1
+    if (len(set(side)) < len(v) or np.any(side[partner] != inv[side])
+            or np.max(np.min(miss, axis=1)) > _SIDE_TOL):
+        return None
+    u, w = np.roll(v, 1), np.roll(v, -1)     # each side runs v -> w
+    if np.max(np.abs(mobius(np.conj(a[side]), -b[side], np.stack([v, w]))
+                     - np.stack([w[partner], v[partner]]))) > _SIDE_TOL:
+        return None
+    # the angle at v from the geodesic to w round to the geodesic to u
+    angle = np.angle((u - v) / (1.0 - np.conj(v) * u)
+                     * (1.0 - np.conj(v) * w) / (w - v))
+    # s^-1 takes the start of side s to the start of the side after s^-1
+    step, turn = ((partner + 1) % len(v)).tolist(), angle.tolist()
+    for i in range(len(v)):
+        total, j = turn[i], step[i]
+        while j != i:
+            total, j = total + turn[j], step[j]
+        if abs(round(2.0 * np.pi / total) * total - 2.0 * np.pi) \
+                > _ANGLE_TOL:
+            return None
+    q = np.array([0.0, v[0]])
+    idle = np.delete(np.arange(len(p)), side)
+    z = _descend(a[side], b[side], mobius(a[idle, None], b[idle, None], q))
+    return None if np.any(np.abs(z - q) > DEDUP_TOL) else (v, angle)
 
 
 @dataclass
@@ -649,10 +687,7 @@ def preset_genus2_octagon():
     for k in range(8):
         phase = np.exp(1j * k * np.pi / 4.0)
         gens.append(GroupElement(ch + 0.0j, sh * phase, (k + 1,)))
-    # D_0: vertex distance c, cosh c = (1+sqrt 2)^2, so tanh(c/2) = 2^-1/4
-    verts = 2.0 ** -0.25 * np.exp(1j * (2 * np.arange(8) + 1) * np.pi / 8)
-    return FuchsianGroup(gens, [_OCTAGON_RELATOR], name="genus2-octagon",
-                         domain_vertices=tuple(verts))
+    return FuchsianGroup(gens, [_OCTAGON_RELATOR], name="genus2-octagon")
 
 
 # Length-8 relator of the octagon side pairing, in commutator form; found by

@@ -54,7 +54,7 @@ def density(group, x, r, spacing=0.02):
     """
     if r <= 0:
         raise ValueError("r must be positive")
-    x = complex(x)
+    x = complex(check_disc_point(x))
     if group.is_trivial:
         return DensityReport(1.0 / r ** 2, 1, x, r, 1)
     nodes = dirichlet_domain(group, spacing=spacing).nodes

@@ -1,8 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
-from discforms.group import (FuchsianGroup, _product, _psu_gap,
+from discforms.group import (FuchsianGroup, GroupElement, _product, _psu_gap,
                              preset_genus2_octagon)
+
+# The preset's D_0 in closed form, the regular octagon: vertex distance c
+# with cosh c = (1 + sqrt 2)^2, so tanh(c/2) = 2^-1/4, at angles
+# (2k + 1) pi/8.  The polygon the library derives must equal it.
+OCTAGON_D0 = 2.0 ** -0.25 * np.exp(1j * (2 * np.arange(8) + 1) * np.pi / 8)
 
 
 @pytest.fixture(scope="session")
@@ -58,6 +65,26 @@ def config_text(group):
     for w in group.relators:
         lines.append("relator = " + " ".join(str(l) for l in w))
     return "\n".join(lines) + "\n"
+
+
+def regular_4g_gon(genus):
+    """The genus-g surface group of the regular 4g-gon, opposite sides
+    paired: with N = 4g, generator k is (cot(pi/N), sqrt(cot^2(pi/N) - 1)
+    e^(2 pi i k/N)), and generator k + 2g is the inverse of generator k.
+    At genus 2 these are the preset's generators."""
+    n = 4 * genus
+    ct = 1.0 / math.tan(math.pi / n)
+    gens = [GroupElement(complex(ct), math.sqrt(ct * ct - 1.0)
+                         * complex(math.cos(2 * math.pi * k / n),
+                                   math.sin(2 * math.pi * k / n)), (k + 1,))
+            for k in range(n)]
+    return FuchsianGroup(gens, name=f"genus{genus}-{n}-gon")
+
+
+def write_4g_gon(path, genus):
+    """The regular 4g-gon group written to path as a config file."""
+    path.write_text(config_text(regular_4g_gon(genus)))
+    return path
 
 
 def bergman_kernel_diag(z):

@@ -524,17 +524,27 @@ def test_points_are_checked_where_they_enter():
     # check_disc_point runs once on the caller's points, in the public
     # function that takes them; nothing the library computes from checked
     # points is checked again, so no geometry primitive calls it and no
-    # private function does, but for the two whose points can leave the
-    # disc: a stencil point past the guard, and a polygon corner that a
-    # group which is not cocompact leaves outside it
+    # private function does, but for the one whose points can leave the
+    # disc: a stencil point past the guard.  A polygon that a group which
+    # is not cocompact leaves unbounded is reported by
+    # geometry.dirichlet_polygon, not checked as points
     callers = _callers("check_disc_point")
     assert [c for c in callers if c.startswith("geometry.")] == []
     assert [c for c in callers if c.split(".")[1].startswith("_")] \
-        == ["domain._dirichlet_domain", "seshadri._stencil_psi"]
+        == ["seshadri._stencil_psi"]
     # not vacuous: the entry points are seen
     assert {"group.enumerate_ball", "group.orbit_pairs", "group.reduce_points",
             "embedding.eval_sections", "series.poincare_values",
-            "kernels.relative_poincare"} <= set(callers)
+            "kernels.relative_poincare", "seshadri.density"} <= set(callers)
+
+
+def test_polygon_cut_has_one_owner():
+    # the Sutherland-Hodgman clip is geometry's: dirichlet_polygon calls it,
+    # for the ball cut of dirichlet_domain and the alphabet cut of the D_0
+    # certificate alike; the second list shows that the scan sees calls
+    assert _callers("_clip_polygon") == ["geometry.dirichlet_polygon"]
+    assert _callers("dirichlet_polygon") == ["domain._dirichlet_domain",
+                                             "group._side_pairing"]
 
 
 def _slack_literals(tree):

@@ -17,6 +17,8 @@ from hypothesis import given, strategies as st
 from discforms import cli, domain
 from discforms.series import SeedFunction
 
+from conftest import write_4g_gon
+
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
@@ -435,6 +437,55 @@ def test_every_subcommand_reports(tmp_path, command):
     assert code in (0, 2)
     assert data["command"] == command
     assert data["report"] is not None
+
+
+def test_genus_3_file_runs_every_group_command(tmp_path):
+    # the regular 12-gon file, certified like the preset: every subcommand
+    # that loads a group passes its check at the cheap settings
+    cfg = write_4g_gon(tmp_path / "genus3.cfg", 3)
+    flags = cli.build_parser().flags
+    commands = [c for c in sorted(CHEAP) if "group" in flags[c]]
+    assert len(commands) == 13
+    for command in commands:
+        code, data = run(tmp_path, command, *CHEAP[command], "--group",
+                         str(cfg))
+        assert code == 0, command
+        assert data["config"]["group"] == str(cfg)
+
+
+# Group files that are not cocompact: a rotation of order 4, and one
+# hyperbolic generator
+NOT_COCOMPACT = {
+    "rot4": "generator.0 = 0.7071067811865476 0.7071067811865476 0.0 0.0\n",
+    "one-translation": "generator.0 = 1.5 0 1.118033988749895 0\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_COCOMPACT))
+@pytest.mark.parametrize("command", ["fundamental-domain", "density",
+                                     "roundtrip", "lemma22-check",
+                                     "separation-scan"])
+def test_group_that_is_not_cocompact_exits_1(tmp_path, capsys, name,
+                                             command):
+    # the message names the unbounded polygon, not a corner of the Klein
+    # clipping square that no bisector cut
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(NOT_COCOMPACT[name])
+    code, data = run(tmp_path, command, *CHEAP[command], "--group", str(cfg))
+    assert code == 1 and data is None
+    assert capsys.readouterr().err == (
+        "error: the Dirichlet polygon about 0 is unbounded, so the group is "
+        "not cocompact\n")
+
+
+@pytest.mark.parametrize("group", ["trivial", "genus2-octagon"])
+def test_density_checks_x_on_entry(tmp_path, capsys, group):
+    # x is checked before the trivial group's early return, as on the preset
+    code, data = run(tmp_path, "density", "--group", group, "--r", "1",
+                     "--x", "1.2")
+    assert code == 1 and data is None
+    assert capsys.readouterr().err == (
+        "error: point (1.2+0j) is not inside |z| < 0.999999999999\n")
 
 
 # Every checked command: the library call it checks, a spoiler that turns

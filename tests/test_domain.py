@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,9 +13,9 @@ from discforms.domain import _clipped_grid, dirichlet_domain, disc_domain
 from discforms.geometry import (
     distance, in_convex_polygon, klein_to_poincare, poincare_to_klein,
 )
-from discforms.group import enumerate_ball, preset_genus2_octagon
+from discforms.group import enumerate_ball
 
-from conftest import random_disc_points
+from conftest import OCTAGON_D0, random_disc_points
 
 # regular octagon vertex distance: arccosh(cot^2(pi/8))
 VERTEX_DIST = math.acosh(1.0 / math.tan(math.pi / 8) ** 2)
@@ -54,10 +55,10 @@ def test_bisector_is_a_klein_chord(r, theta, s):
     assert abs(to_0 - to_p) <= 1e-12 * to_0
 
 
-def test_cut_polygon_is_the_closed_form_octagon(octagon, domain):
+def test_cut_polygon_is_the_closed_form_octagon(domain):
     # the preset's D_0, vertices at 2^(-1/4) e^(i(2k+1)pi/8), up to where
     # the list starts
-    verts = np.array(octagon.domain_vertices)
+    verts = OCTAGON_D0
     start = int(np.argmin(np.abs(domain.vertices - verts[0])))
     assert np.max(np.abs(np.roll(domain.vertices, -start) - verts)) < 1e-14
 
@@ -68,10 +69,10 @@ def test_contains_center_and_boundary(domain):
     assert not domain.contains(1.2 + 0j)     # outside the disc entirely
 
 
-def test_polygon_slack_is_a_klein_width(octagon):
+def test_polygon_slack_is_a_klein_width():
     # points s/2 outside each side's midpoint, along the Klein normal (the
     # radius, by symmetry), and s/2 inside it
-    verts = np.array(octagon.domain_vertices)
+    verts = OCTAGON_D0
     k = poincare_to_klein(verts)
     s = 1e-3
     for mid in 0.5 * (k + np.roll(k, -1)):
@@ -83,9 +84,9 @@ def test_polygon_slack_is_a_klein_width(octagon):
         assert not in_convex_polygon(verts, inner, -s)
 
 
-def test_polygon_ignores_a_repeated_vertex(octagon, rng):
+def test_polygon_ignores_a_repeated_vertex(rng):
     # clipping through a vertex repeats it; the empty side bounds nothing
-    verts = np.array(octagon.domain_vertices)
+    verts = OCTAGON_D0
     zs = random_disc_points(rng, 500, r_max=0.95)
     assert np.array_equal(in_convex_polygon(np.insert(verts, 3, verts[3]),
                                             zs, 0.0),
@@ -97,6 +98,41 @@ def test_quadrature_mass_matches_area(domain):
     mass = float(domain.weights.sum())
     assert np.all(domain.weights > 0)
     assert abs(mass - area) / area < 1e-3
+
+
+def _arc_area_60(vertices):
+    """Green's-theorem area of a geodesic polygon at 60 digits, each side an
+    arc of the circle |z|^2 - 2 Re(conj(c) z) + 1 = 0 through its ends:
+    1/2 Int Im(conj(z) dz) is (|c|^2 - 1) dphi + Im(conj(c) (b - a)) over
+    two, dphi the arc's turn about c."""
+    with mpmath.workdps(60):
+        vs = [mpmath.mpc(complex(v)) for v in vertices]
+        area = mpmath.mpf(0)
+        for a, b in zip(vs, vs[1:] + vs[:1]):
+            det = (mpmath.conj(a) * b).imag
+            wa, wb = (1 + abs(a) ** 2) / 2, (1 + abs(b) ** 2) / 2
+            c = mpmath.mpc((wa * b.imag - wb * a.imag) / det,
+                           (wb * a.real - wa * b.real) / det)
+            area += ((abs(c) ** 2 - 1) * mpmath.arg((b - c) / (a - c))
+                     + (mpmath.conj(c) * (b - a)).imag) / 2
+        return area
+
+
+@pytest.mark.parametrize("which", ["octagon", "1024-gon"])
+def test_area_against_60_digits(domain, which):
+    # the closed-form area is off the 60-digit area of the same vertices by
+    # under one unit of 2^-52 relative: 0.405 on the octagon (whose area
+    # keeps its bits) and 0.260 on the 1,024-gon, where the per-side
+    # Green's-theorem sum in double precision was off by 51,015 units
+    # (1.1e-11 relative)
+    dom = domain if which == "octagon" else disc_domain(0.05)
+    exact = _arc_area_60(dom.vertices)
+    with mpmath.workdps(60):
+        ratio = float(abs(mpmath.mpf(dom.euclidean_area) - exact) / exact
+                      / mpmath.mpf(2) ** -52)
+    assert ratio < 1.0
+    if which == "octagon":
+        assert dom.euclidean_area == 1.5271368401776182
 
 
 def test_tiling(octagon, domain, rng):
@@ -173,7 +209,7 @@ def _reference_grid(verts, h):
                             frac[keep] * h * h]))
 
 
-_D0 = np.array(preset_genus2_octagon().domain_vertices)
+_D0 = OCTAGON_D0
 # a small triangle about 0, where the Klein map stretches by nearly 2: the
 # octagon and the 1,024-gon stretch less, and pass with half the band too
 _SMALL = 0.1 * np.exp(1j * (2 * np.pi * np.arange(3) / 3 + 0.1))

@@ -1,5 +1,6 @@
 """Fuchsian group arithmetic, enumeration and the genus-2 preset."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -17,7 +18,7 @@ from discforms.group import (
     DEDUP_MAX_RADIUS, DEDUP_TOL, FuchsianGroup, GroupElement, OrbitBall,
     _OCTAGON_RELATOR,
     _accept, _bfs_ball, _dedup_keys, _probe_points, _product, _psu_gap,
-    _SeenKeys, enumerate_ball,
+    _SeenKeys, _side_pairing, enumerate_ball,
     from_config_text, load_group, orbit_counts, preset_genus2_octagon,
 )
 from discforms.kernels import roundtrip_check
@@ -26,8 +27,9 @@ from discforms.seshadri import (
     injectivity_radius, quasi_psh_check, seshadri_lower_bound,
 )
 
-from conftest import (config_text, gap_to_identity, random_disc_points,
-                      word_product)
+from conftest import (OCTAGON_D0, config_text, gap_to_identity,
+                      random_disc_points, regular_4g_gon, word_product,
+                      write_4g_gon)
 
 D0 = 2.0 * math.acosh(1.0 + math.sqrt(2.0))   # preset generator displacement
 # c(0): distance from 0 to the vertices of the preset's polygon D_0, the
@@ -150,9 +152,9 @@ def test_ball_huber_count(nested_balls):
         assert abs(n - (math.cosh(r) - 1.0) / 2.0) <= math.exp(2.0 * r / 3.0)
 
 
-def _vertex_reach(g, x):
-    """c(x): the largest distance from x to a vertex of the polygon D_0."""
-    return float(np.max(distance(x, np.array(g.domain_vertices))))
+def _vertex_reach(x):
+    """c(x): the largest distance from x to a vertex of the octagon D_0."""
+    return float(np.max(distance(x, OCTAGON_D0)))
 
 
 def _same_elements(ball, ref):
@@ -175,14 +177,17 @@ def _same_elements(ball, ref):
 
 
 def test_preset_polygon_is_dirichlet_domain(octagon):
-    # the walk lemma's premise: the stored D_0 is the polygon whose side
-    # pairings are the generators, i.e. the Dirichlet domain of 0
-    verts = np.array(octagon.domain_vertices)
+    # the walk lemma's premise: the polygon the certificate derives from the
+    # generators is the regular octagon in closed form, and the ball cut of
+    # dirichlet_domain, to 1e-14, with eight angles of pi/4 in one cycle
+    verts, angles = _side_pairing(octagon.alphabet)
     dom = dirichlet_domain(octagon, spacing=0.05)
-    assert len(dom.vertices) == len(verts) == 8
-    assert np.max(np.min(np.abs(verts[:, None] - dom.vertices[None, :]),
-                         axis=1)) < 1e-9
-    assert _vertex_reach(octagon, 0.0j) == pytest.approx(C_WALK, abs=1e-12)
+    assert len(verts) == len(dom.vertices) == 8
+    assert np.max(np.abs(verts - dom.vertices)) <= 1e-14
+    start = int(np.argmin(np.abs(verts - OCTAGON_D0[0])))
+    assert np.max(np.abs(np.roll(verts, -start) - OCTAGON_D0)) <= 1e-14
+    assert np.max(np.abs(angles - math.pi / 4)) <= 1e-14
+    assert _vertex_reach(0.0j) == pytest.approx(C_WALK, abs=1e-12)
 
 
 @pytest.mark.parametrize("x", WALK_POINTS)
@@ -199,7 +204,7 @@ def test_ball_complete_against_wider_margin(x):
         g = preset_genus2_octagon()
         ball = enumerate_ball(g, x, radius)
         wide = _bfs_ball(preset_genus2_octagon(), x, radius,
-                         _vertex_reach(g, x) + extra)
+                         _vertex_reach(x) + extra)
         assert _same_elements(ball, wide)
 
 
@@ -209,8 +214,7 @@ def test_ball_outside_d0_against_wider_margin(x):
     # at x with a margin one past the largest generator displacement at x
     # finds the same elements, and the words spell them (to 1e-10 of
     # |alpha| ~ e^(rho(0, gamma 0)/2), here up to 500)
-    assert not in_convex_polygon(preset_genus2_octagon().domain_vertices, x,
-                                 0.0)
+    assert not in_convex_polygon(OCTAGON_D0, x, 0.0)
     for radius in (6.0, 8.0):
         ball = enumerate_ball(preset_genus2_octagon(), x, radius)
         g = preset_genus2_octagon()
@@ -244,7 +248,7 @@ def test_ball_cold_pool_counts(monkeypatch):
     assert builds == [0.0j]
     for x, _ in pool:
         wide = _bfs_ball(preset_genus2_octagon(), x, 6.0,
-                         _vertex_reach(g, x) + 1.0)
+                         _vertex_reach(x) + 1.0)
         assert _same_elements(enumerate_ball(g, x, 6.0), wide)
 
 
@@ -430,27 +434,139 @@ def test_ball_at_0_measures_few_children(monkeypatch, radius, kept):
     assert sum(measured) <= 1.25 * kept
 
 
+def _conjugate(alphas, betas, t=0.2):
+    """h g h^-1 for each pair g = (alpha, beta), h(z) = (z + t)/(1 + t z),
+    through the BFS's own product."""
+    ha = np.full(len(alphas), 1.0 / math.sqrt(1.0 - t * t) + 0j)
+    a, b = _product(ha, t * ha, np.asarray(alphas), np.asarray(betas))
+    return _product(a, b, ha, -t * ha)
+
+
+def _conjugated_octagon():
+    """The preset conjugated by h(z) = (z + 0.2)/(1 + 0.2 z): its
+    generators' bisectors of 0 leave the polygon they cut unbounded."""
+    gens = preset_genus2_octagon().generators
+    a, b = _conjugate([g.alpha for g in gens], [g.beta for g in gens])
+    return FuchsianGroup([GroupElement(complex(x), complex(y), g.word)
+                          for x, y, g in zip(a, b, gens)], [_OCTAGON_RELATOR])
+
+
 def test_margin_0_needs_the_dirichlet_polygon(octagon):
-    # the precondition is checked, not assumed: it holds on the octagon
-    # only, and a D_0 rotated by 0.01 is no Dirichlet polygon, so its ball
-    # at 0 takes the empirical margin, the largest generator displacement
+    # the precondition is checked, not assumed: it holds on the octagon and
+    # its file copy, and the conjugated octagon, whose generators pair no
+    # polygon about 0, takes the empirical margin, the largest generator
+    # displacement at 0
     assert octagon.dirichlet_at_0
+    assert from_config_text(config_text(octagon)).dirichlet_at_0
     assert not load_group("trivial").dirichlet_at_0
-    assert not from_config_text(config_text(octagon)).dirichlet_at_0
-    rotated = FuchsianGroup(
-        octagon.generators, octagon.relators,
-        domain_vertices=tuple(np.array(octagon.domain_vertices)
-                              * np.exp(0.01j)))
-    assert not rotated.dirichlet_at_0
-    ball = enumerate_ball(rotated, 0.0j, 8.0)
+    moved = _conjugated_octagon()
+    assert not moved.dirichlet_at_0
+    ball = enumerate_ball(moved, 0.0j, 8.0)
     assert len(ball.parents) > len(ball)
-    margin = rotated.max_generator_displacement(0.0j)
-    assert margin == pytest.approx(D0, abs=1e-12)
-    same = _bfs_ball(preset_genus2_octagon(), 0.0j, 8.0, margin)
+    margin = moved.max_generator_displacement(0.0j)
+    assert margin > D0
+    same = _bfs_ball(_conjugated_octagon(), 0.0j, 8.0, margin)
     for a, b in [(ball.alphas, same.alphas), (ball.betas, same.betas),
                  (ball.parents, same.parents)]:
         assert np.array_equal(a, b)
-    wide = _bfs_ball(preset_genus2_octagon(), 0.0j, 8.0, C_WALK + 3.0)
+    # and complete: the octagon's certified ball at h^-1(0) = -0.2,
+    # conjugated, holds the same elements
+    at = enumerate_ball(octagon, -0.2 + 0j, 8.0)
+    alphas, betas = _conjugate(at.alphas, at.betas)
+    assert _same_elements(ball, dataclasses.replace(at, base=0.0j, alphas=alphas,
+                                                    betas=betas))
+
+
+# rotation by pi/2 about 0: a finite group of order 4 in PSU(1,1)
+ROT4 = "generator.0 = 0.7071067811865476 0.7071067811865476 0.0 0.0\n"
+
+
+def _genus(verts, angles):
+    """Gauss-Bonnet: a D_0 of n sides has area (n - 2) pi - sum of angles
+    = 4 pi (g - 1)."""
+    return 1.0 + ((len(verts) - 2) * math.pi - np.sum(angles)) / (4 * math.pi)
+
+
+def test_certificate_holds_on_side_pairings(octagon, tmp_path):
+    # the preset, its file copy, four generators and their inverses, a
+    # redundant eleventh letter g1 g2 and the regular 4g-gon files: each
+    # alphabet pairs the sides of the polygon its bisectors cut, and Gauss-
+    # Bonnet on the certified angles gives the genus
+    gens = octagon.generators
+    g1g2 = _product(*(np.array([v]) for v in (gens[0].alpha, gens[0].beta,
+                                               gens[1].alpha, gens[1].beta)))
+    groups = [(octagon, 2), (from_config_text(config_text(octagon)), 2),
+              (FuchsianGroup(gens[:4]), 2),
+              (FuchsianGroup(gens + [GroupElement(g1g2[0][0], g1g2[1][0])]),
+               2)]
+    groups += [(load_group(str(write_4g_gon(tmp_path / f"{g}.cfg", g))), g)
+               for g in (2, 3, 4)]
+    for g, genus in groups:
+        assert g.dirichlet_at_0, g.name
+        verts, angles = _side_pairing(g.alphabet)
+        assert len(verts) == 4 * genus
+        assert _genus(verts, angles) == pytest.approx(genus, abs=1e-12)
+
+
+def test_certificate_rejects_what_pairs_no_sides(octagon, monkeypatch):
+    gens = octagon.generators
+    far = GroupElement(complex(math.cosh(3.5)), complex(math.sinh(3.5)))
+    moved = GroupElement(gens[0].alpha, gens[0].beta + 1e-6)
+    cases = {
+        "conjugated": _conjugated_octagon(),
+        "minus a pair": FuchsianGroup([g for k, g in enumerate(gens)
+                                       if k % 4 != 1]),
+        "moved by 1e-6": FuchsianGroup([moved] + gens[1:]),
+        "far translation": FuchsianGroup(gens + [far]),   # not in the group
+        "rot4": from_config_text(ROT4),
+        "trivial": load_group("trivial"),
+    }
+    for name, g in cases.items():
+        assert not g.dirichlet_at_0, name
+    # the far translation and the moved generator leave the octagon cut and
+    # paired (checks 1 to 4): only the reduction of the idle letters to the
+    # identity sees that they are not words in the pairings
+    for name in ("moved by 1e-6", "far translation"):
+        alphabet = cases[name].alphabet
+        assert _side_pairing(alphabet) is None
+        monkeypatch.setattr(group_module, "DEDUP_TOL", 1.0)
+        verts, _ = _side_pairing(alphabet)
+        monkeypatch.undo()
+        assert np.max(np.abs(verts - _side_pairing(octagon.alphabet)[0])) \
+            <= 1e-14
+
+
+def test_file_copy_builds_the_presets_ball(octagon):
+    # the certificate, not the preset's name, gives margin 0: the file copy
+    # builds the R = 10 ball at 0 bit for bit and word for word
+    ball = enumerate_ball(preset_genus2_octagon(), 0.0j, 10.0)
+    copy = enumerate_ball(from_config_text(config_text(octagon)), 0.0j, 10.0)
+    assert len(copy) == len(copy.parents) == 5433
+    for field in ("alphas", "betas", "displacements", "nodes", "parents",
+                  "letters"):
+        assert np.array_equal(getattr(ball, field), getattr(copy, field))
+    assert ball.words == copy.words
+
+
+def test_genus_3_group(tmp_path):
+    # the regular 12-gon file: certified, with its genus from Gauss-Bonnet,
+    # rho_0 = arccosh(cot(pi/12)) in closed form, the R = 8 count against
+    # Huber's leading term (cosh R - 1)/(2 (g - 1)), and the margin-0 ball
+    # against a BFS whose margin passes the vertex reach c(0)
+    g = load_group(str(write_4g_gon(tmp_path / "genus3.cfg", 3)))
+    verts, angles = _side_pairing(g.alphabet)
+    genus = round(_genus(verts, angles))
+    assert genus == 3 and len(verts) == 12
+    assert injectivity_radius(g, 0.0j) == pytest.approx(
+        math.acosh(1.0 / math.tan(math.pi / 12)), rel=1e-12)
+    r = 8.0
+    ball = enumerate_ball(g, 0.0j, r)
+    assert len(ball) == len(ball.parents) == 349   # margin 0: tree = ball
+    assert abs(len(ball) - (math.cosh(r) - 1.0) / (2 * (genus - 1))) \
+        <= math.exp(2.0 * r / 3.0)
+    ball = enumerate_ball(g, 0.0j, 6.0)
+    reach = float(np.max(distance(0.0j, verts)))
+    wide = _bfs_ball(regular_4g_gon(3), 0.0j, 6.0, reach + 1.0)
     assert _same_elements(ball, wide)
 
 
@@ -512,7 +628,7 @@ def test_ball_cache_keys_the_exact_base_point(order):
 
 
 def test_group_equality_ignores_its_caches():
-    # == compares generators, relators, name and D_0; the kept ball and the
+    # == compares generators, relators and name; the kept ball and the
     # domains are caches, so two presets stay equal once each holds them
     g1, g2 = preset_genus2_octagon(), preset_genus2_octagon()
     for g in (g1, g2):
@@ -520,7 +636,7 @@ def test_group_equality_ignores_its_caches():
         dirichlet_domain(g, spacing=0.05)
     assert g1 == g2 and g1._ball_at_0 is not g2._ball_at_0
     assert g1 != load_group("trivial")
-    assert g1 != from_config_text(config_text(g1))   # no D_0
+    assert g1 == from_config_text(config_text(g1))   # D_0 is derived
 
 
 def test_group_keeps_only_the_ball_at_0():
@@ -923,10 +1039,6 @@ def test_load_presets(trivial):
         assert ball.radius == radius
         assert list(zip(ball.alphas, ball.betas, ball.words,
                         ball.displacements)) == [(1.0, 0.0, (), 0.0)]
-
-
-# rotation by pi/2 about 0: a finite group of order 4 in PSU(1,1)
-ROT4 = "generator.0 = 0.7071067811865476 0.7071067811865476 0.0 0.0\n"
 
 
 @pytest.mark.parametrize("x", [0.0j, 0.2j])
