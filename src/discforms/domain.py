@@ -145,20 +145,33 @@ def check_spacing(spacing):
 def dirichlet_domain(group, spacing):
     """Dirichlet fundamental domain about 0 with a quadrature grid.
 
-    Cuts half-spaces over an orbit ball of radius 2*d0 + 1 (d0 = the
-    smallest generator displacement) and retries twice with a larger ball
-    if the polygon could still be cut by farther orbit points.  The group
-    caches one domain per spacing.
+    The group caches its polygon (dirichlet_vertices) and one grid per
+    spacing.
     """
     check_spacing(spacing)
-    if spacing not in group._domain_cache:
-        group._domain_cache[spacing] = (
-            disc_domain(spacing=spacing) if group.is_trivial
-            else _dirichlet_domain(group, spacing))
-    return group._domain_cache[spacing]
+    cache = group._domain_cache
+    if spacing not in cache:
+        if group.is_trivial:
+            cache[spacing] = disc_domain(spacing=spacing)
+        else:
+            poly = dirichlet_vertices(group)
+            cache[spacing] = FundamentalDomain(
+                poly, *_clipped_grid(poly, spacing), spacing)
+    return cache[spacing]
 
 
-def _dirichlet_domain(group, spacing):
+def dirichlet_vertices(group):
+    """The CCW vertices of the Dirichlet polygon about 0 of a group with
+    generators, cut once per group.
+
+    Cuts half-spaces over an orbit ball of radius 2*d0 + 1 (d0 = the
+    smallest generator displacement) and retries twice with a larger ball
+    if the polygon could still be cut by farther orbit points.
+    """
+    # kept beside the grids, under a key that no spacing can be
+    cache = group._domain_cache
+    if "vertices" in cache:
+        return cache["vertices"]
     reach = 2.0 * group.min_generator_displacement() + 1.0
     for _ in range(3):
         ball = enumerate_ball(group, 0.0j, reach)
@@ -171,8 +184,9 @@ def _dirichlet_domain(group, spacing):
         # cut the polygon; if the ball does not reach that far, retry
         needed = 2.0 * float(np.max(distance(0.0j, poly))) + 1e-9
         if reach >= needed:
-            return FundamentalDomain(poly, *_clipped_grid(poly, spacing),
-                                     spacing)
+            poly.flags.writeable = False
+            cache["vertices"] = poly
+            return poly
         reach = needed + 1.0
     raise InsufficientBall("Dirichlet polygon kept growing past the "
                            "enumerated orbit ball")

@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import dirichlet_domain
+from .domain import dirichlet_vertices
 from .errors import DegenerateBasis
-from .geometry import check_disc_point, den_power, disc_points
+from .geometry import (check_disc_point, den_power, disc_points,
+                       in_convex_polygon)
 from .group import enumerate_ball, orbit_counts
 
 RANK_TOL = 1e-8
@@ -79,13 +80,13 @@ def sample_fundamental_domain(group, n, seed):
     rng = np.random.default_rng(seed)
     if group.is_trivial:
         return disc_points(rng, n, 0.9)
-    domain = dirichlet_domain(group, spacing=0.05)
-    rad = max(abs(v) for v in domain.vertices)
+    poly = dirichlet_vertices(group)
+    rad = max(abs(v) for v in poly)
     out = []
     while len(out) < n:
         cand = (rng.random(4 * n) * 2 - 1) * rad \
             + 1j * (rng.random(4 * n) * 2 - 1) * rad
-        keep = domain.contains(cand * 0.98)
+        keep = in_convex_polygon(poly, cand * 0.98, 0.0)
         out.extend(cand[keep] * 0.98)
     return np.array(out[:n])
 
@@ -106,8 +107,7 @@ def very_ampleness_scan(group, m, n_samples, d=6, radius=8.0, seed=0):
     if np.any(dead):
         raise DegenerateBasis(f"all sections vanish at {pts[np.argmax(dead)]}")
     xs, ys = pts[n:2 * n], pts[2 * n:]
-    keep = np.array([int(orbit_counts(group, x, y, EQUIV_TOL)[0]) == 0
-                     for x, y in zip(xs, ys)], dtype=bool)
+    keep = orbit_counts(group, xs, ys, EQUIV_TOL) == 0
     # rank-2 tests on stacked 2 x (d+1) matrices: (values, derivatives) at
     # each jet point, the two value columns of each kept pair
     jet_s = np.linalg.svd(np.stack([vals[:, :n].T, ders[:, :n].T], axis=1),

@@ -291,7 +291,8 @@ class OrbitBall:
 
         j_gamma(z) = den^-2.  Shape (n,) for a scalar z and (n, len(z)) for
         an array, rows in ball order; written into the pair ``out`` when
-        given.
+        given.  gamma z is formed only when out gives it a slot: with out
+        = (None, den) only den is, and the first of the pair is None.
         """
         z = np.asarray(z, dtype=complex)
         a, b = self.alphas, self.betas
@@ -304,9 +305,10 @@ class OrbitBall:
         # in place, but the steps and operand order of (a z + b)/den
         np.multiply(np.conj(b), z, out=den)
         den += np.conj(a)
-        np.multiply(a, z, out=gz)
-        gz += b
-        gz /= den
+        if gz is not None:
+            np.multiply(a, z, out=gz)
+            gz += b
+            gz /= den
         return gz, den
 
     def point_blocks(self, zs):
@@ -616,21 +618,26 @@ def _bfs_ball(group, x, radius, margin):
 def orbit_pairs(group, x, zs, r):
     """Pairs (iz, p): orbit points p = gamma x with rho(p, zs[iz]) < r.
 
-    rho < r is tested as |(p - z)/(1 - conj(p) z)| < tanh(r/2), with no
-    logarithms.  A pair's element has displacement d = rho(0, gamma 0) with
-    |d - rho(0, z)| <= rho(gamma 0, z) < w = r + rho(0, x) by the triangle
-    inequality, so the group's ball at 0 of radius max rho(0, z) + w covers
-    the query, and each z is tested only against the window of the
-    displacement-sorted ball with d within w (plus rounding slack) of
-    rho(0, z).  Points are taken in order of rho(0, z), in blocks of at
-    most _PAIR_CHUNK pairs (a single point whose window is larger forms its
-    own block).  The pairs come out grouped by point in that order, each
-    point's pairs in ball order.
+    x is one base point, or an array of one per z.  rho < r is tested as
+    |(p - z)/(1 - conj(p) z)| < tanh(r/2), with no logarithms.  A pair's
+    element has displacement d = rho(0, gamma 0) with |d - rho(0, z)| <=
+    rho(gamma 0, z) < w = r + rho(0, x) by the triangle inequality, so the
+    group's ball at 0 of radius max (rho(0, z) + w) covers the query, and
+    each z is tested only against the window of the displacement-sorted
+    ball with d within w (plus rounding slack) of rho(0, z).  Points are
+    taken in order of rho(0, z), in blocks of at most _PAIR_CHUNK pairs (a
+    single point whose window is larger forms its own block).  The pairs
+    come out grouped by point in that order, each point's pairs in ball
+    order.
     """
     zs = check_disc_point(np.atleast_1d(np.asarray(zs, dtype=complex)))
-    w = r + float(distance(0.0j, check_disc_point(x)))
+    x = check_disc_point(x)
+    if np.ndim(x) and np.shape(x) != zs.shape:
+        raise ValueError(f"{np.size(x)} base points for {zs.size} points")
+    w = r + distance(0.0j, x)
     dz = distance(0.0j, zs)
-    ball = enumerate_ball(group, 0.0j, float(np.max(dz)) + w)
+    ball = enumerate_ball(group, 0.0j, float(np.max(dz + w)))
+    # gamma x per element, and per point when x is: (len(ball), len(zs))
     pts = ball.terms(x)[0]
     t_max = np.tanh(r / 2.0)
     # rho(0, z), the displacements and the tested rho(p, z) all stay below
@@ -650,18 +657,20 @@ def orbit_pairs(group, x, zs, r):
         cost = np.arange(1, len(w_lo) + 1) * (w_hi - w_lo)
         n = max(1, int(np.searchsorted(cost, _PAIR_CHUNK, "right")))
         w0, w1 = w_lo[n - 1], w_hi[n - 1]
-        pts_w = pts[w0:w1]
-        z = zs[order[s:s + n], None]
-        t = disc_ratio(pts_w, z)
+        block = order[s:s + n]
+        pts_w = pts[w0:w1, block].T if pts.ndim == 2 else pts[w0:w1]
+        t = disc_ratio(pts_w, zs[block, None])
         rows, cols = np.nonzero(t < t_max)
-        iz.append(order[s + rows])
+        iz.append(block[rows])
         ib.append(w0 + cols)
         s += n
-    return np.concatenate(iz), pts[np.concatenate(ib)]
+    iz, ib = np.concatenate(iz), np.concatenate(ib)
+    return iz, pts[ib, iz] if pts.ndim == 2 else pts[ib]
 
 
 def orbit_counts(group, x, zs, r):
-    """Number of orbit points gamma(x) with rho(gamma x, z) < r, per z."""
+    """Number of orbit points gamma(x) with rho(gamma x, z) < r, per z; x
+    is one base point or one per z (see orbit_pairs)."""
     if r <= 0:
         raise ValueError("r must be positive")
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))

@@ -93,12 +93,26 @@ class SeedFunction:
         Bit for bit the array f(z): the same steps, in place.  A rational
         seed evaluates its denominator in scratch (complex, shaped like z,
         sharing memory with neither z nor out), so no call allocates; a
-        polynomial seed does not read scratch.
+        polynomial seed does not read scratch, and a constant one (see
+        constant) not z either.
         """
+        if self.constant:
+            out[...] = self.coeffs[0]
+            return out
         _horner(self.coeffs, z, out)
         if self.kind == "rational":
             out /= _horner(self.den_coeffs, z, scratch)
         return out
+
+    @cached_property
+    def constant(self):
+        """Whether f is one polynomial coefficient c with no part -0.0, so
+        that f(gamma z) needs no gamma z.  Horner's 0 z + c is c to the bit
+        unless a part of c is -0.0: that part of the sum is +0.0 wherever
+        the same part of 0 z is +0.0."""
+        parts = np.array([self.coeffs.real, self.coeffs.imag])
+        return (self.kind == "poly" and parts.size == 2
+                and not np.any(np.signbit(parts) & (parts == 0)))
 
     @cached_property
     def sup_disc(self):
@@ -196,7 +210,7 @@ def weight_sum(group, x, z, radius):
     """Truncated sum of |j_gamma(z)|^2 over the orbit ball at x."""
     z = check_disc_point(complex(z))
     ball = enumerate_ball(group, x, radius)
-    _, den = ball.terms(z)
+    _, den = ball.terms(z, out=(None, np.empty(len(ball), complex)))
     # |j|^2 = (|den|^2)^-2, a real power
     terms = (den.real ** 2 + den.imag ** 2) ** -2.0
     value = exact_sum(terms)
@@ -211,7 +225,9 @@ def poincare_eval(group, f, m, z, radius, ball=None):
     z = check_disc_point(complex(z))
     if ball is None:
         ball = enumerate_ball(group, 0.0j, radius)
-    gz, den = ball.terms(z)
+    gz, den = np.empty((2, len(ball)), complex)
+    # a constant seed reads no gamma z, so none is formed
+    ball.terms(z, out=(None if f.constant else gz, den))
     jm = den_power(den, 2 * m)
     terms = f(gz) * jm
     value = exact_sum(terms)
@@ -229,7 +245,8 @@ def poincare_values(group, f, m, zs, radius, ball=None):
     # go back to the system and are faulted in again, 1,581 page faults per
     # 64-point call at R = 10, unless earlier work raised glibc's thresholds.
     # den is spent once den_power has run, so f(gamma z) takes its row; only
-    # a rational seed gets a fourth row, for its denominator
+    # a rational seed gets a fourth row, for its denominator.  A constant
+    # seed reads no gamma z, so its row is left unwritten
     n = len(ball)
     rows = 3 if f.kind == "poly" else 4
     work = np.empty((rows, n * max(map(len, blocks))), dtype=complex)
@@ -237,7 +254,7 @@ def poincare_values(group, f, m, zs, radius, ball=None):
     for block in blocks:
         gz, den, jm, *spare = (w[:n * len(block)].reshape(n, -1)
                                for w in work)
-        ball.terms(block, out=(gz, den))
+        ball.terms(block, out=(None if f.constant else gz, den))
         den_power(den, 2 * m, out=jm)
         val = f.eval_into(gz, den, spare[0] if spare else None)
         val *= jm
@@ -367,7 +384,9 @@ def lemma22_check(group, f, m, radius):
     # In blocks of ball rows, each row summed over the nodes as a whole, in
     # one workspace per call: fresh block arrays were faulted in again after
     # every block, 37,832 page faults per call at R = 8 in a fresh process
-    # against 2,821 with the workspace
+    # against 2,821 with the workspace.  A constant seed forms no gamma z,
+    # and its |f| is |c| at every term, taken once by the array np.abs
+    absc = np.abs(f.coeffs) if f.constant else None
     k = min(_BALL_ROWS, len(ball))
     cwork = np.empty((2, k, len(nodes)), dtype=complex)
     work = np.empty((4, k, len(nodes)))
@@ -376,13 +395,17 @@ def lemma22_check(group, f, m, radius):
         block = ball.rows(slice(i, i + k))
         gz, den = (w[:len(block)] for w in cwork)
         absf, absden, t, p = (w[:len(block)] for w in work)
-        block.terms(nodes, out=(gz, den))
+        block.terms(nodes, out=(None if f.constant else gz, den))
         np.abs(den, out=absden)
-        # f(gz) goes into den's buffer, which is no longer needed; t and p
-        # are free until after it, and their two real rows hold the one
-        # complex block a rational seed needs as scratch
-        scratch = work[2:].reshape(-1).view(complex)[:gz.size]
-        np.abs(f.eval_into(gz, den, scratch.reshape(gz.shape)), out=absf)
+        if f.constant:
+            absf = absc
+        else:
+            # f(gz) goes into den's buffer, which is no longer needed; t and
+            # p are free until after it, and their two real rows hold the
+            # one complex block a rational seed needs as scratch
+            scratch = work[2:].reshape(-1).view(complex)[:gz.size]
+            np.abs(f.eval_into(gz, den, scratch.reshape(gz.shape)),
+                   out=absf)
         # in place, but the steps of wts * absf * absden ** (-2 * m) * kfac
         np.multiply(wts, absf, out=t)
         t *= np.power(absden, -2 * m, out=p)

@@ -79,16 +79,24 @@ def density(group, x, r, spacing=0.02):
 def cutoff_a(t):
     """The fixed C^{1,1} cut-off: a(t) = 1 + t - e^t for t < 0, else 0.
 
-    Returns (value, first derivative); both vanish at 0 and a'' = -e^t on
-    the negative axis, so a''/e^t >= -1.
+    Returns (value, first derivative), from cutoff_value and cutoff_slope;
+    both vanish at 0 and a'' = -e^t on the negative axis, so a''/e^t >= -1.
     """
+    return cutoff_value(t), cutoff_slope(t)
+
+
+def cutoff_value(t):
+    """a(t), a float for a scalar t: psi^x's terms, without a'(t)."""
     t = np.asarray(t, dtype=float)
-    neg = t < 0
-    val = np.where(neg, 1.0 + t - np.exp(np.minimum(t, 0.0)), 0.0)
-    der = np.where(neg, -np.expm1(np.minimum(t, 0.0)), 0.0)
-    if val.shape == ():
-        return float(val), float(der)
-    return val, der
+    val = np.where(t < 0, 1.0 + t - np.exp(np.minimum(t, 0.0)), 0.0)
+    return float(val) if val.shape == () else val
+
+
+def cutoff_slope(t):
+    """a'(t) = -expm1(t) for t < 0, else 0; a float for a scalar t."""
+    t = np.asarray(t, dtype=float)
+    der = np.where(t < 0, -np.expm1(np.minimum(t, 0.0)), 0.0)
+    return float(der) if der.shape == () else der
 
 
 # psi is -inf on the orbit of x; points this close count as on it
@@ -115,9 +123,8 @@ def _cutoff_sum(iz, d, r, n):
     """
     with np.errstate(divide="ignore"):
         t = 2.0 * np.log(np.maximum(d, 1e-300) / r)
-    val, _ = cutoff_a(t)
     # bincount returns integers when no pair is found
-    out = np.bincount(iz, weights=val, minlength=n).astype(float)
+    out = np.bincount(iz, weights=cutoff_value(t), minlength=n).astype(float)
     out[iz[d < SINGULAR_TOL]] = -math.inf
     return out
 

@@ -540,10 +540,10 @@ def test_points_are_checked_where_they_enter():
 
 def test_polygon_cut_has_one_owner():
     # the Sutherland-Hodgman clip is geometry's: dirichlet_polygon calls it,
-    # for the ball cut of dirichlet_domain and the alphabet cut of the D_0
+    # for the ball cut of dirichlet_vertices and the alphabet cut of the D_0
     # certificate alike; the second list shows that the scan sees calls
     assert _callers("_clip_polygon") == ["geometry.dirichlet_polygon"]
-    assert _callers("dirichlet_polygon") == ["domain._dirichlet_domain",
+    assert _callers("dirichlet_polygon") == ["domain.dirichlet_vertices",
                                              "group._side_pairing"]
 
 
@@ -575,3 +575,60 @@ def test_distance_rounding_slack_has_one_owner():
     snippet = ast.parse("a = 2.0 ** -40 * x\nb = 2 ** -39\nc = 2.0 ** -53\n"
                         "d = 2.0 ** 40\n")
     assert _slack_literals(snippet) == [1, 2]
+
+
+_CONJ_CALLS = {"conj", "conjugate"}
+
+
+def _is_conj(node):
+    return isinstance(node, ast.Call) and _callee(node) in _CONJ_CALLS
+
+
+def _spells_den(fn):
+    """Whether fn, nested functions included, both adds a conj() call and
+    multiplies by one: conj(b) z + conj(a) as one expression, or as a
+    multiply into a buffer followed by += conj(a)."""
+    nodes = list(ast.walk(fn))
+    adds = any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Add)
+               and (_is_conj(n.left) or _is_conj(n.right))
+               or isinstance(n, ast.AugAssign) and isinstance(n.op, ast.Add)
+               and _is_conj(n.value) for n in nodes)
+    muls = any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+               and (_is_conj(n.left) or _is_conj(n.right))
+               or isinstance(n, ast.Call) and _callee(n) == "multiply"
+               and any(map(_is_conj, n.args)) for n in nodes)
+    return adds and muls
+
+
+def test_denominator_has_one_owner_per_form():
+    # den = conj(beta) z + conj(alpha) is spelled by geometry.mobius_den
+    # for single elements and by OrbitBall.terms for a ball; every orbit
+    # sum, the constant seeds' too, takes den from terms
+    found = sorted(f"{path.stem}.{qual}" for path, tree in _trees("src")
+                   for qual, fn in _definitions(tree) if _spells_den(fn))
+    assert found == ["geometry.mobius_den", "group.OrbitBall.terms"]
+    # not vacuous: both spellings are seen, also with conjugate(); the
+    # disc ratio's 1 - conj(z) w and a product through names are not
+    snippet = ast.parse(
+        "def one(a, b, z):\n"
+        "    return np.conj(b) * z + np.conj(a)\n"
+        "def buffered(a, b, z, den):\n"
+        "    np.multiply(np.conj(b), z, out=den)\n"
+        "    den += np.conj(a)\n"
+        "def method(a, b, z):\n"
+        "    return a.conjugate() + z * b.conjugate()\n"
+        "def ratio(z, w):\n"
+        "    return np.abs((z - w) / (1.0 - np.conj(z) * w))\n"
+        "def product(pa, pb, ga, gb):\n"
+        "    gbc = np.conj(gb)\n"
+        "    return pa * ga + pb * gbc\n")
+    assert [q for q, fn in _definitions(snippet) if _spells_den(fn)] \
+        == ["one", "buffered", "method"]
+
+
+def test_cutoff_value_and_slope_have_one_owner_each():
+    # psi^x sums a(t) alone; a'(t) is taken only for cutoff-check's pair
+    assert _callers("cutoff_value") == ["seshadri._cutoff_sum",
+                                        "seshadri.cutoff_a"]
+    assert _callers("cutoff_slope") == ["seshadri.cutoff_a"]
+    assert _callers("cutoff_a") == ["cli.cmd_cutoff_check"]

@@ -5,12 +5,13 @@ import pytest
 
 from discforms import embedding
 from discforms.embedding import (
-    RANK_TOL, eval_sections, sample_fundamental_domain, very_ampleness_scan,
+    EQUIV_TOL, RANK_TOL, eval_sections, sample_fundamental_domain,
+    very_ampleness_scan,
 )
 from discforms.errors import BoundaryPoint
 from discforms.geometry import (den_power, distance, in_convex_polygon,
                                 mobius_den)
-from discforms.group import enumerate_ball
+from discforms.group import enumerate_ball, orbit_counts, orbit_pairs
 
 from conftest import random_disc_points
 
@@ -173,3 +174,27 @@ def test_sampler_stays_in_domain(octagon):
     pts = sample_fundamental_domain(octagon, 50, seed=3)
     dom = dirichlet_domain(octagon, spacing=0.05)
     assert np.all(in_convex_polygon(dom.vertices, pts, 1e-9))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_pair_query_is_the_per_pair_loop(octagon, seed):
+    # the scan tests its pairs in one orbit query with a base point per
+    # pair; each pair's orbit points, so its count and kept/skipped
+    # boolean, are those of a query of its own.  A third of the pairs are
+    # (x, g x), which the scan must skip
+    n = 100
+    pts = sample_fundamental_domain(octagon, 3 * n, seed=seed)
+    xs, ys = pts[n:2 * n], pts[2 * n:]
+    gens = octagon.generators
+    ys[::3] = [gens[k % 8].apply(x) for k, x in enumerate(xs[::3])]
+    for r in (EQUIV_TOL, 1.0):
+        iz, p = orbit_pairs(octagon, xs, ys, r)
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            assert p[iz == i].tobytes() \
+                == orbit_pairs(octagon, x, y, r)[1].tobytes()
+        assert orbit_counts(octagon, xs, ys, r).tolist() \
+            == [int(orbit_counts(octagon, x, y, r)[0]) for x, y in zip(xs, ys)]
+    keep = orbit_counts(octagon, xs, ys, EQUIV_TOL) == 0
+    assert keep.tolist() == [k % 3 != 0 for k in range(n)]
+    with pytest.raises(ValueError, match="99 base points for 100 points"):
+        orbit_pairs(octagon, xs[1:], ys, 1.0)

@@ -422,3 +422,63 @@ def test_quadrature_independent_of_block_size(octagon, monkeypatch,
     monkeypatch.setattr(series, "_POLAR_BLOCK", polar_block)
     monkeypatch.setattr(series, "_BALL_ROWS", ball_rows)
     assert _quadratures(octagon, radii) == want
+
+
+# Constant seeds, and constants with a part -0.0, which stay on Horner
+_CONSTANTS = [1.0, -3.0, 2.5 - 1j, 0.0, 1e-300]
+_SIGNED_ZEROS = [complex(-0.0, 0.0), complex(2.0, -0.0),
+                 complex(-0.0, -0.0)]
+
+
+@pytest.mark.parametrize("c, constant",
+                         [(c, True) for c in _CONSTANTS]
+                         + [(c, False) for c in _SIGNED_ZEROS],
+                         ids=repr)
+@pytest.mark.parametrize("which", ["octagon", "trivial"])
+def test_constant_seed_sums_den_powers_with_horners_bits(
+        request, monkeypatch, which, c, constant):
+    # a constant seed writes c where Horner wrote 0 gamma z + c and forms
+    # no gamma z; every report of the series keeps Horner's bits
+    group = request.getfixturevalue(which)
+    zs = random_disc_points(np.random.default_rng(17), 24, 0.6)
+
+    def reports():
+        f = SeedFunction.poly([c])
+        vals = [series.poincare_values(group, f, m, zs, r)
+                for m, r in ((2, 6.0), (4, 8.0), (3, 10.0))]
+        sv = poincare_eval(group, f, 5, zs[0], 8.0)
+        rep = lemma22_check(group, f, 4, 4.0)
+        return f.constant, [
+            *vals, np.array([sv.value, sv.tail_estimate]),
+            np.array([rep.lhs, rep.rhs, rep.rhs_quadrature_error]),
+            np.array([v for _, v in rep.partial_lhs]),
+            np.array(norm_pl(f, 1, 1.0)), np.array(norm_pl(f, 2, 0.0))]
+    is_constant, got = reports()
+    monkeypatch.setattr(SeedFunction, "constant", False)
+    _, want = reports()
+    assert is_constant == constant
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def test_horner_turns_a_negative_zero_part_positive():
+    # why a part -0.0 keeps a seed on Horner: 0 z + (-0.0) is +0.0 where
+    # 0 z is, so Horner's f(z) is not the constant c bit for bit
+    for c in _SIGNED_ZEROS:
+        f = SeedFunction.poly([c])
+        assert not f.constant
+        got = f(np.array([0.5 + 0.5j]))
+        assert got.tobytes() != np.array([c]).tobytes()
+
+
+def test_den_alone_has_the_bits_of_the_pair(octagon):
+    # terms forms gamma z only when out gives it a slot; den keeps its bits
+    ball = enumerate_ball(octagon, 0.0j, 8.0)
+    zs = random_disc_points(np.random.default_rng(19), 9, 0.7)
+    for z in (zs, zs[0]):
+        gz, den = ball.terms(z)
+        slot = np.empty_like(den)
+        got = ball.terms(z, out=(None, slot))
+        assert got[0] is None and got[1] is slot
+        assert slot.tobytes() == den.tobytes()
+    sv = weight_sum(octagon, 0.0j, zs[0], 8.0)
+    assert sv.value == exact_sum((den.real ** 2 + den.imag ** 2) ** -2.0)

@@ -264,15 +264,23 @@ def test_quasi_psh_builds_each_ball_once(monkeypatch, capsys):
 
 
 def test_one_quadrature_grid_per_group_and_spacing(monkeypatch, capsys):
-    grids = []
+    # and one polygon cut per group, which its grids share; the separation
+    # scan's sampler reads the polygon alone and builds no grid
+    grids, cuts = [], []
     real_grid = domain_module._clipped_grid
+    real_cut = domain_module.dirichlet_polygon
     monkeypatch.setattr(domain_module, "_clipped_grid",
                         lambda *a: grids.append(a[1]) or real_grid(*a))
+    monkeypatch.setattr(domain_module, "dirichlet_polygon",
+                        lambda p: cuts.append(len(p)) or real_cut(p))
     seshadri_lower_bound(preset_genus2_octagon(), 0.0j)
-    assert grids == [0.02]
-    grids.clear()
+    assert grids == [0.02] and len(cuts) == 1
+    grids.clear(), cuts.clear()
     assert cli.main(["quasi-psh-check"]) == 0
-    assert sorted(grids) == [0.0125, 0.02]
+    assert sorted(grids) == [0.0125, 0.02] and len(cuts) == 1
+    grids.clear(), cuts.clear()
+    assert cli.main(["separation-scan"]) == 0
+    assert grids == [] and len(cuts) == 1
 
 
 def test_quasi_psh_single_center(trivial):
