@@ -462,7 +462,7 @@ def test_constant_seed_sums_den_powers_with_horners_bits(
 
 def test_horner_turns_a_negative_zero_part_positive():
     # why a part -0.0 keeps a seed on Horner: 0 z + (-0.0) is +0.0 where
-    # 0 z is, so Horner's f(z) is not the constant c bit for bit
+    # that part of 0 z is +0.0, so Horner's f(z) is not c bit for bit
     for c in _SIGNED_ZEROS:
         f = SeedFunction.poly([c])
         assert not f.constant
@@ -475,7 +475,7 @@ def test_den_alone_has_the_bits_of_the_pair(octagon):
     ball = enumerate_ball(octagon, 0.0j, 8.0)
     zs = random_disc_points(np.random.default_rng(19), 9, 0.7)
     for z in (zs, zs[0]):
-        gz, den = ball.terms(z)
+        _, den = ball.terms(z)
         slot = np.empty_like(den)
         got = ball.terms(z, out=(None, slot))
         assert got[0] is None and got[1] is slot
