@@ -42,10 +42,6 @@ class FundamentalDomain:
         for arr in (self.vertices, self.nodes, self.weights):
             arr.flags.writeable = False
 
-    def contains(self, z):
-        """Vectorized membership test; see geometry.in_convex_polygon."""
-        return in_convex_polygon(self.vertices, z, 0.0)
-
     @property
     def euclidean_area(self):
         """Exact Euclidean area of the arc-sided Poincare polygon: the

@@ -1,9 +1,9 @@
 """Poincare series evaluation with tail control, and weighted norms.
 
 All series are truncated to an orbit ball and summed by exact_sum, which
-rounds the exact sum of the real and imaginary parts once.  A correctly
-rounded sum is unique, so a result is independent of the order and any
-partitioning of the terms, and equals math.fsum's to the bit.  Tail
+splits the terms exactly into a few levels and rounds their exact total
+once, real and imaginary parts apart: a correctly rounded sum is unique,
+so it is math.fsum's to the bit, whatever the terms' order.  Tail
 estimates come from geometric extrapolation of the last two displacement
 shells; they are honest empirical control, never claimed rigorous.
 """
@@ -29,6 +29,8 @@ SHELL_WIDTH = 1.0
 
 # Highest degree polynomial_approx tries before TargetNotReached.
 APPROX_DEGREE_CAP = 200
+
+LEVEL_CAP = 24      # most extraction levels before fsum takes the terms
 
 
 def _horner(coeffs, z, y):
@@ -137,53 +139,53 @@ def exact_sum(terms):
 
     Equals math.fsum(terms) for real terms and complex(fsum(terms.real),
     fsum(terms.imag)) for complex ones: a correctly rounded sum is unique,
-    so no bit can differ.  It gets there without fsum's per-term Python
-    loop (see _exact_totals).  Where the exact total is zero fsum still
-    decides the sign, and inputs the binning cannot take go to fsum whole.
+    so no bit can differ.  It avoids fsum's per-term Python loop by error-
+    free vector extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31,
+    2008).  For n terms p, 2^M >= n + 2 and sigma = 2^s >= 2^M max|p_i|,
+    fl(sigma + p_i) lies in [sigma/2, 2 sigma], so q_i = fl(sigma + p_i) -
+    sigma is exact (Sterbenz), a multiple of 2^-53 sigma with |q_i| <=
+    2^-M sigma, and p_i - q_i, the rounding error of the add, is a float of
+    modulus <= 2^-53 sigma.  Any partial sum of the q_i is a multiple of
+    2^-53 sigma below n 2^-M sigma < sigma, so np.sum is exact in any
+    order.  Below 2^-1074 the grid is 2^-1074 and the same holds, so
+    subnormal terms need no case; sigma is a power of two, at most 2^1000.
+    The remainders repeat this with sigma <- 2^(M-53) sigma until they are
+    zero, and fsum rounds the exact total of the level sums once.  Real and
+    imaginary parts share sigma in one (2, n) copy.
+
+    fsum sums the terms themselves where they are empty, non-finite or of
+    modulus >= 2^(1000-M) (it decides inf, NaN or an error), where they
+    need more than LEVEL_CAP levels, and where the exact total is zero (it
+    decides the sign).  Only IEEE add and subtract, exact abs and max and
+    exact sums run, so the bits are the same at every SIMD dispatch level.
     """
     terms = np.ravel(terms)
     width = 2 if np.iscomplexobj(terms) else 1
-    parts = terms.view(np.float64).reshape(-1, width)
-    totals, scale = _exact_totals(parts)
-    out = [math.fsum(parts[:, k]) if not total      # None, or an exact 0
-           else float(total << scale) if scale >= 0
-           else total / (1 << -scale)               # int division rounds once
-           for k, total in enumerate(totals)]
+    parts = terms.view(np.float64).reshape(-1, width).T
+    M = (parts.shape[1] + 1).bit_length()
+    rest = np.array(parts, order="C")               # a copy: levels write it
+    top = float(np.abs(rest).max()) if rest.size else math.nan
+    inputs = [(col,) for col in parts]              # fsum sums the terms
+    if top < 2.0 ** (1000 - M):                     # NaN fails too
+        sums, q = np.empty((LEVEL_CAP, width)), np.empty_like(rest)
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + M)
+        for level in range(LEVEL_CAP):
+            np.add(rest, sigma, out=q)
+            q -= sigma
+            rest -= q
+            q.sum(axis=1, out=sums[level])
+            if not rest.any():  # the level sums, then the terms if they're 0
+                inputs = list(zip(sums[:level + 1].T, parts))
+                break
+            sigma *= 2.0 ** (M - 53)
+    out = []
+    for cols in inputs:
+        for col in cols:
+            total = math.fsum(col)
+            if total:
+                break
+        out.append(total)
     return complex(*out) if width == 2 else out[0]
-
-
-def _exact_totals(parts):
-    """Exact column sums of a float array as ints times 2^scale.
-
-    Each term is M 2^e with M an integer, |M| < 2^53.  With e - min(e) =
-    16 q + r, the integer M 2^r (|.| < 2^68) is cut into two 26-bit limbs
-    and a signed top limb, and np.bincount sums each limb per (column, q).
-    Below 2^26 terms every such sum is an integer under 2^53, so it is
-    exact; the few bins then meet as Python ints.  Gives None per column
-    for empty or overlong input and for non-finite terms or terms near
-    overflow, whose sum fsum decides (inf, NaN or an error).
-    """
-    width = parts.shape[1]
-    # NaN fails the comparison; 2^26 terms below 2^996 stay below 2^1022
-    if not (0 < len(parts) < 2 ** 26 and np.abs(parts).max() < 2.0 ** 996):
-        return [None] * width, 0
-    mant, expo = np.frexp(parts)
-    lo_exp, hi_exp = int(expo.min()), int(expo.max())
-    expo -= lo_exp
-    low = np.ldexp(mant, (expo & 15) + 53)
-    top = np.floor(low * 2.0 ** -52)
-    low -= top * 2.0 ** 52
-    mid = np.floor(low * 2.0 ** -26)
-    low -= mid * 2.0 ** 26
-    nbins = ((hi_exp - lo_exp) >> 4) + 1
-    bins = expo >> 4
-    bins += np.arange(width, dtype=bins.dtype) * nbins   # one row per column
-    bins = bins.ravel()
-    sums = np.stack([np.bincount(bins, limb.ravel(), width * nbins)
-                     for limb in (low, mid, top)], axis=-1)
-    return [sum(((int(c) << 52) + (int(b) << 26) + int(a)) << 16 * q
-                for q, (a, b, c) in enumerate(column) if a or b or c)
-            for column in sums.reshape(width, nbins, 3).tolist()], lo_exp - 53
 
 
 def _shell_tail(displacements, abs_terms, radius):

@@ -13,6 +13,7 @@ import pytest
 from discforms import cli
 from discforms.domain import dirichlet_domain
 from discforms.embedding import very_ampleness_scan
+from discforms.geometry import in_convex_polygon
 from discforms.group import enumerate_ball
 from discforms.kernels import (
     cm_constant, kernel_transformation_check, reproducing_check,
@@ -50,7 +51,7 @@ def test_1_group_soundness(octagon, rng):
     for z in zs:
         orbit = (ball.alphas * z + ball.betas) \
             / (np.conj(ball.betas) * z + np.conj(ball.alphas))
-        assert int(np.sum(domain.contains(orbit))) == 1
+        assert int(np.sum(in_convex_polygon(domain.vertices, orbit, 0.0))) == 1
     dt = time.time() - t0
     assert dt < 10.0
     print(f"\nPASS 1 group soundness: relator residual {residual:.2e}, "

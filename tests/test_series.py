@@ -303,6 +303,113 @@ def test_exact_sum_edge_cases(xs):
     _assert_fsum_bits(x)
 
 
+def _fsum_lengths(monkeypatch):
+    """Record the length of every sequence math.fsum is given from now
+    on: exact_sum's level sums, or the terms where it falls back."""
+    lengths, fsum = [], math.fsum
+
+    def counted(xs):
+        xs = list(xs)
+        lengths.append(len(xs))
+        return fsum(xs)
+
+    monkeypatch.setattr(math, "fsum", counted)
+    return lengths
+
+
+@pytest.mark.parametrize("view", [
+    lambda b: b, lambda b: b.view(complex), lambda b: b[::3],
+    lambda b: b.view(complex)[::2], lambda b: b[:, None],
+    lambda b: b.view(complex)[:, None]], ids=[
+    "real", "complex", "strided", "strided-complex", "n1", "n1-complex"])
+def test_exact_sum_leaves_its_input_alone(view):
+    # the levels work on a copy: a contiguous real input is the array
+    # exact_sum's views start from, so writing through them would change
+    # the caller's terms
+    rng = np.random.default_rng(13)
+    base = np.ldexp(rng.standard_normal(4002), rng.integers(-60, 1, 4002))
+    before = base.tobytes()
+    x = view(base)
+    want = _outcome(_fsum_oracle, np.ravel(x))
+    assert _outcome(exact_sum, x) == want
+    assert base.tobytes() == before
+
+
+@pytest.mark.parametrize("n", [50, 793, 5433])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_exact_sum_overflow_guard_boundary(monkeypatch, n, complex_):
+    # terms below 2^(1000 - M), 2^M >= n + 2, are extracted in levels, and
+    # fsum sums the level sums; from the guard on fsum sums the terms
+    guard = 2.0 ** (1000 - (n + 1).bit_length())
+    rng = np.random.default_rng(n)
+    for top, extracted in ((np.nextafter(guard, 0.0), True), (guard, False),
+                           (np.nextafter(guard, math.inf), False)):
+        x = rng.uniform(-1.0, 1.0, 2 * n) * top
+        x[0] = -top
+        x[1::7] *= 2.0 ** -70
+        x = x.view(complex) if complex_ else x[:n]
+        want = _outcome(_fsum_oracle, x)
+        lengths = _fsum_lengths(monkeypatch)
+        assert _outcome(exact_sum, x) == want
+        assert (max(lengths) <= series.LEVEL_CAP if extracted
+                else lengths == [n] * (1 + complex_))
+        monkeypatch.undo()
+
+
+def test_exact_sum_level_cap(monkeypatch):
+    # with n = 2 (M = 2) level L takes the bits down to 2^-t top,
+    # t = 52 - M + (L - 1)(53 - M); a spread one bit past LEVEL_CAP
+    # levels goes to fsum whole
+    top, cap = 2.0 ** 900, series.LEVEL_CAP
+    reach = 50 + (cap - 1) * 51
+    for t, first in ((reach, cap), (reach + 1, 2)):
+        tiny = -math.ldexp(top, -t)
+        for x in (np.array([top, tiny]), np.array([complex(top, 1.0), tiny])):
+            want = _outcome(_fsum_oracle, x)
+            lengths = _fsum_lengths(monkeypatch)
+            assert _outcome(exact_sum, x) == want
+            assert lengths[0] == first
+            monkeypatch.undo()
+    # a spread over the whole range, and an exact zero total, whose sign
+    # fsum takes from the terms after the level sums
+    rng = np.random.default_rng(5)
+    x = np.ldexp(rng.uniform(-1.0, 1.0, 1000), rng.integers(-1074, 900, 1000))
+    for terms, want_lengths in ((x, [1000]), (np.array([1.0, -0.5, -0.5]),
+                                              [1, 3])):
+        want = _outcome(_fsum_oracle, terms)
+        lengths = _fsum_lengths(monkeypatch)
+        assert _outcome(exact_sum, terms) == want
+        assert lengths == want_lengths
+        monkeypatch.undo()
+
+
+# levels exact_sum takes on the preset's orbit sums at z = 0.3 + 0.2j: per
+# radius, poincare_eval at m = 2..6 for the seeds 1, z, z^2, then weight_sum
+ORBIT_SUM_LEVELS = {6: "222 222 222 332 333 2", 7: "222 222 333 333 333 2",
+                    8: "222 333 333 333 333 2", 9: "333 333 333 333 444 2",
+                    10: "333 333 333 444 444 3", 11: "333 333 444 444 545 3"}
+
+
+def test_orbit_sums_take_pinned_levels(octagon, monkeypatch):
+    # a change that made orbit sums fall back to fsum, or take more levels
+    # than the bits they hold need, shows here
+    seeds = [SeedFunction.poly([0.0] * k + [1.0]) for k in range(3)]
+    z = 0.3 + 0.2j
+    lengths = _fsum_lengths(monkeypatch)
+    for radius, table in ORBIT_SUM_LEVELS.items():
+        got = []
+        for m in range(2, 7):
+            for f in seeds:
+                del lengths[:]
+                poincare_eval(octagon, f, m, z, float(radius))
+                assert lengths[0] == lengths[1]     # one sigma, both parts
+                got.append(str(lengths[0]))
+            got.append(" ")
+        del lengths[:]
+        weight_sum(octagon, 0.0j, z, float(radius))
+        assert "".join(got) + str(*lengths) == table, radius
+
+
 def test_automorphy_check_samples_the_seed_sup_once(monkeypatch):
     # 20 samples at the defaults make 40 poincare_eval calls; the seed's
     # boundary sup is sampled on the first and reused, bit for bit
