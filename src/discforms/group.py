@@ -354,20 +354,17 @@ def _probe_points(x):
     return x, p2
 
 
-def _dedup_keys(alphas, betas, probes):
+def _dedup_keys(i1, i2):
     """Two staggered integer keys per element; straddle-safe dedup.
 
-    Keys are rounded orbit images of the probe points.  Euclidean spacing
-    of distinct images shrinks like e^(-displacement) near the boundary,
-    so the fixed 1e-9 tolerance is valid for enumeration radii up to
-    DEDUP_MAX_RADIUS, which enumerate_ball enforces.  Each key is an (n, 2)
-    int64 array, one column per probe image: the image's rounded
+    Keys are the rounded images i1, i2 of the two probe points.  Euclidean
+    spacing of distinct images shrinks like e^(-displacement) near the
+    boundary, so the fixed 1e-9 tolerance is valid for enumeration radii up
+    to DEDUP_MAX_RADIUS, which enumerate_ball enforces.  Each key is an
+    (n, 2) int64 array, one column per probe image: the image's rounded
     coordinates lie within 2^30 of zero, so offset by 2^30 they pack into
     31 bits each without collisions.
     """
-    p1, p2 = probes
-    i1 = mobius(alphas, betas, p1)
-    i2 = mobius(alphas, betas, p2)
     comps = np.stack([i1.real, i1.imag, i2.real, i2.imag], axis=1) / DEDUP_TOL
     keys = []
     for shift in (0.0, 0.5):
@@ -377,47 +374,73 @@ def _dedup_keys(alphas, betas, probes):
     return keys
 
 
-def _first_rows(keys, rows):
-    """For ascending rows: the first row of each distinct key, in key order."""
-    order = rows[np.lexsort((keys[rows, 1], keys[rows, 0]))]
-    sk = keys[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = np.any(sk[1:] != sk[:-1], axis=1)
-    return order[first]
+def _first_rows(keys, rows, kind):
+    """The least of rows with each distinct key, in key order.
+
+    One argsort of the given kind on the first column; only the rows in
+    runs of equal first columns (repeats, mostly) are sorted again, on the
+    second column and the row.
+    """
+    rows = rows[np.argsort(keys[rows, 0], kind=kind)]
+    k0 = keys[rows, 0]
+    at = np.flatnonzero(k0[1:] == k0[:-1]) + 1   # tied with the row before
+    if len(at):
+        run = np.zeros(len(rows), dtype=bool)
+        run[at - 1] = run[at] = True
+        run = np.flatnonzero(run)
+        sub = rows[run]
+        rows[run] = sub[np.lexsort((sub, keys[sub, 1], k0[run]))]
+    first = np.ones(len(rows), dtype=bool)
+    first[at] = keys[rows[at], 1] != keys[rows[at - 1], 1]
+    return rows[first]
 
 
 class _SeenKeys:
-    """Growing set of packed key pairs, sorted on the first column.
+    """Growing set of packed key pairs: two columns sorted on the first,
+    each closed by a sentinel above every key.
 
-    A query binary-searches the first column, then compares the second
-    column of each tie.  Ties (distinct elements with the same rounded
-    image of the base point) are rare, so the loop over them is short and
-    runs over the tied queries only.  Queries and additions in key order
-    run fastest.
+    A query binary-searches the first column once, then compares the
+    second column along the run of equal first columns, which the sentinel
+    ends.  Such runs (distinct elements with the same rounded image of the
+    base point) are rare, so the loop is short and runs over the tied
+    queries only.  New keys are merged in at the places their query found,
+    one copy of each column per addition.
     """
 
+    _END = np.iinfo(np.int64).max
+
     def __init__(self, keys):
-        self.first = np.empty(0, dtype=np.int64)
-        self.second = np.empty(0, dtype=np.int64)
-        self.add(keys)
+        keys = keys[_first_rows(keys, np.arange(len(keys)), "stable")]
+        self.first, self.second = (np.append(col, self._END)
+                                   for col in keys.T)
 
-    def contains(self, keys):
-        lo = np.searchsorted(self.first, keys[:, 0], "left")
-        hi = np.searchsorted(self.first, keys[:, 0], "right")
-        hit = np.zeros(len(keys), dtype=bool)
-        tied = np.flatnonzero(hi > lo)
-        lo, hi, second = lo[tied], hi[tied], keys[tied, 1]
-        for k in range(int(np.max(hi - lo, initial=0))):
-            j = lo + k
-            live = j < hi
-            hit[tied[live]] |= self.second[j[live]] == second[live]
-        return hit
-
-    def add(self, keys):
-        keys = keys[np.argsort(keys[:, 0], kind="stable")]
+    def find(self, keys):
+        """(held, pos): whether each key is in the set, and where its first
+        column would go in the set's."""
         pos = np.searchsorted(self.first, keys[:, 0])
-        self.first = np.insert(self.first, pos, keys[:, 0])
-        self.second = np.insert(self.second, pos, keys[:, 1])
+        held = np.zeros(len(keys), dtype=bool)
+        live, j = np.arange(len(keys)), pos
+        while len(live):
+            tied = self.first[j] == keys[live, 0]
+            live, j = live[tied], j[tied]
+            hit = self.second[j] == keys[live, 1]
+            held[live[hit]] = True
+            live, j = live[~hit], j[~hit] + 1
+        return held, pos
+
+    def merge(self, keys, pos):
+        """Add distinct keys that find did not hold, in key order, at the
+        places pos it gave them."""
+        at = pos + np.arange(len(pos))
+        old = np.ones(len(self.first) + len(at), dtype=bool)
+        old[at] = False
+        old = np.flatnonzero(old)
+        cols = []
+        for col, add in zip((self.first, self.second), keys.T):
+            cols.append(np.empty(len(col) + len(add), dtype=np.int64))
+            cols[-1][old] = col
+            cols[-1][at] = add
+        self.first, self.second = cols
 
 
 def _accept(k1, k2, seen1, seen2):
@@ -426,15 +449,23 @@ def _accept(k1, k2, seen1, seen2):
     The rule: visit the rows in order, keep each row whose k1 and k2 are
     both unseen, and mark both seen.  Within a level only kept rows mark
     keys, so this is the first row of each k1, then those unseen on earlier
-    levels, then the first row of each k2 among the rest.  Queries and
-    additions go in key order, which _first_rows gives.
+    levels, then the first row of each k2 among the rest, unless seen
+    earlier.  Each key set is sorted once: rows come in BFS order, so k1
+    takes a quicksort, while rows in k1 order are nearly in k2 order, which
+    a stable (run-merging) sort takes in about one pass.
     """
-    rows = _first_rows(k1, np.arange(len(k1)))
-    rows = rows[~seen1.contains(k1[rows]) & ~seen2.contains(k2[rows])]
-    rows = _first_rows(k2, np.sort(rows))
-    seen1.add(k1[rows])
-    seen2.add(k2[rows])
-    return np.sort(rows)
+    rows = _first_rows(k1, np.arange(len(k1)), "quicksort")
+    held, pos1 = seen1.find(k1[rows])
+    rows, pos1 = rows[~held], pos1[~held]
+    new = _first_rows(k2, rows, "stable")
+    held, pos2 = seen2.find(k2[new])
+    new, pos2 = new[~held], pos2[~held]
+    seen2.merge(k2[new], pos2)
+    kept = np.zeros(len(k1), dtype=bool)
+    kept[new] = True
+    mine = kept[rows]
+    seen1.merge(k1[rows[mine]], pos1[mine])
+    return np.flatnonzero(kept)
 
 
 def enumerate_ball(group, x, radius):
@@ -559,7 +590,7 @@ def _bfs_ball(group, x, radius, margin):
     all_parent = [np.array([-1], dtype=np.int64)]
     all_letter = [np.array([-1], dtype=np.int64)]  # alphabet index, -1 = root
     probes = _probe_points(x)
-    k1, k2 = _dedup_keys(all_a[0], all_b[0], probes)
+    k1, k2 = _dedup_keys(*(mobius(all_a[0], all_b[0], p) for p in probes))
     seen1 = _SeenKeys(k1)
     seen2 = _SeenKeys(k2)
 
@@ -579,11 +610,13 @@ def _bfs_ball(group, x, radius, margin):
         par, pa, pb = frontier_idx[rows], frontier_a[rows], frontier_b[rows]
 
         ca, cb = _product(pa, pb, gen_a[lidx], gen_b[lidx])
-        disp = distance(x, mobius(ca, cb, x))
+        gx = mobius(ca, cb, x)          # for the displacement and k1 both
+        disp = distance(x, gx)
         keep = disp <= expand_limit
-        par, ca, cb, lidx, disp = (par[keep], ca[keep], cb[keep],
-                                   lidx[keep], disp[keep])
-        new_rows = _accept(*_dedup_keys(ca, cb, probes), seen1, seen2)
+        par, ca, cb, lidx, disp, gx = (c[keep] for c in
+                                       (par, ca, cb, lidx, disp, gx))
+        new_rows = _accept(*_dedup_keys(gx, mobius(ca, cb, probes[1])),
+                           seen1, seen2)
         if not len(new_rows):
             break
         total += len(new_rows)

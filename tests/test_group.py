@@ -5,6 +5,7 @@ import json
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +18,8 @@ from discforms.geometry import distance, in_convex_polygon, mobius
 from discforms.group import (
     DEDUP_MAX_RADIUS, DEDUP_TOL, FuchsianGroup, GroupElement, OrbitBall,
     _OCTAGON_RELATOR,
-    _accept, _bfs_ball, _dedup_keys, _probe_points, _product, _psu_gap,
-    _SeenKeys, _side_pairing, enumerate_ball,
+    _accept, _bfs_ball, _probe_points, _product, _psu_gap, _SeenKeys,
+    _side_pairing, enumerate_ball,
     from_config_text, load_group, orbit_counts, preset_genus2_octagon,
 )
 from discforms.kernels import roundtrip_check
@@ -307,15 +308,40 @@ def test_margin_0_ball_equals_walk_margin_ball(radius):
     assert ball.words == ref.words
 
 
+def _keep_in_order(keys1, keys2, seen1, seen2):
+    """The dedup rule row by row over Python sets of key tuples: skip a
+    k1 repeated within the level, keep a row whose k1 and k2 are both
+    unseen, then mark both seen."""
+    kept, level = [], set()
+    for i, (t1, t2) in enumerate(zip(keys1, keys2)):
+        if t1 in level:
+            continue
+        level.add(t1)
+        if t1 not in seen1 and t2 not in seen2:
+            seen1.add(t1)
+            seen2.add(t2)
+            kept.append(i)
+    return kept
+
+
 def _reference_bfs(g, x, radius, margin):
-    """_bfs_ball without the reach mask: every reduced child of every
-    frontier node is built, measured and deduplicated, as before the mask."""
+    """_bfs_ball without the reach mask and without the key store: every
+    reduced child of every frontier node is built and measured, as before
+    the mask, and each level is deduplicated by _keep_in_order on the
+    rounded probe images: coordinates over DEDUP_TOL, rounded, and rounded
+    after a half shift."""
     letters, gen_a, gen_b, inv_index = g.alphabet
     probes = _probe_points(x)
+
+    def keys(a, b):
+        comps = np.stack([part(mobius(a, b, p)) for p in probes
+                          for part in (np.real, np.imag)], axis=1) / DEDUP_TOL
+        return [list(map(tuple, np.round(comps + shift).astype(np.int64)
+                         .tolist())) for shift in (0.0, 0.5)]
+
     tree = [[np.array([1.0 + 0j])], [np.array([0.0j])], [np.zeros(1)],
             [np.array([-1])], [np.array([-1])]]
-    seen1, seen2 = (_SeenKeys(k) for k in _dedup_keys(tree[0][0],
-                                                      tree[1][0], probes))
+    seen1, seen2 = (set(k) for k in keys(tree[0][0], tree[1][0]))
     front = np.array([0])
     while len(front):
         fa, fb, fl = tree[0][-1], tree[1][-1], tree[4][-1]
@@ -334,7 +360,7 @@ def _reference_bfs(g, x, radius, margin):
         disp = distance(x, mobius(ca, cb, x))
         keep = disp <= radius + margin
         level = [c[keep] for c in (ca, cb, disp, par, lidx)]
-        new = _accept(*_dedup_keys(level[0], level[1], probes), seen1, seen2)
+        new = _keep_in_order(*keys(level[0], level[1]), seen1, seen2)
         front = sum(len(c) for c in tree[0]) + np.arange(len(new))
         for col, c in zip(tree, level):
             col.append(c[new])
@@ -418,6 +444,52 @@ def test_reach_mask_passes_every_kept_child(monkeypatch, x, radius):
     ratios = np.concatenate(ratios)
     assert len(ratios) > (2 * 40905 if x == 0 else 5000)
     assert np.min(ratios) > 0.5
+
+
+def test_reach_slack_against_60_digits():
+    # _within_reach's |beta|^2 slack against the exact error, at R = 10.
+    # Each child of the ball at 0 sits at the limit its own computed
+    # displacement d sets.  The mask reads the parent's bits, so the error
+    # is taken from them: X = |pa gb + pb conj(ga)|^2 exactly, less the
+    # bound B = sinh^2(d/2)(ga2 - gb2); the slack is the mask's threshold
+    # at d less B, all in 60 digits.  The least (slack - error)/slack over
+    # the 5,432 children reads 1 - 2.8e-6: the error is 2.8e-6 of the
+    # slack, and the pin fails once the slack shrinks below 0.28 of today's
+    # (test_reach_mask_passes_every_kept_child checks it in double).
+    g = preset_genus2_octagon()
+    ball = enumerate_ball(g, 0.0j, 10.0)
+    letters, gen_a, gen_b, _ = g.alphabet
+    ga2, gb2 = np.abs(gen_a) ** 2, np.abs(gen_b) ** 2
+    row = np.empty(len(ball), dtype=np.int64)
+    row[ball.nodes] = np.arange(len(ball))
+    nodes = ball.nodes[ball.nodes > 0]
+    index = {l: i for i, l in enumerate(letters)}
+    letter = np.array([index[l] for l in ball.letters[nodes].tolist()])
+    parent = row[ball.parents[nodes]]
+    # the tree read right: parent times letter gives the child's bits
+    child = _product(ball.alphas[parent], ball.betas[parent], gen_a[letter],
+                     gen_b[letter])
+    assert np.array_equal(child[0], ball.alphas[row[nodes]])
+    assert np.array_equal(child[1], ball.betas[row[nodes]])
+    ratios = []
+    with mpmath.workdps(60):
+        for pa, pb, ga, gb, a2, b2, d in zip(
+                ball.alphas[parent].tolist(), ball.betas[parent].tolist(),
+                gen_a[letter].tolist(), gen_b[letter].tolist(),
+                ga2[letter].tolist(), gb2[letter].tolist(),
+                ball.displacements[row[nodes]].tolist()):
+            pa, pb, ga, gb = map(mpmath.mpc, (pa, pb, ga, gb))
+            a2, b2 = mpmath.mpf(a2), mpmath.mpf(b2)
+            x = abs(pa * gb + pb * mpmath.conj(ga)) ** 2
+            half, e = mpmath.mpf(d) / 2, mpmath.ldexp(mpmath.exp(d), -40)
+            bound = mpmath.sinh(half) ** 2 * (a2 - b2)
+            mag = abs(pa) ** 2 * b2 + abs(pb) ** 2 * a2
+            slack = (mpmath.sinh(half + e) ** 2 * (a2 - b2)
+                     * (1 + mpmath.mpf(1e-6) + e * mpmath.sqrt(a2))
+                     + mpmath.mpf(1e-6) * mag - bound)
+            ratios.append(float((slack - (x - bound)) / slack))
+    assert len(ratios) == len(ball) - 1
+    assert 1 - 1e-5 < min(ratios) < 1 - 1e-6
 
 
 @pytest.mark.parametrize("radius, kept", [(10.0, 5433), (12.0, 40905)])
@@ -797,6 +869,78 @@ def test_dedup_matches_sequential_rule():
                 ref2.add(t2)
                 want.append(i)
         assert _accept(k1, k2, seen1, seen2).tolist() == want
+
+
+def _store_matches_rule(levels):
+    """Run _accept over levels of (k1, k2) and check each level's rows, and
+    what the stores then hold, against _keep_in_order over Python sets."""
+    root = np.zeros((1, 2), dtype=np.int64)
+    seen1, seen2 = _SeenKeys(root), _SeenKeys(root)
+    ref1, ref2 = {(0, 0)}, {(0, 0)}
+    for k1, k2 in levels:
+        k1, k2 = (np.array(k, dtype=np.int64).reshape(-1, 2) for k in (k1, k2))
+        want = _keep_in_order(map(tuple, k1.tolist()),
+                              map(tuple, k2.tolist()), ref1, ref2)
+        assert _accept(k1, k2, seen1, seen2).tolist() == want
+        for seen, ref in ((seen1, ref1), (seen2, ref2)):
+            held = np.stack([seen.first[:-1], seen.second[:-1]], axis=1)
+            assert sorted(map(tuple, held.tolist())) == sorted(ref)
+            assert np.all(np.diff(seen.first) >= 0)
+
+
+def test_dedup_ties_in_the_first_column():
+    # keys that share a first column and differ in the second, within a
+    # level and across levels, in both key sets
+    _store_matches_rule([
+        ([5, 1, 5, 2, 5, 1, 5, 3, 4, 9], [7, 1, 7, 2, 7, 3, 8, 1, 7, 1]),
+        ([5, 2, 5, 4, 5, 1, 5, 5, 5, 3], [7, 9, 7, 8, 7, 7, 7, 1, 9, 9]),
+        ([0, 1, 0, 0, 5, 6, 5, 6], [7, 6, 7, 5, 7, 4, 7, 3]),
+    ])
+    # long runs: every key has first column 3
+    rng = np.random.default_rng(5)
+    _store_matches_rule([(np.stack([np.full(40, 3), rng.integers(0, 30, 40)],
+                                   axis=1),
+                          np.stack([np.full(40, 3), rng.integers(0, 30, 40)],
+                                   axis=1)) for _ in range(6)])
+
+
+def test_dedup_key_seen_two_levels_back():
+    # level 0 keeps (9, 9) and (8, 8) in k1 and (6, 6) in k2; level 1 holds
+    # neither; level 2 repeats one through k1, one through k2 alone
+    _store_matches_rule([
+        ([9, 9, 8, 8], [6, 6, 5, 5]),
+        ([1, 1], [2, 2]),
+        ([9, 9, 4, 4, 3, 3], [4, 4, 6, 6, 3, 3]),
+    ])
+
+
+def test_dedup_empty_level():
+    # an empty level keeps nothing and leaves the stores as they were
+    _store_matches_rule([([], []), ([1, 2, 1, 2], [3, 4, 5, 6]), ([], []),
+                         ([1, 2, 7, 8], [9, 9, 3, 4])])
+
+
+def test_dedup_queries_in_and_out_of_key_order():
+    # the store answers queries in any order, and the level's rows may
+    # come in key order or against it
+    rng = np.random.default_rng(11)
+    keys = rng.integers(0, [20, 4], size=(60, 2))
+    store = _SeenKeys(keys)
+    held_ref = set(map(tuple, keys.tolist()))
+    queries = rng.integers(0, [24, 5], size=(200, 2))
+    for order in (np.lexsort((queries[:, 1], queries[:, 0])),
+                  np.lexsort((queries[:, 1], queries[:, 0]))[::-1],
+                  rng.permutation(len(queries))):
+        held, pos = store.find(queries[order])
+        assert held.tolist() == [tuple(q) in held_ref
+                                 for q in queries[order].tolist()]
+        assert np.array_equal(pos, np.searchsorted(store.first,
+                                                   queries[order, 0]))
+    k1 = rng.integers(0, [20, 3], size=(50, 2))
+    k2 = rng.integers(0, [20, 3], size=(50, 2))
+    ordered = np.lexsort((k1[:, 1], k1[:, 0]))
+    for order in (ordered, ordered[::-1], rng.permutation(50)):
+        _store_matches_rule([(keys[:30], keys[30:]), (k1[order], k2[order])])
 
 
 def test_ball_dedup_radius_limit(monkeypatch):
