@@ -15,8 +15,9 @@ children that can come within reach are multiplied, measured and
 deduplicated.  At other base points x the ball is cut from the ball at 0 of
 radius R + 2 rho(0, x) (see enumerate_ball).  Products are re-normalized to
 SU(1,1) after every multiplication to control drift, and deduplicated on
-a rounded, sign-invariant key.  An element's bits follow from its BFS path
-alone, not from the build radius.
+a rounded, sign-invariant key, one sort per key set and level (_accept).
+An element's bits follow from its BFS path alone, not from the build
+radius.
 """
 
 from __future__ import annotations
