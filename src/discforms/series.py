@@ -149,14 +149,26 @@ def exact_sum(terms):
     2^-53 sigma below n 2^-M sigma < sigma, so np.sum is exact in any
     order.  Below 2^-1074 the grid is 2^-1074 and the same holds, so
     subnormal terms need no case; sigma is a power of two, at most 2^1000.
-    The remainders repeat this with sigma <- 2^(M-53) sigma until they are
-    zero, and fsum rounds the exact total of the level sums once.  Real and
+    The remainders repeat this with sigma <- b = 2^(M-53) sigma.  Real and
     imaginary parts share sigma in one (2, n) copy.
+
+    From the second level on, a part's exact total T is S + E, with S the
+    exact sum of its level sums so far and E that of its remainders, |E| <=
+    n 2^-53 sigma < b.  Rounding to nearest is monotone, so fl(S - b) <=
+    fl(T) <= fl(S + b), and fsum, correctly rounded, gives fl(S - b) and
+    fl(S + b) from the level sums and -b or b.  Where the two are equal in
+    every part they are fl(T), fsum's result for the terms, and the sum
+    stops there.  Equal ends are non-zero: S - b and S + b, multiples of
+    2^-1074 that are not both 0, round to 0 only when they are 0, so an
+    exact zero total never stops early.  The check waits while b is
+    subnormal, where 2^(M-53) sigma may round.  Otherwise the levels go on
+    until the remainders are zero, and fsum rounds the exact total of the
+    level sums once.
 
     fsum sums the terms themselves where they are empty, non-finite or of
     modulus >= 2^(1000-M) (it decides inf, NaN or an error), where they
     need more than LEVEL_CAP levels, and where the exact total is zero (it
-    decides the sign).  Only IEEE add and subtract, exact abs and max and
+    decides the sign).  Only IEEE add and subtract, exact max and min and
     exact sums run, so the bits are the same at every SIMD dispatch level.
     """
     terms = np.ravel(terms)
@@ -164,7 +176,21 @@ def exact_sum(terms):
     parts = terms.view(np.float64).reshape(-1, width).T
     M = (parts.shape[1] + 1).bit_length()
     rest = np.array(parts, order="C")               # a copy: levels write it
-    top = float(np.abs(rest).max()) if rest.size else math.nan
+    # NaN anywhere makes both NaN, so top is NaN
+    top = max(rest.max(), -rest.min()) if rest.size else math.nan
+
+    def rounded(inputs):
+        # per part, fsum of its first sequence with a non-zero total, else
+        # of its last
+        out = []
+        for cols in inputs:
+            for col in cols:
+                total = math.fsum(col)
+                if total:
+                    break
+            out.append(total)
+        return complex(*out) if width == 2 else out[0]
+
     inputs = [(col,) for col in parts]              # fsum sums the terms
     if top < 2.0 ** (1000 - M):                     # NaN fails too
         sums, q = np.empty((LEVEL_CAP, width)), np.empty_like(rest)
@@ -172,34 +198,35 @@ def exact_sum(terms):
         for level in range(LEVEL_CAP):
             np.add(rest, sigma, out=q)
             q -= sigma
-            rest -= q
             q.sum(axis=1, out=sums[level])
+            sigma *= 2.0 ** (M - 53)                # b, past every |E|
+            if level and sigma >= 2.0 ** -1022:     # b is normal
+                levels = sums[:level + 1].T.tolist()
+                low = rounded([(p + [-sigma],) for p in levels])
+                if low == rounded([(p + [sigma],) for p in levels]):
+                    return low
+            rest -= q
             if not rest.any():  # the level sums, then the terms if they're 0
                 inputs = list(zip(sums[:level + 1].T, parts))
                 break
-            sigma *= 2.0 ** (M - 53)
-    out = []
-    for cols in inputs:
-        for col in cols:
-            total = math.fsum(col)
-            if total:
-                break
-        out.append(total)
-    return complex(*out) if width == 2 else out[0]
+    return rounded(inputs)
 
 
-def _shell_tail(displacements, abs_terms, radius):
+def _shell_tail(displacements, terms, radius):
     """Geometric-ratio extrapolation of the series tail.
 
     Fits |shell sum| ~ c q^R on the last two displacement shells of width
-    SHELL_WIDTH and sums the geometric tail.
+    SHELL_WIDTH and sums the geometric tail.  The displacements are sorted,
+    so each shell is a slice, and |terms| is taken from the first on.
     """
     if len(displacements) <= 1 or radius <= 2 * SHELL_WIDTH:
-        return 0.0 if len(displacements) <= 1 else float(np.sum(abs_terms))
-    hi = displacements > radius - SHELL_WIDTH
-    mid = (displacements > radius - 2 * SHELL_WIDTH) & ~hi
-    s2 = float(np.sum(abs_terms[hi]))
-    s1 = float(np.sum(abs_terms[mid]))
+        return (0.0 if len(displacements) <= 1
+                else float(np.sum(np.abs(terms))))
+    lo, hi = np.searchsorted(displacements, [radius - 2 * SHELL_WIDTH,
+                                             radius - SHELL_WIDTH], "right")
+    abs_terms = np.abs(terms[lo:])
+    s2 = float(np.sum(abs_terms[hi - lo:]))
+    s1 = float(np.sum(abs_terms[:hi - lo]))
     if s2 == 0.0:
         return 0.0
     if s1 <= s2:
@@ -227,13 +254,17 @@ def poincare_eval(group, f, m, z, radius, ball=None):
     z = check_disc_point(complex(z))
     if ball is None:
         ball = enumerate_ball(group, 0.0j, radius)
-    gz, den = np.empty((2, len(ball)), complex)
-    # a constant seed reads no gamma z, so none is formed
+    # a constant seed reads no gamma z, so none is formed; den is spent
+    # once den_power has run, so f(gamma z) takes its row, and a rational
+    # seed's denominator a third (as in poincare_values)
+    gz, den, *spare = np.empty((2 if f.kind == "poly" else 3, len(ball)),
+                               complex)
     ball.terms(z, out=(None if f.constant else gz, den))
     jm = den_power(den, 2 * m)
-    terms = f(gz) * jm
+    terms = f.eval_into(gz, den, spare[0] if spare else None)
+    terms *= jm
     value = exact_sum(terms)
-    tail = f.sup_disc * _shell_tail(ball.displacements, np.abs(jm), radius)
+    tail = f.sup_disc * _shell_tail(ball.displacements, jm, radius)
     return SeriesValue(value, tail, len(ball), radius)
 
 

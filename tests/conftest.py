@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -91,3 +92,13 @@ def bergman_kernel_diag(z):
     """The disc's Bergman kernel on the diagonal, K(z, z) =
     1/(pi (1 - |z|^2)^2), in closed form."""
     return 1.0 / (np.pi * (1.0 - np.abs(z) ** 2) ** 2)
+
+
+def mp_generator(letter):
+    """The preset's generator |letter| in the working mpmath precision,
+    inverted when the letter is negative: cosh(d0/2) = 1 + sqrt 2, rotated
+    by (k - 1) pi/4."""
+    a = 1 + mpmath.sqrt(2)
+    b = mpmath.sqrt(2 + 2 * mpmath.sqrt(2)) * mpmath.expjpi(
+        mpmath.mpf(abs(letter) - 1) / 4)
+    return (a, b) if letter > 0 else (mpmath.conj(a), -b)

@@ -18,7 +18,7 @@ from discforms.group import (DEDUP_TOL, GroupElement, _product, enumerate_ball,
                              orbit_pairs)
 from discforms.series import SeedFunction, poincare_values
 
-from conftest import bergman_kernel_diag, random_disc_points
+from conftest import bergman_kernel_diag, mp_generator, random_disc_points
 
 
 def random_elements(rng, n):
@@ -203,15 +203,6 @@ def test_den_power_against_high_precision(octagon):
             assert ours <= 1.5 * numpy_ and ours < 2 * n, (n, ours, numpy_)
 
 
-def _mp_generator(letter):
-    """The preset's generator |letter| in 60 digits, inverted when the
-    letter is negative: cosh(d0/2) = 1 + sqrt 2, rotated by (k - 1) pi/4."""
-    a = 1 + mpmath.sqrt(2)
-    b = mpmath.sqrt(2 + 2 * mpmath.sqrt(2)) * mpmath.expjpi(
-        mpmath.mpf(abs(letter) - 1) / 4)
-    return (a, b) if letter > 0 else (mpmath.conj(a), -b)
-
-
 def test_rho_error_against_60_digits(octagon):
     # every displacement d of the R = 10 ball at 0, recomputed from its word
     # (parent's product times last letter, as the BFS builds it) with the
@@ -223,7 +214,7 @@ def test_rho_error_against_60_digits(octagon):
         pairs = [(mpmath.mpf(1), mpmath.mpf(0))]
         for parent, letter in zip(ball.parents[1:], ball.letters[1:]):
             pa, pb = pairs[parent]
-            ga, gb = _mp_generator(int(letter))
+            ga, gb = mp_generator(int(letter))
             pairs.append((pa * ga + pb * mpmath.conj(gb),
                           pa * gb + pb * mpmath.conj(ga)))
         errors = np.array([float(abs(

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -29,8 +30,8 @@ from discforms.seshadri import (
 )
 
 from conftest import (OCTAGON_D0, config_text, gap_to_identity,
-                      random_disc_points, regular_4g_gon, word_product,
-                      write_4g_gon)
+                      mp_generator, random_disc_points, regular_4g_gon,
+                      word_product, write_4g_gon)
 
 D0 = 2.0 * math.acosh(1.0 + math.sqrt(2.0))   # preset generator displacement
 # c(0): distance from 0 to the vertices of the preset's polygon D_0, the
@@ -490,6 +491,147 @@ def test_reach_slack_against_60_digits():
             ratios.append(float((slack - (x - bound)) / slack))
     assert len(ratios) == len(ball) - 1
     assert 1 - 1e-5 < min(ratios) < 1 - 1e-6
+
+
+class _Query(Exception):
+    """Raised by a stand-in orbit query once it has recorded its call."""
+
+
+def _first_query(name, fn, *args):
+    """(zs, r) of the first call fn(*args) makes to seshadri.<name>."""
+    calls = []
+
+    def record(group, x, zs, r):
+        calls.append((zs, r))
+        raise _Query
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(seshadri, name, record)
+        with pytest.raises(_Query):
+            fn(*args)
+    return calls[0]
+
+
+def test_pair_window_slack_against_60_digits(monkeypatch):
+    # orbit_pairs tests each point z only against the ball elements whose
+    # displacement d lies within w + slack of rho(0, z), slack =
+    # rho_error(rho(0, z) + w).  Exactly, a pair has |D - rho(0, z)| <
+    # r + rho(0, x) by the triangle inequality, so the slack must cover the
+    # rounding of d, rho(0, z) and w and of the window's ends.  Queries at
+    # points that are not ball displacements: density's grid nodes at the
+    # README's r = 1.5, and quasi-psh-check's first stencil query at the
+    # defaults' widest r, 2 rho_x, its 1,024 farthest nodes.  Every pair
+    # with exact rho(gamma 0, z) < r (60 digits) lies in the window, and the
+    # least ratio of slack to exact error reads 1.18e4 and 3.77e3 (pinned to
+    # within 25%), so a slack that drops below the error fails
+    g = preset_genus2_octagon()
+    queries = [
+        _first_query("orbit_counts", seshadri.density, g, 0.0j, 1.5),
+        _first_query("orbit_pairs", quasi_psh_check, g, 0.0j,
+                     2.0 * injectivity_radius(g, 0.0j))]
+    slacks = []
+    real = group_module.rho_error
+    monkeypatch.setattr(group_module, "rho_error",
+                        lambda reach: slacks.append(real(reach)) or
+                        slacks[-1])
+    least = []
+    for zs, r in queries:
+        del slacks[:]
+        group_module.orbit_pairs(g, 0.0j, zs, r)
+        slack, = [e for e in slacks if np.shape(e) == zs.shape]
+        dz, w = distance(0.0j, zs), r + distance(0.0j, 0.0j)
+        assert w == r
+        lo, hi = (dz - w) - slack, (dz + w) + slack
+        ball = enumerate_ball(g, 0.0j, float(np.max(dz + w)))
+        # pairs in double, whose rounding is below 1e-10 here (rho_error);
+        # those within 1e-6 of r are decided in 60 digits
+        rho = distance(mobius(ball.alphas[:, None], ball.betas[:, None],
+                              0.0j), zs[None, :])
+        with mpmath.workdps(60):
+            tree = {0: (mpmath.mpf(1), mpmath.mpf(0))}
+            for node in range(1, max(ball.nodes.tolist()) + 1):
+                pa, pb = tree[int(ball.parents[node])]
+                ga, gb = mp_generator(int(ball.letters[node]))
+                tree[node] = (pa * ga + pb * mpmath.conj(gb),
+                              pa * gb + pb * mpmath.conj(ga))
+            orbit = [tree[n][1] / mpmath.conj(tree[n][0])
+                     for n in ball.nodes.tolist()]
+            t_r = mpmath.tanh(mpmath.mpf(r) / 2)
+            pair = rho < r - 1e-6
+            for i, k in zip(*np.nonzero(np.abs(rho - r) <= 1e-6)):
+                z = mpmath.mpc(zs[k])
+                pair[i, k] = abs((orbit[i] - z)
+                                 / (1 - mpmath.conj(orbit[i]) * z)) < t_r
+            rows, cols = np.nonzero(pair)
+            err_d = np.array([float(abs(2 * mpmath.atanh(abs(p)) - d))
+                              for p, d in zip(orbit,
+                                              ball.displacements.tolist())])
+            # the window's ends, the slack taken out, less rho(0, z) -+ r
+            err_z = np.empty(len(zs))
+            for k in np.unique(cols).tolist():
+                exact = 2 * mpmath.atanh(abs(mpmath.mpc(zs[k])))
+                e, a, b = map(mpmath.mpf, (slack[k], lo[k], hi[k]))
+                err_z[k] = float(max(abs(a + e - (exact - r)),
+                                     abs(b - e - (exact + r))))
+        d = ball.displacements[rows]
+        assert np.all((lo[cols] <= d) & (d <= hi[cols]))
+        least.append(float(np.min(slack[cols] / (err_d[rows] + err_z[cols]))))
+        assert len(rows) > 2000
+    assert np.all(np.abs(np.log(np.array(least) / [1.18e4, 3.77e3]))
+                  < np.log(1.25)), least
+
+
+def _traced_build(radius):
+    """(ball at 0 built by _bfs_ball with margin 0, its tracemalloc peak)."""
+    tracemalloc.start()
+    try:
+        ball = _bfs_ball(preset_genus2_octagon(), 0.0j, radius, 0.0)
+        return ball, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _ball_bytes(ball):
+    return [getattr(ball, name).tobytes() for name in (
+        "alphas", "betas", "displacements", "nodes", "parents", "letters")]
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1000])
+def test_reach_mask_in_blocks_keeps_every_bit(monkeypatch, rows):
+    # every mask entry is computed alone, so any block of parents, ragged
+    # last block included, gives the whole table's bits
+    calls = []
+    real = group_module._within_reach
+
+    def both(*args):
+        got = real(*args)
+        with monkeypatch.context() as m:
+            m.setattr(group_module, "_REACH_ROWS", 10 ** 9)
+            calls.append(np.array_equal(got, real(*args)))
+        return got
+
+    monkeypatch.setattr(group_module, "_REACH_ROWS", rows)
+    monkeypatch.setattr(group_module, "_within_reach", both)
+    ball = _bfs_ball(preset_genus2_octagon(), 0.0j, 8.0, 0.0)
+    monkeypatch.undo()
+    assert len(calls) > 5 and all(calls)
+    assert _ball_bytes(ball) == _ball_bytes(
+        _bfs_ball(preset_genus2_octagon(), 0.0j, 8.0, 0.0))
+
+
+def test_reach_11_7_build_peaks_lower(monkeypatch):
+    # the ball at 0 of reach 11.7, the largest ball-cold needs.  With the
+    # whole (parent x letter) table at once, the widest level (9,264
+    # parents) held 1.96 MiB of float tables on top of 3.34 MiB live, and
+    # the key stores and one copy per column more at the end made a 6.29
+    # MiB peak.  Measured now: 4.55 MiB, and 5.37 with one block for all
+    # parents, bit for bit the same ball
+    ball, peak = _traced_build(11.7)
+    monkeypatch.setattr(group_module, "_REACH_ROWS", 10 ** 9)
+    whole, whole_peak = _traced_build(11.7)
+    assert len(ball) == 30393
+    assert _ball_bytes(ball) == _ball_bytes(whole)
+    assert peak < 4.8 * 2 ** 20 and peak < whole_peak - 0.6 * 2 ** 20
 
 
 @pytest.mark.parametrize("radius, kept", [(10.0, 5433), (12.0, 40905)])

@@ -124,6 +124,55 @@ def test_weight_sum_self_consistency(octagon):
     assert b.tail_estimate < a.tail_estimate
 
 
+def _mask_shell_tail(displacements, abs_terms, radius):
+    """The shell tail by boolean masks over every |term|: the reference
+    for _shell_tail's slices."""
+    if len(displacements) <= 1 or radius <= 2 * series.SHELL_WIDTH:
+        return 0.0 if len(displacements) <= 1 else float(np.sum(abs_terms))
+    hi = displacements > radius - series.SHELL_WIDTH
+    mid = (displacements > radius - 2 * series.SHELL_WIDTH) & ~hi
+    s2 = float(np.sum(abs_terms[hi]))
+    s1 = float(np.sum(abs_terms[mid]))
+    if s2 == 0.0:
+        return 0.0
+    if s1 <= s2:
+        return s2
+    q = s2 / s1
+    return s2 * q / (1.0 - q)
+
+
+def _shell_tail_cases(octagon):
+    """(displacements, radius) pairs: the R = 10 ball cut at radii off and
+    on its displacements (d + 1 and d + 2, where the shell edge, radius
+    less one or two widths, is d to the bit), and small sorted sets: R <=
+    2 widths, an empty last shell, an empty middle shell, one element."""
+    d = enumerate_ball(octagon, 0.0j, 10.0).displacements
+    cases = [(d[:np.searchsorted(d, r, "right")], r)
+             for r in (2.0, 2.5, 3.5, 6.0, 7.25, 8.0, 10.0)]
+    on = [(r, e) for e in d[::97] for r in (e + 1.0, e + 2.0)
+          if r <= 10.0 and e in (r - 1.0, r - 2.0)]
+    assert len(on) >= 20
+    cases += [(d[:np.searchsorted(d, r, "right")], r) for r, _ in on]
+    small = np.array([0.0, 1.5, 2.5, 2.5, 3.5, 3.5, 4.0, 4.5])
+    cases += [(small, r) for r in (0.5, 2.0, 4.5, 5.5, 6.5, 7.0)]
+    cases += [(small[:1], 4.5), (small[:0], 4.5)]
+    return cases
+
+
+def test_shell_tail_slices_are_the_masks(octagon):
+    # the shells as slices of the sorted displacements, found by one
+    # searchsorted "right" (d > edge, as the masks read), give the masks'
+    # tail to the bit; |terms| is taken from the first slice on only
+    rng = np.random.default_rng(11)
+    for d, radius in _shell_tail_cases(octagon):
+        n = len(d)
+        for terms in (rng.standard_normal(2 * n).view(complex),
+                      rng.uniform(0.0, 1.0, n) * np.exp(-d)):
+            want = _mask_shell_tail(d, np.abs(terms), radius)
+            got = series._shell_tail(d, terms, radius)
+            assert got.hex() == want.hex(), (n, radius)
+
+
 def test_poincare_trivial(trivial):
     z = 0.3 - 0.2j
     sv = poincare_eval(trivial, Z, 4, z, 5.0)
@@ -356,26 +405,61 @@ def test_exact_sum_overflow_guard_boundary(monkeypatch, n, complex_):
         monkeypatch.undo()
 
 
+def _count_levels(monkeypatch):
+    """Count the extraction levels exact_sum runs from now on: each level
+    calls np.add once, and no other code of the series module does."""
+    levels = []
+
+    class Counted:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def add(self, *args, **kwargs):
+            levels.append(1)
+            return np.add(*args, **kwargs)
+
+    monkeypatch.setattr(series, "np", Counted())
+    return levels
+
+
+def _exit_tries(levels, width):
+    """What fsum is given by the exit's tries over `levels` levels: from
+    the second level on, the level sums and -b, then b, per part."""
+    return [n + 1 for n in range(2, levels + 1) for _ in range(2 * width)]
+
+
 def test_exact_sum_level_cap(monkeypatch):
-    # with n = 2 (M = 2) level L takes the bits down to 2^-t top,
-    # t = 52 - M + (L - 1)(53 - M); a spread one bit past LEVEL_CAP
-    # levels goes to fsum whole
+    # top + ulp(top)/2 + tiny sits on a rounding midpoint until tiny is
+    # extracted, so no try of the exit succeeds before.  With n = 3 (M = 3)
+    # level L takes the bits down to 2^-t top, t = 52 - M + (L - 1)(53 - M):
+    # at t = reach the remainders are zero after LEVEL_CAP levels and fsum
+    # rounds their sums; one bit past it fsum sums the terms
     top, cap = 2.0 ** 900, series.LEVEL_CAP
-    reach = 50 + (cap - 1) * 51
-    for t, first in ((reach, cap), (reach + 1, 2)):
+    half = math.ulp(top) / 2
+    reach = 49 + (cap - 1) * 50
+    for t, last in ((reach, cap), (reach + 1, 3)):
         tiny = -math.ldexp(top, -t)
-        for x in (np.array([top, tiny]), np.array([complex(top, 1.0), tiny])):
+        for x in (np.array([top, half, tiny]),
+                  np.array([complex(top, 1.0), half, tiny])):
+            width = 1 + np.iscomplexobj(x)
             want = _outcome(_fsum_oracle, x)
             lengths = _fsum_lengths(monkeypatch)
             assert _outcome(exact_sum, x) == want
-            assert lengths[0] == first
+            assert lengths == _exit_tries(cap, width) + [last] * width
             monkeypatch.undo()
-    # a spread over the whole range, and an exact zero total, whose sign
-    # fsum takes from the terms after the level sums
+    # a spread over the whole range about a midpoint, decided by terms
+    # below 2^-300 that no level reaches: fsum sums the terms after every
+    # try fails; and an exact zero total, whose sign fsum takes from the
+    # terms after the level sums (one level, so no try)
     rng = np.random.default_rng(5)
-    x = np.ldexp(rng.uniform(-1.0, 1.0, 1000), rng.integers(-1074, 900, 1000))
-    for terms, want_lengths in ((x, [1000]), (np.array([1.0, -0.5, -0.5]),
-                                              [1, 3])):
+    spread = np.ldexp(rng.uniform(-1.0, 1.0, 1000),
+                      rng.integers(-1074, 880, 1000))
+    big = spread[np.abs(spread) > 2.0 ** -300]
+    x = np.concatenate([[top, half], spread, -big])
+    x = x[rng.permutation(len(x))]
+    for terms, want_lengths in (
+            (x, _exit_tries(cap, 1) + [len(x)]),
+            (np.array([1.0, -0.5, -0.5]), [1, 3])):
         want = _outcome(_fsum_oracle, terms)
         lengths = _fsum_lengths(monkeypatch)
         assert _outcome(exact_sum, terms) == want
@@ -383,31 +467,139 @@ def test_exact_sum_level_cap(monkeypatch):
         monkeypatch.undo()
 
 
+@settings(deadline=None, max_examples=200)
+@given(x=st.floats(2.0 ** -1000, 2.0 ** 990), sign=st.sampled_from([-1, 1]),
+       side=st.sampled_from([-1, 1]),
+       steps=st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 300)),
+                      max_size=4),
+       pad=st.integers(0, 3000), complex_=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(x=1.0, sign=1, side=1, steps=[], pad=0, complex_=False, seed=0)
+@example(x=1.0, sign=-1, side=-1, steps=[(1, 300)], pad=3000,
+         complex_=True, seed=1)
+@example(x=2.0 ** -1000, sign=1, side=1, steps=[(-1, 80)], pad=10,
+         complex_=False, seed=2)
+def test_exact_sum_at_a_rounding_midpoint(x, sign, side, steps, pad,
+                                          complex_, seed):
+    # x and half its ulp put the sum on a rounding midpoint, and terms of
+    # +-c 2^-k ulp(x) (c up to 3) decide the direction, or leave it on the
+    # midpoint, where fsum rounds to even; pad terms and their negatives
+    # cancel exactly but fill the levels
+    rng = np.random.default_rng(seed)
+    x *= sign
+    u = math.ulp(x)
+    decide = [c * math.ldexp(u, -k) for c, k in steps]
+    e = math.frexp(x)[1]
+    noise = np.ldexp(rng.uniform(-1.0, 1.0, pad),
+                     rng.integers(max(e - 200, -1074), e, pad))
+    terms = np.concatenate([[x, side * u / 2], decide, noise, -noise])
+    if complex_:
+        terms = terms + 1j * terms[rng.permutation(len(terms))]
+    _assert_fsum_bits(terms[rng.permutation(len(terms))])
+
+
+@settings(deadline=None, max_examples=150)
+@given(zeros=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      max_size=30),
+       other=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=30),
+       imag_zero=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(zeros=[-0.0], other=[1.0], imag_zero=False, seed=0)
+@example(zeros=[-0.0, -0.0], other=[2.0 ** -60, 1.0], imag_zero=True,
+         seed=0)
+@example(zeros=[1e300, 3.0, 2.0 ** -1074], other=[1.0, 2.0 ** -53],
+         imag_zero=False, seed=0)
+def test_exact_sum_zero_total_in_one_part(zeros, other, imag_zero, seed):
+    # one part cancels to an exact zero (all -0.0 terms give -0.0), so no
+    # try of the exit succeeds while the other part, decided early, waits;
+    # fsum takes that part's sign from its terms
+    rng = np.random.default_rng(seed)
+    zero = np.array(zeros + [-z for z in zeros if z != 0.0] or [0.0])
+    zero = zero[rng.permutation(len(zero))]
+    rest = np.resize(np.array(other), len(zero))
+    # real and imaginary columns side by side keep every sign of zero
+    cols = [rest, zero] if imag_zero else [zero, rest]
+    terms = np.stack(cols, axis=1).ravel().view(complex)
+    _assert_fsum_bits(terms)
+
+
+@pytest.mark.parametrize("k, late", [(40, 3), (120, 4), (250, 7), (600, 15)])
+def test_complex_parts_decided_at_different_levels(monkeypatch, k, late):
+    # the real part sits 2^-k ulp off a midpoint, so its rounding is decided
+    # at level `late` (n = 200, M = 8: each level takes 45 more bits); the
+    # imaginary part is decided at the second.  The sum runs the levels of
+    # its slower part, and each part keeps fsum's bits
+    rng = np.random.default_rng(k)
+    x = 1.0 + rng.uniform()
+    real = np.concatenate([[x, math.ulp(x) / 2, math.ldexp(math.ulp(x), -k)],
+                           rng.uniform(-1.0, 1.0, 97)])
+    real = np.concatenate([real, -real[3:]])
+    imag = rng.uniform(-1.0, 1.0, len(real))
+    alone = []
+    for part in (real, imag):
+        levels = _count_levels(monkeypatch)
+        _assert_fsum_bits(part)
+        alone.append(len(levels))
+        monkeypatch.undo()
+    levels = _count_levels(monkeypatch)
+    _assert_fsum_bits(real + 1j * imag)
+    _assert_fsum_bits(imag + 1j * real)
+    assert alone == [late, 2]
+    assert len(levels) == 2 * late
+
+
+@pytest.mark.parametrize("e", range(-926, -918))
+def test_exact_sum_exit_at_the_subnormal_guard(monkeypatch, e):
+    # n = 2 (M = 2): the second level's b is 2^(M-53) 2^(e+M) 2^(M-53) =
+    # 2^(e-100) for |x| in [2^(e-1), 2^e), normal from e = -922 on.  There
+    # the sum stops after two levels; below, no try runs, and the
+    # remainders of y, whose bits reach 2^(e-133), are zero after three
+    x = math.ldexp(1.5, e - 1)
+    y = math.ldexp(1.0 + 2.0 ** -52 * 0x5A5A5A5A5A5A5, e - 81)
+    for terms in ([x, y], [x, -y], [-x, y]):
+        want = _outcome(_fsum_oracle, terms)
+        lengths = _fsum_lengths(monkeypatch)
+        levels = _count_levels(monkeypatch)
+        assert _outcome(exact_sum, np.array(terms)) == want
+        assert (lengths, len(levels)) == (([3, 3], 2) if e >= -922
+                                          else ([3], 3))
+        monkeypatch.undo()
+    # on a midpoint below the guard: no try runs, and the levels decide
+    half = math.ulp(x) / 2
+    for tiny in (2.0 ** -1074, -(2.0 ** -1074), 0.0):
+        _assert_fsum_bits(np.array([x, half, tiny]))
+
+
 # levels exact_sum takes on the preset's orbit sums at z = 0.3 + 0.2j: per
-# radius, poincare_eval at m = 2..6 for the seeds 1, z, z^2, then weight_sum
-ORBIT_SUM_LEVELS = {6: "222 222 222 332 333 2", 7: "222 222 333 333 333 2",
-                    8: "222 333 333 333 333 2", 9: "333 333 333 333 444 2",
-                    10: "333 333 333 444 444 3", 11: "333 333 444 444 545 3"}
+# radius, poincare_eval at m = 2..6 for the seeds 1, z, z^2, then weight_sum.
+# Sum_gamma gamma z j^2 cancels to 1e-6 of its terms at R >= 9, so it needs
+# a third level
+ORBIT_SUM_LEVELS = {6: "222 222 222 222 222 2", 7: "222 222 222 222 222 2",
+                    8: "222 222 222 222 222 2", 9: "232 222 222 222 222 2",
+                    10: "232 222 222 222 222 2",
+                    11: "232 222 222 222 222 2"}
 
 
 def test_orbit_sums_take_pinned_levels(octagon, monkeypatch):
     # a change that made orbit sums fall back to fsum, or take more levels
-    # than the bits they hold need, shows here
+    # than the bits they hold need, shows here: every sum stops at the
+    # exit, which fsum sees tried once per level from the second on
     seeds = [SeedFunction.poly([0.0] * k + [1.0]) for k in range(3)]
     z = 0.3 + 0.2j
     lengths = _fsum_lengths(monkeypatch)
+    levels = _count_levels(monkeypatch)
     for radius, table in ORBIT_SUM_LEVELS.items():
         got = []
         for m in range(2, 7):
             for f in seeds:
-                del lengths[:]
+                del lengths[:], levels[:]
                 poincare_eval(octagon, f, m, z, float(radius))
-                assert lengths[0] == lengths[1]     # one sigma, both parts
-                got.append(str(lengths[0]))
+                assert lengths == _exit_tries(len(levels), 2)
+                got.append(str(len(levels)))
             got.append(" ")
-        del lengths[:]
+        del lengths[:], levels[:]
         weight_sum(octagon, 0.0j, z, float(radius))
-        assert "".join(got) + str(*lengths) == table, radius
+        assert lengths == _exit_tries(len(levels), 1)
+        assert "".join(got) + str(len(levels)) == table, radius
 
 
 def test_automorphy_check_samples_the_seed_sup_once(monkeypatch):
@@ -459,6 +651,28 @@ def test_poincare_values_bits_and_one_workspace(octagon, f):
     out, scratch = np.empty_like(gz), np.empty_like(gz)
     assert f.eval_into(gz, out, scratch) is out
     assert out.tobytes() == f(gz).tobytes()
+
+
+@pytest.mark.parametrize("f", [SeedFunction.poly([0.0, 0.0, 1.0]),
+                               SeedFunction.poly([1.0, 0.5j, -0.25]),
+                               SeedFunction.rational([1.0, 0.3], [2.0, -1.0]),
+                               SeedFunction.poly([2.5 - 1j])],
+                         ids=["z2", "quadratic", "rational", "constant"])
+def test_poincare_eval_writes_into_den_with_the_fresh_bits(octagon, f):
+    # f(gamma z) goes into den's spent row and is multiplied by j^m in
+    # place, f the left operand: the value and tail of f(gz) * jm built
+    # fresh, with the masks' tail
+    z = 0.3 + 0.2j
+    for radius in (6.0, 10.0):
+        ball = enumerate_ball(octagon, 0.0j, radius)
+        gz, den = ball.terms(z)
+        for m in (2, 3, 6):
+            jm = den_power(den, 2 * m)
+            sv = poincare_eval(octagon, f, m, z, radius)
+            want = _outcome(exact_sum, f(gz) * jm)
+            assert _outcome(complex, sv.value) == want
+            tail = _mask_shell_tail(ball.displacements, np.abs(jm), radius)
+            assert sv.tail_estimate.hex() == (f.sup_disc * tail).hex()
 
 
 @pytest.mark.parametrize("radius", [8.0, 10.0])
