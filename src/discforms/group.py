@@ -57,7 +57,7 @@ _SIDE_TOL, _ANGLE_TOL = 1e-12, 1e-9
 _PAIR_CHUNK = 65_536
 
 # Parents per block of _within_reach's (parent x letter) tables.
-_REACH_ROWS = 1024
+_REACH_ROWS = 4096
 
 
 @dataclass(frozen=True)
