@@ -56,7 +56,9 @@ _SIDE_TOL, _ANGLE_TOL = 1e-12, 1e-9
 # defaults.
 _PAIR_CHUNK = 65_536
 
-# Parents per block of _within_reach's (parent x letter) tables.
+# Parents per block of _within_reach's (parent x letter) tables: a reach-
+# 11.7 build's widest level (9,264 parents) then adds 1.04 MiB, not 1.96.
+# Blocks of 1,024 cost 0.6 ms of a 17 ms cold R = 10 build; 4,096 none.
 _REACH_ROWS = 4096
 
 
