@@ -5,8 +5,8 @@ __version__ = "0.1.0"
 
 from .errors import (
     DiscformsError, BoundaryPoint, NonUnitary, BudgetExceeded,
-    InsufficientBall, UnboundedSeed, QuadratureDiverged, TargetNotReached,
-    DegenerateBasis, ConfigError,
+    UnboundedSeed, QuadratureDiverged, TargetNotReached, DegenerateBasis,
+    ConfigError,
 )
 from .geometry import bergman_metric, distance, mobius, mobius_jacobian
 from .group import (

@@ -1,10 +1,11 @@
 """Dirichlet fundamental domains and quadrature grids.
 
-The Dirichlet domain about 0 is the intersection of the half-spaces
-{z : rho(z, 0) <= rho(z, gamma 0)} over the non-identity elements of an
-orbit ball, cut by geometry.dirichlet_polygon.  Sides of the resulting
-Poincare polygon are arcs of circles orthogonal to the unit circle.  A
-domain is its CCW vertex list; geometry.in_convex_polygon, the one
+The Dirichlet domain about 0, D_0, is the intersection of the half-spaces
+{z : rho(z, 0) <= rho(z, gamma 0)} over gamma != id: the polygon of the
+group's certificate (FuchsianGroup.dirichlet_at_0), or else one cut over an
+orbit ball (dirichlet_vertices), each by geometry.dirichlet_polygon.  Sides
+of the Poincare polygon are arcs of circles orthogonal to the unit circle.
+A domain is its CCW vertex list; geometry.in_convex_polygon, the one
 membership test, works in the Klein model, where sides are linear.
 
 Quadrature is a regular Cartesian grid in the Poincare coordinate (the
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientBall
+from .errors import ConfigError
 from .geometry import (dirichlet_polygon, distance, in_convex_polygon,
                        klein_sides, poincare_to_klein, side_values)
 from .group import enumerate_ball
@@ -48,14 +49,15 @@ class FundamentalDomain:
         shoelace area less a segment R^2 (theta - sin theta)/2 per side
         a -> b, R = L |1 - conj(a) b| / (2 |Im(conj(a) b)|) the radius of
         its geodesic, L = |b - a| and theta = 2 arcsin(L/2R) (0 is inside,
-        so no side is a diameter)."""
+        so no side is a diameter).  The 2n terms are rounded once."""
+        from .series import exact_sum     # series imports this module
         a, b = self.vertices, np.roll(self.vertices, -1)
         cross = (np.conj(a) * b).imag
         chord = np.abs(b - a)
         rad = chord * np.abs(1.0 - np.conj(a) * b) / (2.0 * np.abs(cross))
         theta = 2.0 * np.arcsin(chord / (2.0 * rad))
-        return float(np.sum(cross) / 2.0
-                     - np.sum(rad ** 2 * (theta - np.sin(theta))) / 2.0)
+        return float(exact_sum(np.concatenate(
+            [cross, -rad ** 2 * (theta - np.sin(theta))])) / 2.0)
 
 
 def _clipped_grid(verts, h):
@@ -157,35 +159,34 @@ def dirichlet_domain(group, spacing):
 
 
 def dirichlet_vertices(group):
-    """The CCW vertices of the Dirichlet polygon about 0 of a group with
-    generators, cut once per group.
+    """The CCW vertices of D_0, the Dirichlet polygon about 0, of a group
+    with generators: its certificate's polygon, or else a ball cut, once.
 
-    Cuts half-spaces over an orbit ball of radius 2*d0 + 1 (d0 = the
-    smallest generator displacement) and retries twice with a larger ball
-    if the polygon could still be cut by farther orbit points.
+    The ball of radius R = 2 d0 + 1 (d0 the smallest generator displacement)
+    cuts a polygon P that holds D_0 and 0.  With m = max rho(0, v) over P's
+    vertices, no gamma with rho(0, gamma 0) > 2 m cuts P: z in P has
+    rho(z, gamma 0) >= rho(0, gamma 0) - rho(0, z) > rho(0, z).  So P is D_0
+    if R >= 2 m.  Else the ball of radius 2 m + 1 cuts a polygon inside P,
+    so within m of 0 (rho(0, .) is convex), and that is D_0: no third cut.
     """
-    # kept beside the grids, under a key that no spacing can be
-    cache = group._domain_cache
-    if "vertices" in cache:
-        return cache["vertices"]
-    reach = 2.0 * group.min_generator_displacement() + 1.0
-    for _ in range(3):
-        ball = enumerate_ball(group, 0.0j, reach)
-        keep = ball.displacements > 1e-12
-        poly = dirichlet_polygon(ball.terms(0.0j)[0][keep])
-        if poly is None:
-            raise ConfigError("the Dirichlet polygon about 0 is unbounded, "
-                              "so the group is not cocompact")
-        # any gamma with rho(0, gamma 0) > 2 * max vertex distance cannot
-        # cut the polygon; if the ball does not reach that far, retry
-        needed = 2.0 * float(np.max(distance(0.0j, poly))) + 1e-9
-        if reach >= needed:
-            poly.flags.writeable = False
-            cache["vertices"] = poly
-            return poly
-        reach = needed + 1.0
-    raise InsufficientBall("Dirichlet polygon kept growing past the "
-                           "enumerated orbit ball")
+    cert = group.dirichlet_at_0
+    cache = group._domain_cache     # under a key that no spacing can be
+    if not cert and "vertices" not in cache:
+        reach = 2.0 * group.min_generator_displacement() + 1.0
+        for _ in range(2):
+            ball = enumerate_ball(group, 0.0j, reach)
+            poly = dirichlet_polygon(
+                ball.terms(0.0j)[0][ball.displacements > 1e-12])
+            if poly is None:
+                raise ConfigError("the Dirichlet polygon about 0 is "
+                                  "unbounded, so the group is not cocompact")
+            needed = 2.0 * float(np.max(distance(0.0j, poly))) + 1e-9
+            if reach >= needed:
+                break
+            reach = needed + 1.0
+        poly.flags.writeable = False
+        cache["vertices"] = poly
+    return cert[0] if cert else cache["vertices"]
 
 
 def disc_domain(spacing):

@@ -17,10 +17,6 @@ class BudgetExceeded(DiscformsError):
     """Orbit enumeration passed its element cap or dedup radius limit."""
 
 
-class InsufficientBall(DiscformsError):
-    """An orbit ball too small for the Dirichlet polygon it was cut from."""
-
-
 class UnboundedSeed(DiscformsError):
     """A rational seed has poles too close to the closed disc."""
 

@@ -89,17 +89,14 @@ def side_values(n, c, k):
     return (np.conj(n) * k).real - c
 
 
-def _clip_polygon(poly, n, c):
-    """Sutherland-Hodgman clip of polygon (complex vertices, CCW) against
-    the half-plane Re(conj(n) z) <= c."""
+def _clip_polygon(poly, f):
+    """Sutherland-Hodgman clip of polygon poly (complex vertices, CCW) to
+    where the side values f, one float per vertex, are <= 0."""
     out = []
-    for a, b in zip(poly, poly[1:] + poly[:1]):
-        fa, fb = side_values(n, c, a), side_values(n, c, b)
+    for a, b, fa, fb in zip(poly, poly[1:] + poly[:1], f, f[1:] + f[:1]):
         if fa <= 0:
             out.append(a)
-            if fb > 0:
-                out.append(a + (b - a) * fa / (fa - fb))
-        elif fb <= 0:
+        if (fa <= 0) != (fb <= 0):              # the edge crosses the side
             out.append(a + (b - a) * fa / (fa - fb))
     return out
 
@@ -110,7 +107,8 @@ def dirichlet_polygon(pts):
     bounded inside |z| < 1 - BOUNDARY_GUARD.  The bisector of 0 and p is
     the Klein chord Re(conj(n) k) = |p|, n = p/|p| (Beardon 1983, ch. 7):
     each cut clips a square around the Klein disc, which keeps it CCW, and
-    cuts that move no vertex past 1e-15 are skipped."""
+    cuts that move no vertex past 1e-15 are skipped.  Each pass's side
+    values find the next cut and clip with it."""
     poly = [complex(-2, -2), complex(2, -2), complex(2, 2), complex(-2, 2)]
     normal, dist, k = pts / np.abs(pts), np.abs(pts), 0
     while True:
@@ -118,8 +116,7 @@ def dirichlet_polygon(pts):
         cuts = np.flatnonzero(np.max(f, axis=1) > 1e-15)
         if not len(cuts):
             break
-        p, k = pts[k + cuts[0]], k + cuts[0] + 1
-        poly = _clip_polygon(poly, p / abs(p), abs(p))
+        poly, k = _clip_polygon(poly, f[cuts[0]].tolist()), k + cuts[0] + 1
     start = int(np.argmin(np.angle(poly)))
     v = klein_to_poincare(np.array(poly[start:] + poly[:start]))
     return v if np.all(np.abs(v) < 1.0 - BOUNDARY_GUARD) else None

@@ -168,9 +168,13 @@ class FuchsianGroup:
 
     @cached_property
     def dirichlet_at_0(self):
-        """Whether D_0 is the Dirichlet polygon about 0, its sides paired by
-        the alphabet (_side_pairing): enumerate_ball's margin-0 premise."""
-        return _side_pairing(self.alphabet) is not None
+        """D_0's (vertices, angles) when it is the Dirichlet polygon about
+        0 with its sides paired by the alphabet (_side_pairing), else None:
+        the domain's polygon and enumerate_ball's margin-0 premise."""
+        cert = _side_pairing(self.alphabet)
+        for arr in cert or ():      # every caller shares them: read-only
+            arr.flags.writeable = False
+        return cert
 
     def _generator_displacements(self, x):
         a, b = self._generator_pairs()

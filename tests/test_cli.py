@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from discforms import cli, domain
+from discforms.group import load_group
 from discforms.series import SeedFunction
 
 from conftest import write_4g_gon
@@ -451,6 +452,21 @@ def test_genus_3_file_runs_every_group_command(tmp_path):
                          str(cfg))
         assert code == 0, command
         assert data["config"]["group"] == str(cfg)
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4, 5])
+def test_fundamental_domain_reports_the_certified_4g_gon(tmp_path, genus):
+    # the report's polygon is the certificate's, 4g vertices; a second cut
+    # over an orbit ball reported 19 and 27 at genus 4 and 5, with extra
+    # vertices 1e-14 apart
+    cfg = str(write_4g_gon(tmp_path / f"genus{genus}.cfg", genus))
+    code, data = run(tmp_path, "fundamental-domain", "--spacing", "0.05",
+                     "--group", cfg)
+    verts = np.array([complex(*v) for v in data["report"]["vertices"]])
+    assert code == 0 and data["report"]["n_vertices"] == len(verts) \
+        == 4 * genus
+    cert = load_group(cfg).dirichlet_at_0[0]
+    assert np.max(np.abs(verts - cert)) <= 1e-13
 
 
 # Group files that are not cocompact: a rotation of order 4, and one

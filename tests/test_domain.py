@@ -13,9 +13,9 @@ from discforms.domain import _clipped_grid, dirichlet_domain, disc_domain
 from discforms.geometry import (
     distance, in_convex_polygon, klein_to_poincare, poincare_to_klein,
 )
-from discforms.group import enumerate_ball
+from discforms.group import enumerate_ball, load_group
 
-from conftest import OCTAGON_D0, random_disc_points
+from conftest import OCTAGON_D0, random_disc_points, write_4g_gon
 
 # regular octagon vertex distance: arccosh(cot^2(pi/8))
 VERTEX_DIST = math.acosh(1.0 / math.tan(math.pi / 8) ** 2)
@@ -120,14 +120,19 @@ def _arc_area_60(vertices):
         return area
 
 
-@pytest.mark.parametrize("which", ["octagon", "1024-gon"])
-def test_area_against_60_digits(domain, which):
-    # the closed-form area is off the 60-digit area of the same vertices by
-    # under one unit of 2^-52 relative: 0.405 on the octagon (whose area
-    # keeps its bits) and 0.260 on the 1,024-gon, where the per-side
-    # Green's-theorem sum in double precision was off by 51,015 units
-    # (1.1e-11 relative)
-    dom = domain if which == "octagon" else disc_domain(0.05)
+@pytest.mark.parametrize("which", ["octagon", "12-gon", "1024-gon"])
+def test_area_against_60_digits(domain, which, tmp_path):
+    # the closed-form area, its 2n terms rounded once, is off the 60-digit
+    # area of the same vertices by under one unit of 2^-52 relative: 0.007
+    # on the octagon (whose area keeps its bits), 0.261 on the genus-3
+    # file's 12-gon, where two np.sums read 1.71, and 0.260 on the
+    # 1,024-gon, where the per-side Green's-theorem sum in double precision
+    # was off by 51,015 units (1.1e-11 relative)
+    if which == "12-gon":
+        group = load_group(str(write_4g_gon(tmp_path / "genus3.cfg", 3)))
+        dom = dirichlet_domain(group, spacing=0.05)
+    else:
+        dom = domain if which == "octagon" else disc_domain(0.05)
     exact = _arc_area_60(dom.vertices)
     with mpmath.workdps(60):
         ratio = float(abs(mpmath.mpf(dom.euclidean_area) - exact) / exact

@@ -12,10 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from discforms import group as group_module, kernels, seshadri
-from discforms.domain import dirichlet_domain
+from discforms import domain as domain_module
+from discforms.domain import dirichlet_domain, dirichlet_vertices
 from discforms.embedding import very_ampleness_scan
 from discforms.errors import BudgetExceeded, ConfigError
-from discforms.geometry import distance, in_convex_polygon, mobius
+from discforms.geometry import (
+    dirichlet_polygon, distance, in_convex_polygon, klein_sides, mobius,
+)
 from discforms.group import (
     DEDUP_MAX_RADIUS, DEDUP_TOL, FuchsianGroup, GroupElement, OrbitBall,
     _OCTAGON_RELATOR,
@@ -180,12 +183,16 @@ def _same_elements(ball, ref):
 
 def test_preset_polygon_is_dirichlet_domain(octagon):
     # the walk lemma's premise: the polygon the certificate derives from the
-    # generators is the regular octagon in closed form, and the ball cut of
-    # dirichlet_domain, to 1e-14, with eight angles of pi/4 in one cycle
+    # generators is the domain's, the regular octagon in closed form, and
+    # the polygon the bisectors over the ball of radius 2 d0 + 1 cut, to
+    # 1e-14, with eight angles of pi/4 in one cycle
     verts, angles = _side_pairing(octagon.alphabet)
-    dom = dirichlet_domain(octagon, spacing=0.05)
-    assert len(verts) == len(dom.vertices) == 8
-    assert np.max(np.abs(verts - dom.vertices)) <= 1e-14
+    assert dirichlet_domain(octagon, spacing=0.05).vertices \
+        is octagon.dirichlet_at_0[0]
+    ball = enumerate_ball(octagon, 0.0j, 2.0 * D0 + 1.0)
+    cut = dirichlet_polygon(ball.terms(0.0j)[0][ball.displacements > 0])
+    assert len(verts) == len(cut) == 8
+    assert np.max(np.abs(verts - cut)) <= 1e-14
     start = int(np.argmin(np.abs(verts - OCTAGON_D0[0])))
     assert np.max(np.abs(np.roll(verts, -start) - OCTAGON_D0)) <= 1e-14
     assert np.max(np.abs(angles - math.pi / 4)) <= 1e-14
@@ -700,6 +707,41 @@ def test_margin_0_needs_the_dirichlet_polygon(octagon):
     alphas, betas = _conjugate(at.alphas, at.betas)
     assert _same_elements(ball, dataclasses.replace(at, base=0.0j, alphas=alphas,
                                                     betas=betas))
+
+
+def test_ball_cut_domain_is_certified(monkeypatch):
+    # the conjugated octagon's letters pair no sides, so dirichlet_domain
+    # cuts D_0 over an orbit ball; with that ball's non-identity elements
+    # as letters, the certificate proves the cut is D_0, bit for bit
+    balls = []
+    real_ball = domain_module.enumerate_ball
+    monkeypatch.setattr(domain_module, "enumerate_ball",
+                        lambda *a: balls.append(real_ball(*a)) or balls[-1])
+    verts = dirichlet_domain(_conjugated_octagon(), spacing=0.05).vertices
+    assert len(balls) == 1
+    letters = [GroupElement(a, b) for a, b, d in zip(
+        balls[0].alphas, balls[0].betas, balls[0].displacements) if d > 1e-12]
+    cert = _side_pairing(FuchsianGroup(letters).alphabet)
+    assert len(verts) == 14 and np.array_equal(cert[0], verts)
+
+
+def test_ball_cut_stops_after_its_second_cut(monkeypatch):
+    # a first reach past every side pairing but below twice the farthest
+    # vertex: the first cut is D_0 yet cannot show it, and the second,
+    # whose ball passes twice the first cut's vertices, is the last
+    verts = dirichlet_vertices(_conjugated_octagon())
+    pairs = 2.0 * np.arctanh(klein_sides(verts)[1])   # rho(0, s 0) per side
+    needed = 2.0 * float(np.max(distance(0.0j, verts)))
+    reach = (float(np.max(pairs)) + needed) / 2.0      # 4.21 in (4.06, 4.37)
+    moved, cuts = _conjugated_octagon(), []
+    monkeypatch.setattr(moved, "min_generator_displacement",
+                        lambda: (reach - 1.0) / 2.0)
+    real_cut = domain_module.dirichlet_polygon
+    monkeypatch.setattr(domain_module, "dirichlet_polygon",
+                        lambda p: cuts.append(len(p)) or real_cut(p))
+    assert np.array_equal(dirichlet_vertices(moved), verts)
+    assert len(cuts) == 2 and cuts[0] < cuts[1]
+    assert moved._ball_at_0.radius == pytest.approx(needed + 1.0)
 
 
 # rotation by pi/2 about 0: a finite group of order 4 in PSU(1,1)

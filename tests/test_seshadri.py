@@ -253,34 +253,37 @@ def test_quasi_psh_queries_each_node_once(octagon, rho0, monkeypatch):
 
 
 def test_quasi_psh_builds_each_ball_once(monkeypatch, capsys):
-    # at --r-factors 4: injectivity_radius, dirichlet_domain, density's
-    # coarse and refined counts, then the stencil's first candidate query
+    # at --r-factors 4: injectivity_radius, density's coarse and refined
+    # counts, then the stencil's first candidate query; dirichlet_domain
+    # takes the certificate's polygon and builds none
     builds = []
     real_probe = group_module._probe_points
     monkeypatch.setattr(group_module, "_probe_points",
                         lambda x: builds.append(x) or real_probe(x))
     assert cli.main(["quasi-psh-check", "--r-factors", "4"]) == 0
-    assert len(builds) == 5
+    assert len(builds) == 4
 
 
 def test_one_quadrature_grid_per_group_and_spacing(monkeypatch, capsys):
-    # and one polygon cut per group, which its grids share; the separation
-    # scan's sampler reads the polygon alone and builds no grid
+    # and one cut of D_0 per certified group, the certificate's, which its
+    # grids share; the separation scan's sampler reads the polygon alone
+    # and builds no grid
     grids, cuts = [], []
     real_grid = domain_module._clipped_grid
-    real_cut = domain_module.dirichlet_polygon
     monkeypatch.setattr(domain_module, "_clipped_grid",
                         lambda *a: grids.append(a[1]) or real_grid(*a))
-    monkeypatch.setattr(domain_module, "dirichlet_polygon",
-                        lambda p: cuts.append(len(p)) or real_cut(p))
+    for module in (domain_module, group_module):
+        monkeypatch.setattr(module, "dirichlet_polygon",
+                            lambda p, cut=module.dirichlet_polygon:
+                            cuts.append(len(p)) or cut(p))
     seshadri_lower_bound(preset_genus2_octagon(), 0.0j)
-    assert grids == [0.02] and len(cuts) == 1
+    assert grids == [0.02] and cuts == [8]
     grids.clear(), cuts.clear()
     assert cli.main(["quasi-psh-check"]) == 0
-    assert sorted(grids) == [0.0125, 0.02] and len(cuts) == 1
+    assert sorted(grids) == [0.0125, 0.02] and cuts == [8]
     grids.clear(), cuts.clear()
     assert cli.main(["separation-scan"]) == 0
-    assert grids == [] and len(cuts) == 1
+    assert grids == [] and cuts == [8]
 
 
 def test_quasi_psh_single_center(trivial):
