@@ -2,7 +2,7 @@
 
 The Dirichlet domain about 0, D_0, is the intersection of the half-spaces
 {z : rho(z, 0) <= rho(z, gamma 0)} over gamma != id: the polygon of the
-group's certificate (FuchsianGroup.dirichlet_at_0), or else one cut over an
+group's certificate (FuchsianGroup.dirichlet_at_0), or else a cut over an
 orbit ball (dirichlet_vertices), each by geometry.dirichlet_polygon.  Sides
 of the Poincare polygon are arcs of circles orthogonal to the unit circle.
 A domain is its CCW vertex list; geometry.in_convex_polygon, the one
