@@ -190,8 +190,7 @@ def cmd_kernel_check(args):
     se = kernels.weighted_kernel_series(args.m, z, w)
     series_rel = float(np.max(np.abs(cf - se) / np.abs(cf)))
     bound = kernels.series_rounding_bound(args.m, z, w, cf)
-    rp = kernels.reproducing_check(args.m, SeedFunction.poly([0, 0, 1.0]),
-                                   0.3)
+    rp = kernels.reproducing_check(args.m)
     ok = (tr.max_residual < 1e-10 and np.all(np.abs(cf - se) <= bound)
           and rp.rel_error < 5e-3)
     return {

@@ -36,7 +36,6 @@ class FundamentalDomain:
     vertices: np.ndarray          # Poincare coordinates, CCW
     nodes: np.ndarray             # quadrature nodes (Poincare coords)
     weights: np.ndarray           # positive, sum ~ euclidean polygon area
-    spacing: float
 
     def __post_init__(self):
         # the group caches its domains, so no caller may write
@@ -88,7 +87,7 @@ def _clipped_grid(verts, h):
     # classify each lattice corner once; a cell counts its four
     lx, ly = np.meshgrid(xmin + np.arange(nx + 1) * h,
                          ymin + np.arange(ny + 1) * h, indexing="ij")
-    inside = in_convex_polygon(verts, (lx + 1j * ly).ravel(), 0.0)
+    inside = in_convex_polygon(verts, (lx + 1j * ly).ravel())
     inside = inside.reshape(nx + 1, ny + 1).astype(np.int64)
     n_in = (inside[:-1, :-1] + inside[1:, :-1] + inside[:-1, 1:]
             + inside[1:, 1:]).ravel()
@@ -97,7 +96,7 @@ def _clipped_grid(verts, h):
     # convex domain: a cell with no corner inside can still clip a sliver,
     # but only near a vertex; pick those up via the cell centers too
     empty = np.flatnonzero(n_in == 0)
-    partial[empty] = in_convex_polygon(verts, centers[empty], 0.0)
+    partial[empty] = in_convex_polygon(verts, centers[empty])
 
     nodes = [centers[full]]
     weights = [np.full(np.sum(full), h * h)]
@@ -144,17 +143,20 @@ def dirichlet_domain(group, spacing):
     """Dirichlet fundamental domain about 0 with a quadrature grid.
 
     The group caches its polygon (dirichlet_vertices) and one grid per
-    spacing.
+    spacing.  A spacing whose grid holds no node is a ValueError.
     """
     check_spacing(spacing)
     cache = group._domain_cache
     if spacing not in cache:
         if group.is_trivial:
-            cache[spacing] = disc_domain(spacing=spacing)
+            dom = disc_domain(spacing=spacing)
         else:
             poly = dirichlet_vertices(group)
-            cache[spacing] = FundamentalDomain(
-                poly, *_clipped_grid(poly, spacing), spacing)
+            dom = FundamentalDomain(poly, *_clipped_grid(poly, spacing))
+        if not len(dom.nodes):
+            raise ValueError(f"spacing {spacing!r} leaves no grid node in "
+                             f"the fundamental domain")
+        cache[spacing] = dom
     return cache[spacing]
 
 
@@ -200,4 +202,4 @@ def disc_domain(spacing):
     n_sides, r_max = 1024, 1.0 - 1e-4
     ang = 2.0 * np.pi * (np.arange(n_sides) + 0.5) / n_sides
     verts = r_max * np.exp(1j * ang)
-    return FundamentalDomain(verts, *_clipped_grid(verts, spacing), spacing)
+    return FundamentalDomain(verts, *_clipped_grid(verts, spacing))

@@ -86,7 +86,7 @@ def sample_fundamental_domain(group, n, seed):
     while len(out) < n:
         cand = (rng.random(4 * n) * 2 - 1) * rad \
             + 1j * (rng.random(4 * n) * 2 - 1) * rad
-        keep = in_convex_polygon(poly, cand * 0.98, 0.0)
+        keep = in_convex_polygon(poly, cand * 0.98)
         out.extend(cand[keep] * 0.98)
     return np.array(out[:n])
 

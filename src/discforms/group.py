@@ -40,6 +40,11 @@ DEDUP_TOL = 1e-9
 # separates distinct orbit images; see _dedup_keys.
 DEDUP_MAX_RADIUS = 19.0
 
+# Two interior points whose images identify an element: a disc isometry
+# other than the identity fixes at most one interior point, and the image
+# pair is PSU(1,1)-invariant, which sidesteps the sign of the pair.
+_PROBES = (0.0j, 0.3 + 0.0j)
+
 # Most elements a BFS build may keep in its tree before BudgetExceeded.
 ELEMENT_CAP = 5_000_000
 
@@ -71,10 +76,7 @@ class GroupElement:
     word: tuple = ()
 
     def __post_init__(self):
-        # Loose sanity guard only: deep products cannot hold a tighter
-        # defect in double precision.  Ball elements are checked at 1e-10
-        # by the enumeration tests.
-        check_su11(self.alpha, self.beta, tol=1e-5)
+        check_su11(self.alpha, self.beta)
 
     def apply(self, z):
         return mobius(self.alpha, self.beta, z)
@@ -184,8 +186,8 @@ class FuchsianGroup:
         d = self._generator_displacements(x)
         return float(np.min(d)) if len(d) else 0.0
 
-    def max_generator_displacement(self, x):
-        return float(np.max(self._generator_displacements(x), initial=0.0))
+    def max_generator_displacement(self):
+        return float(np.max(self._generator_displacements(0.0j), initial=0.0))
 
     def reduce_points(self, zs):
         """Orbit representatives of zs, moved by _descend: into D_0 when
@@ -352,22 +354,10 @@ class OrbitBall:
                          self.parents, self.letters)
 
 
-def _probe_points(x):
-    """Two generic interior points whose images identify an element.
-
-    A disc isometry other than the identity fixes at most one interior
-    point, so two distinct group elements cannot agree on both probes.  The
-    image pair is PSU(1,1)-invariant, which sidesteps the sign ambiguity of
-    the matrix entries entirely.
-    """
-    p2 = (x + 0.3) / (1.0 + np.conj(x) * 0.3)
-    return x, p2
-
-
 def _dedup_keys(i1, i2):
     """Two staggered integer keys per element; straddle-safe dedup.
 
-    Keys are the rounded images i1, i2 of the two probe points.  Euclidean
+    Keys are the rounded images i1, i2 of the two _PROBES.  Euclidean
     spacing of distinct images shrinks like e^(-displacement) near the
     boundary, so the fixed 1e-9 tolerance is valid for enumeration radii up
     to DEDUP_MAX_RADIUS, which enumerate_ball enforces.  Each key is an
@@ -510,17 +500,16 @@ def enumerate_ball(group, x, radius):
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
     x = complex(x if x == 0 else check_disc_point(x))    # 0 needs none
+    reach = radius + 2.0 * float(distance(0.0j, x)) if x != 0 else radius
+    # before any slack, which overflows past e^709
+    if reach > DEDUP_MAX_RADIUS:
+        raise BudgetExceeded(
+            f"radius + 2 rho(0, x) = {reach:.6g} exceeds "
+            f"{DEDUP_MAX_RADIUS:g}, the limit of the {DEDUP_TOL:g} dedup key")
     if x != 0:
-        rho = float(distance(0.0j, x))
         # two errors: a kept element's computed rho(x, gamma x) and its
-        # rho(0, gamma 0), each at most rho_error(radius + 2 rho)
-        reach = radius + 2.0 * rho + 2.0 * rho_error(radius + 2.0 * rho)
-        if reach > DEDUP_MAX_RADIUS:
-            raise BudgetExceeded(
-                f"radius + 2 rho(0, x) + slack = {reach:.6g} exceeds "
-                f"{DEDUP_MAX_RADIUS:g}, the limit of the {DEDUP_TOL:g} "
-                f"dedup key")
-        at0 = enumerate_ball(group, 0.0j, reach)
+        # rho(0, gamma 0), each at most rho_error(reach)
+        at0 = enumerate_ball(group, 0.0j, reach + 2.0 * rho_error(reach))
         disp = distance(x, mobius(at0.alphas, at0.betas, x))
         kept = np.flatnonzero(disp <= radius)
         kept = kept[np.argsort(disp[kept], kind="stable")]
@@ -533,8 +522,8 @@ def enumerate_ball(group, x, radius):
         # (its 4096 ulps absorb e^margin < 1.001), and by the lemma so is
         # every node on its descent path, computed within radius + 2 e.
         margin = (2.0 * rho_error(radius) if group.dirichlet_at_0
-                  else group.max_generator_displacement(0.0j))
-        held = group._ball_at_0 = _bfs_ball(group, 0.0j, radius, margin)
+                  else group.max_generator_displacement())
+        held = group._ball_at_0 = _bfs_ball(group, radius, margin)
     return held.restrict(radius)
 
 
@@ -581,22 +570,19 @@ def _within_reach(frontier_a, frontier_b, letter_terms, limit):
     return ok
 
 
-def _bfs_ball(group, x, radius, margin):
-    """BFS ball about x: no node past radius + margin is expanded, and
-    enumerate_ball proves its margin at 0; off 0 with a wide margin, it is
-    the tests' reference.  Each child is tested on |beta|^2 before it is
-    built (_within_reach), so products, displacements and dedup run only
-    for children that can land within reach.  The tree is kept whole, in
-    BFS order."""
+def _bfs_ball(group, radius, margin):
+    """BFS ball about 0: no node past radius + margin is expanded, and
+    enumerate_ball proves its margin; with a wide margin, it is the tests'
+    reference.  Each child is tested on |beta|^2 before it is built
+    (_within_reach), so products, displacements and dedup run only for
+    children that can land within reach.  The tree is kept whole, in BFS
+    order."""
     letters, gen_a, gen_b, inv_index = group.alphabet
-    expand_limit = radius + margin
-    if expand_limit > DEDUP_MAX_RADIUS:
+    limit = radius + margin
+    if limit > DEDUP_MAX_RADIUS:
         raise BudgetExceeded(
-            f"radius + margin = {expand_limit:.6g} exceeds "
+            f"radius + margin = {limit:.6g} exceeds "
             f"{DEDUP_MAX_RADIUS:g}, the limit of the {DEDUP_TOL:g} dedup key")
-    # a child with rho(x, gamma x) <= expand_limit has rho(0, gamma 0) <=
-    # expand_limit + 2 rho(0, x)
-    reach0 = expand_limit + 2.0 * float(distance(0.0j, x))
     letter_terms = (np.abs(gen_a) ** 2, np.abs(gen_b) ** 2, gen_b * gen_a)
 
     # Growing global store; parent/letter pairs spell the words on demand.
@@ -605,8 +591,7 @@ def _bfs_ball(group, x, radius, margin):
     all_d = [np.array([0.0])]
     all_parent = [np.array([-1], dtype=np.int64)]
     all_letter = [np.array([-1], dtype=np.int64)]  # alphabet index, -1 = root
-    probes = _probe_points(x)
-    k1, k2 = _dedup_keys(*(mobius(all_a[0], all_b[0], p) for p in probes))
+    k1, k2 = _dedup_keys(*(mobius(all_a[0], all_b[0], p) for p in _PROBES))
     seen1 = _SeenKeys(k1)
     seen2 = _SeenKeys(k2)
 
@@ -619,19 +604,19 @@ def _bfs_ball(group, x, radius, margin):
     while len(frontier_idx) > 0:
         # The reduced one-letter extensions of the frontier that can come
         # within reach, in (parent, letter) order.
-        ok = _within_reach(frontier_a, frontier_b, letter_terms, reach0)
+        ok = _within_reach(frontier_a, frontier_b, letter_terms, limit)
         back = np.flatnonzero(frontier_letter >= 0)
         ok[back, inv_index[frontier_letter[back]]] = False
         rows, lidx = np.nonzero(ok)
         par, pa, pb = frontier_idx[rows], frontier_a[rows], frontier_b[rows]
 
         ca, cb = _product(pa, pb, gen_a[lidx], gen_b[lidx])
-        gx = mobius(ca, cb, x)          # for the displacement and k1 both
-        disp = distance(x, gx)
-        keep = disp <= expand_limit
-        par, ca, cb, lidx, disp, gx = (c[keep] for c in
-                                       (par, ca, cb, lidx, disp, gx))
-        new_rows = _accept(*_dedup_keys(gx, mobius(ca, cb, probes[1])),
+        g0 = mobius(ca, cb, 0.0j)       # for the displacement and k1 both
+        disp = distance(0.0j, g0)
+        keep = disp <= limit
+        par, ca, cb, lidx, disp, g0 = (c[keep] for c in
+                                       (par, ca, cb, lidx, disp, g0))
+        new_rows = _accept(*_dedup_keys(g0, mobius(ca, cb, _PROBES[1])),
                            seen1, seen2)
         if not len(new_rows):
             break
@@ -660,7 +645,7 @@ def _bfs_ball(group, x, radius, margin):
     rows = kept[np.argsort(disps[kept], kind="stable")]
     # alphabet index -1 (the root) picks the appended 0
     signed = np.append(np.array(letters, dtype=np.int64), 0)
-    return OrbitBall(x, radius, np.concatenate(all_a)[rows],
+    return OrbitBall(0.0j, radius, np.concatenate(all_a)[rows],
                      np.concatenate(all_b)[rows], disps[rows], rows,
                      np.concatenate(all_parent),
                      signed[np.concatenate(all_letter)])

@@ -34,9 +34,11 @@ from .domain import dirichlet_domain
 from .group import enumerate_ball
 from .series import SeedFunction, _polar_sum, poincare_values
 
-# Terms kept by weighted_kernel_series; the points w of cm_constant's A(w).
+# Terms kept by weighted_kernel_series; the points w of cm_constant's A(w);
+# the seed h = z^2 and point w that reproducing_check reproduces.
 SERIES_DEGREE = 200
 CM_PROBES = (0.0, 0.2, 0.4j, -0.3 + 0.3j, 0.5)
+REPRODUCING_PROBE = (SeedFunction.poly([0, 0, 1.0]), 0.3 + 0.0j)
 
 
 def _kernel_constant(m):
@@ -123,9 +125,10 @@ class ReproducingReport:
     rel_error_half_grid: float
 
 
-def reproducing_check(m, h, w):
-    """Quadrature of Int K_m(z,w) conj(h(z)) K(z,z)^(1-m) vs conj(h(w))."""
-    w = check_disc_point(complex(w))
+def reproducing_check(m):
+    """Quadrature of Int K_m(z,w) conj(h(z)) K(z,z)^(1-m) vs conj(h(w)), for
+    (h, w) = REPRODUCING_PROBE."""
+    h, w = REPRODUCING_PROBE
     expected = np.conj(h(w))
 
     def dens(z, wt, r):

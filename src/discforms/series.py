@@ -270,6 +270,8 @@ def poincare_eval(group, f, m, z, radius, ball=None):
 
 def poincare_values(group, f, m, zs, radius, ball=None):
     """Vectorized truncated P_m(f) on an array of points (plain sum)."""
+    if m < 2:
+        raise ValueError("weight m must be >= 2")
     zs = check_disc_point(np.atleast_1d(zs).astype(complex))
     if ball is None:
         ball = enumerate_ball(group, 0.0j, radius)

@@ -47,19 +47,21 @@ class DensityReport:
 def density(group, x, r, spacing=0.02):
     """D(r,x): sup over centers z of #{orbit points of x within r of z} / r^2.
 
-    The count is Gamma-invariant in z, so the sup is scanned over a grid on
-    the fundamental domain, with one local refinement pass around the best
+    D(r, x) is Gamma-invariant in x too, so x is first reduced toward 0,
+    as in injectivity_radius, to keep the orbit ball small.  The count is
+    Gamma-invariant in z, so the sup is scanned over a grid on the
+    fundamental domain, with one local refinement pass around the best
     candidate at spacing r/20 (hyperbolic, converted at the candidate).
     The reduced x is a candidate too: it counts x, so D >= 1/r^2 at any r.
     """
     if r <= 0:
         raise ValueError("r must be positive")
-    x = complex(check_disc_point(x))
+    x = complex(group.reduce_points([x])[0])
     if group.is_trivial:
         return DensityReport(1.0 / r ** 2, 1, x, r, 1)
     nodes = dirichlet_domain(group, spacing=spacing).nodes
     # argmax takes the first maximum: x wins only with a strictly higher count
-    zs = np.append(nodes, group.reduce_points([x]))
+    zs = np.append(nodes, x)
     counts = orbit_counts(group, x, zs, r)
     i = int(np.argmax(counts))
     best, center = int(counts[i]), complex(zs[i])

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from discforms.geometry import klein_sides, poincare_to_klein, side_values
 from discforms.group import (FuchsianGroup, GroupElement, _product, _psu_gap,
                              preset_genus2_octagon)
 
@@ -33,6 +34,14 @@ def rng():
 def random_disc_points(rng, n, r_max=0.8):
     r = r_max * np.sqrt(rng.random(n))
     return r * np.exp(2j * np.pi * rng.random(n))
+
+
+def klein_excess(vertices, z):
+    """The largest side value of each z over a convex polygon's Klein
+    sides: <= 0 inside it, else the Klein width of z past its boundary."""
+    n, c = klein_sides(vertices)
+    return np.max(side_values(n[:, None], c[:, None],
+                              poincare_to_klein(np.atleast_1d(z))), axis=0)
 
 
 def word_product(group, word):

@@ -15,6 +15,11 @@ by keyword, by position (after `self` on methods) or through
 is a constant in disguise and should be written as one, which a test may
 patch.  A default that every call overrides is a required parameter in
 disguise.
+
+An AST scan lists every parameter, required or defaulted, to which every
+call in `src/` and `perfbench/` passes the same literal, such as a base
+point 0 or a tolerance 1e-5.  Such a parameter has one value in use: it
+is a constant, and a generality that only tests exercise.
 """
 
 import ast
@@ -29,11 +34,12 @@ def _trees(*dirs):
             yield path, ast.parse(path.read_text(), str(path))
 
 
-def _defaulted_params():
-    """(function name, parameter, positional index or None, where) for
-    every parameter with a default; the index skips `self`/`cls`."""
+def _parameters(trees):
+    """(function name, parameter, positional index or None, where,
+    defaulted?) for every parameter of every function in the (path, tree)
+    pairs; the index skips `self`/`cls`."""
     out = []
-    for path, tree in _trees("src"):
+    for path, tree in trees:
         methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
                    for f in c.body if isinstance(f, ast.FunctionDef)
                    and not any(getattr(d, "id", None) == "staticmethod"
@@ -45,18 +51,24 @@ def _defaulted_params():
             pos = args.posonlyargs + args.args
             skip = 1 if id(fn) in methods else 0
             where = f"{path.relative_to(ROOT)}:{fn.lineno}"
-            for k, a in enumerate(pos[len(pos) - len(args.defaults):],
-                                  len(pos) - len(args.defaults)):
-                out.append((fn.name, a.arg, k - skip, where))
+            for k, a in enumerate(pos[skip:], skip):
+                out.append((fn.name, a.arg, k - skip, where,
+                            k >= len(pos) - len(args.defaults)))
             for a, d in zip(args.kwonlyargs, args.kw_defaults):
-                if d is not None:
-                    out.append((fn.name, a.arg, None, where))
+                out.append((fn.name, a.arg, None, where, d is not None))
     return out
+
+
+def _defaulted_params():
+    """(function name, parameter, positional index or None, where) for
+    every parameter in src/ with a default."""
+    return [p[:4] for p in _parameters(_trees("src")) if p[4]]
 
 
 def _calls_in(node, caller, out):
     """Add the calls under node, made from the function named caller, to
-    out; a call from a function to its own name is left out."""
+    out by callee name; a call from a function to its own name is left
+    out."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             _calls_in(child, child.name, out)
@@ -66,24 +78,38 @@ def _calls_in(node, caller, out):
             continue
         f = child.func
         name = getattr(f, "id", None) or getattr(f, "attr", None)
-        if name is None or name == caller:
-            continue
-        starred = [i for i, a in enumerate(child.args)
-                   if isinstance(a, ast.Starred)]
-        n_pos = starred[0] if starred else len(child.args)
-        kws = {k.arg for k in child.keywords}
-        out.setdefault(name, []).append(
-            (n_pos, bool(starred), kws - {None}, None in kws))
+        if name is not None and name != caller:
+            out.setdefault(name, []).append(child)
+
+
+def _n_pos(call):
+    """The positional arguments of a call before any `*`."""
+    starred = [i for i, a in enumerate(call.args)
+               if isinstance(a, ast.Starred)]
+    return starred[0] if starred else len(call.args)
+
+
+def _shape(call):
+    """(n positional before any *, starred?, keyword names, **?)"""
+    kws = {k.arg for k in call.keywords}
+    return (_n_pos(call), _n_pos(call) < len(call.args), kws - {None},
+            None in kws)
+
+
+def _call_sites(trees):
+    """callee name -> the calls to it in the trees, except a function's
+    calls to its own name."""
+    out = {}
+    for tree in trees:
+        _calls_in(tree, None, out)
+    return out
 
 
 def _calls(*dirs):
-    """callee name -> list of (n positional before any *, starred?,
-    keyword names, **?) over every call in dirs, except a function's calls
-    to its own name."""
-    out = {}
-    for _, tree in _trees(*dirs):
-        _calls_in(tree, None, out)
-    return out
+    """callee name -> list of _shape over every call in dirs, except a
+    function's calls to its own name."""
+    sites = _call_sites(tree for _, tree in _trees(*dirs))
+    return {name: list(map(_shape, calls)) for name, calls in sites.items()}
 
 
 def _is_set(index, param, calls):
@@ -104,9 +130,8 @@ def _relies(index, param, calls):
 
 
 def _calls_of(source):
-    out = {}
-    _calls_in(ast.parse(source), None, out)
-    return out
+    sites = _call_sites([ast.parse(source)])
+    return {name: list(map(_shape, calls)) for name, calls in sites.items()}
 
 
 def test_every_defaulted_parameter_is_set_by_a_caller():
@@ -136,6 +161,62 @@ def test_every_default_is_relied_on_by_a_caller():
     overridden = [f"{where} {fn}({p}=...)" for fn, p, k, where in params
                   if not _relies(k, p, calls.get(fn, []))]
     assert overridden == []
+
+
+def _passed(call, index, param):
+    """The expression a call passes for param, by keyword or by position
+    before any `*`, else None."""
+    for k in call.keywords:
+        if k.arg == param:
+            return k.value
+    return call.args[index] if index is not None and index < _n_pos(call) \
+        else None
+
+
+def _constant_params(params, sites):
+    """f"{where} {function}({param}={value!r})" for every parameter to
+    which every call passes the same literal value; calls that leave the
+    parameter to its default, or may pass it through `*`/`**`, pass none."""
+    out = []
+    for fn, p, k, where, _ in params:
+        values = []
+        for call in sites.get(fn, []):
+            arg = _passed(call, k, p)
+            if arg is None:
+                break
+            try:
+                values.append(ast.literal_eval(arg))
+            except ValueError:      # a name or a call: no literal
+                break
+        else:
+            if values and all(v == values[0] for v in values):
+                out.append(f"{where} {fn}({p}={values[0]!r})")
+    return out
+
+
+def test_no_parameter_takes_one_literal_from_every_caller():
+    # a parameter that every call in src/ and perfbench/ fills with one
+    # literal is a constant in disguise, required or defaulted
+    params = _parameters(_trees("src"))
+    sites = _call_sites(tree for _, tree in _trees("src", "perfbench"))
+    assert _constant_params(params, sites) == []
+    # not vacuous: a literal passed by position or keyword is seen, also
+    # on a method; a second value, a name, a call that relies on the
+    # default and one whose `**` may pass the parameter clear it
+    snippet = ast.parse(
+        "def scale(z, tol, k, mode, n=1, *, eps):\n"
+        "    return z\n"
+        "class Box:\n"
+        "    def size(self, x):\n"
+        "        return x\n"
+        "def use(z, m, opts):\n"
+        "    Box().size(0.0j)\n"
+        "    scale(z, 1e-5, 2, 'a', eps=0.5)\n"
+        "    scale(z, tol=1e-5, k=3, mode=m, n=4, eps=0.5)\n"
+        "    return scale(z, 1e-5, 2, 'a', 4, **opts)\n")
+    params = _parameters([(ROOT / "snippet.py", snippet)])
+    assert _constant_params(params, _call_sites([snippet])) \
+        == ["snippet.py:1 scale(tol=1e-05)", "snippet.py:4 size(x=0j)"]
 
 
 def _definitions(tree):
@@ -535,7 +616,8 @@ def test_points_are_checked_where_they_enter():
     # not vacuous: the entry points are seen
     assert {"group.enumerate_ball", "group.orbit_pairs", "group.reduce_points",
             "embedding.eval_sections", "series.poincare_values",
-            "kernels.relative_poincare", "seshadri.density"} <= set(callers)
+            "kernels.relative_poincare", "kernels.weighted_kernel"} \
+        <= set(callers)
 
 
 def test_polygon_cut_has_one_owner():

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from discforms import cli, domain
+from discforms import group as group_module
 from discforms.group import load_group
 from discforms.series import SeedFunction
 
@@ -306,6 +307,19 @@ def test_density_floor_command(tmp_path):
     assert rep["value"] == pytest.approx(1.0 / 0.015 ** 2, rel=1e-15)
 
 
+def test_seshadri_bound_far_point_is_reduced(tmp_path, monkeypatch):
+    # D(r, x) is Gamma-invariant in x, so density reduces x on entry: at
+    # 1e-5 from the boundary the bound fits in a 10,000-element ball, and
+    # equals the bound at the reduced point
+    monkeypatch.setattr(group_module, "ELEMENT_CAP", 10_000)
+    x = complex(load_group("genus2-octagon").reduce_points([0.99999])[0])
+    assert abs(x) < 0.02
+    code, far = run(tmp_path, "seshadri-bound", "--x", "0.99999")
+    assert code == 0
+    code, near = run(tmp_path, "seshadri-bound", "--x", repr(x))
+    assert code == 0 and far["report"] == near["report"]
+
+
 def test_injectivity_trivial_is_null(tmp_path):
     # the report is strict JSON: no orbit, so rho_x is null, not Infinity
     code, data = run(tmp_path, "injectivity-radius", "--group", "trivial")
@@ -342,10 +356,47 @@ def test_kernel_check_series_gate_is_not_vacuous(monkeypatch, capsys):
 
 
 def test_enumerate_nonfinite_radius(capsys):
-    for r in ("nan", "inf"):
+    # 1e9 is finite but past the dedup limit, which is tested before the
+    # rounding slack e^radius could overflow
+    for r, says in [("nan", "finite"), ("inf", "finite"),
+                    ("1e9", "radius + 2 rho(0, x) = 1e+09 exceeds 19")]:
         assert cli.main(["enumerate", "--radius", r]) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "finite" in err
+        assert err.count("\n") == 1 and says in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["weight-sum", "--x", "0.3", "--radius", "1e9"],
+    ["poincare-eval", "--radius", "1e9"],
+    ["lemma22-check", "--radius", "1e9"],
+    ["separation-scan", "--radius", "1e9"],
+    ["density", "--r", "1e9"]])
+def test_radius_past_the_dedup_limit_exits_1(tmp_path, capsys, argv):
+    # each ball request names its reach in one line, with no overflow
+    # warning from a slack computed first
+    code, data = run(tmp_path, *argv)
+    assert code == 1 and data is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: radius + 2 rho(0, x) = 1e+09 exceeds 19")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["fundamental-domain", "roundtrip",
+                                     "quasi-psh-check"])
+def test_spacing_with_no_grid_node_exits_1(tmp_path, capsys, command):
+    # on the preset every spacing from 2.5 up leaves no grid node, which
+    # dirichlet_domain reports in one line instead of an empty quadrature
+    code, data = run(tmp_path, command, "--spacing", "5")
+    assert code == 1 and data is None
+    assert capsys.readouterr().err == (
+        "error: spacing 5.0 leaves no grid node in the fundamental domain\n")
+
+
+def test_roundtrip_rejects_weight_below_2(tmp_path, capsys):
+    # poincare_values checks m on entry, before den_power meets n = 0
+    code, data = run(tmp_path, "roundtrip", "--m", "0")
+    assert code == 1 and data is None
+    assert capsys.readouterr().err == "error: weight m must be >= 2\n"
 
 
 def test_enumerate_far_point_past_dedup_limit(tmp_path, capsys):
@@ -355,7 +406,7 @@ def test_enumerate_far_point_past_dedup_limit(tmp_path, capsys):
     assert code == 1 and data is None
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert err.startswith("error: radius + 2 rho(0, x) + slack = 20.3")
+    assert err.startswith("error: radius + 2 rho(0, x) = 20.3692 exceeds 19")
 
 
 @pytest.mark.parametrize("spec", ["rational 1 / 0", "rational 1 /",

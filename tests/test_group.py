@@ -22,7 +22,7 @@ from discforms.geometry import (
 from discforms.group import (
     DEDUP_MAX_RADIUS, DEDUP_TOL, FuchsianGroup, GroupElement, OrbitBall,
     _OCTAGON_RELATOR,
-    _accept, _bfs_ball, _probe_points, _product, _psu_gap, _SeenKeys,
+    _PROBES, _accept, _bfs_ball, _product, _psu_gap, _SeenKeys,
     _side_pairing, enumerate_ball,
     from_config_text, load_group, orbit_counts, preset_genus2_octagon,
 )
@@ -33,8 +33,8 @@ from discforms.seshadri import (
 )
 
 from conftest import (OCTAGON_D0, config_text, gap_to_identity,
-                      mp_generator, random_disc_points, regular_4g_gon,
-                      word_product, write_4g_gon)
+                      klein_excess, mp_generator, random_disc_points,
+                      regular_4g_gon, word_product, write_4g_gon)
 
 D0 = 2.0 * math.acosh(1.0 + math.sqrt(2.0))   # preset generator displacement
 # c(0): distance from 0 to the vertices of the preset's polygon D_0, the
@@ -64,7 +64,7 @@ def test_relator_residual_is_the_psu_gap_to_identity(octagon):
 
 def test_preset_generators_symmetric(octagon):
     lo = octagon.min_generator_displacement()
-    hi = octagon.max_generator_displacement(0.0j)
+    hi = octagon.max_generator_displacement()
     assert hi - lo < 1e-10
     assert lo == pytest.approx(D0, abs=1e-12)
     # orbit of 0: eight points at equal angles k pi/4
@@ -168,8 +168,8 @@ def _same_elements(ball, ref):
     Spellings of an element may differ, and elements of a ball are far
     apart, so equal sizes make the match one to one."""
     def images(b):
-        return np.stack([mobius(b.alphas, b.betas, p)
-                         for p in _probe_points(ball.base)], axis=1)
+        return np.stack([mobius(b.alphas, b.betas, p) for p in _PROBES],
+                        axis=1)
     if len(ball) != len(ref):
         return False
     mine, theirs = images(ball), images(ref)
@@ -203,17 +203,16 @@ def test_preset_polygon_is_dirichlet_domain(octagon):
 def test_ball_complete_against_wider_margin(x):
     # the ball (the descent-lemma BFS at 0, the ball at 0 filtered
     # elsewhere) holds every element that a BFS at x with margin c(x) + 3
-    # finds, c(x) being the walk lemma's margin.  At R = 10 that BFS takes
-    # 8-19 s and 0.7-1.4 GB, so there it has margin c(x) + 1, at two of the
-    # points.
+    # finds (_wide_ball), c(x) being the walk lemma's margin.  At R = 10
+    # that BFS takes 8-19 s and 0.7-1.4 GB, so there it has margin c(x) +
+    # 1, at two of the points.
     cases = [(6.0, 3.0), (7.0, 3.0), (8.0, 3.0)]
     if x in (0.0j, 0.35 + 0.1j):
         cases.append((10.0, 1.0))
     for radius, extra in cases:
         g = preset_genus2_octagon()
         ball = enumerate_ball(g, x, radius)
-        wide = _bfs_ball(preset_genus2_octagon(), x, radius,
-                         _vertex_reach(x) + extra)
+        wide = _wide_ball(x, radius, _vertex_reach(x) + extra)
         assert _same_elements(ball, wide)
 
 
@@ -221,14 +220,15 @@ def test_ball_complete_against_wider_margin(x):
 def test_ball_outside_d0_against_wider_margin(x):
     # outside D_0 the filtered ball is as certified as the ball at 0; a BFS
     # at x with a margin one past the largest generator displacement at x
-    # finds the same elements, and the words spell them (to 1e-10 of
-    # |alpha| ~ e^(rho(0, gamma 0)/2), here up to 500)
-    assert not in_convex_polygon(OCTAGON_D0, x, 0.0)
+    # (at 0 of the conjugated group) finds the same elements, and the words
+    # spell them (to 1e-10 of |alpha| ~ e^(rho(0, gamma 0)/2), here up to
+    # 500)
+    assert not in_convex_polygon(OCTAGON_D0, x)
+    g = preset_genus2_octagon()
+    margin = _conjugated_octagon(-x).max_generator_displacement() + 1.0
     for radius in (6.0, 8.0):
         ball = enumerate_ball(preset_genus2_octagon(), x, radius)
-        g = preset_genus2_octagon()
-        wide = _bfs_ball(g, x, radius, g.max_generator_displacement(x) + 1.0)
-        assert _same_elements(ball, wide)
+        assert _same_elements(ball, _wide_ball(x, radius, margin))
     assert np.all(ball.displacements <= radius)
     for w, a, b in zip(ball.words, ball.alphas, ball.betas):
         ha, hb = word_product(g, w)
@@ -247,33 +247,25 @@ def test_ball_cold_pool_counts(monkeypatch):
                                                     ref["kept"])
             for x, n in zip(row, counts)]
     pool.sort(key=lambda p: -abs(p[0]))
-    builds = []
-    real_probe = group_module._probe_points
-    monkeypatch.setattr(group_module, "_probe_points",
-                        lambda x: builds.append(x) or real_probe(x))
+    builds = _count_builds(monkeypatch)
     g = preset_genus2_octagon()
     assert [len(enumerate_ball(g, x, ref["radius"])) for x, _ in pool] \
         == [n for _, n in pool]
-    assert builds == [0.0j]
+    assert len(builds) == 1
     for x, _ in pool:
-        wide = _bfs_ball(preset_genus2_octagon(), x, 6.0,
-                         _vertex_reach(x) + 1.0)
+        wide = _wide_ball(x, 6.0, _vertex_reach(x) + 1.0)
         assert _same_elements(enumerate_ball(g, x, 6.0), wide)
 
 
 def test_second_base_point_builds_nothing(monkeypatch):
     # a ball off 0 builds only the ball at 0 of radius R + 2 rho(0, x), and
     # only when the cached one is smaller
-    builds = []
-    real_probe = group_module._probe_points
-    monkeypatch.setattr(group_module, "_probe_points",
-                        lambda x: builds.append(x) or real_probe(x))
+    builds = _count_builds(monkeypatch)
     g = preset_genus2_octagon()
     for x, n_builds in [(0.3 + 0.0j, 1), (0.2j, 1), (0.0j, 1), (-0.1, 1),
                         (0.35 + 0.1j, 2)]:
         enumerate_ball(g, x, 8.0)
         assert len(builds) == n_builds
-    assert builds == [0.0j, 0.0j]
     reach = g._ball_at_0.radius
     assert 8.0 + 2.0 * distance(0.0j, 0.35 + 0.1j) < reach < 8.0 + 1.6
 
@@ -308,7 +300,7 @@ def test_margin_0_ball_equals_walk_margin_ball(radius):
     # the same elements, bits and words as a build with the walk-lemma
     # margin c(0) passed explicitly
     ball = enumerate_ball(preset_genus2_octagon(), 0.0j, radius)
-    ref = _bfs_ball(preset_genus2_octagon(), 0.0j, radius, C_WALK + 1e-3)
+    ref = _bfs_ball(preset_genus2_octagon(), radius, C_WALK + 1e-3)
     assert len(ref.parents) > len(ball.parents) == len(ball)
     for a, b in [(ball.alphas, ref.alphas), (ball.betas, ref.betas),
                  (ball.displacements, ref.displacements)]:
@@ -332,17 +324,16 @@ def _keep_in_order(keys1, keys2, seen1, seen2):
     return kept
 
 
-def _reference_bfs(g, x, radius, margin):
+def _reference_bfs(g, radius, margin):
     """_bfs_ball without the reach mask and without the key store: every
     reduced child of every frontier node is built and measured, as before
     the mask, and each level is deduplicated by _keep_in_order on the
     rounded probe images: coordinates over DEDUP_TOL, rounded, and rounded
     after a half shift."""
     letters, gen_a, gen_b, inv_index = g.alphabet
-    probes = _probe_points(x)
 
     def keys(a, b):
-        comps = np.stack([part(mobius(a, b, p)) for p in probes
+        comps = np.stack([part(mobius(a, b, p)) for p in _PROBES
                           for part in (np.real, np.imag)], axis=1) / DEDUP_TOL
         return [list(map(tuple, np.round(comps + shift).astype(np.int64)
                          .tolist())) for shift in (0.0, 0.5)]
@@ -365,7 +356,7 @@ def _reference_bfs(g, x, radius, margin):
         norm = np.sqrt(np.abs(ca) ** 2 - np.abs(cb) ** 2)
         ca /= norm
         cb /= norm
-        disp = distance(x, mobius(ca, cb, x))
+        disp = distance(0.0j, mobius(ca, cb, 0.0j))
         keep = disp <= radius + margin
         level = [c[keep] for c in (ca, cb, disp, par, lidx)]
         new = _keep_in_order(*keys(level[0], level[1]), seen1, seen2)
@@ -376,7 +367,7 @@ def _reference_bfs(g, x, radius, margin):
     kept = np.flatnonzero(d <= radius)
     order = kept[np.argsort(d[kept], kind="stable")]
     signed = np.append(np.array(letters, dtype=np.int64), 0)
-    return OrbitBall(x, radius, a[order], b[order], d[order], order,
+    return OrbitBall(0.0j, radius, a[order], b[order], d[order], order,
                      parents, signed[lidx])
 
 
@@ -393,43 +384,45 @@ def test_ball_at_0_equals_unmasked_bfs(radius):
     # word, is the BFS that builds every child before it measures it
     ball = enumerate_ball(preset_genus2_octagon(), 0.0j, radius)
     margin = 2.0 ** -39 * np.exp(radius)
-    _assert_same_ball(ball, _reference_bfs(preset_genus2_octagon(), 0.0j,
-                                           radius, margin))
+    _assert_same_ball(ball, _reference_bfs(preset_genus2_octagon(), radius,
+                                           margin))
 
 
 @pytest.mark.parametrize("x", [0.35 + 0.1j, 0.8 + 0.0j])
 def test_wide_margin_bfs_equals_unmasked_bfs(x):
-    # off 0 the mask reaches rho(0, gamma 0) <= R + margin + 2 rho(0, x)
-    g = preset_genus2_octagon()
-    margin = g.max_generator_displacement(x) + 1.0
-    _assert_same_ball(_bfs_ball(g, x, 7.0, margin),
-                      _reference_bfs(g, x, 7.0, margin))
+    # the tests' wide-margin reference at x: the BFS at 0 of the group
+    # conjugated to move x to 0, whose letters pair no sides
+    g = _conjugated_octagon(-x)
+    margin = g.max_generator_displacement() + 1.0
+    _assert_same_ball(_bfs_ball(g, 7.0, margin),
+                      _reference_bfs(g, 7.0, margin))
 
 
 def test_trivial_ball_equals_unmasked_bfs(trivial):
     for x in (0.0j, 0.3j):
         _assert_same_ball(enumerate_ball(trivial, x, 5.0),
-                          _reference_bfs(trivial, x, 5.0, 0.0))
+                          _reference_bfs(trivial, 5.0, 0.0))
 
 
 @pytest.mark.parametrize("x, radius", [(0.0j, 12.0), (0.8 + 0.0j, 7.0)])
 def test_reach_mask_passes_every_kept_child(monkeypatch, x, radius):
     # every (node, letter) child of the tree that the exact displacement
-    # test keeps passes _within_reach.  Its slack is checked against the
-    # true error: put each kept child at the limit, limit = d its computed
-    # rho(0, gamma 0), bound = sinh^2(d/2)(|ga|^2 - |gb|^2); the least
-    # (bound + slack - |cb|^2)/slack over 88,976 children at 0 and 287,400
-    # at 0.8 reads 1 - 1.6e-5 and 1 - 1.1e-4, so a slack below twice the
-    # true error fails.
+    # test keeps passes _within_reach: on the preset at 0, and for x = 0.8
+    # on the group that the wide-margin reference at x conjugates.  Its
+    # slack is checked against the true error: put each kept child at the
+    # limit, limit = d its computed rho(0, gamma 0), bound = sinh^2(d/2)
+    # (|ga|^2 - |gb|^2); the least (bound + slack - |cb|^2)/slack over
+    # 88,976 children at 0 and 287,400 at 0.8 reads 1 - 1.6e-5 and
+    # 1 - 5.6e-5, so a slack below twice the true error fails.
     calls = []
     real = group_module._within_reach
     monkeypatch.setattr(group_module, "_within_reach",
                         lambda *a: calls.append((a, real(*a))) or
                         calls[-1][1].copy())
-    g = preset_genus2_octagon()
+    g = preset_genus2_octagon() if x == 0 else _conjugated_octagon(-x)
     margin = (2.0 ** -39 * np.exp(radius) if x == 0
-              else g.max_generator_displacement(x) + 1.0)
-    _bfs_ball(g, x, radius, margin)
+              else g.max_generator_displacement() + 1.0)
+    _bfs_ball(g, radius, margin)
     _, gen_a, gen_b, _ = g.alphabet
     ratios = []
     for (fa, fb, (ga2, gb2, _), _), mask in calls:
@@ -438,9 +431,10 @@ def test_reach_mask_passes_every_kept_child(monkeypatch, x, radius):
         cb = pa * gen_b + pb * np.conj(gen_a)
         norm = np.sqrt(np.abs(ca) ** 2 - np.abs(cb) ** 2)
         a, b = ca / norm, cb / norm
-        kept = distance(x, mobius(a, b, x)) <= radius + margin
+        d = distance(0.0j, mobius(a, b, 0.0j))
+        kept = d <= radius + margin
         assert np.all(mask[kept])
-        d = distance(0.0j, mobius(a, b, 0.0j))[kept]
+        d = d[kept]
         mag = (np.abs(pa) ** 2 * gb2 + np.abs(pb) ** 2 * ga2)[kept]
         ga2, gb2 = (np.broadcast_to(c, kept.shape)[kept] for c in (ga2, gb2))
         e = 2.0 ** -40 * np.exp(d)
@@ -603,7 +597,7 @@ def _traced_build(radius):
     """(ball at 0 built by _bfs_ball with margin 0, its tracemalloc peak)."""
     tracemalloc.start()
     try:
-        ball = _bfs_ball(preset_genus2_octagon(), 0.0j, radius, 0.0)
+        ball = _bfs_ball(preset_genus2_octagon(), radius, 0.0)
         return ball, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -630,11 +624,11 @@ def test_reach_mask_in_blocks_keeps_every_bit(monkeypatch, rows):
 
     monkeypatch.setattr(group_module, "_REACH_ROWS", rows)
     monkeypatch.setattr(group_module, "_within_reach", both)
-    ball = _bfs_ball(preset_genus2_octagon(), 0.0j, 8.0, 0.0)
+    ball = _bfs_ball(preset_genus2_octagon(), 8.0, 0.0)
     monkeypatch.undo()
     assert len(calls) > 5 and all(calls)
     assert _ball_bytes(ball) == _ball_bytes(
-        _bfs_ball(preset_genus2_octagon(), 0.0j, 8.0, 0.0))
+        _bfs_ball(preset_genus2_octagon(), 8.0, 0.0))
 
 
 def test_reach_11_7_build_peaks_lower(monkeypatch):
@@ -655,9 +649,8 @@ def test_reach_11_7_build_peaks_lower(monkeypatch):
 @pytest.mark.parametrize("radius, kept", [(10.0, 5433), (12.0, 40905)])
 def test_ball_at_0_measures_few_children(monkeypatch, radius, kept):
     # children are tested on |beta|^2 before they are built, so a build
-    # measures 6,425 elements at R = 10 and 48,073 at R = 12 (the base
-    # point's own rho(0, x) is one of them); building every child measured
-    # 38,032 and 286,336, 7.0 times the kept count
+    # measures 6,424 elements at R = 10 and 48,072 at R = 12; building
+    # every child measured 38,032 and 286,336, 7.0 times the kept count
     measured = []
     real = group_module.distance
     monkeypatch.setattr(group_module, "distance",
@@ -666,21 +659,43 @@ def test_ball_at_0_measures_few_children(monkeypatch, radius, kept):
     assert sum(measured) <= 1.25 * kept
 
 
-def _conjugate(alphas, betas, t=0.2):
-    """h g h^-1 for each pair g = (alpha, beta), h(z) = (z + t)/(1 + t z),
-    through the BFS's own product."""
-    ha = np.full(len(alphas), 1.0 / math.sqrt(1.0 - t * t) + 0j)
-    a, b = _product(ha, t * ha, np.asarray(alphas), np.asarray(betas))
-    return _product(a, b, ha, -t * ha)
+def _conjugate(alphas, betas, x=0.2):
+    """h g h^-1 for each pair g = (alpha, beta), h(z) = (z + x)/(1 +
+    conj(x) z), so h(0) = x, through the BFS's own product."""
+    ha = np.full(len(alphas), 1.0 / math.sqrt(1.0 - abs(x) ** 2) + 0j)
+    a, b = _product(ha, x * ha, np.asarray(alphas), np.asarray(betas))
+    return _product(a, b, ha, -x * ha)
 
 
-def _conjugated_octagon():
-    """The preset conjugated by h(z) = (z + 0.2)/(1 + 0.2 z): its
-    generators' bisectors of 0 leave the polygon they cut unbounded."""
+def _conjugated_octagon(x=0.2):
+    """The preset conjugated by h(z) = (z + x)/(1 + conj(x) z).  At x =
+    0.2 its generators' bisectors of 0 leave the polygon they cut
+    unbounded."""
     gens = preset_genus2_octagon().generators
-    a, b = _conjugate([g.alpha for g in gens], [g.beta for g in gens])
-    return FuchsianGroup([GroupElement(complex(x), complex(y), g.word)
-                          for x, y, g in zip(a, b, gens)], [_OCTAGON_RELATOR])
+    a, b = _conjugate([g.alpha for g in gens], [g.beta for g in gens], x)
+    return FuchsianGroup([GroupElement(complex(p), complex(q), g.word)
+                          for p, q, g in zip(a, b, gens)], [_OCTAGON_RELATOR])
+
+
+def _wide_ball(x, radius, margin):
+    """The preset's BFS ball about x with this margin, the tests' reference
+    for balls off 0: the BFS at 0 of h^-1 Gamma h, h(0) = x, conjugated
+    back.  rho(0, h^-1 gamma h 0) = rho(x, gamma x), so it walks the tree
+    of a BFS at x, and its probes 0 and 0.3 stand for x and h(0.3)."""
+    if x == 0:
+        return _bfs_ball(preset_genus2_octagon(), radius, margin)
+    ball = _bfs_ball(_conjugated_octagon(-x), radius, margin)
+    alphas, betas = _conjugate(ball.alphas, ball.betas, x)
+    return dataclasses.replace(ball, base=x, alphas=alphas, betas=betas)
+
+
+def _count_builds(monkeypatch):
+    """A list that gets one entry per _bfs_ball build from here on."""
+    builds = []
+    real = group_module._bfs_ball
+    monkeypatch.setattr(group_module, "_bfs_ball",
+                        lambda *a: builds.append(a) or real(*a))
+    return builds
 
 
 def test_margin_0_needs_the_dirichlet_polygon(octagon):
@@ -695,9 +710,9 @@ def test_margin_0_needs_the_dirichlet_polygon(octagon):
     assert not moved.dirichlet_at_0
     ball = enumerate_ball(moved, 0.0j, 8.0)
     assert len(ball.parents) > len(ball)
-    margin = moved.max_generator_displacement(0.0j)
+    margin = moved.max_generator_displacement()
     assert margin > D0
-    same = _bfs_ball(_conjugated_octagon(), 0.0j, 8.0, margin)
+    same = _bfs_ball(_conjugated_octagon(), 8.0, margin)
     for a, b in [(ball.alphas, same.alphas), (ball.betas, same.betas),
                  (ball.parents, same.parents)]:
         assert np.array_equal(a, b)
@@ -833,7 +848,7 @@ def test_genus_3_group(tmp_path):
         <= math.exp(2.0 * r / 3.0)
     ball = enumerate_ball(g, 0.0j, 6.0)
     reach = float(np.max(distance(0.0j, verts)))
-    wide = _bfs_ball(regular_4g_gon(3), 0.0j, 6.0, reach + 1.0)
+    wide = _bfs_ball(regular_4g_gon(3), 6.0, reach + 1.0)
     assert _same_elements(ball, wide)
 
 
@@ -847,9 +862,9 @@ def test_counts_invariant_and_reduced_into_domain(octagon, rng):
     pick = rng.integers(len(ball), size=len(zs))
     gz = mobius(ball.alphas[pick], ball.betas[pick], zs)
     q = octagon.reduce_points(gz)
-    assert np.all(in_convex_polygon(dom.vertices, q, 1e-9))
-    assert np.all(in_convex_polygon(dom.vertices, octagon.reduce_points(zs),
-                                    1e-9))
+    assert np.all(klein_excess(dom.vertices, q) <= 1e-9)
+    assert np.all(klein_excess(dom.vertices, octagon.reduce_points(zs))
+                  <= 1e-9)
     for x, r in [(0.0j, 1.5), (0.1 + 0.05j, 3.0)]:
         want = orbit_counts(octagon, x, zs, r)
         assert np.array_equal(orbit_counts(octagon, x, gz, r), want)
@@ -930,13 +945,14 @@ def test_group_keeps_only_the_ball_at_0():
 def test_margin_build_leaves_the_kept_ball(x):
     # the BFS with an explicit margin, the tests' wide-margin reference,
     # neither reads nor writes the group's kept ball, so it never compares
-    # a ball with itself
-    g = preset_genus2_octagon()
-    _bfs_ball(g, x, 8.0, 1.0)
+    # a ball with itself: on the preset, and on the group that the
+    # reference at x = 0.2 conjugates, which is not certified
+    g = preset_genus2_octagon() if x == 0 else _conjugated_octagon(-x)
+    _bfs_ball(g, 8.0, 1.0)
     assert g._ball_at_0 is None
     enumerate_ball(g, 0.0j, 9.0)
     held = g._ball_at_0
-    wide = _bfs_ball(g, x, 6.0, C_WALK + 1.0)
+    wide = _bfs_ball(g, 6.0, C_WALK + 1.0)
     assert g._ball_at_0 is held and held.radius == 9.0
     assert len(wide.parents) > len(wide)
     assert not np.shares_memory(wide.alphas, held.alphas)
@@ -947,15 +963,13 @@ def test_orbit_work_reads_only_the_ball_at_0(monkeypatch):
     # candidate query of an r sizes the ball for all its blocks (made small
     # here, so there are several), and the scan and the round trip build
     # their series ball before the domain's smaller one
-    builds, queries = [], []
-    real_probe, real_pairs = group_module._probe_points, seshadri.orbit_pairs
+    builds, queries = _count_builds(monkeypatch), []
+    real_pairs = seshadri.orbit_pairs
 
     def pairs(group, x, zs, r):
         out = real_pairs(group, x, zs, r)
         queries.append((r, len(builds)))
         return out
-    monkeypatch.setattr(group_module, "_probe_points",
-                        lambda x: builds.append(x) or real_probe(x))
     monkeypatch.setattr(seshadri, "orbit_pairs", pairs)
     monkeypatch.setattr(seshadri, "_STENCIL_BLOCK", 64)
     x, r = 0.3 - 0.1j, 4.5
@@ -979,10 +993,8 @@ def test_orbit_work_reads_only_the_ball_at_0(monkeypatch):
 def test_roundtrip_sums_the_moments_once(monkeypatch):
     # one ball, and one relative_poincare call for all samples together,
     # so the kernel moments are built once per round trip
-    builds, calls = [], []
-    real_probe, real_rp = group_module._probe_points, kernels.relative_poincare
-    monkeypatch.setattr(group_module, "_probe_points",
-                        lambda x: builds.append(x) or real_probe(x))
+    builds, calls = _count_builds(monkeypatch), []
+    real_rp = kernels.relative_poincare
     monkeypatch.setattr(kernels, "relative_poincare",
                         lambda *args: calls.append(args) or real_rp(*args))
     seed = SeedFunction.poly([1.0])
@@ -1140,14 +1152,14 @@ def test_dedup_queries_in_and_out_of_key_order():
 
 def test_ball_dedup_radius_limit(monkeypatch):
     g = preset_genus2_octagon()
-    # off 0 the reach of the ball at 0, R + 2 rho(0, x) plus a slack of
-    # 3.3e-4 or less below the limit, counts against it
+    # off 0 the reach R + 2 rho(0, x) counts against the limit, before
+    # the slack of 3.3e-4 or less that the ball at 0 adds
     x = 0.2 + 0.0j
     c = 2.0 * float(distance(0.0j, x))
     with pytest.raises(BudgetExceeded, match=r"2 rho\(0, x\).*dedup"):
         enumerate_ball(g, x, DEDUP_MAX_RADIUS - c + 0.001)
     with pytest.raises(BudgetExceeded, match="dedup"):
-        _bfs_ball(g, 0.0j, 5.0, DEDUP_MAX_RADIUS)
+        _bfs_ball(g, 5.0, DEDUP_MAX_RADIUS)
     # just inside the limit the build starts (and meets the element cap)
     monkeypatch.setattr(group_module, "ELEMENT_CAP", 100)
     with pytest.raises(BudgetExceeded, match="cap 100"):

@@ -76,11 +76,13 @@ def test_transformation_identity():
     assert rep.max_residual < 1e-14
 
 
-def test_reproducing():
-    rep = reproducing_check(4, ONE, 0.0)
-    assert rep.rel_error < 5e-3
-    h = SeedFunction.poly([0.0, 0.0, 1.0])
-    rep = reproducing_check(4, h, 0.3)
+def test_reproducing(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "REPRODUCING_PROBE", (ONE, 0.0))
+        rep = reproducing_check(4)
+        assert rep.expected == 1.0
+        assert rep.rel_error < 5e-3
+    rep = reproducing_check(4)      # h = z^2 at w = 0.3
     assert rep.expected == pytest.approx(0.09)
     assert rep.rel_error < 5e-3
     assert rep.rel_error < rep.rel_error_half_grid
@@ -90,13 +92,13 @@ def test_reproducing():
 def test_reproducing_radial_factor_per_radius(m):
     # K(z,z)^(1-m) is taken once per radius; per node, from |z|, the
     # integral agrees to rounding
-    h, w = SeedFunction.poly([0.0, 0.0, 1.0]), 0.3
+    h, w = kernels.REPRODUCING_PROBE
 
     def per_node(z, wt, r):
         return (weighted_kernel(m, z, w) * np.conj(h(z))
                 * (np.pi * (1.0 - np.abs(z) ** 2) ** 2) ** (m - 1) * wt)
     want = complex(_polar_sum(800, 512, per_node, complex))
-    assert abs(reproducing_check(m, h, w).value - want) <= 1e-13 * abs(want)
+    assert abs(reproducing_check(m).value - want) <= 1e-13 * abs(want)
 
 
 @pytest.mark.parametrize("m", [2, 4, 6])

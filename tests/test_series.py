@@ -105,6 +105,13 @@ def test_norm_homogeneity_and_validation():
         norm_pl(ONE, 1, -1.0)
 
 
+def test_poincare_values_rejects_weight_below_2(octagon):
+    # on entry, as poincare_eval does: P_1 would be summed first
+    for m in (0, 1):
+        with pytest.raises(ValueError, match="weight m must be >= 2"):
+            series.poincare_values(octagon, ONE, m, [0.1], 6.0)
+
+
 def test_weight_sum_trivial(trivial):
     sv = weight_sum(trivial, 0.0j, 0.2 + 0.1j, 5.0)
     assert sv.value == 1.0
@@ -726,8 +733,7 @@ def _quadratures(group, radii):
     f = SeedFunction.poly([0.0, 1.0])
     return ([series.lemma22_check(group, f, 4, r) for r in radii]
             + [series.norm_pl(f, p, l) for p, l in [(1, 0.0), (2, 1.5)]]
-            + [kernels.reproducing_check(4, SeedFunction.poly([0, 0, 1.0]),
-                                         0.3), kernels.cm_constant(4)])
+            + [kernels.reproducing_check(4), kernels.cm_constant(4)])
 
 
 @pytest.mark.parametrize("polar_block, ball_rows, radii", [

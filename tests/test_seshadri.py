@@ -257,9 +257,9 @@ def test_quasi_psh_builds_each_ball_once(monkeypatch, capsys):
     # counts, then the stencil's first candidate query; dirichlet_domain
     # takes the certificate's polygon and builds none
     builds = []
-    real_probe = group_module._probe_points
-    monkeypatch.setattr(group_module, "_probe_points",
-                        lambda x: builds.append(x) or real_probe(x))
+    real_bfs = group_module._bfs_ball
+    monkeypatch.setattr(group_module, "_bfs_ball",
+                        lambda *a: builds.append(a) or real_bfs(*a))
     assert cli.main(["quasi-psh-check", "--r-factors", "4"]) == 0
     assert len(builds) == 4
 
